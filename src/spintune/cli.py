@@ -123,7 +123,7 @@ def _cmd_sweep(args) -> int:
             noise = dqd.NoiseModel(**payload["noise"])
         except (TypeError, ValueError) as err:
             raise harness.ConfigError(f"bad noise model: {err}") from None
-    n_steps = int(payload.get("n_steps", dqd.GRID_STEPS))
+    n_steps = payload.get("n_steps", dqd.GRID_STEPS)
     out = Path(args.out if args.out is not None else payload.get("out", "grid.csv"))
     try:
         grid = dqd.sweep_fidelity_grid(base, axis1, axis2, noise=noise, n_steps=n_steps)

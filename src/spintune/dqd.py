@@ -12,18 +12,29 @@ Units: energies in GHz, times in ns, hbar = 1, so a constant level E
 accumulates phase 2*pi*E*t. Detuning follows a linear ramp from eps_initial
 to eps_final over ramp_time.
 
-Time evolution is piecewise-constant: each step takes the Hamiltonian at the
-step midpoint and applies its exact matrix exponential. The exponentials are
-assembled from the analytic eigenvalues of the symmetric 3x3 matrix (spectral
-form), vectorized over steps, noise samples and sweep cells, with an eigh
-fallback wherever the spectrum is too close to degenerate for the spectral
-form to be accurate.
+Time evolution is piecewise-constant: each step applies the exact matrix
+exponential of the Hamiltonian at its midpoint. One kernel, ``_ramp_states``,
+integrates every ramp (``evolve``, ``initialization_fidelity`` and each cell
+and noise sample of ``sweep_fidelity_grid``) and builds each step unitary as
+U = sum_k exp(-2*pi*i*lam_k*dt) v_k v_k^T / |v_k|^2 in closed form. The outer
+eigenvalues solve the characteristic cubic trigonometrically; the middle one
+is lam_mid = eps*dE_z^2 / (lam_low*lam_top) from det H = eps*dE_z^2, which
+keeps its relative precision near 0 where -eps - lam_low - lam_top does not.
+Each eigenvector is v ~ (t_c*lam, lam*(eps+lam), dE_z*(eps+lam)) or the equal
+(lam^2 - dE_z^2, t_c*lam, t_c*dE_z), whichever has the larger norm. A step
+falls back to eigh where its spectrum is nearly degenerate, where the two
+forms of lam_mid disagree, or where both eigenvectors vanish (dE_z = 0 or a
+level crossing). Arrays are component-major with trajectories on the last
+axis: C trajectories hold their step unitaries as (n_steps, 3, 3, C) and fold
+them pairwise in time order with einsum, C being set by one byte budget
+that keeps the step unitaries in cache.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,10 +48,6 @@ DEFAULT_STEPS = 8000
 # Step count for landscape-style grid surveys where sub-1e-6 accuracy
 # would be wasted; fringe structure is converged well above this.
 GRID_STEPS = 2000
-
-# Relative spectral gap below which step propagators fall back to eigh.
-_GAP_TOL = 1e-5
-
 
 @dataclass(frozen=True)
 class DqdConfig:
@@ -157,8 +164,24 @@ def detuning_ramp(cfg: DqdConfig, t: float | np.ndarray) -> float | np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# batched spectral machinery
+# ramp kernel
 # ----------------------------------------------------------------------
+
+# Relative spectral gap below which step unitaries fall back to eigh.
+_GAP_TOL = 1e-5
+
+# Largest disagreement between the two formulas for the middle eigenvalue,
+# relative to the smallest spectral gap, before step unitaries fall back to
+# eigh. The disagreement tracks the rounding error of the trigonometric
+# eigenvalues, and its ratio to the gap the error of the eigenvectors.
+_MID_TOL = 1e-12
+
+# Bytes of step unitaries held at once. Trajectories are integrated in
+# chunks of this size so that a chunk's working set stays in cache.
+_CHUNK_BYTES = 1 << 21
+
+# Phase offsets of the trigonometric eigenvalue formula: lowest, highest.
+_BRANCHES = np.array([2.0, 0.0])[:, None, None] * (np.pi / 3.0)
 
 
 def _h_batch(eps: np.ndarray, t_c: np.ndarray, de_z: np.ndarray) -> np.ndarray:
@@ -171,106 +194,102 @@ def _h_batch(eps: np.ndarray, t_c: np.ndarray, de_z: np.ndarray) -> np.ndarray:
     return h
 
 
-def _eigvals3(eps: np.ndarray, t_c: np.ndarray, de_z: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of H, computed analytically (trigonometric form)."""
-    eps, t_c, de_z = np.broadcast_arrays(
-        np.asarray(eps, float), np.asarray(t_c, float), np.asarray(de_z, float)
-    )
-    q = -eps / 3.0
-    p2 = eps * eps / 9.0 + (t_c * t_c + de_z * de_z) / 3.0
-    p = np.sqrt(p2)
-    det_b = eps * (-2.0 * eps * eps / 27.0 + (2.0 / 3.0) * de_z * de_z - t_c * t_c / 3.0)
+def _eigensystem(
+    eps: np.ndarray, t_c: np.ndarray, de_z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form eigen-decomposition of H at detunings (N, C), couplings (C,).
+
+    Returns the ascending eigenvalues ``lam`` (3, N, C), unnormalized
+    eigenvectors ``v`` (3, 3, N, C) with ``v[k]`` belonging to ``lam[k]``,
+    their squared norms (3, N, C) and a mask (N, C) of the points where the
+    closed form is accurate; elsewhere callers use eigh.
+    """
+    t2, d2 = t_c * t_c, de_z * de_z
+    q = eps / -3.0
+    p = np.sqrt(q * q + (t2 + d2) / 3.0)
+    det_b = eps * ((2.0 * d2 - t2) / 3.0 - (2.0 / 27.0) * eps * eps)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(p > 0.0, det_b / (2.0 * p2 * np.where(p > 0.0, p, 1.0)), 0.0)
-    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-    top = q + 2.0 * p * np.cos(phi)
-    low = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    mid = 3.0 * q - top - low
-    return np.stack([low, mid, top], axis=-1)
+        phi = np.arccos(np.clip(det_b / (2.0 * p**3), -1.0, 1.0)) / 3.0
+        low, top = q + 2.0 * p * np.cos(phi + _BRANCHES)
+        # det H = eps dE_z^2 gives mid to full relative precision near 0,
+        # where the trace form loses digits; the two are compared below
+        trace_mid = -eps - low - top
+        lam = np.stack([low, eps * d2 / (low * top), top])
+        # Two closed forms, the cross products of rows (0, 2) and (1, 2) of
+        # H - lam: each loses digits where the other does not, so take the
+        # one with the larger norm.
+        shifted = eps + lam
+        v = np.stack([t_c * lam, lam * shifted, de_z * shifted], axis=1)
+        t_dz = np.broadcast_to(t_c * de_z, lam.shape)
+        v_alt = np.stack([lam * lam - d2, t_c * lam, t_dz], axis=1)
+        norm2 = np.einsum("kinc,kinc->knc", v, v)
+        norm2_alt = np.einsum("kinc,kinc->knc", v_alt, v_alt)
+        use_alt = norm2_alt > norm2
+        v = np.where(use_alt[:, None], v_alt, v)
+        norm2 = np.where(use_alt, norm2_alt, norm2)
+        scale = np.maximum(-low, top)
+        gap = np.minimum(trace_mid - low, top - trace_mid)
+        ok = (
+            (gap >= _GAP_TOL * scale)
+            & (np.abs(lam[1] - trace_mid) <= _MID_TOL * gap)
+            & np.all(norm2 > np.finfo(float).tiny, axis=0)
+        )
+    return lam, v, norm2, ok
 
 
-def _step_propagators(
-    eps: np.ndarray, t_c: np.ndarray, de_z: np.ndarray, dt: np.ndarray
-) -> np.ndarray:
-    """exp(-2i*pi*H*dt) for a batch of (eps, t_c, de_z, dt), spectral form."""
-    eps, t_c, de_z, dt = np.broadcast_arrays(eps, t_c, de_z, dt)
-    lam = _eigvals3(eps, t_c, de_z)
-    h = _h_batch(eps, t_c, de_z)
-    h2 = h @ h
-    eye = np.broadcast_to(np.eye(3), h.shape)
-    phase = np.exp(-2j * np.pi * lam * dt[..., None])
-
-    scale = np.abs(lam).max(axis=-1) + 1e-300
-    gap = np.minimum(lam[..., 1] - lam[..., 0], lam[..., 2] - lam[..., 1])
-    degenerate = gap < _GAP_TOL * scale
-
-    u = np.zeros(h.shape, dtype=complex)
-    idx = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    for k, a, b in zip(*idx):
-        la, lb, lk = lam[..., a], lam[..., b], lam[..., k]
-        num = h2 - (la + lb)[..., None, None] * h + (la * lb)[..., None, None] * eye
-        den = (lk - la) * (lk - lb)
-        den = np.where(degenerate, 1.0, den)
-        u += phase[..., k, None, None] * num / den[..., None, None]
-
-    if np.any(degenerate):
-        w, v = np.linalg.eigh(h[degenerate])
-        ph = np.exp(-2j * np.pi * w * dt[degenerate][..., None])
-        u[degenerate] = (v * ph[..., None, :]) @ np.swapaxes(v, -1, -2)
-    return u
-
-
-def _fold_time_ordered(u: np.ndarray) -> np.ndarray:
-    """Pairwise-fold products along axis -3: returns U[N-1] @ ... @ U[0]."""
-    while u.shape[-3] > 1:
-        n = u.shape[-3]
-        m = n // 2
-        paired = np.matmul(u[..., 1 : 2 * m : 2, :, :], u[..., 0 : 2 * m : 2, :, :])
-        if n % 2:
-            paired = np.concatenate([paired, u[..., -1:, :, :]], axis=-3)
-        u = paired
-    return u[..., 0, :, :]
-
-
-def _ramp_propagator(
+def _ramp_states(
     eps0: np.ndarray,
     eps1: np.ndarray,
     t_f: np.ndarray,
     t_c: np.ndarray,
     de_z: np.ndarray,
+    psi0: np.ndarray,
     n_steps: int,
 ) -> np.ndarray:
-    """Total propagator for linear ramps, batched over the leading shape."""
-    eps0, eps1, t_f, t_c, de_z = np.broadcast_arrays(
-        np.asarray(eps0, float),
-        np.asarray(eps1, float),
-        np.asarray(t_f, float),
-        np.asarray(t_c, float),
-        np.asarray(de_z, float),
-    )
-    frac = (np.arange(n_steps) + 0.5) / n_steps
-    eps_mid = eps0[..., None] + (eps1 - eps0)[..., None] * frac
-    dt = np.broadcast_to((t_f / n_steps)[..., None], eps_mid.shape)
-    u = _step_propagators(
-        eps_mid, t_c[..., None], de_z[..., None], dt
-    )
-    return _fold_time_ordered(u)
+    """Final states of linear ramps, one per trajectory.
 
-
-def _sorted_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(h)
-    return w, v
+    The ramp parameters are flat float arrays of one length T and psi0 has
+    shape (T, 3); returns the (T, 3) amplitudes after n_steps midpoint steps.
+    """
+    frac = ((np.arange(n_steps) + 0.5) / n_steps)[:, None]
+    chunk = max(1, _CHUNK_BYTES // (n_steps * 9 * 16))
+    out = np.empty((len(eps0), 3), dtype=complex)
+    for lo in range(0, len(eps0), chunk):
+        s = slice(lo, lo + chunk)
+        # component-major: steps first, trajectories last, (N, C) and (N, 3, 3, C)
+        eps = eps0[s] + (eps1[s] - eps0[s]) * frac
+        dt = t_f[s] / n_steps
+        lam, v, norm2, ok = _eigensystem(eps, t_c[s], de_z[s])
+        # U = sum_k exp(-2i pi lam_k dt) v_k v_k^T / |v_k|^2, in real arithmetic
+        theta = (-2.0 * np.pi * dt) * lam
+        u = np.empty((n_steps, 3, 3, eps.shape[1]), dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u.real = np.einsum("knc,kinc,kjnc->nijc", np.cos(theta) / norm2, v, v)
+            u.imag = np.einsum("knc,kinc,kjnc->nijc", np.sin(theta) / norm2, v, v)
+        if not ok.all():
+            bad = ~ok
+            cols = np.nonzero(bad)[1]
+            vals, vecs = np.linalg.eigh(_h_batch(eps[bad], t_c[s][cols], de_z[s][cols]))
+            ph = np.exp(-2j * np.pi * vals * dt[cols, None])
+            np.moveaxis(u, 3, 1)[bad] = (vecs * ph[:, None, :]) @ np.swapaxes(vecs, -1, -2)
+        # pairwise time-ordered fold: U[N-1] @ ... @ U[0]
+        while len(u) > 1:
+            m = len(u) // 2 * 2
+            paired = np.einsum("nijc,njkc->nikc", u[1:m:2], u[0:m:2])
+            u = np.concatenate([paired, u[m:]]) if m < len(u) else paired
+        out[s] = np.einsum("ijc,cj->ci", u[0], psi0[s])
+    return out
 
 
 def _ground_states(eps: np.ndarray, t_c: np.ndarray, de_z: np.ndarray) -> np.ndarray:
     """Ground eigenvector of H for a batch of detunings, shape (..., 3)."""
-    _, v = _sorted_eigh(_h_batch(eps, t_c, de_z))
+    _, v = np.linalg.eigh(_h_batch(eps, t_c, de_z))
     return v[..., :, 0]
 
 
 def _tracked_target(eps_path: np.ndarray, t_c: float, de_z: float) -> np.ndarray:
     """Eigenvector-continuity tracking of the ground branch along one path."""
-    _, v = _sorted_eigh(_h_batch(eps_path, t_c, de_z))
+    _, v = np.linalg.eigh(_h_batch(eps_path, t_c, de_z))
     cur = v[0][:, 0]
     for k in range(1, len(eps_path)):
         overlaps = v[k].T @ cur
@@ -286,37 +305,27 @@ def _adiabatic_targets(
     de_z: np.ndarray,
     n_track: int,
 ) -> np.ndarray:
-    """Eigenstate at eps1 adiabatically connected to the ground state at eps0.
+    """Eigenstates at eps1 adiabatically connected to the ground states at eps0.
 
-    With both couplings non-zero the Hamiltonian is tridiagonal with non-zero
-    off-diagonals, so its spectrum is simple everywhere and continuity
-    tracking coincides with staying at the lowest sorted eigenvalue. Only
-    exactly-decoupled configurations (t_c = 0 or dE_z = 0, where levels cross)
-    need the explicit walk.
+    Takes flat per-cell arrays. With both couplings non-zero the Hamiltonian
+    is tridiagonal with non-zero off-diagonals, so its spectrum is simple
+    everywhere and continuity tracking coincides with staying at the lowest
+    sorted eigenvalue. Only exactly-decoupled configurations (t_c = 0 or
+    dE_z = 0, where levels cross) need the explicit walk.
     """
-    eps0, eps1, t_c, de_z = np.broadcast_arrays(
-        np.asarray(eps0, float),
-        np.asarray(eps1, float),
-        np.asarray(t_c, float),
-        np.asarray(de_z, float),
-    )
-    targets = _ground_states(eps1, t_c, de_z).astype(complex)
-    crossing = (t_c == 0.0) | (de_z == 0.0)
-    if np.any(crossing):
-        flat_idx = np.flatnonzero(crossing.ravel())
-        e0f, e1f = eps0.ravel(), eps1.ravel()
-        tcf, dzf = t_c.ravel(), de_z.ravel()
-        tflat = targets.reshape(-1, 3)
-        for i in flat_idx:
-            path = np.linspace(e0f[i], e1f[i], n_track + 1)
-            tflat[i] = _tracked_target(path, tcf[i], dzf[i])
-        targets = tflat.reshape(targets.shape)
+    targets = _ground_states(eps1, t_c, de_z)
+    for i in np.flatnonzero((t_c == 0.0) | (de_z == 0.0)):
+        path = np.linspace(eps0[i], eps1[i], n_track + 1)
+        targets[i] = _tracked_target(path, t_c[i], de_z[i])
     return targets
 
 
 # ----------------------------------------------------------------------
 # public operations
 # ----------------------------------------------------------------------
+
+# Sweepable DqdConfig fields, in the argument order of _cell_fidelities.
+_AXIS_FIELDS = ("eps_initial", "eps_final", "ramp_time", "tunnel_coupling", "zeeman_diff")
 
 
 def evolve(
@@ -334,15 +343,9 @@ def evolve(
         if dt > cfg.ramp_time:
             raise ValueError(f"dt={dt} exceeds ramp_time={cfg.ramp_time}")
         n_steps = max(1, int(round(cfg.ramp_time / dt)))
-    u = _ramp_propagator(
-        cfg.eps_initial + noise_shift,
-        cfg.eps_final + noise_shift,
-        cfg.ramp_time,
-        cfg.tunnel_coupling,
-        cfg.zeeman_diff,
-        n_steps,
-    )
-    return StateVector(u @ psi0.amplitudes)
+    ramp = np.array([[getattr(cfg, name)] for name in _AXIS_FIELDS], dtype=float)
+    ramp[:2] += noise_shift
+    return StateVector(_ramp_states(*ramp, psi0.amplitudes[None], n_steps)[0])
 
 
 def initialization_fidelity(
@@ -358,43 +361,41 @@ def initialization_fidelity(
     path by one quasistatic draw and the reported fidelity is the mean
     squared overlap against the nominal target.
     """
-    psi0 = _ground_states(cfg.eps_initial, cfg.tunnel_coupling, cfg.zeeman_diff)
-    target = _adiabatic_targets(
-        cfg.eps_initial, cfg.eps_final, cfg.tunnel_coupling, cfg.zeeman_diff, n_steps
-    )
-    shifts = noise.draws() if noise is not None else np.zeros(1)
-    fid = _batched_fidelity(cfg, psi0, target, shifts, n_steps)
-    return float(fid.mean())
+    cell = np.array([[getattr(cfg, name)] for name in _AXIS_FIELDS], dtype=float)
+    return float(_cell_fidelities(*cell, noise, n_steps)[0])
 
 
-def _batched_fidelity(
-    cfg: DqdConfig,
-    psi0: np.ndarray,
-    target: np.ndarray,
-    shifts: np.ndarray,
+def _cell_fidelities(
+    eps0: np.ndarray,
+    eps1: np.ndarray,
+    t_f: np.ndarray,
+    t_c: np.ndarray,
+    de_z: np.ndarray,
+    noise: NoiseModel | None,
     n_steps: int,
-    max_bytes: int = 1 << 26,
 ) -> np.ndarray:
-    """Squared overlap with the target after shifted ramps, one per shift."""
-    per_shift = n_steps * 9 * 16
-    chunk = max(1, max_bytes // per_shift)
-    out = np.empty(len(shifts))
-    for lo in range(0, len(shifts), chunk):
-        s = shifts[lo : lo + chunk]
-        u = _ramp_propagator(
-            cfg.eps_initial + s,
-            cfg.eps_final + s,
-            cfg.ramp_time,
-            cfg.tunnel_coupling,
-            cfg.zeeman_diff,
-            n_steps,
-        )
-        psi_f = u @ psi0
-        out[lo : lo + chunk] = np.abs(psi_f @ target.conj()) ** 2
-    return out
+    """Mean transfer fidelity of each cell, given flat per-cell parameters."""
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    psi0 = _ground_states(eps0, t_c, de_z)
+    target = _adiabatic_targets(eps0, eps1, t_c, de_z, n_steps)
+    shifts = noise.draws() if noise is not None else np.zeros(1)
 
+    def per_sample(a: np.ndarray) -> np.ndarray:
+        return np.repeat(a, len(shifts), axis=0)
 
-_AXIS_FIELDS = ("eps_initial", "eps_final", "ramp_time", "tunnel_coupling", "zeeman_diff")
+    # one trajectory per (cell, noise sample), cells major
+    psi = _ramp_states(
+        (eps0[:, None] + shifts).ravel(),
+        (eps1[:, None] + shifts).ravel(),
+        per_sample(t_f),
+        per_sample(t_c),
+        per_sample(de_z),
+        per_sample(psi0),
+        n_steps,
+    )
+    amp = np.sum(per_sample(target).conj() * psi, axis=-1).reshape(-1, len(shifts))
+    return np.mean(np.abs(amp) ** 2, axis=-1)
 
 
 def sweep_fidelity_grid(
@@ -419,41 +420,14 @@ def sweep_fidelity_grid(
     vals1 = np.asarray(vals1, dtype=float)
     vals2 = np.asarray(vals2, dtype=float)
 
-    base = {f.name: getattr(cfg, f.name) for f in fields(DqdConfig)}
     grid_a, grid_b = np.meshgrid(vals1, vals2, indexing="ij")
-    cells = {name: np.full(grid_a.shape, value) for name, value in base.items()}
+    cells = {name: np.full(grid_a.shape, getattr(cfg, name), dtype=float) for name in _AXIS_FIELDS}
     cells[name1] = grid_a
     cells[name2] = grid_b
     if np.any(cells["ramp_time"] <= 0.0):
         raise ValueError("ramp_time values must be positive")
 
-    eps0, eps1 = cells["eps_initial"].ravel(), cells["eps_final"].ravel()
-    t_f = cells["ramp_time"].ravel()
-    t_c = cells["tunnel_coupling"].ravel()
-    de_z = cells["zeeman_diff"].ravel()
-
-    psi0 = _ground_states(eps0, t_c, de_z).astype(complex)
-    target = _adiabatic_targets(eps0, eps1, t_c, de_z, n_steps)
-    shifts = noise.draws() if noise is not None else np.zeros(1)
-
-    n_cells = eps0.size
-    fid = np.zeros(n_cells)
-    # chunk over cells; each chunk evolves all noise samples at once
-    per_cell = len(shifts) * n_steps * 9 * 16
-    chunk = max(1, (1 << 27) // max(per_cell, 1))
-    for lo in range(0, n_cells, chunk):
-        sl = slice(lo, min(lo + chunk, n_cells))
-        u = _ramp_propagator(
-            eps0[sl][:, None] + shifts,
-            eps1[sl][:, None] + shifts,
-            t_f[sl][:, None],
-            t_c[sl][:, None],
-            de_z[sl][:, None],
-            n_steps,
-        )
-        psi_f = u @ psi0[sl][:, None, :, None]
-        amp = np.sum(target[sl].conj()[:, None, :] * psi_f[..., 0], axis=-1)
-        fid[sl] = np.mean(np.abs(amp) ** 2, axis=-1)
+    fid = _cell_fidelities(*(cells[name].ravel() for name in _AXIS_FIELDS), noise, n_steps)
     return fid.reshape(len(vals1), len(vals2))
 
 

@@ -158,6 +158,18 @@ def test_sweep_without_axes_exits_2(tmp_path):
     assert main(["sweep", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("n_steps", [0, -3, "abc", 1.5])
+def test_sweep_with_bad_step_count_exits_2(tmp_path, capsys, n_steps):
+    cfg = write_json(tmp_path / "sweep.json", {
+        "axis1": {"name": "ramp_time", "values": [0.1, 0.5]},
+        "axis2": {"name": "eps_final", "values": [20.0]},
+        "n_steps": n_steps,
+    })
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "grid.csv")]) == 2
+    assert "n_steps" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+
+
 def test_analyze_missing_record_exits_2(tmp_path):
     assert main(["analyze", "--record", str(tmp_path / "void"), "--hdmr"]) == 2
 

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spintune.dqd import (
+    DEFAULT_STEPS,
     ConveyorPulse,
     DqdConfig,
     NoiseModel,
     StateVector,
+    _eigensystem,
+    _ramp_states,
     conveyor_voltage,
     detuning_ramp,
     evolve,
@@ -179,6 +185,111 @@ def test_single_cell_grid_equals_direct_fidelity():
                   eps_final=40.0, ramp_time=0.3), n_steps=500)
     assert grid.shape == (1, 1)
     assert grid[0, 0] == pytest.approx(direct, abs=1e-15)
+
+
+def expm_stepped(eps0, eps1, t_f, t_c, de_z, psi0, n_steps):
+    """Reference ramp: scipy expm of every midpoint Hamiltonian, applied in turn."""
+    frac = (np.arange(n_steps) + 0.5) / n_steps
+    eps = eps0 + (eps1 - eps0) * frac
+    h = np.zeros((n_steps, 3, 3))
+    h[:, 0, 0] = -eps
+    h[:, 0, 1] = h[:, 1, 0] = t_c
+    h[:, 1, 2] = h[:, 2, 1] = de_z
+    psi = np.asarray(psi0, dtype=complex)
+    for u in scipy.linalg.expm(-2j * np.pi * (t_f / n_steps) * h):
+        psi = u @ psi
+    return psi
+
+
+@st.composite
+def ramps(draw):
+    """Ramps of at most 1 ns at |eps| <= 50 GHz, so the accumulated phase stays
+    below about 300 rad and its double-precision rounding far below the
+    tolerance. A quarter of them run symmetrically through eps = 0 with an odd
+    step count, which puts one step midpoint exactly on eps = 0; the couplings
+    include exact zeros, where the closed form can fall back to eigh."""
+    eps0 = draw(st.floats(-50.0, 50.0))
+    through_zero = draw(st.booleans()) and draw(st.booleans())
+    eps1 = -eps0 if through_zero else draw(st.floats(-50.0, 50.0))
+    n_steps = draw(st.integers(1, 40))
+    if through_zero:
+        n_steps |= 1
+    amp = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)))
+    psi0 = amp[:3] + 1j * amp[3:]
+    if np.linalg.norm(psi0) < 1e-3:
+        psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    return dict(eps0=eps0, eps1=eps1, t_f=draw(st.floats(0.01, 1.0)),
+                t_c=draw(st.one_of(st.just(0.0), st.floats(0.05, 20.0))),
+                de_z=draw(st.one_of(st.just(0.0), st.floats(0.05, 5.0))),
+                psi0=psi0 / np.linalg.norm(psi0), n_steps=n_steps)
+
+
+@given(ramps())
+def test_ramp_states_match_expm_stepping(ramp):
+    args = [np.array([ramp[k]]) for k in ("eps0", "eps1", "t_f", "t_c", "de_z")]
+    got = _ramp_states(*args, ramp["psi0"][None], ramp["n_steps"])[0]
+    want = expm_stepped(**ramp)
+    assert np.abs(got - want).max() < 1e-12
+
+
+def test_middle_eigenvalue_det_identity_near_zero():
+    eps = np.array([[1e-9], [-3e-7], [2e-4], [0.0]])
+    t_c, de_z = np.array([10.0]), np.array([0.3])
+    lam, _, _, _ = _eigensystem(eps, t_c, de_z)
+    lam = lam[:, :, 0].T
+    h = np.stack([hamiltonian(DqdConfig(tunnel_coupling=10.0, zeeman_diff=0.3), e) for e in eps[:, 0]])
+    np.testing.assert_allclose(lam, np.linalg.eigvalsh(h), rtol=0, atol=1e-13)
+    # the middle root of det(x - H) = x^3 + eps x^2 - (t_c^2 + dE_z^2) x - eps dE_z^2
+    # to full relative precision: one Newton step from it moves it by < 1e-14
+    x, e, s = lam[:, 1], eps[:, 0], 10.0**2 + 0.3**2
+    newton = x - (x**3 + e * x**2 - s * x - e * 0.3**2) / (3 * x**2 + 2 * e * x - s)
+    np.testing.assert_allclose(x, newton, rtol=1e-14, atol=0)
+    assert lam[3, 1] == 0.0
+
+
+def test_evolve_at_default_steps_matches_expm_stepping():
+    cfg = DqdConfig(ramp_time=0.7, **STRONG)
+    psi0 = ground_state(cfg, cfg.eps_initial)
+    want = expm_stepped(cfg.eps_initial, cfg.eps_final, cfg.ramp_time, cfg.tunnel_coupling,
+                        cfg.zeeman_diff, psi0.amplitudes, DEFAULT_STEPS)
+    assert np.abs(evolve(cfg, psi0).amplitudes - want).max() < 1e-10
+
+
+@pytest.mark.parametrize("noise", [None, NoiseModel(sigma_eps=1.0, n_samples=50, seed=3)])
+def test_grid_cells_equal_initialization_fidelity(noise):
+    base = DqdConfig(tunnel_coupling=10.0, zeeman_diff=0.3, eps_initial=-30.0,
+                     eps_final=50.0, ramp_time=0.06)
+    ramps_ns, finals = [0.05, 0.3, 1.2], [8.0, 25.0]
+    grid = sweep_fidelity_grid(base, ("ramp_time", ramps_ns), ("eps_final", finals),
+                               noise=noise, n_steps=300)
+    for i, t_f in enumerate(ramps_ns):
+        for j, eps_f in enumerate(finals):
+            cfg = DqdConfig(tunnel_coupling=10.0, zeeman_diff=0.3, eps_initial=-30.0,
+                            eps_final=eps_f, ramp_time=t_f)
+            direct = initialization_fidelity(cfg, noise=noise, n_steps=300)
+            assert abs(grid[i, j] - direct) < 1e-14
+
+
+def test_chunk_boundaries_do_not_change_grid_cells():
+    base = DqdConfig(tunnel_coupling=10.0, zeeman_diff=0.3, eps_initial=-30.0,
+                     eps_final=50.0, ramp_time=0.06)
+    ramps_ns, finals = np.geomspace(0.04, 4.0, 40), np.linspace(2.0, 40.0, 40)
+    grid = sweep_fidelity_grid(base, ("ramp_time", ramps_ns), ("eps_final", finals), n_steps=300)
+    # cells 0, 47, 48 and 1599 in row-major order: first, both sides of the
+    # first chunk boundary at 300 steps, and last
+    for i, j in ((0, 0), (1, 7), (1, 8), (39, 39)):
+        one = sweep_fidelity_grid(base, ("ramp_time", [ramps_ns[i]]), ("eps_final", [finals[j]]),
+                                  n_steps=300)
+        assert abs(one[0, 0] - grid[i, j]) < 1e-14
+
+
+@pytest.mark.parametrize("n_steps", [0, -3, 1.5, 300.0, "abc", None, True])
+def test_bad_step_counts_are_rejected(n_steps):
+    cfg = DqdConfig(ramp_time=0.3, **STRONG)
+    with pytest.raises(ValueError, match="n_steps"):
+        initialization_fidelity(cfg, n_steps=n_steps)
+    with pytest.raises(ValueError, match="n_steps"):
+        sweep_fidelity_grid(cfg, ("ramp_time", [0.1]), ("eps_final", [30.0]), n_steps=n_steps)
 
 
 def interior_extrema(row, prominence=1e-5):
