@@ -10,8 +10,6 @@ from .dqd import (
     DqdConfig,
     NoiseModel,
     StateVector,
-    ConveyorPulse,
-    conveyor_voltage,
     evolve,
     hamiltonian,
     initialization_fidelity,
@@ -51,9 +49,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Candidate", "DistributionState", "StrategyParams", "ask", "tell",
-    "DqdConfig", "NoiseModel", "StateVector", "ConveyorPulse",
-    "conveyor_voltage", "evolve", "hamiltonian", "initialization_fidelity",
-    "sweep_fidelity_grid",
+    "DqdConfig", "NoiseModel", "StateVector", "evolve", "hamiltonian",
+    "initialization_fidelity", "sweep_fidelity_grid",
     "CostEvaluation", "HiddenLandscape", "ParameterSpace", "ReadoutShots",
     "SpaceEntry", "make_readout_landscape", "make_shuttle_landscape",
     "readout_backend_evaluate", "readout_space", "rb_space",

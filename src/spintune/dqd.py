@@ -107,51 +107,9 @@ class NoiseModel:
         return rng.normal(0.0, self.sigma_eps, self.n_samples)
 
 
-@dataclass(frozen=True)
-class ConveyorPulse:
-    """Two-tone sinusoidal gate voltages for electron conveyor transport.
-
-    Gate n at time t (ns) with drive frequency f (MHz):
-    V_n(t) = dc_offsets[n] + amplitude/2 * (sin(2*pi*f*t - phases_fast[n])
-                                            + sin(pi*f*t - phases_slow[n]))
-    """
-
-    dc_offsets: tuple[float, ...]
-    amplitude: float
-    frequency: float
-    phases_fast: tuple[float, ...]
-    phases_slow: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.dc_offsets)
-        if len(self.phases_fast) != n or len(self.phases_slow) != n:
-            raise ValueError("phase arrays must have one entry per gate")
-        if self.frequency <= 0.0:
-            raise ValueError("frequency must be positive")
-
-
-def conveyor_voltage(pulse: ConveyorPulse, gate: int, t: float | np.ndarray) -> float | np.ndarray:
-    """Instantaneous voltage on one gate; t in ns, f in MHz, tones at f and f/2."""
-    if not 0 <= gate < len(pulse.dc_offsets):
-        raise IndexError(f"gate {gate} out of range")
-    cycles = pulse.frequency * np.asarray(t, dtype=float) * 1e-3
-    v = pulse.dc_offsets[gate] + 0.5 * pulse.amplitude * (
-        np.sin(2.0 * np.pi * cycles - pulse.phases_fast[gate])
-        + np.sin(np.pi * cycles - pulse.phases_slow[gate])
-    )
-    return float(v) if np.isscalar(t) else v
-
-
 def hamiltonian(cfg: DqdConfig, eps: float) -> np.ndarray:
     """The 3x3 Hamiltonian at a given detuning, in GHz."""
-    t_c, de_z = cfg.tunnel_coupling, cfg.zeeman_diff
-    return np.array(
-        [
-            [-eps, t_c, 0.0],
-            [t_c, 0.0, de_z],
-            [0.0, de_z, 0.0],
-        ]
-    )
+    return _h_batch(eps, cfg.tunnel_coupling, cfg.zeeman_diff)
 
 
 def detuning_ramp(cfg: DqdConfig, t: float | np.ndarray) -> float | np.ndarray:
@@ -287,37 +245,19 @@ def _ground_states(eps: np.ndarray, t_c: np.ndarray, de_z: np.ndarray) -> np.nda
     return v[..., :, 0]
 
 
-def _tracked_target(eps_path: np.ndarray, t_c: float, de_z: float) -> np.ndarray:
-    """Eigenvector-continuity tracking of the ground branch along one path."""
-    _, v = np.linalg.eigh(_h_batch(eps_path, t_c, de_z))
-    cur = v[0][:, 0]
-    for k in range(1, len(eps_path)):
-        overlaps = v[k].T @ cur
-        j = int(np.argmax(np.abs(overlaps)))
-        cur = v[k][:, j] * np.sign(overlaps[j])
-    return cur
-
-
 def _adiabatic_targets(
-    eps0: np.ndarray,
-    eps1: np.ndarray,
-    t_c: np.ndarray,
-    de_z: np.ndarray,
-    n_track: int,
+    psi0: np.ndarray, eps1: np.ndarray, t_c: np.ndarray, de_z: np.ndarray
 ) -> np.ndarray:
-    """Eigenstates at eps1 adiabatically connected to the ground states at eps0.
+    """Eigenstates at eps1 adiabatically connected to the start states psi0.
 
-    Takes flat per-cell arrays. With both couplings non-zero the Hamiltonian
-    is tridiagonal with non-zero off-diagonals, so its spectrum is simple
-    everywhere and continuity tracking coincides with staying at the lowest
-    sorted eigenvalue. Only exactly-decoupled configurations (t_c = 0 or
-    dE_z = 0, where levels cross) need the explicit walk.
+    Takes flat per-cell arrays. With t_c > 0 the lowest level never meets
+    another one: for dE_z > 0 H is tridiagonal with non-zero off-diagonals,
+    so its spectrum is simple, and for dE_z = 0 the lower singlet lies
+    strictly below the triplet at 0. The target is then the ground state at
+    eps1. With t_c = 0 the eigenvectors do not depend on eps, so the target
+    is the start state itself.
     """
-    targets = _ground_states(eps1, t_c, de_z)
-    for i in np.flatnonzero((t_c == 0.0) | (de_z == 0.0)):
-        path = np.linspace(eps0[i], eps1[i], n_track + 1)
-        targets[i] = _tracked_target(path, t_c[i], de_z[i])
-    return targets
+    return np.where((t_c == 0.0)[:, None], psi0, _ground_states(eps1, t_c, de_z))
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +318,7 @@ def _cell_fidelities(
     if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
         raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     psi0 = _ground_states(eps0, t_c, de_z)
-    target = _adiabatic_targets(eps0, eps1, t_c, de_z, n_steps)
+    target = _adiabatic_targets(psi0, eps1, t_c, de_z)
     shifts = noise.draws() if noise is not None else np.zeros(1)
 
     def per_sample(a: np.ndarray) -> np.ndarray:

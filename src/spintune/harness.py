@@ -9,11 +9,13 @@ wall-clock timings go to a separate sidecar so they never break that.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -35,8 +37,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-TASKS = ("readout", "shuttle", "single_qubit", "benchmark")
 
 RECORD_NAME = "record.jsonl"
 TIMINGS_NAME = "timings.jsonl"
@@ -73,18 +73,12 @@ class RunConfig:
             raise ConfigError("shots must be >= 1")
 
     def to_dict(self) -> dict:
-        fixture = self.backend_fixture
-        if isinstance(fixture, Path):
-            fixture = str(fixture)
-        return {
-            "task": self.task,
-            "generations": self.generations,
-            "population": self.population,
-            "seed": self.seed,
-            "shots": self.shots,
-            "backend_fixture": fixture,
-            "output_dir": str(self.output_dir) if self.output_dir is not None else None,
-        }
+        payload = dict(vars(self))
+        if isinstance(self.backend_fixture, Path):
+            payload["backend_fixture"] = str(self.backend_fixture)
+        if self.output_dir is not None:
+            payload["output_dir"] = str(self.output_dir)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
@@ -148,21 +142,65 @@ class BatchResult:
     aggregate: dict
 
 
-def space_for_task(task: str) -> backends.ParameterSpace:
-    if task == "readout":
-        return backends.readout_space()
-    if task == "shuttle":
-        return backends.shuttle_space()
-    if task == "single_qubit":
-        return backends.rb_space()
-    if task == "benchmark":
-        return backends.ParameterSpace(tuple(
-            backends.SpaceEntry(f"x{i}", 0.0, 1.0, "1") for i in range(5)
-        ))
-    raise ConfigError(f"unknown task {task!r}")
-
-
 _BENCHMARK_OPTIMUM = np.linspace(0.3, 0.7, 5)
+
+
+def _benchmark_space() -> backends.ParameterSpace:
+    return backends.ParameterSpace(tuple(
+        backends.SpaceEntry(f"x{i}", 0.0, 1.0, "1") for i in range(5)
+    ))
+
+
+def _readout_evaluator(config, space, landscape):
+    return lambda x, s: backends.readout_backend_evaluate(
+        landscape, space, x, config.shots, shot_seed=s)
+
+
+def _shuttle_evaluator(config, space, landscape):
+    return lambda x, s: backends.shuttle_backend_evaluate(
+        landscape, space, x, n_shots=config.shots, shot_seed=s)
+
+
+def _single_qubit_evaluator(config, space, landscape):
+    cfg = rb.RbConfig(shots_per_sequence=config.shots, seed=config.seed)
+    return lambda x, s: rb.rb_backend_evaluate(cfg, space.denormalize(x), shot_seed=s)
+
+
+def _benchmark_evaluator(config, space, landscape):
+    return lambda x, s: backends.CostEvaluation(
+        cost=float(np.sum((x - _BENCHMARK_OPTIMUM) ** 2)))
+
+
+@dataclass(frozen=True)
+class _Task:
+    """What makes a task: its parameters, its planted device and its cost.
+
+    ``landscape`` builds the default landscape for a seed (None where the
+    task has none). ``evaluator(config, space, landscape)`` returns
+    evaluate(x_normalized, shot_seed), which looks its backend up on the
+    backend's module at every call.
+    """
+
+    space: Callable[[], backends.ParameterSpace]
+    landscape: Callable[[int], backends.HiddenLandscape] | None
+    evaluator: Callable
+
+
+_TASKS = {
+    "readout": _Task(backends.readout_space, backends.make_readout_landscape,
+                     _readout_evaluator),
+    "shuttle": _Task(backends.shuttle_space, backends.make_shuttle_landscape,
+                     _shuttle_evaluator),
+    "single_qubit": _Task(backends.rb_space, None, _single_qubit_evaluator),
+    "benchmark": _Task(_benchmark_space, None, _benchmark_evaluator),
+}
+TASKS = tuple(_TASKS)
+
+
+def space_for_task(task: str) -> backends.ParameterSpace:
+    if task not in _TASKS:
+        raise ConfigError(f"unknown task {task!r}")
+    return _TASKS[task].space()
 
 
 def _load_landscape(config: RunConfig, make_default) -> backends.HiddenLandscape:
@@ -184,22 +222,9 @@ def _load_landscape(config: RunConfig, make_default) -> backends.HiddenLandscape
 
 def _make_evaluator(config: RunConfig, space: backends.ParameterSpace):
     """Return evaluate(x_normalized, shot_seed) for the configured task."""
-    if config.task == "readout":
-        landscape = _load_landscape(config, backends.make_readout_landscape)
-        return lambda x, s: backends.readout_backend_evaluate(
-            landscape, space, x, config.shots, shot_seed=s)
-    if config.task == "shuttle":
-        landscape = _load_landscape(config, backends.make_shuttle_landscape)
-        return lambda x, s: backends.shuttle_backend_evaluate(
-            landscape, space, x, n_shots=config.shots, shot_seed=s)
-    if config.task == "single_qubit":
-        cfg = rb.RbConfig(shots_per_sequence=config.shots, seed=config.seed)
-        return lambda x, s: rb.rb_backend_evaluate(cfg, space.denormalize(x), shot_seed=s)
-    if config.task == "benchmark":
-        def sphere(x, s):
-            return backends.CostEvaluation(cost=float(np.sum((x - _BENCHMARK_OPTIMUM) ** 2)))
-        return sphere
-    raise ConfigError(f"unknown task {config.task!r}")
+    task = _TASKS[config.task]
+    landscape = _load_landscape(config, task.landscape) if task.landscape else None
+    return task.evaluator(config, space, landscape)
 
 
 def _shot_seed(base_seed: int, generation: int, candidate_id: int) -> int:
@@ -220,25 +245,12 @@ def _plain(value):
 
 
 def _state_to_dict(state: cmaes.DistributionState) -> dict:
-    return {
-        "mean": state.mean.tolist(),
-        "sigma": state.sigma,
-        "cov": state.cov.tolist(),
-        "p_sigma": state.p_sigma.tolist(),
-        "p_c": state.p_c.tolist(),
-        "generation": state.generation,
-    }
+    return _plain(vars(state))
 
 
 def _state_from_dict(payload: dict) -> cmaes.DistributionState:
-    return cmaes.DistributionState(
-        mean=np.array(payload["mean"], dtype=float),
-        sigma=float(payload["sigma"]),
-        cov=np.array(payload["cov"], dtype=float),
-        p_sigma=np.array(payload["p_sigma"], dtype=float),
-        p_c=np.array(payload["p_c"], dtype=float),
-        generation=int(payload["generation"]),
-    )
+    return cmaes.DistributionState(**{
+        k: np.array(v, dtype=float) if isinstance(v, list) else v for k, v in payload.items()})
 
 
 def _dump_line(payload: dict) -> str:
@@ -261,39 +273,31 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
         np.full(space.dimension, _INITIAL_MEAN), sigma=_INITIAL_SIGMA)
 
     done: list[GenerationRecord] = []
-    best_cost = np.inf
-    best_params: list = []
+    with contextlib.ExitStack() as files:
+        record_file = timing_file = None
+        if config.output_dir is not None:
+            out_dir = Path(config.output_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            if resume:
+                try:
+                    prior = load_record(out_dir)
+                except _NothingStored:
+                    pass  # nothing survived to continue from: start afresh
+                else:
+                    _check_resumable(prior, config, space)
+                    done = prior.generations
+            record_file = files.enter_context((out_dir / RECORD_NAME).open("w"))
+            record_file.writelines(_dump_line(payload) + "\n" for payload in [
+                _header_payload(config, space), *map(_generation_payload, done)])
+            record_file.flush()
+            _trim_timings(out_dir / TIMINGS_NAME, len(done))
+            timing_file = files.enter_context((out_dir / TIMINGS_NAME).open("a"))
 
-    out_dir = Path(config.output_dir) if config.output_dir is not None else None
-    record_file = None
-    timing_file = None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    if resume and out_dir is not None and (out_dir / RECORD_NAME).exists():
-        prior = load_record(out_dir)
-        done = list(prior.generations)
+        best_cost, best_params = np.inf, []
         if done:
             state = _state_from_dict(done[-1].state)
-            best_cost = done[-1].best_cost
-            best_params = list(done[-1].best_params)
-        mode = "w" if not done else "a"
-        if mode == "w":
-            record_file = (out_dir / RECORD_NAME).open("w")
-            _write_header(record_file, config, space)
-        else:
-            # rewrite cleanly up to the last complete generation, then append
-            lines = [_dump_line(_header_payload(config, space))]
-            lines += [_dump_line(_generation_payload(g)) for g in done]
-            (out_dir / RECORD_NAME).write_text("\n".join(lines) + "\n")
-            record_file = (out_dir / RECORD_NAME).open("a")
-        timing_file = (out_dir / TIMINGS_NAME).open("a")
-    elif out_dir is not None:
-        record_file = (out_dir / RECORD_NAME).open("w")
-        _write_header(record_file, config, space)
-        timing_file = (out_dir / TIMINGS_NAME).open("w")
+            best_cost, best_params = done[-1].best_cost, list(done[-1].best_params)
 
-    try:
         for gen in range(len(done), config.generations):
             started = time.perf_counter()
             candidates = cmaes.ask(state, params)
@@ -331,17 +335,11 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
             if record_file is not None:
                 record_file.write(_dump_line(_generation_payload(rec)) + "\n")
                 record_file.flush()
-            if timing_file is not None:
                 timing_file.write(_dump_line({
                     "generation": gen,
                     "seconds": time.perf_counter() - started,
                 }) + "\n")
                 timing_file.flush()
-    finally:
-        if record_file is not None:
-            record_file.close()
-        if timing_file is not None:
-            timing_file.close()
 
     record = RunRecord(config=config, space=space, generations=done)
     log.info("run finished: best cost %.6g at %s", record.best_cost,
@@ -364,53 +362,81 @@ def _header_payload(config: RunConfig, space: backends.ParameterSpace) -> dict:
     }
 
 
-def _write_header(handle, config: RunConfig, space: backends.ParameterSpace) -> None:
-    handle.write(_dump_line(_header_payload(config, space)) + "\n")
-    handle.flush()
-
-
 def _generation_payload(rec: GenerationRecord) -> dict:
-    return {
-        "type": "generation",
-        "generation": rec.generation,
-        "candidates": rec.candidates,
-        "state": rec.state,
-        "best_cost": rec.best_cost,
-        "best_params": rec.best_params,
-    }
+    return {"type": "generation", **vars(rec)}
+
+
+class _NothingStored(ConfigError):
+    """No record file, or not even its header line was written in full."""
 
 
 def load_record(record_dir: Path | str) -> RunRecord:
-    """Load a persisted run, tolerating a truncated trailing line."""
+    """Load a persisted run.
+
+    Only the final line may be torn, as a crash mid-write leaves it; it is
+    dropped. Any other unreadable line, a first line that is not the
+    header, or generation numbers other than 0, 1, 2, ... raise ConfigError.
+    """
     path = Path(record_dir) / RECORD_NAME
     if not path.exists():
-        raise ConfigError(f"no {RECORD_NAME} in {record_dir}")
-    header = None
-    gens: list[GenerationRecord] = []
-    with path.open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                break  # crash-truncated tail; keep what is complete
-            if payload.get("type") == "header":
-                header = payload
-            elif payload.get("type") == "generation":
-                gens.append(GenerationRecord(
-                    generation=int(payload["generation"]),
-                    candidates=payload["candidates"],
-                    state=payload["state"],
-                    best_cost=float(payload["best_cost"]),
-                    best_params=list(payload["best_params"]),
-                ))
-    if header is None:
+        raise _NothingStored(f"no {RECORD_NAME} in {record_dir}")
+    lines = path.read_bytes().split(b"\n")
+    payloads = []
+    for i, line in enumerate(lines):
+        try:
+            payload = json.loads(line)
+        except ValueError:
+            payload = None
+        if isinstance(payload, dict):
+            payloads.append(payload)
+        elif i < len(lines) - 1:
+            raise ConfigError(f"{path} line {i + 1} is not a JSON object")
+    if not payloads:
+        raise _NothingStored(f"{path} has no complete header line")
+    header, *rest = payloads
+    if header.get("type") != "header":
         raise ConfigError(f"{path} has no header line")
+    gens: list[GenerationRecord] = []
+    for k, payload in enumerate(rest):
+        if (payload.get("type"), payload.get("generation")) != ("generation", k):
+            raise ConfigError(f"{path} line {k + 2} is not generation {k}")
+        try:
+            gens.append(GenerationRecord(k, payload["candidates"], payload["state"],
+                                         float(payload["best_cost"]),
+                                         list(payload["best_params"])))
+        except (KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"{path} generation {k} is malformed: {err}") from None
     config = RunConfig.from_dict(header["config"])
     space = backends.ParameterSpace.from_dicts(header["space"])
     return RunRecord(config=config, space=space, generations=gens)
+
+
+def _check_resumable(prior: RunRecord, config: RunConfig,
+                     space: backends.ParameterSpace) -> None:
+    """Refuse to continue a stored run under other settings.
+
+    Only ``generations`` may differ, and not below the stored count:
+    stored generations are never rewritten.
+    """
+    old, new = prior.config.to_dict(), config.to_dict()
+    changed = [key for key in new if key not in ("generations", "output_dir")
+               and _dump_line(old[key]) != _dump_line(new[key])]
+    if prior.space != space:
+        changed.append("space")
+    if changed:
+        raise ConfigError(f"cannot resume: the stored run differs in {', '.join(changed)}")
+    if len(prior.generations) > config.generations:
+        raise ConfigError(f"cannot resume: {len(prior.generations)} generations are "
+                          f"stored but {config.generations} requested")
+
+
+def _trim_timings(path: Path, kept: int) -> None:
+    """Cut the timings sidecar, one line per generation in order, to ``kept`` lines.
+
+    A line without its newline is a torn write and is dropped.
+    """
+    lines = path.read_text().splitlines(keepends=True)[:kept] if path.exists() else []
+    path.write_text("".join(line for line in lines if line.endswith("\n")))
 
 
 def _pin_backend_fixture(config: RunConfig) -> RunConfig:
@@ -420,15 +446,10 @@ def _pin_backend_fixture(config: RunConfig) -> RunConfig:
     landscape must stay fixed while the optimizer seed and shot noise vary.
     Without this, each derived seed would plant a different optimum.
     """
-    if config.backend_fixture is not None:
+    make_default = _TASKS[config.task].landscape
+    if config.backend_fixture is not None or make_default is None:
         return config
-    if config.task == "readout":
-        landscape = backends.make_readout_landscape(config.seed)
-    elif config.task == "shuttle":
-        landscape = backends.make_shuttle_landscape(config.seed)
-    else:
-        return config
-    return replace(config, backend_fixture=landscape.to_dict())
+    return replace(config, backend_fixture=make_default(config.seed).to_dict())
 
 
 def batch(config: RunConfig, repeats: int) -> BatchResult:

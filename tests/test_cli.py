@@ -59,6 +59,19 @@ def test_run_resume_completes_a_truncated_record(tmp_path, run_config, capsys):
     assert (part / harness.RECORD_NAME).read_bytes() == full
 
 
+@pytest.mark.parametrize("change", [{"seed": 6}, {"population": 5}, {"generations": 2}])
+def test_run_resume_refuses_a_changed_run(tmp_path, run_config, capsys, change):
+    out = tmp_path / "out"
+    main(["run", "--config", run_config, "--out", str(out)])
+    stored = (out / harness.RECORD_NAME).read_bytes()
+    changed = write_json(tmp_path / "changed.json", {
+        "task": "benchmark", "generations": 3, "population": 4, "seed": 5, **change,
+    })
+    assert main(["run", "--config", changed, "--out", str(out), "--resume"]) == 2
+    assert "cannot resume" in capsys.readouterr().err
+    assert (out / harness.RECORD_NAME).read_bytes() == stored
+
+
 def test_batch_prints_band_and_writes_aggregate(tmp_path, capsys):
     cfg = write_json(tmp_path / "batch.json", {
         "task": "readout", "generations": 3, "population": 4,

@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 from spintune.dqd import (
     DEFAULT_STEPS,
-    ConveyorPulse,
     DqdConfig,
     NoiseModel,
     StateVector,
     _eigensystem,
     _ramp_states,
-    conveyor_voltage,
     detuning_ramp,
     evolve,
     hamiltonian,
@@ -158,6 +156,28 @@ def test_ten_times_slower_ramp_is_at_least_as_adiabatic():
         fast = initialization_fidelity(DqdConfig(ramp_time=t_f, **STRONG))
         slow = initialization_fidelity(DqdConfig(ramp_time=10 * t_f, **STRONG))
         assert slow >= fast - 1e-6
+
+
+def test_zero_zeeman_target_does_not_depend_on_step_count():
+    # A fast passage through a narrow anticrossing ends in the excited
+    # singlet. The target is the ground state at eps_final at any step
+    # count, just as for a vanishing but non-zero dE_z.
+    ramp = dict(eps_initial=-30.0, eps_final=40.0, ramp_time=2.0, tunnel_coupling=0.01)
+    ref = initialization_fidelity(DqdConfig(zeeman_diff=1e-9, **ramp), n_steps=2000)
+    assert ref < 1e-3
+    for n_steps in (300, 2000):
+        fid = initialization_fidelity(DqdConfig(zeeman_diff=0.0, **ramp), n_steps=n_steps)
+        assert fid == pytest.approx(ref, rel=1e-3)
+
+
+@pytest.mark.parametrize("zeeman_diff", [0.0, 0.3])
+def test_uncoupled_dots_target_the_start_state(zeeman_diff):
+    # With t_c = 0 the eigenvectors do not depend on eps, so the start state
+    # only gathers a phase, even where it is no longer the ground state.
+    for eps0, eps1 in ((-20.0, 30.0), (20.0, -30.0), (5.0, 15.0)):
+        cfg = DqdConfig(eps_initial=eps0, eps_final=eps1, ramp_time=0.5,
+                        tunnel_coupling=0.0, zeeman_diff=zeeman_diff)
+        assert initialization_fidelity(cfg, n_steps=200) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_sigma_noise_equals_noiseless():
@@ -336,46 +356,3 @@ def test_config_validation():
         DqdConfig(tunnel_coupling=-1.0, zeeman_diff=0.1, eps_initial=0.0,
                   eps_final=1.0, ramp_time=1.0)
 
-
-def make_pulse():
-    return ConveyorPulse(dc_offsets=[1.0, 2.0], amplitude=4.0, frequency=1.0,
-                         phases_fast=[0.0, 0.5], phases_slow=[0.0, 0.25])
-
-
-def test_conveyor_voltage_zero_amplitude_is_dc():
-    pulse = ConveyorPulse(dc_offsets=[1.0, 2.0], amplitude=0.0, frequency=1.0,
-                          phases_fast=[0.3, 0.5], phases_slow=[0.1, 0.25])
-    for t in (0.0, 0.37, 12.0):
-        assert conveyor_voltage(pulse, 0, t) == 1.0
-        assert conveyor_voltage(pulse, 1, t) == 2.0
-
-
-def test_conveyor_voltage_zero_phase_zero_time_is_dc():
-    pulse = make_pulse()
-    assert conveyor_voltage(pulse, 0, 0.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_conveyor_two_tone_periods():
-    # after one full fast period the fast tone repeats while the slow
-    # tone sits at its half period
-    pulse = ConveyorPulse(dc_offsets=[0.0], amplitude=2.0, frequency=1.0,
-                          phases_fast=[0.4], phases_slow=[0.2])
-    t_period = 1.0 / (pulse.frequency * 1e-3)  # MHz vs ns
-    fast = lambda t: 0.5 * pulse.amplitude * np.sin(2 * np.pi * pulse.frequency * 1e-3 * t - 0.4)
-    slow = lambda t: 0.5 * pulse.amplitude * np.sin(np.pi * pulse.frequency * 1e-3 * t - 0.2)
-    v0 = conveyor_voltage(pulse, 0, 0.0)
-    v1 = conveyor_voltage(pulse, 0, t_period)
-    assert v1 - v0 == pytest.approx(slow(t_period) - slow(0.0), abs=1e-9)
-    assert fast(t_period) == pytest.approx(fast(0.0), abs=1e-9)
-
-
-def test_conveyor_gate_out_of_range():
-    pulse = make_pulse()
-    with pytest.raises(IndexError):
-        conveyor_voltage(pulse, 2, 0.0)
-
-
-def test_conveyor_phase_length_mismatch():
-    with pytest.raises(ValueError):
-        ConveyorPulse(dc_offsets=[0.0, 0.0], amplitude=1.0, frequency=1.0,
-                      phases_fast=[0.0], phases_slow=[0.0, 0.0])

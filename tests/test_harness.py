@@ -1,11 +1,15 @@
 import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from spintune import harness
+from spintune import backends, harness, rb
 from spintune.harness import ConfigError, RunConfig
 
 
@@ -66,6 +70,28 @@ def test_failing_candidate_is_penalized_not_fatal(monkeypatch):
     assert "error" in failed[0]["meta"]
     assert len(record.generations) == 2
     assert record.best_cost < float("inf")
+
+
+@pytest.mark.parametrize("task, module, name", [
+    ("readout", backends, "readout_backend_evaluate"),
+    ("shuttle", backends, "shuttle_backend_evaluate"),
+    ("single_qubit", rb, "rb_backend_evaluate"),
+])
+def test_evaluators_look_up_their_backend_at_call_time(monkeypatch, task, module, name):
+    # Tracing and profiling wrap these module attributes after import, so
+    # an evaluator bound to the original function would bypass them.
+    real = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["shot_seed"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    record = harness.run(RunConfig(task=task, generations=1, population=5, seed=3, shots=20))
+    assert len(calls) == 5
+    assert len(set(calls)) == 5
+    assert record.evaluation_count == 5
 
 
 # -------------------------------------------------------- records and resume
@@ -137,6 +163,130 @@ def test_resume_on_empty_directory_is_a_fresh_run(tmp_path):
     assert len(record.generations) == cfg.generations
     again = harness.run(replace(cfg, output_dir=tmp_path / "plain"))
     assert record.generations == again.generations
+
+
+def stored_run(tmp_path, cfg, keep):
+    """Run cfg in tmp_path/full, copy it cut to `keep` generations into tmp_path/part."""
+    harness.run(replace(cfg, output_dir=tmp_path / "full"))
+    full = (tmp_path / "full" / harness.RECORD_NAME).read_bytes()
+    part = tmp_path / "part"
+    part.mkdir()
+    lines = full.decode().splitlines(keepends=True)
+    (part / harness.RECORD_NAME).write_text("".join(lines[:1 + keep]))
+    return full, part
+
+
+@pytest.mark.parametrize("change", [
+    dict(seed=99, population=8),
+    dict(seed=99),
+    dict(population=8),
+    dict(shots=10),
+    dict(task="shuttle"),
+    dict(backend_fixture="elsewhere.json"),
+])
+def test_resume_refuses_a_changed_config(tmp_path, change):
+    cfg = benchmark_config(seed=1, population=6, generations=5)
+    _, part = stored_run(tmp_path, cfg, keep=3)
+    stored = (part / harness.RECORD_NAME).read_bytes()
+    with pytest.raises(ConfigError, match="cannot resume"):
+        harness.run(replace(cfg, output_dir=part, **change), resume=True)
+    assert (part / harness.RECORD_NAME).read_bytes() == stored
+
+
+def test_resume_refuses_fewer_generations_than_stored(tmp_path):
+    cfg = benchmark_config(generations=5)
+    full, part = stored_run(tmp_path, cfg, keep=5)
+    with pytest.raises(ConfigError, match="5 generations are stored but 2 requested"):
+        harness.run(replace(cfg, output_dir=part, generations=2), resume=True)
+    assert (part / harness.RECORD_NAME).read_bytes() == full
+
+
+def test_resume_may_extend_a_finished_run(tmp_path):
+    cfg = benchmark_config(generations=3)
+    _, part = stored_run(tmp_path, cfg, keep=3)
+    longer = replace(cfg, generations=6)
+    record = harness.run(replace(longer, output_dir=part), resume=True)
+    harness.run(replace(longer, output_dir=tmp_path / "long"))
+    assert len(record.generations) == 6
+    assert ((part / harness.RECORD_NAME).read_bytes()
+            == (tmp_path / "long" / harness.RECORD_NAME).read_bytes())
+
+
+def test_corrupt_middle_line_is_an_error_not_a_truncation(tmp_path):
+    cfg = benchmark_config(generations=5)
+    full, part = stored_run(tmp_path, cfg, keep=5)
+    lines = full.decode().splitlines(keepends=True)
+    lines[2] = lines[2][: len(lines[2]) // 2] + "\n"  # generation 1, torn
+    (part / harness.RECORD_NAME).write_text("".join(lines))
+    with pytest.raises(ConfigError, match="line 3"):
+        harness.load_record(part)
+    with pytest.raises(ConfigError):
+        harness.run(replace(cfg, output_dir=part), resume=True)
+    assert (part / harness.RECORD_NAME).read_text() == "".join(lines)
+
+
+@pytest.mark.parametrize("order", [[0, 2, 3, 4], [0, 1, 1, 2], [1, 2], [0, 1, 3]])
+def test_generation_numbers_must_run_from_zero_without_gaps(tmp_path, order):
+    cfg = benchmark_config(generations=5)
+    full, part = stored_run(tmp_path, cfg, keep=5)
+    lines = full.decode().splitlines(keepends=True)
+    (part / harness.RECORD_NAME).write_text(lines[0] + "".join(lines[1 + g] for g in order))
+    with pytest.raises(ConfigError, match="is not generation"):
+        harness.load_record(part)
+
+
+def test_a_torn_header_resumes_as_a_fresh_run(tmp_path):
+    cfg = benchmark_config()
+    full, part = stored_run(tmp_path, cfg, keep=0)
+    header = (part / harness.RECORD_NAME).read_bytes()
+    for torn in (b"", header[:10]):
+        (part / harness.RECORD_NAME).write_bytes(torn)
+        with pytest.raises(ConfigError):
+            harness.load_record(part)
+        harness.run(replace(cfg, output_dir=part), resume=True)
+        assert (part / harness.RECORD_NAME).read_bytes() == full
+
+
+def sidecar_generations(out_dir):
+    lines = (out_dir / harness.TIMINGS_NAME).read_text().splitlines()
+    return [json.loads(line)["generation"] for line in lines]
+
+
+def test_resume_trims_the_timings_sidecar_to_kept_generations(tmp_path):
+    cfg = benchmark_config(generations=5, output_dir=tmp_path)
+    harness.run(cfg)
+    lines = (tmp_path / harness.RECORD_NAME).read_text().splitlines(keepends=True)
+    (tmp_path / harness.RECORD_NAME).write_text("".join(lines[:3]))
+    harness.run(cfg, resume=True)
+    assert sidecar_generations(tmp_path) == [0, 1, 2, 3, 4]
+
+    # a torn last sidecar line is dropped too
+    timings = (tmp_path / harness.TIMINGS_NAME).read_text()
+    (tmp_path / harness.TIMINGS_NAME).write_text(timings[: len(timings) - 5])
+    (tmp_path / harness.RECORD_NAME).write_text("".join(lines))
+    harness.run(cfg, resume=True)
+    assert sidecar_generations(tmp_path) == [0, 1, 2, 3]
+
+
+@pytest.fixture(scope="module")
+def small_record(tmp_path_factory):
+    cfg = RunConfig(task="benchmark", generations=3, population=2, seed=4)
+    out = tmp_path_factory.mktemp("small")
+    harness.run(replace(cfg, output_dir=out))
+    return cfg, (out / harness.RECORD_NAME).read_bytes(), (out / harness.TIMINGS_NAME).read_bytes()
+
+
+@given(data=st.data())
+def test_resume_from_any_truncation_restores_the_uninterrupted_bytes(small_record, data):
+    cfg, full, timings = small_record
+    cut = data.draw(st.integers(0, len(full)), label="cut")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / harness.RECORD_NAME).write_bytes(full[:cut])
+        (out / harness.TIMINGS_NAME).write_bytes(timings)
+        harness.run(replace(cfg, output_dir=out), resume=True)
+        assert (out / harness.RECORD_NAME).read_bytes() == full
+        assert sidecar_generations(out) == list(range(cfg.generations))
 
 
 def test_record_bytes_do_not_depend_on_output_location(tmp_path):
