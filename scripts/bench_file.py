@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Write BENCH_<pr>.json: the four perfbench workloads over fixed seeds.
+
+    python3 scripts/bench_file.py --pr 6 [--parent DIR]
+
+Runs ``perfbench/run.py --workload W --seed S --seconds 15 --trace 0`` for
+every workload and seeds 11-15 from the repository root. With ``--parent``
+(the root of another checkout, such as the parent commit) each run is paired
+with the same run there, the two alternating which goes first. The file
+holds, per tree and workload, the median and quartiles of each end-to-end
+metric, how many runs were correct, the failed operations, and the machine
+line of the first run. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("readout_batch", "ramp_grid", "gate_loop", "shuttle_campaign")
+SEEDS = (11, 12, 13, 14, 15)
+SECONDS = 15
+METRICS = ("setup_s", "wall_s", "evals_per_s", "peak_rss_mb")
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    """One benchmark run: its machine line and its result object."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(SECONDS), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
+    lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
+    machine = next((line["machine"] for line in lines if "machine" in line), None)
+    result = lines[-1] if lines and "correct" in lines[-1] else None
+    if proc.returncode != 0 or result is None:
+        print(f"{tree} {workload} seed {seed} exited {proc.returncode}:\n{proc.stderr}",
+              file=sys.stderr)
+    return {"machine": machine, "result": result}
+
+
+def summarize(runs: list[dict]) -> dict:
+    results = [r["result"] for r in runs if r["result"] is not None]
+    out = {"runs": len(runs), "correct": sum(bool(r["correct"]) for r in results),
+           "failed": sum(r["failed"] for r in results), "metrics": {}}
+    for name in METRICS:
+        values = [r["metrics"][name]["value"] for r in results]
+        if len(values) >= 2:
+            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            out["metrics"][name] = {"median": median, "q1": q1, "q3": q3, "values": values}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pr", type=int, required=True, help="number in the file name")
+    parser.add_argument("--parent", type=Path, default=None,
+                        help="root of a checkout to pair every run with")
+    args = parser.parse_args(argv)
+    trees = {"change": ROOT}
+    if args.parent is not None:
+        trees["parent"] = args.parent.resolve()
+    runs: dict = {label: {w: [] for w in WORKLOADS} for label in trees}
+    k = 0
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            order = list(trees) if k % 2 == 0 else list(trees)[::-1]
+            for label in order:
+                runs[label][workload].append(run_once(trees[label], workload, seed))
+                print(label, workload, seed, runs[label][workload][-1]["result"] is not None,
+                      file=sys.stderr)
+            k += 1
+    first = runs["change"][WORKLOADS[0]][0]
+    payload = {
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} "
+                   "--trace 0",
+        "seeds": list(SEEDS),
+        "machine": first["machine"],
+        "trees": {label: {w: summarize(r) for w, r in by_workload.items()}
+                  for label, by_workload in runs.items()},
+    }
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,7 +8,8 @@ planted at construction, so optimizer runs can be scored against ground
 truth. The single-qubit benchmarking backend is in ``rb``.
 
 Evaluations are deterministic given the landscape seed and an explicit
-shot seed, which keeps parallel candidate evaluation reproducible.
+shot seed per candidate, so a block of candidates evaluated in one call
+gives exactly what each candidate gives alone.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dqd
 from .dqd import DqdConfig, initialization_fidelity
 
 __all__ = [
@@ -53,17 +55,20 @@ SHUTTLE_SEGMENT_UM = 10.0
 DEFAULT_SHUTTLE_DISTANCE_UM = 172.8
 
 # Integrator steps for the embedded initialization-ramp fidelity. The
-# closed loop calls this once per candidate, so it runs coarser than the
+# closed loop integrates one ramp per candidate, so it runs coarser than the
 # standalone quantum-sim default; the fidelity is converged to ~1e-4
 # here, far below the binomial shot noise it feeds into.
 _INIT_STEPS = 300
 
-# Physical ranges the four initialization-stage parameters map onto
-# (linear in the normalized coordinate).
-_INIT_EPS0_GHZ = (-50.0, 0.0)
-_INIT_EPSF_GHZ = (20.0, 80.0)
-_INIT_TC_GHZ = (2.0, 12.0)
-_INIT_RAMP_NS = (0.05, 8.0)
+# The four initialization-stage parameters as (DqdConfig field, readout
+# parameter, physical range); each maps linearly from the normalized
+# coordinate. The Zeeman difference is fixed.
+_INIT_STAGE = (
+    ("eps_initial", "vP1_init", (-50.0, 0.0)),
+    ("eps_final", "vP2_init", (20.0, 80.0)),
+    ("ramp_time", "t_read_init", (0.05, 8.0)),
+    ("tunnel_coupling", "B1_init", (2.0, 12.0)),
+)
 _INIT_ZEEMAN_GHZ = 0.3
 
 
@@ -122,23 +127,24 @@ class ParameterSpace:
         return np.array([e.high for e in self.entries])
 
     def normalize(self, values: np.ndarray) -> np.ndarray:
-        """Map physical values to the unit cube."""
+        """Map physical values, one vector or rows of them, to the unit cube."""
         values = np.asarray(values, dtype=float)
         self._check_shape(values)
         lo, hi = self.lows(), self.highs()
         return (values - lo) / (hi - lo)
 
     def denormalize(self, x: np.ndarray) -> np.ndarray:
-        """Map unit-cube coordinates to physical values."""
+        """Map unit-cube coordinates, one vector or rows of them, to physical values."""
         x = np.asarray(x, dtype=float)
         self._check_shape(x)
         lo, hi = self.lows(), self.highs()
         return lo + (hi - lo) * x
 
     def _check_shape(self, arr: np.ndarray) -> None:
-        if arr.shape != (self.dimension,):
+        if arr.ndim not in (1, 2) or arr.shape[-1] != self.dimension:
             raise ValueError(
-                f"expected a vector of length {self.dimension}, got shape {arr.shape}"
+                f"expected a vector of length {self.dimension} or rows of it, "
+                f"got shape {arr.shape}"
             )
 
     def to_dicts(self) -> list[dict]:
@@ -328,75 +334,65 @@ def make_readout_landscape(seed: int, ceiling: float = READOUT_CEILING,
     return HiddenLandscape(optimum, coupling, 1.0 - ceiling, shot_noise, seed)
 
 
-def _init_stage_config(space: ParameterSpace, x: np.ndarray) -> DqdConfig:
-    def lerp(bounds: tuple[float, float], v: float) -> float:
-        lo, hi = bounds
-        return lo + (hi - lo) * float(v)
-
-    return DqdConfig(
-        eps_initial=lerp(_INIT_EPS0_GHZ, x[space.index("vP1_init")]),
-        eps_final=lerp(_INIT_EPSF_GHZ, x[space.index("vP2_init")]),
-        ramp_time=lerp(_INIT_RAMP_NS, x[space.index("t_read_init")]),
-        tunnel_coupling=lerp(_INIT_TC_GHZ, x[space.index("B1_init")]),
-        zeeman_diff=_INIT_ZEEMAN_GHZ,
-    )
+def _init_stage_ramps(space: ParameterSpace, block: np.ndarray) -> dict[str, np.ndarray]:
+    """Ramp parameters of each row of an (n, 14) block, by DqdConfig field."""
+    return {attr: lo + (hi - lo) * block[:, space.index(name)]
+            for attr, name, (lo, hi) in _INIT_STAGE}
 
 
-_F_OPT_CACHE: dict[tuple[int, bytes], float] = {}
+def _rows(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
+    """x as a contiguous (n, dim) block, and whether x was one vector."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != dim:
+        raise ValueError(f"candidate must have dimension {dim}, got shape {x.shape}")
+    return np.ascontiguousarray(x.reshape(-1, dim)), x.ndim == 1
 
 
-def _init_fidelity_at_optimum(landscape: HiddenLandscape, space: ParameterSpace) -> float:
-    key = (landscape.seed, landscape.optimum.tobytes())
-    if key not in _F_OPT_CACHE:
-        cfg = _init_stage_config(space, landscape.optimum)
-        _F_OPT_CACHE[key] = initialization_fidelity(cfg, n_steps=_INIT_STEPS)
-    return _F_OPT_CACHE[key]
+def _shot_seeds(shot_seed, n: int) -> list:
+    """One shot seed per row: a scalar is shared, a sequence is taken as is."""
+    seeds = list(shot_seed) if np.ndim(shot_seed) else [shot_seed] * n
+    if len(seeds) != n:
+        raise ValueError(f"expected {n} shot seeds, got {len(seeds)}")
+    return seeds
+
+
+def _check_cube(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
+    """x as an (n, dim) block clipped to the unit cube, and whether x was one vector."""
+    block, single = _rows(x, dim)
+    if np.any(block < -1e-9) or np.any(block > 1 + 1e-9):
+        raise ValueError("candidate outside the unit cube")
+    return np.clip(block, 0.0, 1.0), single
 
 
 def true_readout_visibility(landscape: HiddenLandscape, space: ParameterSpace,
-                            x: np.ndarray) -> float:
+                            x: np.ndarray) -> float | list[float]:
     """Noiseless visibility of the planted readout landscape at x.
 
     A Gaussian bump over the crosstalk quadratic is multiplied by the
     initialization-ramp fidelity relative to its value at the planted
     optimum, clamped at 1 so the optimum stays the unique maximizer even
-    though the ramp model's own best point lies elsewhere.
+    though the ramp model's own best point lies elsewhere. ``x`` is one
+    point (d,), giving a float, or a block of rows (n, d), giving a list;
+    the ramps of all rows are integrated together.
     """
-    x = np.asarray(x, dtype=float)
-    f_init = initialization_fidelity(_init_stage_config(space, x), n_steps=_INIT_STEPS)
-    f_opt = _init_fidelity_at_optimum(landscape, space)
-    ratio = min(1.0, f_init / f_opt)
-    ceiling = 1.0 - landscape.floor
-    span = ceiling - READOUT_BASE_VISIBILITY
-    return span * np.exp(-landscape.quadratic(x)) * ratio + READOUT_BASE_VISIBILITY
+    block, single = _rows(x, space.dimension)
+    ramps = _init_stage_ramps(space, block)
+    f_init = dqd._cell_fidelities(*ramps.values(), np.full(len(block), _INIT_ZEEMAN_GHZ),
+                                  None, _INIT_STEPS).tolist()
+    at_optimum = _init_stage_ramps(space, landscape.optimum[None])
+    f_opt = initialization_fidelity(DqdConfig(
+        **{name: float(v[0]) for name, v in at_optimum.items()},
+        zeeman_diff=_INIT_ZEEMAN_GHZ), n_steps=_INIT_STEPS)
+    span = (1.0 - landscape.floor) - READOUT_BASE_VISIBILITY
+    out = [span * np.exp(-landscape.quadratic(row)) * min(1.0, f / f_opt)
+           + READOUT_BASE_VISIBILITY for row, f in zip(block, f_init)]
+    return out[0] if single else out
 
 
-def _check_cube(x: np.ndarray, dim: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise ValueError(f"candidate must have dimension {dim}, got shape {x.shape}")
-    if np.any(x < -1e-9) or np.any(x > 1 + 1e-9):
-        raise ValueError("candidate outside the unit cube")
-    return np.clip(x, 0.0, 1.0)
-
-
-def readout_backend_evaluate(landscape: HiddenLandscape, space: ParameterSpace,
-                             x: np.ndarray, n_shots: int,
-                             shot_seed: int = 0) -> CostEvaluation:
-    """Evaluate readout visibility at x; cost is the negated visibility.
-
-    With ``landscape.shot_noise`` the two parity fractions are drawn
-    binomially with ``n_shots`` trials each, seeded by the landscape
-    seed and ``shot_seed``.
-    """
-    x = _check_cube(x, space.dimension)
-    if space.dimension != 14:
-        raise ValueError("readout backend expects the 14-parameter space")
-    v_true = true_readout_visibility(landscape, space, x)
+def _measure_readout(landscape: HiddenLandscape, v_true: float, n_shots: int,
+                     shot_seed) -> CostEvaluation:
     meta: dict = {"true_visibility": v_true}
     if landscape.shot_noise:
-        if n_shots <= 0:
-            raise ValueError("n_shots must be positive")
         rng = np.random.default_rng((landscape.seed, shot_seed))
         p_odd = 0.5 * (1.0 + v_true)
         p_even = 0.5 * (1.0 - v_true)
@@ -416,6 +412,28 @@ def readout_backend_evaluate(landscape: HiddenLandscape, space: ParameterSpace,
     meta["visibility"] = v_meas
     meta["fidelity"] = visibility_to_fidelity(max(-1.0, min(1.0, v_meas)))
     return CostEvaluation(cost=-v_meas, metadata=meta)
+
+
+def readout_backend_evaluate(landscape: HiddenLandscape, space: ParameterSpace,
+                             x: np.ndarray, n_shots: int,
+                             shot_seed=0) -> CostEvaluation | list[CostEvaluation]:
+    """Evaluate readout visibility at x; cost is the negated visibility.
+
+    With ``landscape.shot_noise`` the two parity fractions are drawn
+    binomially with ``n_shots`` trials each, seeded by the landscape
+    seed and ``shot_seed``. ``x`` is one candidate (14,), giving one
+    evaluation, or a block (n, 14) with a scalar or n shot seeds, giving
+    a list.
+    """
+    block, single = _check_cube(x, space.dimension)
+    if space.dimension != 14:
+        raise ValueError("readout backend expects the 14-parameter space")
+    seeds = _shot_seeds(shot_seed, len(block))
+    if landscape.shot_noise and n_shots <= 0:
+        raise ValueError("n_shots must be positive")
+    v_true = true_readout_visibility(landscape, space, block)
+    out = [_measure_readout(landscape, v, n_shots, s) for v, s in zip(v_true, seeds)]
+    return out[0] if single else out
 
 
 def make_shuttle_landscape(seed: int, p_optimum: float = SHUTTLE_P_OPTIMUM,
@@ -449,28 +467,12 @@ def shuttle_depolarization(landscape: HiddenLandscape, x: np.ndarray,
     return landscape.floor + (p_worst - landscape.floor) * landscape.quadratic(x)
 
 
-def shuttle_backend_evaluate(landscape: HiddenLandscape, space: ParameterSpace,
-                             x: np.ndarray,
-                             distance: float = DEFAULT_SHUTTLE_DISTANCE_UM,
-                             n_shots: int = 1000,
-                             shot_seed: int = 0) -> CostEvaluation:
-    """Evaluate the spin-echo amplitude after shuttling over ``distance``.
-
-    The echo amplitude follows A(x) = (1 - p(x)) ** (distance / 10 um),
-    measured as the contrast between the two echo circuit variants, and
-    the cost is 1 - A.
-    """
-    x = _check_cube(x, space.dimension)
-    if space.dimension != 8:
-        raise ValueError("shuttle backend expects the 8-parameter space")
-    if distance < 0:
-        raise ValueError("distance must be non-negative")
+def _measure_shuttle(landscape: HiddenLandscape, x: np.ndarray, distance: float,
+                     n_shots: int, shot_seed) -> CostEvaluation:
     p = shuttle_depolarization(landscape, x)
     amplitude = (1.0 - p) ** (distance / SHUTTLE_SEGMENT_UM)
     meta: dict = {"p": p, "true_amplitude": amplitude, "distance_um": distance}
     if landscape.shot_noise:
-        if n_shots <= 0:
-            raise ValueError("n_shots must be positive")
         rng = np.random.default_rng((landscape.seed, shot_seed))
         f_plus = rng.binomial(n_shots, 0.5 * (1.0 + amplitude)) / n_shots
         f_minus = rng.binomial(n_shots, 0.5 * (1.0 - amplitude)) / n_shots
@@ -480,3 +482,29 @@ def shuttle_backend_evaluate(landscape: HiddenLandscape, space: ParameterSpace,
         measured = amplitude
     meta["amplitude"] = measured
     return CostEvaluation(cost=1.0 - measured, metadata=meta)
+
+
+def shuttle_backend_evaluate(landscape: HiddenLandscape, space: ParameterSpace,
+                             x: np.ndarray,
+                             distance: float = DEFAULT_SHUTTLE_DISTANCE_UM,
+                             n_shots: int = 1000,
+                             shot_seed=0) -> CostEvaluation | list[CostEvaluation]:
+    """Evaluate the spin-echo amplitude after shuttling over ``distance``.
+
+    The echo amplitude follows A(x) = (1 - p(x)) ** (distance / 10 um),
+    measured as the contrast between the two echo circuit variants, and
+    the cost is 1 - A. ``x`` is one candidate (8,), giving one
+    evaluation, or a block (n, 8) with a scalar or n shot seeds, giving
+    a list.
+    """
+    block, single = _check_cube(x, space.dimension)
+    if space.dimension != 8:
+        raise ValueError("shuttle backend expects the 8-parameter space")
+    if distance < 0:
+        raise ValueError("distance must be non-negative")
+    seeds = _shot_seeds(shot_seed, len(block))
+    if landscape.shot_noise and n_shots <= 0:
+        raise ValueError("n_shots must be positive")
+    out = [_measure_shuttle(landscape, row, distance, n_shots, s)
+           for row, s in zip(block, seeds)]
+    return out[0] if single else out

@@ -1,9 +1,9 @@
 """Closed-loop run orchestration with persisted, resumable records.
 
 A run wires one task backend to the optimizer: ask for candidates,
-evaluate them (order-independent, reproducible shot seeds), tell the
-ranked results back, and append one JSON line per generation to the
-record file. Identical configs produce byte-identical record files;
+evaluate the whole generation in one backend call (one reproducible shot
+seed per candidate), tell the ranked results back, and append one JSON
+line per generation to the record file. Identical configs produce byte-identical record files;
 wall-clock timings go to a separate sidecar so they never break that.
 """
 
@@ -12,8 +12,10 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
+import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -50,6 +52,10 @@ class ConfigError(Exception):
     """Invalid run configuration or missing fixture."""
 
 
+# RunConfig fields that take integers only (bools are rejected).
+_INTEGER_FIELDS = ("generations", "population", "seed", "shots")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One closed-loop optimization task."""
@@ -65,10 +71,17 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.generations < 1:
             raise ConfigError("generations must be >= 1")
         if self.population < 2:
             raise ConfigError("population must be >= 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
 
@@ -82,18 +95,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        try:
-            return cls(
-                task=payload["task"],
-                generations=int(payload["generations"]),
-                population=int(payload["population"]),
-                seed=int(payload.get("seed", 0)),
-                shots=int(payload.get("shots", 1000)),
-                backend_fixture=payload.get("backend_fixture"),
-                output_dir=payload.get("output_dir"),
-            )
-        except KeyError as missing:
-            raise ConfigError(f"config is missing required key {missing}") from None
+        if not isinstance(payload, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(payload).__name__}")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in payload:
+                raise ConfigError(f"config is missing required key {f.name!r}")
+        return cls(**{f.name: payload[f.name] for f in fields(cls) if f.name in payload})
 
     @classmethod
     def from_json(cls, path: Path | str) -> "RunConfig":
@@ -152,23 +159,23 @@ def _benchmark_space() -> backends.ParameterSpace:
 
 
 def _readout_evaluator(config, space, landscape):
-    return lambda x, s: backends.readout_backend_evaluate(
-        landscape, space, x, config.shots, shot_seed=s)
+    return lambda X, seeds: backends.readout_backend_evaluate(
+        landscape, space, X, config.shots, shot_seed=seeds)
 
 
 def _shuttle_evaluator(config, space, landscape):
-    return lambda x, s: backends.shuttle_backend_evaluate(
-        landscape, space, x, n_shots=config.shots, shot_seed=s)
+    return lambda X, seeds: backends.shuttle_backend_evaluate(
+        landscape, space, X, n_shots=config.shots, shot_seed=seeds)
 
 
 def _single_qubit_evaluator(config, space, landscape):
     cfg = rb.RbConfig(shots_per_sequence=config.shots, seed=config.seed)
-    return lambda x, s: rb.rb_backend_evaluate(cfg, space.denormalize(x), shot_seed=s)
+    return lambda X, seeds: rb.rb_backend_evaluate(cfg, space.denormalize(X), shot_seed=seeds)
 
 
 def _benchmark_evaluator(config, space, landscape):
-    return lambda x, s: backends.CostEvaluation(
-        cost=float(np.sum((x - _BENCHMARK_OPTIMUM) ** 2)))
+    return lambda X, seeds: [backends.CostEvaluation(
+        cost=float(np.sum((x - _BENCHMARK_OPTIMUM) ** 2))) for x in X]
 
 
 @dataclass(frozen=True)
@@ -177,8 +184,9 @@ class _Task:
 
     ``landscape`` builds the default landscape for a seed (None where the
     task has none). ``evaluator(config, space, landscape)`` returns
-    evaluate(x_normalized, shot_seed), which looks its backend up on the
-    backend's module at every call.
+    evaluate(X, shot_seeds), which takes an (n, d) block of unit-cube
+    candidates with one shot seed each, returns n CostEvaluations, and
+    looks its backend up on the backend's module at every call.
     """
 
     space: Callable[[], backends.ParameterSpace]
@@ -221,7 +229,7 @@ def _load_landscape(config: RunConfig, make_default) -> backends.HiddenLandscape
 
 
 def _make_evaluator(config: RunConfig, space: backends.ParameterSpace):
-    """Return evaluate(x_normalized, shot_seed) for the configured task."""
+    """Return evaluate(X, shot_seeds) for the configured task."""
     task = _TASKS[config.task]
     landscape = _load_landscape(config, task.landscape) if task.landscape else None
     return task.evaluator(config, space, landscape)
@@ -301,28 +309,15 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
         for gen in range(len(done), config.generations):
             started = time.perf_counter()
             candidates = cmaes.ask(state, params)
+            X = np.array([cand.x for cand in candidates])
+            results = _evaluate_generation(evaluate, X, candidates, config.seed, gen)
             evaluated = []
             cand_rows = []
-            for cand in candidates:
-                seed = _shot_seed(config.seed, gen, cand.id)
-                try:
-                    result = evaluate(cand.x, seed)
-                    cost = float(result.cost)
-                    meta = _plain(result.metadata)
-                except Exception as err:  # noqa: BLE001 - a bad candidate must not kill the run
-                    log.warning("candidate %d of generation %d failed: %s", cand.id, gen, err)
-                    cost = float("inf")
-                    meta = {"error": str(err)}
+            for cand, x, (cost, meta) in zip(candidates, space.denormalize(X).tolist(), results):
                 evaluated.append((cand, cost))
-                cand_rows.append({
-                    "id": cand.id,
-                    "x": space.denormalize(cand.x).tolist(),
-                    "cost": cost,
-                    "meta": meta,
-                })
+                cand_rows.append({"id": cand.id, "x": x, "cost": cost, "meta": meta})
                 if cost < best_cost:
-                    best_cost = cost
-                    best_params = space.denormalize(cand.x).tolist()
+                    best_cost, best_params = cost, x
             state = cmaes.tell(state, params, evaluated)
             rec = GenerationRecord(
                 generation=gen,
@@ -347,6 +342,37 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
     return record
 
 
+def _evaluate_generation(evaluate, X: np.ndarray, candidates: list, seed: int,
+                         gen: int) -> list[tuple[float, dict]]:
+    """(cost, metadata) of each candidate, from one evaluator call on X.
+
+    If that call raises, each candidate is evaluated alone as a one-row
+    block, and only those that raise then are failed: cost inf and an
+    ``error`` in the metadata.
+    """
+    seeds = [_shot_seed(seed, gen, cand.id) for cand in candidates]
+
+    def costed(rows: np.ndarray, row_seeds: list) -> list[tuple[float, dict]]:
+        results = evaluate(rows, row_seeds)
+        if len(results) != len(rows):
+            raise ValueError(f"{len(results)} evaluations for {len(rows)} candidates")
+        return [(float(r.cost), _plain(r.metadata)) for r in results]
+
+    try:
+        return costed(X, seeds)
+    except Exception:  # noqa: BLE001 - retried one candidate at a time below
+        log.debug("generation %d failed as a block; evaluating candidates alone", gen,
+                  exc_info=True)
+    out = []
+    for i, cand in enumerate(candidates):
+        try:
+            out += costed(X[i:i + 1], seeds[i:i + 1])
+        except Exception as err:  # noqa: BLE001 - a bad candidate must not kill the run
+            log.warning("candidate %d of generation %d failed: %s", cand.id, gen, err)
+            out.append((float("inf"), {"error": str(err)}))
+    return out
+
+
 def _header_payload(config: RunConfig, space: backends.ParameterSpace) -> dict:
     from . import __version__
 
@@ -363,7 +389,19 @@ def _header_payload(config: RunConfig, space: backends.ParameterSpace) -> dict:
 
 
 def _generation_payload(rec: GenerationRecord) -> dict:
-    return {"type": "generation", **vars(rec)}
+    """A generation as written: a non-finite candidate cost becomes null."""
+    candidates = [cand if math.isfinite(cand["cost"]) else {**cand, "cost": None}
+                  for cand in rec.candidates]
+    return {"type": "generation", **vars(rec), "candidates": candidates}
+
+
+def _stored_cost(cost) -> float:
+    """A candidate cost as loaded: null, as a failed one is written, is +inf."""
+    if cost is None:
+        return math.inf
+    if not isinstance(cost, float):
+        raise TypeError(f"candidate cost {cost!r} is not a float")
+    return cost
 
 
 class _NothingStored(ConfigError):
@@ -374,7 +412,8 @@ def load_record(record_dir: Path | str) -> RunRecord:
     """Load a persisted run.
 
     Only the final line may be torn, as a crash mid-write leaves it; it is
-    dropped. Any other unreadable line, a first line that is not the
+    dropped. A null candidate cost, as a failed candidate is written, reads
+    back as +inf. Any other unreadable line, a first line that is not the
     header, or generation numbers other than 0, 1, 2, ... raise ConfigError.
     """
     path = Path(record_dir) / RECORD_NAME
@@ -401,7 +440,9 @@ def load_record(record_dir: Path | str) -> RunRecord:
         if (payload.get("type"), payload.get("generation")) != ("generation", k):
             raise ConfigError(f"{path} line {k + 2} is not generation {k}")
         try:
-            gens.append(GenerationRecord(k, payload["candidates"], payload["state"],
+            candidates = [{**cand, "cost": _stored_cost(cand["cost"])}
+                          for cand in payload["candidates"]]
+            gens.append(GenerationRecord(k, candidates, payload["state"],
                                          float(payload["best_cost"]),
                                          list(payload["best_params"])))
         except (KeyError, TypeError, ValueError) as err:
@@ -518,7 +559,7 @@ def evaluate_params(config: RunConfig, physical_values, shot_seed: int = 0) -> b
     space = space_for_task(config.task)
     evaluate = _make_evaluator(config, space)
     x = space.normalize(np.asarray(physical_values, dtype=float))
-    return evaluate(np.clip(x, 0.0, 1.0), shot_seed)
+    return evaluate(np.clip(x, 0.0, 1.0)[None], [shot_seed])[0]
 
 
 def export(record: RunRecord, what: str, out_path: Path | str) -> Path:

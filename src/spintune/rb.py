@@ -14,11 +14,11 @@ average.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .backends import CostEvaluation
+from .backends import CostEvaluation, _rows, _shot_seeds
 
 __all__ = [
     "RbConfig",
@@ -214,48 +214,63 @@ def rb_sequences(cfg: RbConfig) -> list[tuple[np.ndarray, int]]:
     return out
 
 
-def _sequence_return_probability(seq: np.ndarray, recovery: int,
-                                 primitives: dict[str, np.ndarray]) -> float:
-    names: list[str] = []
-    for c in seq:
-        names.extend(CLIFFORD_DECOMPOSITIONS[c])
-    names.extend(CLIFFORD_DECOMPOSITIONS[recovery])
-    u = np.eye(2, dtype=complex)
-    for name in names:
-        u = primitives[name] @ u
-    return abs(u[0, 0]) ** 2
+def _primitive_indices(sequences: list[tuple[np.ndarray, int]]) -> np.ndarray:
+    """Primitives of each sequence and its recovery gate, in application order.
+
+    Returns (R, L) indices into PRIMITIVE_NAMES, one row per sequence,
+    padded at the end with the identity's index, len(PRIMITIVE_NAMES).
+    """
+    index = {name: k for k, name in enumerate(PRIMITIVE_NAMES)}
+    rows = [[index[name] for c in (*seq, rec) for name in CLIFFORD_DECOMPOSITIONS[c]]
+            for seq, rec in sequences]
+    out = np.full((len(rows), max(map(len, rows))), len(PRIMITIVE_NAMES))
+    for r, row in enumerate(rows):
+        out[r, :len(row)] = row
+    return out
 
 
 def rb_backend_evaluate(cfg: RbConfig, x: np.ndarray,
-                        shot_seed: int | None = None) -> CostEvaluation:
+                        shot_seed=None) -> CostEvaluation | list[CostEvaluation]:
     """Cost 1 - mean return probability at pulse parameters (t_d, A, f).
 
     With ``shot_seed`` set, each sequence's return probability is
     estimated from cfg.shots_per_sequence binomial shots; with None the
-    exact probabilities are averaged.
+    exact probabilities are averaged. ``x`` is one parameter vector (3,),
+    giving one evaluation, or a block (n, 3) with a scalar or n shot
+    seeds, giving a list; every sequence of every row is composed in one
+    stacked product.
     """
-    t_d, amplitude, frequency = (float(v) for v in np.asarray(x, dtype=float))
-    if t_d <= 0:
+    block, single = _rows(x, 3)
+    if np.any(block[:, 0] <= 0):
         raise ValueError("t_d must be positive")
-    if amplitude <= 0:
+    if np.any(block[:, 1] <= 0):
         raise ValueError("amplitude must be positive")
-    primitives = {name: primitive_unitary(name, t_d, amplitude, frequency)
-                  for name in PRIMITIVE_NAMES}
-    probs = [_sequence_return_probability(seq, rec, primitives)
-             for seq, rec in rb_sequences(cfg)]
-    if shot_seed is not None:
-        rng = np.random.default_rng((cfg.seed, shot_seed))
-        n = cfg.shots_per_sequence
-        probs = [rng.binomial(n, p) / n for p in probs]
-    mean = float(np.mean(probs))
-    return CostEvaluation(cost=1.0 - mean, metadata={"return_probability": mean})
+    seeds = _shot_seeds(shot_seed, len(block))
+    # (n, 8, 2, 2): each row's primitives, then the identity used as padding
+    primitives = np.array([
+        [primitive_unitary(name, *(float(v) for v in row)) for name in PRIMITIVE_NAMES]
+        + [np.eye(2, dtype=complex)] for row in block])
+    index = _primitive_indices(rb_sequences(cfg))
+    u = np.broadcast_to(np.eye(2, dtype=complex), (len(block), len(index), 2, 2))
+    for step in index.T:
+        u = primitives[:, step] @ u
+    out = []
+    for amplitudes, seed in zip(u[..., 0, 0], seeds):
+        # scalar abs and **, as for a single sequence: np.abs and array **
+        # round differently in the last bit
+        probs = [abs(a) ** 2 for a in amplitudes]
+        if seed is not None:
+            rng = np.random.default_rng((cfg.seed, seed))
+            n = cfg.shots_per_sequence
+            probs = [rng.binomial(n, p) / n for p in probs]
+        mean = float(np.mean(probs))
+        out.append(CostEvaluation(cost=1.0 - mean, metadata={"return_probability": mean}))
+    return out[0] if single else out
 
 
 def rb_decay_curve(cfg: RbConfig, x: np.ndarray, lengths: list[int],
                    shot_seed: int | None = None) -> np.ndarray:
     """Mean return probability versus sequence length at fixed pulses."""
-    from dataclasses import replace
-
     out = []
     for i, m in enumerate(lengths):
         cfg_m = replace(cfg, sequence_length=int(m))

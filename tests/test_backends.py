@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintune.backends import (
+    DEFAULT_SHUTTLE_DISTANCE_UM,
     HiddenLandscape,
     ParameterSpace,
     ReadoutShots,
@@ -211,3 +214,79 @@ def test_inline_fixture_dict_round_trip():
     land = make_shuttle_landscape(12)
     again = HiddenLandscape.from_dict(json.loads(json.dumps(land.to_dict())))
     np.testing.assert_array_equal(again.coupling, land.coupling)
+
+
+# ------------------------------------------------- a block equals its rows
+
+def _block_and_rows(evaluate, X, seeds):
+    """The reprs of one (n, d) call and of n one-row calls, or the error each raises."""
+    def outcome(call):
+        try:
+            return repr(call())
+        except ValueError as err:
+            return f"ValueError: {err}"
+
+    block = outcome(lambda: evaluate(X, seeds))
+    rows = [outcome(lambda i=i: evaluate(X[i], seeds[i])) for i in range(len(X))]
+    return block, rows
+
+
+def _unit_block(data, dim):
+    n = data.draw(st.integers(1, 100), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+    X = rng.uniform(0.0, 1.0, (n, dim))
+    X[rng.random((n, dim)) < 0.05] = data.draw(st.sampled_from([0.0, 1.0, 1.0 + 1e-10]))
+    seeds = rng.integers(0, 2**32, n).tolist()
+    bad = data.draw(st.sampled_from([None, -0.01, 1.5]), label="out-of-cube value")
+    if bad is not None:
+        X[data.draw(st.integers(0, n - 1), label="bad row"), rng.integers(dim)] = bad
+    return X, seeds, bad
+
+
+def _assert_block_equals_rows(evaluate, X, seeds, bad):
+    block, rows = _block_and_rows(evaluate, X, seeds)
+    if bad is None:
+        assert block == f"[{', '.join(rows)}]"
+    else:
+        assert block == "ValueError: candidate outside the unit cube"
+        assert block in rows
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_readout_block_equals_its_rows_bit_for_bit(data):
+    # up to 100 rows: the ramp kernel integrates 48 trajectories per chunk
+    # at 300 steps, so blocks cross chunk boundaries
+    land = make_readout_landscape(data.draw(st.integers(0, 50)),
+                                  shot_noise=data.draw(st.booleans()))
+    space = readout_space()
+    X, seeds, bad = _unit_block(data, 14)
+    _assert_block_equals_rows(
+        lambda x, s: readout_backend_evaluate(land, space, x, 500, shot_seed=s), X, seeds, bad)
+    if bad is None:
+        assert repr(true_readout_visibility(land, space, X)) == repr(
+            [true_readout_visibility(land, space, x) for x in X])
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_shuttle_block_equals_its_rows_bit_for_bit(data):
+    land = make_shuttle_landscape(data.draw(st.integers(0, 50)),
+                                  shot_noise=data.draw(st.booleans()))
+    distance = data.draw(st.sampled_from([0.0, 10.0, DEFAULT_SHUTTLE_DISTANCE_UM]))
+    X, seeds, bad = _unit_block(data, 8)
+    _assert_block_equals_rows(
+        lambda x, s: shuttle_backend_evaluate(land, shuttle_space(), x, distance=distance,
+                                              n_shots=300, shot_seed=s), X, seeds, bad)
+
+
+def test_block_shapes_and_seed_counts_are_checked():
+    land = make_shuttle_landscape(0)
+    space = shuttle_space()
+    with pytest.raises(ValueError, match="dimension 8"):
+        shuttle_backend_evaluate(land, space, np.full((3, 8, 1), 0.5))
+    with pytest.raises(ValueError, match="3 shot seeds"):
+        shuttle_backend_evaluate(land, space, np.full((3, 8), 0.5), shot_seed=[1, 2])
+    shared = shuttle_backend_evaluate(make_shuttle_landscape(0, shot_noise=True), space,
+                                      np.full((2, 8), 0.5), shot_seed=4)
+    assert shared[0] == shared[1]

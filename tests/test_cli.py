@@ -166,6 +166,21 @@ def test_unknown_task_exits_2(tmp_path):
     assert main(["run", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("payload", [
+    {"task": "benchmark", "generations": "three", "population": 4},
+    {"task": "benchmark", "generations": 2, "population": 4, "seed": -1},
+    {"task": "benchmark", "generations": 2, "population": 4.7},
+    {"task": "benchmark", "generations": 2, "population": 4, "shots": None},
+    {"task": "benchmark", "generations": 1e400, "population": 4},
+    ["task", "benchmark"],
+])
+def test_wrongly_typed_config_exits_2(tmp_path, capsys, payload):
+    cfg = write_json(tmp_path / "cfg.json", payload)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_without_axes_exits_2(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {"base": {}})
     assert main(["sweep", "--config", cfg]) == 2

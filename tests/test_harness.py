@@ -47,29 +47,60 @@ def test_benchmark_task_converges_to_planted_point():
                                np.linspace(0.3, 0.7, 5), atol=0.05)
 
 
-def test_failing_candidate_is_penalized_not_fatal(monkeypatch):
+def _fail_at_seed(monkeypatch, bad_seed):
+    """Make every evaluator call whose block holds ``bad_seed`` raise.
+
+    The fault follows one candidate: it strikes the generation's block and
+    then that candidate's own one-row retry.
+    """
     real = harness._make_evaluator
 
     def faulty_factory(config, space):
         inner = real(config, space)
-        calls = {"n": 0}
 
-        def evaluate(x, shot_seed):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("synthetic backend fault")
-            return inner(x, shot_seed)
+        def evaluate(X, shot_seeds):
+            if bad_seed in shot_seeds:
+                raise RuntimeError(f"synthetic backend fault at seed {bad_seed}")
+            return inner(X, shot_seeds)
 
         return evaluate
 
     monkeypatch.setattr(harness, "_make_evaluator", faulty_factory)
-    record = harness.run(RunConfig(task="benchmark", generations=2, population=4))
-    failed = [c for c in record.generations[0].candidates
-              if c["cost"] == float("inf")]
-    assert len(failed) == 1
-    assert "error" in failed[0]["meta"]
+
+
+def test_failing_candidate_is_penalized_not_fatal(monkeypatch, caplog):
+    cfg = RunConfig(task="benchmark", generations=2, population=4)
+    clean = harness.run(cfg)
+    bad_seed = harness._shot_seed(cfg.seed, 0, 2)
+    _fail_at_seed(monkeypatch, bad_seed)
+    record = harness.run(cfg)
+    rows = record.generations[0].candidates
+    failed = [c for c in rows if c["cost"] == float("inf")]
+    assert [c["id"] for c in failed] == [2]
+    assert failed[0]["meta"] == {"error": f"synthetic backend fault at seed {bad_seed}"}
+    assert "candidate 2 of generation 0 failed: synthetic backend fault" in caplog.text
+    assert [c for c in rows if c["id"] != 2] == [
+        c for c in clean.generations[0].candidates if c["id"] != 2]
     assert len(record.generations) == 2
     assert record.best_cost < float("inf")
+
+
+def test_one_evaluator_call_per_generation(monkeypatch):
+    real = harness._make_evaluator
+    blocks = []
+
+    def counting_factory(config, space):
+        inner = real(config, space)
+
+        def evaluate(X, shot_seeds):
+            blocks.append((X.shape, len(shot_seeds)))
+            return inner(X, shot_seeds)
+
+        return evaluate
+
+    monkeypatch.setattr(harness, "_make_evaluator", counting_factory)
+    harness.run(benchmark_config(generations=3, population=6))
+    assert blocks == [((6, 5), 6)] * 3
 
 
 @pytest.mark.parametrize("task, module, name", [
@@ -84,14 +115,37 @@ def test_evaluators_look_up_their_backend_at_call_time(monkeypatch, task, module
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(kwargs["shot_seed"])
+        seeds = kwargs["shot_seed"]
+        calls.append(list(seeds) if np.ndim(seeds) else [seeds])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
-    record = harness.run(RunConfig(task=task, generations=1, population=5, seed=3, shots=20))
-    assert len(calls) == 5
-    assert len(set(calls)) == 5
-    assert record.evaluation_count == 5
+    record = harness.run(RunConfig(task=task, generations=2, population=5, seed=3, shots=20))
+    assert len(calls) == 2
+    seen = sorted(seed for call in calls for seed in call)
+    assert seen == sorted(harness._shot_seed(3, g, i) for g in range(2) for i in range(5))
+    assert record.evaluation_count == 10
+
+
+def test_failed_candidate_cost_is_written_as_null(tmp_path, monkeypatch):
+    cfg = benchmark_config(generations=3, output_dir=str(tmp_path))
+    _fail_at_seed(monkeypatch, harness._shot_seed(cfg.seed, 1, 0))
+    record = harness.run(cfg)
+    assert record.generations[1].candidates[0]["cost"] == math.inf
+
+    def no_constants(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    text = (tmp_path / harness.RECORD_NAME).read_text()
+    lines = [json.loads(line, parse_constant=no_constants) for line in text.splitlines()]
+    costs = [c["cost"] for line in lines[1:] for c in line["candidates"]]
+    assert costs.count(None) == 1 and lines[2]["candidates"][0]["cost"] is None
+    assert "error" in lines[2]["candidates"][0]["meta"]
+    assert harness.load_record(tmp_path).generations[1].candidates[0]["cost"] == math.inf
+    # resume rewrites the stored failure with the same bytes
+    (tmp_path / harness.RECORD_NAME).write_text("".join(text.splitlines(keepends=True)[:3]))
+    harness.run(cfg, resume=True)
+    assert (tmp_path / harness.RECORD_NAME).read_text() == text
 
 
 # -------------------------------------------------------- records and resume
@@ -223,6 +277,20 @@ def test_corrupt_middle_line_is_an_error_not_a_truncation(tmp_path):
     with pytest.raises(ConfigError):
         harness.run(replace(cfg, output_dir=part), resume=True)
     assert (part / harness.RECORD_NAME).read_text() == "".join(lines)
+
+
+@pytest.mark.parametrize("cost", ['"0.5"', "1", "true", "{}"])
+def test_a_stored_cost_must_be_a_float_or_null(tmp_path, cost):
+    cfg = benchmark_config(generations=2, output_dir=str(tmp_path))
+    harness.run(cfg)
+    path = tmp_path / harness.RECORD_NAME
+    header, gen0, gen1 = path.read_text().splitlines(keepends=True)
+    first = json.loads(gen0)["candidates"][0]["cost"]
+    path.write_text(header + gen0.replace(f'"cost":{first!r}', f'"cost":{cost}', 1) + gen1)
+    with pytest.raises(ConfigError, match="generation 0 is malformed"):
+        harness.load_record(tmp_path)
+    with pytest.raises(ConfigError):
+        harness.run(cfg, resume=True)
 
 
 @pytest.mark.parametrize("order", [[0, 2, 3, 4], [0, 1, 1, 2], [1, 2], [0, 1, 3]])
@@ -427,6 +495,32 @@ def test_config_rejects_bad_fields():
 def test_config_from_dict_requires_core_keys():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"task": "readout", "generations": 5})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("generations", "three"), ("generations", 2.0), ("generations", 1e400),
+    ("generations", True), ("population", 4.7), ("population", "4"),
+    ("seed", -1), ("seed", None), ("seed", False), ("shots", None), ("shots", [10]),
+])
+def test_config_takes_integers_only_and_a_non_negative_seed(key, value):
+    payload = {"task": "benchmark", "generations": 2, "population": 4, key: value}
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_dict(payload)
+    with pytest.raises(ConfigError, match=key):
+        RunConfig(**payload)
+
+
+@pytest.mark.parametrize("payload", [[], ["task"], "benchmark", 3, None])
+def test_config_from_dict_needs_an_object(payload):
+    with pytest.raises(ConfigError, match="JSON object"):
+        RunConfig.from_dict(payload)
+
+
+def test_config_keeps_integers_as_python_ints():
+    cfg = RunConfig.from_dict({"task": "benchmark", "generations": np.int64(2),
+                               "population": 4, "seed": 0})
+    assert type(cfg.generations) is int
+    assert cfg == RunConfig(task="benchmark", generations=2, population=4)
 
 
 def test_config_from_json_errors_are_config_errors(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintune.rb import (
     CLIFFORD_DECOMPOSITIONS,
@@ -189,3 +191,60 @@ def test_input_validation():
         rb_backend_evaluate(RbConfig(), np.array([12.5, -1.0, RESONANCE_MHZ]))
     with pytest.raises(ValueError):
         RbConfig(sequence_length=0)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_block_equals_its_rows_bit_for_bit(data):
+    # Every sequence of every row is composed in one stacked product, with
+    # shorter sequences padded by the identity; no row may feel another.
+    cfg = RbConfig(sequence_length=data.draw(st.integers(1, 30)),
+                   n_randomizations=data.draw(st.integers(1, 15)),
+                   shots_per_sequence=50, seed=data.draw(st.integers(0, 99)))
+    n = data.draw(st.integers(1, 100), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+    X = rng.uniform([10.0, 7.0, 995.0], [16.0, 13.0, 1005.0], (n, 3))
+    seeds = data.draw(st.sampled_from([None, "per row"]))
+    seeds = rng.integers(0, 2**32, n).tolist() if seeds else [None] * n
+    bad = data.draw(st.sampled_from([None, 0, 1]), label="non-positive column")
+    if bad is not None:
+        X[data.draw(st.integers(0, n - 1), label="bad row"), bad] = -1.0
+
+    def outcome(call):
+        try:
+            return repr(call())
+        except ValueError as err:
+            return f"ValueError: {err}"
+
+    block = outcome(lambda: rb_backend_evaluate(cfg, X, shot_seed=seeds))
+    rows = [outcome(lambda i=i: rb_backend_evaluate(cfg, X[i], shot_seed=seeds[i]))
+            for i in range(n)]
+    if bad is None:
+        assert block == f"[{', '.join(rows)}]"
+    else:
+        assert block.startswith("ValueError: ") and block in rows
+
+
+def test_stacked_composition_matches_the_dense_oracle_per_row():
+    cfg = RbConfig(sequence_length=20, n_randomizations=10, seed=13)
+    X = np.array([[13.0, 9.0, RESONANCE_MHZ + 2.0], [12.5, 10.5, RESONANCE_MHZ]])
+    for x, ev in zip(X, rb_backend_evaluate(cfg, X)):
+        assert abs(ev.cost - dense_oracle(cfg, *x)) < 1e-10
+
+
+def test_exact_cost_equals_the_sequence_by_sequence_product_bit_for_bit():
+    # the stacked product must not move a probability by one ulp: shot
+    # counts are drawn from them, and records are compared byte for byte
+    cfg = RbConfig(seed=3)
+    rng = np.random.default_rng(0)
+    X = rng.uniform([10.0, 7.0, 995.0], [16.0, 13.0, 1005.0], (6, 3))
+    for x, ev in zip(X, rb_backend_evaluate(cfg, X)):
+        primitives = {name: primitive_unitary(name, *x) for name in PRIMITIVE_NAMES}
+        probs = []
+        for seq, recovery in rb_sequences(cfg):
+            u = np.eye(2, dtype=complex)
+            for c in (*seq, recovery):
+                for name in CLIFFORD_DECOMPOSITIONS[c]:
+                    u = primitives[name] @ u
+            probs.append(abs(u[0, 0]) ** 2)
+        assert ev.cost == 1.0 - float(np.mean(probs))
