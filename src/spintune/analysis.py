@@ -2,8 +2,10 @@
 
 Curve fits for decay and Rabi data, fidelity conversions, first-order
 HDMR sensitivity indices, and covariance-matrix aggregation across runs.
-All fits use damped least squares with a fixed set of deterministic
-starts, so results are reproducible bit for bit.
+The decay fit profiles out its linear amplitude and offset and searches
+the decay rate alone over a fixed grid and bracket; the Rabi fit runs
+damped least squares from a fixed set of starts. Neither draws random
+numbers, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BSpline
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, minimize_scalar
 
 __all__ = [
     "FitResult",
@@ -28,6 +30,12 @@ __all__ = [
 ]
 
 _N_STARTS = 8
+# Decay-fit bounds on A and p, and the profile search over q = 1 - p: the
+# log grid that brackets it (q = 0 is p = 1) and the scalar search's tolerance.
+_A_MIN = 1e-12
+_P_MIN = 1e-9
+_Q_GRID = np.concatenate([[0.0], np.logspace(-12.0, np.log10(1.0 - _P_MIN), 256)])
+_Q_XATOL = 1e-15
 _RIDGE = 1e-8
 _SPLINE_DEGREE = 3
 _SPLINE_INTERVALS = 8
@@ -104,9 +112,47 @@ def _multistart_least_squares(residual_fn, starts, lower, upper):
     return best
 
 
+def _decay_profile(q: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                   a_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best bounded (A, C) of y = A * p**x + C at each p = 1 - q, and its residual norm.
+
+    For fixed p the model is linear in (A, C). The bounded optimum is the
+    unconstrained one when that lies in the box, and otherwise lies on one
+    of the box's four edges, each a clipped one-variable fit. At p = 1 the
+    basis is constant and only the edges, which then hold the flat model's
+    optimum, are candidates.
+    """
+    b = (1.0 - q)[:, None] ** xs
+    b_mean = b.mean(axis=1)
+    y_mean = ys.mean()
+    db = b - b_mean[:, None]
+    sbb = np.einsum("gi,gi->g", db, db)
+    bb = np.einsum("gi,gi->g", b, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_free = (db @ (ys - y_mean)) / sbb
+        a_edge = [np.where(bb > 0, (b @ (ys - c)) / bb, _A_MIN) for c in (-1.0, 1.0)]
+        c_free = y_mean - a_free * b_mean
+    free_ok = (sbb > 0) & (a_free >= _A_MIN) & (a_free <= a_max) & (np.abs(c_free) <= 1.0)
+    a = np.stack([np.where(free_ok, a_free, _A_MIN), np.full_like(q, _A_MIN),
+                  np.full_like(q, a_max), *(np.clip(v, _A_MIN, a_max) for v in a_edge)])
+    c = np.stack([np.where(free_ok, c_free, 1.0),
+                  np.clip(y_mean - _A_MIN * b_mean, -1.0, 1.0),
+                  np.clip(y_mean - a_max * b_mean, -1.0, 1.0),
+                  np.full_like(q, -1.0), np.full_like(q, 1.0)])
+    norms = np.linalg.norm(a[..., None] * b + c[..., None] - ys, axis=-1)
+    norms[0, ~free_ok] = np.inf
+    best = np.argmin(norms, axis=0)
+    cols = np.arange(q.size)
+    return a[best, cols], c[best, cols], norms[best, cols]
+
+
 def fit_decay(xs: np.ndarray, ys: np.ndarray) -> FitResult:
     """Fit y = A * p**x + C with p in (0, 1].
 
+    The fit profiles out (A, C), which enter linearly: a log grid over
+    q = 1 - p, vectorized, brackets the best profile residual, a bounded
+    scalar search refines q inside that bracket, and one least-squares
+    polish with the analytic Jacobian finishes all three parameters.
     Flat data is a documented degenerate case: the amplitude collapses
     to ~0 with near-zero residual and the fit reports converged.
     """
@@ -116,29 +162,41 @@ def fit_decay(xs: np.ndarray, ys: np.ndarray) -> FitResult:
         raise ValueError("need at least 4 points")
     if np.any(xs < 0):
         raise ValueError("xs must be non-negative")
+    if not np.all(np.isfinite(ys)):
+        return FitResult({}, {}, np.inf, False)
 
     def residual(theta):
         a, p, c = theta
         return a * p**xs + c - ys
 
-    span = float(np.max(ys) - np.min(ys))
-    scale = span if span > 0 else 1.0
-    c0 = float(np.clip(ys[-1], -1.0, 1.0))
-    starts = [(a_frac * scale, p0, c0)
-              for p0 in (0.5, 0.9, 0.99, 0.999)
-              for a_frac in (0.3, 1.0)]
-    assert len(starts) == _N_STARTS
-    lower = np.array([1e-12, 1e-9, -1.0])
-    upper = np.array([max(2.0, 2.0 * scale), 1.0, 1.0])
-    res = _multistart_least_squares(residual, starts, lower, upper)
-    if res is None:
-        return FitResult({}, {}, np.inf, False)
-    errs = _std_errors_from_jacobian(res.jac, res.fun, 3)
+    def jacobian(theta):
+        a, p, _ = theta
+        return np.column_stack([p**xs, a * xs * p**(xs - 1.0), np.ones_like(xs)])
+
+    a_max = max(2.0, 2.0 * float(np.max(ys) - np.min(ys)))
+    _, _, grid_norms = _decay_profile(_Q_GRID, xs, ys, a_max)
+    k = int(np.argmin(grid_norms))
+    bracket = (_Q_GRID[max(k - 1, 0)], _Q_GRID[min(k + 1, _Q_GRID.size - 1)])
+    search = minimize_scalar(
+        lambda q: _decay_profile(np.array([q]), xs, ys, a_max)[2][0],
+        bounds=bracket, method="bounded", options={"xatol": _Q_XATOL})
+    q = search.x if search.fun < grid_norms[k] else _Q_GRID[k]
+    a, c, _ = _decay_profile(np.array([q]), xs, ys, a_max)
+    lower = np.array([_A_MIN, _P_MIN, -1.0])
+    upper = np.array([a_max, 1.0, 1.0])
+    # at the grid's far end 1 - q rounds just below the bound on p
+    start = np.clip([a[0], 1.0 - q, c[0]], lower, upper)
+    res = least_squares(residual, start, jac=jacobian, bounds=(lower, upper), method="trf")
+    # TRF first nudges a start off its active bounds, so keep the polish
+    # only where it ends below the profile optimum it started from
+    theta = res.x if res.cost < 0.5 * np.sum(residual(start) ** 2) else start
+    fun = residual(theta)
+    errs = _std_errors_from_jacobian(jacobian(theta), fun, 3)
     names = ("A", "p", "C")
     return FitResult(
-        params=dict(zip(names, (float(v) for v in res.x))),
+        params=dict(zip(names, (float(v) for v in theta))),
         std_errors=dict(zip(names, (float(e) for e in errs))),
-        residual_norm=float(np.linalg.norm(res.fun)),
+        residual_norm=float(np.linalg.norm(fun)),
         converged=bool(res.success),
     )
 

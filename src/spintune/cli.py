@@ -3,7 +3,9 @@
 Subcommands: run (one closed-loop optimization), batch (repeated runs
 with derived seeds), sweep (ramp-fidelity grids), analyze (sensitivity
 and covariance reports from a stored record). Exit codes: 0 on success,
-2 for configuration or fixture problems, 3 for I/O failures.
+2 for configuration or fixture problems, 3 for I/O failures, 4 when every
+candidate of a generation failed (the record keeps the generations before
+it, so ``run --resume`` continues once the cause is fixed).
 """
 
 from __future__ import annotations
@@ -62,10 +64,8 @@ def _cmd_run(args) -> int:
         config = replace(config, output_dir=args.out)
     record = harness.run(config, resume=args.resume)
     if config.output_dir is not None:
-        out = Path(config.output_dir)
-        harness.export(record, "trace", out / "trace.csv")
-        harness.export(record, "covariance", out / "covariance.json")
-        harness.export(record, "best_params", out / "best_params.json")
+        for what, (name, _) in harness.EXPORTS.items():
+            harness.export(record, what, Path(config.output_dir) / name)
     best = dict(zip(record.space.names, record.best_params))
     print(json.dumps({"best_cost": record.best_cost, "best_params": best},
                      sort_keys=True))
@@ -97,7 +97,7 @@ def _parse_axis(payload: dict) -> tuple:
                 values = np.geomspace(float(payload["start"]), float(payload["stop"]), num)
             else:
                 values = np.linspace(float(payload["start"]), float(payload["stop"]), num)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise harness.ConfigError(f"bad sweep axis: {err}") from None
     return name, values
 
@@ -109,6 +109,12 @@ def _cmd_sweep(args) -> int:
         raise harness.ConfigError(f"config file not found: {args.config}") from None
     except json.JSONDecodeError as err:
         raise harness.ConfigError(f"config file is not valid JSON: {err}") from None
+    if not isinstance(payload, dict):
+        raise harness.ConfigError(
+            f"sweep config must be a JSON object, got {type(payload).__name__}")
+    for key in ("base", "axis1", "axis2"):
+        if not isinstance(payload.get(key, {}), dict):
+            raise harness.ConfigError(f"sweep config {key} must be a JSON object")
     try:
         base = dqd.DqdConfig(**payload.get("base", {}))
     except (TypeError, ValueError) as err:
@@ -124,12 +130,14 @@ def _cmd_sweep(args) -> int:
         except (TypeError, ValueError) as err:
             raise harness.ConfigError(f"bad noise model: {err}") from None
     n_steps = payload.get("n_steps", dqd.GRID_STEPS)
-    out = Path(args.out if args.out is not None else payload.get("out", "grid.csv"))
+    out = args.out if args.out is not None else payload.get("out", "grid.csv")
+    if not isinstance(out, str):
+        raise harness.ConfigError(f"sweep config out must be a path, got {out!r}")
     try:
         grid = dqd.sweep_fidelity_grid(base, axis1, axis2, noise=noise, n_steps=n_steps)
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise harness.ConfigError(str(err)) from None
-    dqd.grid_to_csv(out, axis1, axis2, grid)
+    dqd.grid_to_csv(Path(out), axis1, axis2, grid)
     print(json.dumps({"out": str(out), "shape": list(grid.shape),
                       "mean_fidelity": float(grid.mean())}, sort_keys=True))
     return 0
@@ -141,16 +149,11 @@ def _cmd_analyze(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     wrote = []
     if args.hdmr:
-        xs = []
-        costs = []
-        for gen in record.generations:
-            for cand in gen.candidates:
-                xs.append(record.space.normalize(np.array(cand["x"], dtype=float)))
-                costs.append(cand["cost"])
-        finite = np.isfinite(costs)
-        samples = np.clip(np.array(xs)[finite], 0.0, 1.0)
-        report = analysis.hdmr_first_order(samples, np.array(costs)[finite],
-                                           names=list(record.space.names))
+        samples, costs = harness.evaluated_samples(record)
+        try:
+            report = analysis.hdmr_first_order(samples, costs, names=list(record.space.names))
+        except ValueError as err:
+            raise harness.ConfigError(f"cannot analyze {args.record}: {err}") from None
         payload = {
             "first_order": report.first_order,
             "residual": report.residual,
@@ -201,6 +204,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 3
+    except harness.EvaluationError as err:
+        print(f"evaluation error: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -5,6 +5,11 @@ evaluate the whole generation in one backend call (one reproducible shot
 seed per candidate), tell the ranked results back, and append one JSON
 line per generation to the record file. Identical configs produce byte-identical record files;
 wall-clock timings go to a separate sidecar so they never break that.
+
+Errors: ConfigError for an invalid config, fixture or stored record;
+EvaluationError when every candidate of a generation fails, raised before
+that generation is written, so the record can be resumed once the cause is
+fixed.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import json
 import logging
 import math
 import numbers
+import os
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -25,6 +31,7 @@ from . import analysis, backends, cmaes, rb
 
 __all__ = [
     "ConfigError",
+    "EvaluationError",
     "RunConfig",
     "GenerationRecord",
     "RunRecord",
@@ -33,6 +40,8 @@ __all__ = [
     "run",
     "batch",
     "load_record",
+    "evaluated_samples",
+    "EXPORTS",
     "export",
     "covariance_series",
     "evaluate_params",
@@ -50,6 +59,10 @@ _INITIAL_SIGMA = 0.25
 
 class ConfigError(Exception):
     """Invalid run configuration or missing fixture."""
+
+
+class EvaluationError(Exception):
+    """Every candidate of a generation failed; nothing of it was written."""
 
 
 # RunConfig fields that take integers only (bools are rejected).
@@ -84,11 +97,16 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
+        if not isinstance(self.output_dir, (type(None), str, os.PathLike)):
+            raise ConfigError(f"output_dir must be a path, got {self.output_dir!r}")
+        if not isinstance(self.backend_fixture, (type(None), dict, str, os.PathLike)):
+            raise ConfigError("backend_fixture must be a JSON object or a path, "
+                              f"got {self.backend_fixture!r}")
 
     def to_dict(self) -> dict:
         payload = dict(vars(self))
-        if isinstance(self.backend_fixture, Path):
-            payload["backend_fixture"] = str(self.backend_fixture)
+        if isinstance(self.backend_fixture, os.PathLike):
+            payload["backend_fixture"] = os.fspath(self.backend_fixture)
         if self.output_dir is not None:
             payload["output_dir"] = str(self.output_dir)
         return payload
@@ -271,7 +289,8 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
     With ``resume`` and an existing record file, completed generations
     are kept and the loop continues from the stored optimizer state;
     counter-based sampling makes the continuation byte-identical to an
-    uninterrupted run.
+    uninterrupted run. If every candidate of a generation fails, EvaluationError
+    is raised before that generation is written.
     """
     space = space_for_task(config.task)
     evaluate = _make_evaluator(config, space)
@@ -311,6 +330,10 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
             candidates = cmaes.ask(state, params)
             X = np.array([cand.x for cand in candidates])
             results = _evaluate_generation(evaluate, X, candidates, config.seed, gen)
+            if not any(math.isfinite(cost) for cost, _ in results):
+                cost, meta = results[0]
+                raise EvaluationError(f"every candidate of generation {gen} failed; the first: "
+                                      f"{meta.get('error', f'cost {cost}')}")
             evaluated = []
             cand_rows = []
             for cand, x, (cost, meta) in zip(candidates, space.denormalize(X).tolist(), results):
@@ -562,38 +585,49 @@ def evaluate_params(config: RunConfig, physical_values, shot_seed: int = 0) -> b
     return evaluate(np.clip(x, 0.0, 1.0)[None], [shot_seed])[0]
 
 
-def export(record: RunRecord, what: str, out_path: Path | str) -> Path:
-    """Write one analysis-ready view of a run record.
+def evaluated_samples(record: RunRecord) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-cube rows, clipped, and costs of every candidate with a finite cost."""
+    cands = [cand for gen in record.generations for cand in gen.candidates]
+    costs = np.array([cand["cost"] for cand in cands], dtype=float)
+    rows = np.array([cand["x"] for cand in cands], dtype=float)
+    rows = rows.reshape(len(cands), record.space.dimension)
+    finite = np.isfinite(costs)
+    return np.clip(record.space.normalize(rows)[finite], 0.0, 1.0), costs[finite]
 
-    trace: CSV of every evaluation; covariance: JSON time series of the
-    distribution covariance; best_params: JSON of the best candidate in
-    physical units. Grids come from the sweep command, which writes CSV
-    directly, so requesting one here is an error.
-    """
+
+def _trace_csv(record: RunRecord) -> str:
+    lines = ["generation,individual,cost"] + [
+        f"{rec.generation},{cand['id']},{cand['cost']!r}"
+        for rec in record.generations for cand in rec.candidates]
+    return "\n".join(lines) + "\n"
+
+
+def _covariance_json(record: RunRecord) -> str:
+    series = covariance_series(record)
+    return json.dumps({"generations": list(series.generations),
+                       "matrices": series.matrices.tolist()}, sort_keys=True) + "\n"
+
+
+def _best_params_json(record: RunRecord) -> str:
+    return json.dumps({"task": record.config.task, "names": list(record.space.names),
+                       "values": record.best_params, "cost": record.best_cost},
+                      sort_keys=True, indent=2) + "\n"
+
+
+# Analysis-ready views of a run: name -> (file name in the run's output directory, renderer).
+# Every evaluation; the distribution covariance per generation; the best physical parameters.
+EXPORTS = {
+    "trace": ("trace.csv", _trace_csv),
+    "covariance": ("covariance.json", _covariance_json),
+    "best_params": ("best_params.json", _best_params_json),
+}
+
+
+def export(record: RunRecord, what: str, out_path: Path | str) -> Path:
+    """Write one EXPORTS view of a run record; grids are the sweep command's, not exports."""
+    if what not in EXPORTS:
+        raise ValueError(f"unknown export {what!r}; expected one of {', '.join(EXPORTS)} "
+                         "(grids are written by the sweep command)")
     out_path = Path(out_path)
-    if what == "trace":
-        lines = ["generation,individual,cost"]
-        for rec in record.generations:
-            for cand in rec.candidates:
-                lines.append(f"{rec.generation},{cand['id']},{cand['cost']!r}")
-        out_path.write_text("\n".join(lines) + "\n")
-    elif what == "covariance":
-        series = covariance_series(record)
-        payload = {
-            "generations": list(series.generations),
-            "matrices": series.matrices.tolist(),
-        }
-        out_path.write_text(json.dumps(payload, sort_keys=True) + "\n")
-    elif what == "best_params":
-        payload = {
-            "task": record.config.task,
-            "names": list(record.space.names),
-            "values": record.best_params,
-            "cost": record.best_cost,
-        }
-        out_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        raise ValueError(
-            f"unknown export {what!r}; expected trace, covariance or best_params "
-            "(grids are written by the sweep command)")
+    out_path.write_text(EXPORTS[what][1](record))
     return out_path

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintune import harness
 from spintune.analysis import (
@@ -70,6 +72,86 @@ def test_fit_decay_reports_nonnegative_std_errors():
     fit = fit_decay(xs, ys)
     assert all(v >= 0 for v in fit.std_errors.values())
     assert set(fit.std_errors) == {"A", "p", "C"}
+
+
+def profile_oracle(xs, ys, n_grid=20001):
+    """Lowest residual norm of y = A * p**x + C over a dense q = 1 - p grid.
+
+    At each q the bounded linear problem in (A, C), with A in
+    [1e-12, max(2, 2 * span)] and C in [-1, 1], is solved by active sets:
+    the free optimum, each bound held with the other variable free, and
+    the four corners; a candidate counts only if it is feasible.
+    """
+    lo, hi = 1e-12, max(2.0, 2.0 * float(np.ptp(ys)))
+    q = np.concatenate([[0.0], np.logspace(-14.0, np.log10(1.0 - 1e-9), n_grid)])
+    b = (1.0 - q)[:, None] ** xs
+    n, sb, bb = xs.size, b.sum(axis=1), (b * b).sum(axis=1)
+    sy, by = ys.sum(), b @ ys
+    det = n * bb - sb * sb
+    with np.errstate(divide="ignore", invalid="ignore"):
+        candidates = [((n * by - sb * sy) / det, (bb * sy - sb * by) / det)]
+        candidates += [(np.full_like(q, a), (sy - a * sb) / n) for a in (lo, hi)]
+        candidates += [((by - c * sb) / bb, np.full_like(q, c)) for c in (-1.0, 1.0)]
+    candidates += [(np.full_like(q, a), np.full_like(q, c)) for a in (lo, hi) for c in (-1.0, 1.0)]
+    best = np.inf
+    for a, c in candidates:
+        feasible = (a >= lo) & (a <= hi) & (np.abs(c) <= 1.0)
+        norms = np.linalg.norm(a[feasible, None] * b[feasible] + c[feasible, None] - ys, axis=1)
+        best = min(best, float(np.min(norms, initial=np.inf)))
+    return best
+
+
+@settings(max_examples=60)
+@given(
+    a=st.floats(1e-3, 1.0),
+    log_q=st.floats(-9.0, 0.0),
+    c=st.floats(-0.5, 0.5),
+    lengths=st.lists(st.integers(0, 400), min_size=4, max_size=30, unique=True),
+    noise=st.floats(0.0, 0.05),
+    noise_seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_decay_is_no_worse_than_the_dense_profile_grid(a, log_q, c, lengths, noise,
+                                                           noise_seed):
+    xs = np.sort(np.array(lengths, dtype=float))
+    rng = np.random.default_rng(noise_seed)
+    ys = a * (1.0 - 10.0**log_q) ** xs + c + rng.uniform(-noise, noise, xs.size)
+    fit = fit_decay(xs, ys)
+    assert fit.converged
+    assert fit.residual_norm <= profile_oracle(xs, ys) * (1 + 1e-9) + 1e-15
+
+
+# A high-p curve (p = 1 - 2.26e-5, 1e-4 uniform noise, rounded to 1e-7) on
+# which eight finite-difference starts stopped short: residual 1.7280e-4,
+# not converged.
+HIGH_P_XS = np.array([1, 3, 6, 10, 16, 24, 40, 60, 90, 140, 200, 300], dtype=float)
+HIGH_P_YS = np.array([0.9999178, 0.9999046, 1.0000177, 0.9998974, 0.9997551, 0.9998054,
+                      0.999576, 0.9993357, 0.9989582, 0.998401, 0.9976905, 0.9965254])
+
+
+def test_fit_decay_reaches_the_profile_optimum_on_a_high_p_curve():
+    fit = fit_decay(HIGH_P_XS, HIGH_P_YS)
+    oracle = profile_oracle(HIGH_P_XS, HIGH_P_YS)
+    assert oracle < 1.72e-4
+    assert fit.converged
+    assert fit.residual_norm <= oracle * (1 + 1e-9) + 1e-15
+
+
+def test_fit_decay_at_the_fastest_decay_bound():
+    # the best p is the bound 1e-9, which 1 - q reaches only up to rounding
+    xs = np.array([0, 1, 2, 3, 5, 8], dtype=float)
+    ys = np.array([1.0, 0.5, 0.5, 0.5, 0.5, 0.5])
+    fit = fit_decay(xs, ys)
+    assert fit.converged
+    assert fit.params["p"] == pytest.approx(1e-9, rel=1e-6)
+    assert fit.residual_norm <= profile_oracle(xs, ys) * (1 + 1e-9) + 1e-15
+
+
+def test_fit_decay_rising_curve_falls_back_to_the_amplitude_floor():
+    xs = HIGH_P_XS
+    ys = 0.6 - 0.3 * 0.98**xs
+    fit = fit_decay(xs, ys)
+    assert fit.params["A"] == 1e-12
+    assert fit.residual_norm == pytest.approx(np.linalg.norm(ys - ys.mean()), rel=1e-12)
 
 
 # ----------------------------------------------------------------- Rabi fits

@@ -1,10 +1,15 @@
 import json
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spintune import harness
+from spintune import dqd, harness
 from spintune.cli import main
 
 
@@ -70,6 +75,34 @@ def test_run_resume_refuses_a_changed_run(tmp_path, run_config, capsys, change):
     assert main(["run", "--config", changed, "--out", str(out), "--resume"]) == 2
     assert "cannot resume" in capsys.readouterr().err
     assert (out / harness.RECORD_NAME).read_bytes() == stored
+
+
+def test_a_generation_where_every_candidate_fails_exits_4(tmp_path, run_config, capsys,
+                                                          monkeypatch):
+    main(["run", "--config", run_config, "--out", str(tmp_path / "full")])
+    full = (tmp_path / "full" / harness.RECORD_NAME).read_bytes()
+    out = tmp_path / "out"
+    first = write_json(tmp_path / "one.json", {**json.loads(Path(run_config).read_text()),
+                                               "generations": 1})
+    assert main(["run", "--config", first, "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def always_raising(config, space):
+        def evaluate(X, shot_seeds):
+            raise RuntimeError(f"backend down at seed {shot_seeds[0]}")
+        return evaluate
+
+    monkeypatch.setattr(harness, "_make_evaluator", always_raising)
+    assert main(["run", "--config", run_config, "--out", str(out), "--resume"]) == 4
+    err = capsys.readouterr().err
+    assert "evaluation error: every candidate of generation 1 failed" in err
+    assert "backend down at seed" in err
+    assert len(harness.load_record(out).generations) == 1
+    assert len((out / harness.TIMINGS_NAME).read_text().splitlines()) == 1
+
+    monkeypatch.undo()
+    assert main(["run", "--config", run_config, "--out", str(out), "--resume"]) == 0
+    assert (out / harness.RECORD_NAME).read_bytes() == full
 
 
 def test_batch_prints_band_and_writes_aggregate(tmp_path, capsys):
@@ -173,6 +206,8 @@ def test_unknown_task_exits_2(tmp_path):
     {"task": "benchmark", "generations": 2, "population": 4, "shots": None},
     {"task": "benchmark", "generations": 1e400, "population": 4},
     ["task", "benchmark"],
+    {"task": "benchmark", "generations": 2, "population": 3, "output_dir": 5},
+    {"task": "benchmark", "generations": 2, "population": 3, "backend_fixture": 7},
 ])
 def test_wrongly_typed_config_exits_2(tmp_path, capsys, payload):
     cfg = write_json(tmp_path / "cfg.json", payload)
@@ -184,6 +219,59 @@ def test_wrongly_typed_config_exits_2(tmp_path, capsys, payload):
 def test_sweep_without_axes_exits_2(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {"base": {}})
     assert main(["sweep", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    {"base": [1], "axis1": {"name": "ramp_time", "values": [1.0]},
+     "axis2": {"name": "eps_final", "values": [20.0]}},
+    {"axis1": "ramp_time", "axis2": {"name": "eps_final", "values": [20.0]}},
+    {"axis1": {"name": "ramp_time", "values": [1.0]}, "axis2": None},
+])
+def test_sweep_config_that_is_not_an_object_exits_2(tmp_path, capsys, payload):
+    cfg = write_json(tmp_path / "sweep.json", payload)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "grid.csv")]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_sweep_output_path_that_is_not_a_string_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "sweep.json", {
+        "axis1": {"name": "ramp_time", "values": [1.0]},
+        "axis2": {"name": "eps_final", "values": [20.0]},
+        "out": 5,
+    })
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "out must be a path" in capsys.readouterr().err
+
+
+# Arbitrary JSON with small numbers, so a valid sweep stays a few cells, mixed
+# with near-valid parts so that some configs run a sweep.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-3.0, 3.0) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+AXIS_NAMES = st.sampled_from([f.name for f in fields(dqd.DqdConfig)])
+SMALL_FLOATS = st.floats(0.01, 3.0)
+SWEEP_AXES = st.fixed_dictionaries(
+    {"name": AXIS_NAMES | JSON_VALUES,
+     "values": st.lists(SMALL_FLOATS, min_size=1, max_size=3) | JSON_VALUES},
+) | st.fixed_dictionaries(
+    {"name": AXIS_NAMES | JSON_VALUES, "start": SMALL_FLOATS | JSON_VALUES,
+     "stop": SMALL_FLOATS | JSON_VALUES, "num": st.integers(1, 3) | JSON_VALUES},
+    optional={"spacing": st.just("geom") | JSON_VALUES}) | JSON_VALUES
+SWEEP_CONFIGS = st.fixed_dictionaries(
+    {"axis1": SWEEP_AXES, "axis2": SWEEP_AXES},
+    optional={"base": st.dictionaries(AXIS_NAMES, SMALL_FLOATS | JSON_VALUES, max_size=2)
+              | JSON_VALUES}) | JSON_VALUES
+
+
+@settings(max_examples=150)
+@given(payload=SWEEP_CONFIGS)
+def test_sweep_never_crashes_on_arbitrary_json(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_json(Path(tmp) / "sweep.json", payload)
+        assert main(["sweep", "--config", cfg, "--out", str(Path(tmp) / "grid.csv")]) in (0, 2, 3)
 
 
 @pytest.mark.parametrize("n_steps", [0, -3, "abc", 1.5])
@@ -211,6 +299,13 @@ def test_analyze_bad_cov_pair_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["analyze", "--record", str(record_dir), "--cov-pairs", "zero,one"]) == 2
     assert main(["analyze", "--record", str(record_dir), "--cov-pairs", "0,99"]) == 2
+
+
+def test_analyze_too_few_samples_for_hdmr_exits_2(tmp_path, run_config, capsys):
+    main(["run", "--config", run_config, "--out", str(tmp_path / "rec")])
+    capsys.readouterr()
+    assert main(["analyze", "--record", str(tmp_path / "rec"), "--hdmr"]) == 2
+    assert "need at least 50 samples" in capsys.readouterr().err
 
 
 def test_output_path_under_a_file_exits_3(tmp_path, run_config, capsys):

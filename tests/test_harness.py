@@ -148,6 +148,18 @@ def test_failed_candidate_cost_is_written_as_null(tmp_path, monkeypatch):
     assert (tmp_path / harness.RECORD_NAME).read_text() == text
 
 
+def test_evaluated_samples_are_the_finite_candidates_in_the_unit_cube(monkeypatch):
+    cfg = RunConfig(task="shuttle", generations=3, population=6, seed=2)
+    _fail_at_seed(monkeypatch, harness._shot_seed(cfg.seed, 1, 3))
+    record = harness.run(cfg)
+    samples, costs = harness.evaluated_samples(record)
+    rows = [(record.space.normalize(np.array(c["x"])), c["cost"])
+            for gen in record.generations for c in gen.candidates if math.isfinite(c["cost"])]
+    assert len(rows) == 17
+    np.testing.assert_array_equal(samples, np.clip([x for x, _ in rows], 0.0, 1.0))
+    np.testing.assert_array_equal(costs, [cost for _, cost in rows])
+
+
 # -------------------------------------------------------- records and resume
 
 def test_identical_configs_write_identical_record_bytes(tmp_path):
