@@ -29,7 +29,6 @@ __all__ = [
     "covariance_trajectory",
 ]
 
-_N_STARTS = 8
 # Decay-fit bounds on A and p, and the profile search over q = 1 - p: the
 # log grid that brackets it (q = 0 is p = 1) and the scalar search's tolerance.
 _A_MIN = 1e-12
@@ -236,7 +235,6 @@ def fit_rabi(ts: np.ndarray, ps: np.ndarray) -> FitResult:
     starts = [(v0, w0, phi0, tau0)
               for phi0 in (0.0, 0.5 * np.pi, np.pi, -0.5 * np.pi)
               for tau0 in (span, 0.25 * span)]
-    assert len(starts) == _N_STARTS
     lower = np.array([1e-12, 0.3 * w0, -np.pi, 1e-9])
     upper = np.array([np.inf, 3.0 * w0, np.pi, np.inf])
     res = _multistart_least_squares(residual, starts, lower, upper)

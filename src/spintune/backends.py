@@ -15,7 +15,7 @@ gives exactly what each candidate gives alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -264,8 +264,18 @@ class HiddenLandscape:
     seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "optimum", np.asarray(self.optimum, dtype=float))
-        object.__setattr__(self, "coupling", np.asarray(self.coupling, dtype=float))
+        for name in ("optimum", "coupling"):
+            arr = np.asarray(getattr(self, name))
+            if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be an array of finite numbers")
+            object.__setattr__(self, name, arr.astype(float))
+        if self.optimum.ndim != 1 or self.optimum.size == 0:
+            raise ValueError("optimum must be a non-empty vector")
+        if not isinstance(self.shot_noise, bool):
+            raise ValueError(f"shot_noise must be true or false, got {self.shot_noise!r}")
+        dqd._require_int("seed", self.seed, 0)
+        dqd._require_real("floor", self.floor)
+        object.__setattr__(self, "floor", float(self.floor))
         n = self.optimum.shape[0]
         if self.coupling.shape != (n, n):
             raise ValueError("coupling shape does not match optimum length")
@@ -295,13 +305,7 @@ class HiddenLandscape:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "HiddenLandscape":
-        return cls(
-            optimum=np.array(payload["optimum"], dtype=float),
-            coupling=np.array(payload["coupling"], dtype=float),
-            floor=float(payload["floor"]),
-            shot_noise=bool(payload["shot_noise"]),
-            seed=int(payload["seed"]),
-        )
+        return cls(**{f.name: payload[f.name] for f in fields(cls)})
 
     @classmethod
     def load(cls, path: Path | str) -> "HiddenLandscape":

@@ -103,12 +103,7 @@ def _parse_axis(payload: dict) -> tuple:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        payload = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        raise harness.ConfigError(f"config file not found: {args.config}") from None
-    except json.JSONDecodeError as err:
-        raise harness.ConfigError(f"config file is not valid JSON: {err}") from None
+    payload = harness.read_json(args.config)
     if not isinstance(payload, dict):
         raise harness.ConfigError(
             f"sweep config must be a JSON object, got {type(payload).__name__}")

@@ -33,8 +33,9 @@ that keeps the step unitaries in cache.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +50,23 @@ DEFAULT_STEPS = 8000
 # would be wasted; fringe structure is converged well above this.
 GRID_STEPS = 2000
 
+
+def _require_real(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless value is a finite real number."""
+    try:
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming ``name`` unless value is an integer >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DqdConfig:
     """Ramp and coupling parameters. Energies in GHz, times in ns."""
@@ -60,6 +78,8 @@ class DqdConfig:
     zeeman_diff: float = 0.3
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            _require_real(f.name, getattr(self, f.name))
         if self.ramp_time <= 0.0:
             raise ValueError(f"ramp_time must be positive, got {self.ramp_time}")
         if self.tunnel_coupling < 0.0 or self.zeeman_diff < 0.0:
@@ -97,10 +117,11 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_real("sigma_eps", self.sigma_eps)
         if self.sigma_eps < 0.0:
             raise ValueError("sigma_eps must be non-negative")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        _require_int("n_samples", self.n_samples, 1)
+        _require_int("seed", self.seed, 0)
 
     def draws(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -315,8 +336,7 @@ def _cell_fidelities(
     n_steps: int,
 ) -> np.ndarray:
     """Mean transfer fidelity of each cell, given flat per-cell parameters."""
-    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    _require_int("n_steps", n_steps, 1)
     psi0 = _ground_states(eps0, t_c, de_z)
     target = _adiabatic_targets(psi0, eps1, t_c, de_z)
     shifts = noise.draws() if noise is not None else np.zeros(1)

@@ -40,6 +40,7 @@ __all__ = [
     "run",
     "batch",
     "load_record",
+    "read_json",
     "evaluated_samples",
     "EXPORTS",
     "export",
@@ -67,6 +68,18 @@ class EvaluationError(Exception):
 
 # RunConfig fields that take integers only (bools are rejected).
 _INTEGER_FIELDS = ("generations", "population", "seed", "shots")
+# The most trials numpy's binomial draw accepts.
+_MAX_SHOTS = 2**63 - 1
+
+
+def read_json(path: Path | str):
+    """The JSON value in a config file; a missing or unparsable file is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except ValueError as err:  # JSONDecodeError, undecodable bytes, over-long integers
+        raise ConfigError(f"config file is not valid JSON: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -97,8 +110,12 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
+        if self.shots > _MAX_SHOTS:
+            raise ConfigError(f"shots must be <= {_MAX_SHOTS}")
         if not isinstance(self.output_dir, (type(None), str, os.PathLike)):
             raise ConfigError(f"output_dir must be a path, got {self.output_dir!r}")
+        if self.output_dir is not None and "\0" in str(self.output_dir):
+            raise ConfigError("output_dir must not contain a NUL character")
         if not isinstance(self.backend_fixture, (type(None), dict, str, os.PathLike)):
             raise ConfigError("backend_fixture must be a JSON object or a path, "
                               f"got {self.backend_fixture!r}")
@@ -122,15 +139,7 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path: Path | str) -> "RunConfig":
-        try:
-            text = Path(path).read_text()
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file is not valid JSON: {err}") from None
-        return cls.from_dict(payload)
+        return cls.from_dict(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -250,6 +259,9 @@ def _make_evaluator(config: RunConfig, space: backends.ParameterSpace):
     """Return evaluate(X, shot_seeds) for the configured task."""
     task = _TASKS[config.task]
     landscape = _load_landscape(config, task.landscape) if task.landscape else None
+    if landscape is not None and landscape.optimum.shape != (space.dimension,):
+        raise ConfigError(f"landscape fixture has {landscape.optimum.size} parameters; "
+                          f"the {config.task} task has {space.dimension}")
     return task.evaluator(config, space, landscape)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spintune import dqd, harness
+from spintune import backends, dqd, harness
 from spintune.cli import main
 
 
@@ -192,11 +192,30 @@ def test_invalid_json_config_exits_2(tmp_path, capsys):
     assert main(["sweep", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"generations": ' + b"1" * 5000 + b"}"])
+def test_undecodable_config_exits_2(tmp_path, capsys, command, content):
+    # bytes that are not UTF-8, and an integer literal longer than Python parses
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main([command, "--config", str(bad)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_unknown_task_exits_2(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {
         "task": "espresso", "generations": 2, "population": 3,
     })
     assert main(["run", "--config", cfg]) == 2
+
+
+READOUT_FIXTURE = backends.make_readout_landscape(0).to_dict()
+
+
+def readout_run(fixture_changes=(), **changes):
+    """A one-generation readout run on an inline fixture, with keys changed."""
+    return {"task": "readout", "generations": 1, "population": 2,
+            "backend_fixture": {**READOUT_FIXTURE, **dict(fixture_changes)}, **changes}
 
 
 @pytest.mark.parametrize("payload", [
@@ -208,6 +227,16 @@ def test_unknown_task_exits_2(tmp_path):
     ["task", "benchmark"],
     {"task": "benchmark", "generations": 2, "population": 3, "output_dir": 5},
     {"task": "benchmark", "generations": 2, "population": 3, "backend_fixture": 7},
+    readout_run({"seed": -1}),
+    readout_run({"seed": 3.7}),
+    readout_run({"shot_noise": "false"}),
+    readout_run({"floor": "0.1"}),
+    readout_run({"optimum": 5}),
+    readout_run({"optimum": ["0.5"] * 14}),
+    readout_run({"coupling": [[float("nan")] * 14] * 14}),
+    readout_run({"optimum": [0.5], "coupling": [[1.0]]}),
+    readout_run(shots=10**30),
+    readout_run(output_dir="a\u0000b"),
 ])
 def test_wrongly_typed_config_exits_2(tmp_path, capsys, payload):
     cfg = write_json(tmp_path / "cfg.json", payload)
@@ -244,6 +273,27 @@ def test_sweep_output_path_that_is_not_a_string_exits_2(tmp_path, capsys):
     assert "out must be a path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("base", "eps_initial", None),
+    ("base", "eps_initial", "5"),
+    ("base", "ramp_time", True),
+    ("base", "zeeman_diff", float("nan")),
+    ("noise", "sigma_eps", "1"),
+    ("noise", "n_samples", 2.5),
+    ("noise", "seed", -1),
+    ("noise", "seed", False),
+])
+def test_sweep_with_wrongly_typed_model_field_exits_2(tmp_path, capsys, section, key, value):
+    cfg = write_json(tmp_path / "sweep.json", {
+        "axis1": {"name": "ramp_time", "values": [1.0]},
+        "axis2": {"name": "eps_final", "values": [20.0]},
+        "n_steps": 20, section: {key: value},
+    })
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "grid.csv")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+
+
 # Arbitrary JSON with small numbers, so a valid sweep stays a few cells, mixed
 # with near-valid parts so that some configs run a sweep.
 JSON_VALUES = st.recursive(
@@ -272,6 +322,40 @@ def test_sweep_never_crashes_on_arbitrary_json(payload):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_json(Path(tmp) / "sweep.json", payload)
         assert main(["sweep", "--config", cfg, "--out", str(Path(tmp) / "grid.csv")]) in (0, 2, 3)
+
+
+# Arbitrary JSON of any size, in place of up to three keys of a valid readout
+# run or of its inline fixture. A huge valid generations or population would
+# exhaust memory, so those two are drawn as small integers or non-integers.
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+VALID_RUN = {"task": "readout", "generations": 2, "population": 3, "seed": 1, "shots": 100,
+             "output_dir": "unused", "backend_fixture": READOUT_FIXTURE}
+RUN_KEYS = [("fixture", key) for key in READOUT_FIXTURE] + [("run", key) for key in VALID_RUN]
+DELETE = object()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_run_never_crashes_on_arbitrary_json(data):
+    payload = json.loads(json.dumps(VALID_RUN))
+    fixture = payload["backend_fixture"]
+    for section, key in data.draw(st.sets(st.sampled_from(RUN_KEYS), max_size=3), label="keys"):
+        small = key in ("generations", "population") and section == "run"
+        value = data.draw((JSON_VALUES if small else ANY_JSON) | st.just(DELETE), label=key)
+        target = payload if section == "run" else fixture
+        if value is DELETE:
+            target.pop(key)
+        else:
+            target[key] = value
+    if data.draw(st.integers(0, 3), label="replace the whole config if 3") == 3:
+        payload = data.draw(ANY_JSON, label="config")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_json(Path(tmp) / "run.json", payload)
+        assert main(["run", "--config", cfg, "--out", str(Path(tmp) / "out")]) in (0, 2, 3, 4)
 
 
 @pytest.mark.parametrize("n_steps", [0, -3, "abc", 1.5])

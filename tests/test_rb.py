@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spintune.rb import (
@@ -10,6 +10,8 @@ from spintune.rb import (
     PRIMITIVE_NAMES,
     RESONANCE_MHZ,
     RbConfig,
+    _group_tables,
+    _primitives,
     clifford_table,
     per_gate_fidelity,
     primitive_unitary,
@@ -23,6 +25,83 @@ CALIBRATED = np.array([12.5, 10.0, RESONANCE_MHZ])  # quarter turn per X90
 
 def phase_invariant_equal(a, b, tol=1e-9):
     return abs(abs(np.trace(a.conj().T @ b)) - 2.0) < tol
+
+
+# Target angle and axis azimuth of each driven primitive, for the reference
+REFERENCE_ANGLES = {
+    "X90": (0.5 * np.pi, 0.0),
+    "Xm90": (0.5 * np.pi, np.pi),
+    "X180": (np.pi, 0.0),
+    "Y90": (0.5 * np.pi, 0.5 * np.pi),
+    "Ym90": (0.5 * np.pi, 1.5 * np.pi),
+    "Y180": (np.pi, 0.5 * np.pi),
+}
+
+
+def reference_primitive(name, t_d, amplitude, frequency_mhz):
+    """One primitive from scalar Python arithmetic, one name at a time."""
+    delta = 2.0 * np.pi * (frequency_mhz - RESONANCE_MHZ) * 1e-3
+    if name == "I":
+        half = 0.5 * delta * t_d
+        return np.array([[np.exp(-1j * half), 0.0], [0.0, np.exp(1j * half)]])
+    theta_target, phi = REFERENCE_ANGLES[name]
+    tau = t_d if theta_target < 0.75 * np.pi else 2.0 * t_d
+    omega = DRIVE_RATE_RAD_PER_MV_NS * amplitude
+    eff = np.sqrt(omega**2 + delta**2)
+    half = 0.5 * eff * tau
+    c, s = np.cos(half), np.sin(half)
+    nx = omega * np.cos(phi) / eff
+    ny = omega * np.sin(phi) / eff
+    nz = delta / eff
+    return np.array([[c - 1j * s * nz, -1j * s * (nx - 1j * ny)],
+                     [-1j * s * (nx + 1j * ny), c + 1j * s * nz]])
+
+
+def reference_group_tables():
+    """Multiplication and inverse tables by a search over every product."""
+    unitaries, _ = clifford_table()
+    n = len(unitaries)
+    mult = np.empty((n, n), dtype=np.int64)
+    inverse = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            prod = unitaries[i] @ unitaries[j]
+            mult[i, j] = next(k for k in range(n) if phase_invariant_equal(prod, unitaries[k]))
+        inverse[i] = next(k for k in range(n)
+                          if phase_invariant_equal(unitaries[i].conj().T, unitaries[k]))
+    return mult, inverse
+
+
+PULSE_ROWS = st.tuples(
+    st.floats(0.5, 50.0), st.floats(0.1, 30.0),
+    st.just(RESONANCE_MHZ) | st.floats(RESONANCE_MHZ - 20.0, RESONANCE_MHZ + 20.0))
+
+
+@settings(max_examples=60)
+@given(rows=st.lists(PULSE_ROWS, min_size=1, max_size=20))
+# at 11.1 mV and 1000.1 MHz, eff from omega * omega differs from omega ** 2 in the last bit
+@example(rows=[(12.5, 11.1, 1000.1), (12.5, 11.1, RESONANCE_MHZ)])
+def test_every_primitive_equals_the_scalar_reference_bit_for_bit(rows):
+    block = np.array(rows)
+    out = _primitives(block)
+    assert out.shape == (len(rows), len(PRIMITIVE_NAMES) + 1, 2, 2)
+    for r, row in enumerate(rows):
+        for k, name in enumerate(PRIMITIVE_NAMES):
+            assert out[r, k].tobytes() == reference_primitive(name, *row).tobytes(), (row, name)
+            assert primitive_unitary(name, *row).tobytes() == out[r, k].tobytes()
+        assert np.array_equal(out[r, -1], np.eye(2))
+
+
+def test_unknown_primitive_raises_key_error():
+    with pytest.raises(KeyError, match="Z90"):
+        primitive_unitary("Z90", 12.5, 10.0, RESONANCE_MHZ)
+
+
+def test_group_tables_equal_the_search_over_every_product():
+    mult, inverse = _group_tables()
+    ref_mult, ref_inverse = reference_group_tables()
+    assert mult.dtype == ref_mult.dtype and inverse.dtype == ref_inverse.dtype
+    assert np.array_equal(mult, ref_mult) and np.array_equal(inverse, ref_inverse)
 
 
 def test_clifford_table_has_24_distinct_unitaries():
@@ -239,7 +318,8 @@ def test_exact_cost_equals_the_sequence_by_sequence_product_bit_for_bit():
     rng = np.random.default_rng(0)
     X = rng.uniform([10.0, 7.0, 995.0], [16.0, 13.0, 1005.0], (6, 3))
     for x, ev in zip(X, rb_backend_evaluate(cfg, X)):
-        primitives = {name: primitive_unitary(name, *x) for name in PRIMITIVE_NAMES}
+        primitives = {name: reference_primitive(name, *(float(v) for v in x))
+                      for name in PRIMITIVE_NAMES}
         probs = []
         for seq, recovery in rb_sequences(cfg):
             u = np.eye(2, dtype=complex)
