@@ -440,13 +440,12 @@ def readout_backend_evaluate(landscape: HiddenLandscape, space: ParameterSpace,
     return out[0] if single else out
 
 
-def make_shuttle_landscape(seed: int, p_optimum: float = SHUTTLE_P_OPTIMUM,
-                           shot_noise: bool = False) -> HiddenLandscape:
+def make_shuttle_landscape(seed: int, shot_noise: bool = False) -> HiddenLandscape:
     """Build a seeded 8-parameter shuttle landscape.
 
     The coupling is a dense random SPD form rescaled so the quadratic
     equals 1 at its worst corner of the unit cube; the depolarization
-    parameter then interpolates p_optimum..p_worst exactly.
+    parameter then interpolates SHUTTLE_P_OPTIMUM..SHUTTLE_P_WORST exactly.
     """
     n = shuttle_space().dimension
     rng = np.random.default_rng(seed)
@@ -456,19 +455,18 @@ def make_shuttle_landscape(seed: int, p_optimum: float = SHUTTLE_P_OPTIMUM,
     corners = np.array(np.meshgrid(*[[0.0, 1.0]] * n)).reshape(n, -1).T
     d = corners - optimum
     worst = np.max(np.einsum("ki,ij,kj->k", d, raw, d))
-    return HiddenLandscape(optimum, raw / worst, p_optimum, shot_noise, seed)
+    return HiddenLandscape(optimum, raw / worst, SHUTTLE_P_OPTIMUM, shot_noise, seed)
 
 
-def shuttle_depolarization(landscape: HiddenLandscape, x: np.ndarray,
-                           p_worst: float = SHUTTLE_P_WORST) -> float:
+def shuttle_depolarization(landscape: HiddenLandscape, x: np.ndarray) -> float:
     """Depolarization parameter p(x) of the planted shuttle landscape.
 
     The quadratic form stays within [0, 1] on the unit cube (it is
     convex, so its maximum sits at the corner used for normalization),
-    which pins p to [floor, p_worst] with the floor attained exactly at
+    which pins p to [floor, SHUTTLE_P_WORST] with the floor attained exactly at
     the planted optimum.
     """
-    return landscape.floor + (p_worst - landscape.floor) * landscape.quadratic(x)
+    return landscape.floor + (SHUTTLE_P_WORST - landscape.floor) * landscape.quadratic(x)
 
 
 def _measure_shuttle(landscape: HiddenLandscape, x: np.ndarray, distance: float,

@@ -6,6 +6,9 @@ evaluated candidates and returns the updated distribution. No cost values
 enter the update directly, only the candidate ranking, so the strategy is
 invariant under monotone transformations of the cost.
 
+No strategy constant is an option: ``StrategyParams`` derives each one from
+the dimension and the population size (Hansen, arXiv:1604.00772).
+
 Sampling is counter-based: the normal draws for a generation are fully
 determined by (seed, generation), so asking the same state twice returns
 byte-identical candidates and an interrupted run can be resumed exactly.
@@ -27,83 +30,44 @@ EIGENVALUE_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class StrategyParams:
-    """Static strategy constants, all derived from (dimension, population)."""
+    """Strategy constants, all derived from (dimension, population).
+
+    Only ``dimension``, ``population`` and ``seed`` are set; ``parents``,
+    ``weights``, ``mu_eff``, ``c_sigma``, ``d_sigma``, ``c_c``, ``c_1``,
+    ``c_mu`` and ``chi_n`` follow Hansen's default formulas.
+    """
 
     dimension: int
     population: int
-    parents: int
-    weights: np.ndarray
-    mu_eff: float
-    c_sigma: float
-    d_sigma: float
-    c_c: float
-    c_1: float
-    c_mu: float
-    chi_n: float
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if self.population < 2:
-            raise ValueError(f"population must be >= 2, got {self.population}")
-        if not 1 <= self.parents <= self.population:
-            raise ValueError("parents must lie in [1, population]")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.parents,):
-            raise ValueError("weights must have one entry per parent")
-        if np.any(np.diff(w) > 0) or np.any(w <= 0):
-            raise ValueError("weights must be positive and non-increasing")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        for name in ("c_sigma", "c_c", "c_1"):
-            rate = getattr(self, name)
-            if not 0.0 < rate <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {rate}")
-        # a single parent has no rank-mu update, so c_mu may be exactly 0
-        if not 0.0 <= self.c_mu <= 1.0:
-            raise ValueError(f"c_mu must lie in [0, 1], got {self.c_mu}")
-        if self.c_1 + self.c_mu > 1.0 + 1e-12:
-            raise ValueError("c_1 + c_mu must not exceed 1")
-        if self.d_sigma < 1.0:
-            raise ValueError(f"d_sigma must be >= 1, got {self.d_sigma}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-
-    @classmethod
-    def defaults(cls, dimension: int, population: int | None = None, seed: int = 0) -> "StrategyParams":
-        """Standard hyperparameters for a given dimension and population size."""
-        n = int(dimension)
+        n, lam = self.dimension, self.population
         if n < 1:
-            raise ValueError(f"dimension must be >= 1, got {dimension}")
-        lam = int(population) if population is not None else 4 + int(3 * math.log(n))
+            raise ValueError(f"dimension must be >= 1, got {n}")
         if lam < 2:
             raise ValueError(f"population must be >= 2, got {lam}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         mu = max(1, lam // 2)
         raw = np.log((lam + 1) / 2.0) - np.log(np.arange(1, mu + 1))
         weights = raw / raw.sum()
         mu_eff = 1.0 / float(np.sum(weights**2))
-
         c_sigma = (mu_eff + 2.0) / (n + mu_eff + 5.0)
-        d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (n + 1.0)) - 1.0) + c_sigma
-        c_c = (4.0 + mu_eff / n) / (n + 4.0 + 2.0 * mu_eff / n)
         c_1 = 2.0 / ((n + 1.3) ** 2 + mu_eff)
-        c_mu = min(1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff))
-        chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n**2))
-        return cls(
-            dimension=n,
-            population=lam,
-            parents=mu,
-            weights=weights,
-            mu_eff=mu_eff,
-            c_sigma=c_sigma,
-            d_sigma=d_sigma,
-            c_c=c_c,
-            c_1=c_1,
-            c_mu=c_mu,
-            chi_n=chi_n,
-            seed=int(seed),
+        # frozen: the derived constants are written past __setattr__
+        vars(self).update(
+            parents=mu, weights=weights, mu_eff=mu_eff, c_sigma=c_sigma, c_1=c_1,
+            d_sigma=1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (n + 1.0)) - 1.0) + c_sigma,
+            c_c=(4.0 + mu_eff / n) / (n + 4.0 + 2.0 * mu_eff / n),
+            c_mu=min(1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff)),
+            chi_n=math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n**2)),
         )
+
+    @classmethod
+    def defaults(cls, dimension: int, population: int, seed: int = 0) -> "StrategyParams":
+        """Standard hyperparameters for a given dimension and population size."""
+        return cls(int(dimension), int(population), int(seed))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -82,8 +82,9 @@ class DqdConfig:
             _require_real(f.name, getattr(self, f.name))
         if self.ramp_time <= 0.0:
             raise ValueError(f"ramp_time must be positive, got {self.ramp_time}")
-        if self.tunnel_coupling < 0.0 or self.zeeman_diff < 0.0:
-            raise ValueError("couplings must be non-negative")
+        for name in ("tunnel_coupling", "zeeman_diff"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -99,10 +100,6 @@ class StateVector:
         if abs(np.linalg.norm(amp) - 1.0) > 1e-6:
             raise ValueError("state vector must be normalized")
         object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def populations(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
     def overlap(self, other: "StateVector") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -131,15 +128,6 @@ class NoiseModel:
 def hamiltonian(cfg: DqdConfig, eps: float) -> np.ndarray:
     """The 3x3 Hamiltonian at a given detuning, in GHz."""
     return _h_batch(eps, cfg.tunnel_coupling, cfg.zeeman_diff)
-
-
-def detuning_ramp(cfg: DqdConfig, t: float | np.ndarray) -> float | np.ndarray:
-    """Linear detuning ramp eps(t); t must lie inside [0, ramp_time]."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > cfg.ramp_time):
-        raise ValueError(f"t must lie in [0, {cfg.ramp_time}]")
-    eps = cfg.eps_initial + (cfg.eps_final - cfg.eps_initial) * t_arr / cfg.ramp_time
-    return float(eps) if np.isscalar(t) else eps
 
 
 # ----------------------------------------------------------------------
@@ -285,17 +273,16 @@ def _adiabatic_targets(
 # public operations
 # ----------------------------------------------------------------------
 
-# Sweepable DqdConfig fields, in the argument order of _cell_fidelities.
-_AXIS_FIELDS = ("eps_initial", "eps_final", "ramp_time", "tunnel_coupling", "zeeman_diff")
+# Sweepable DqdConfig fields: all of them, in the argument order of _cell_fidelities.
+_AXIS_FIELDS = tuple(f.name for f in fields(DqdConfig))
 
 
 def evolve(
     cfg: DqdConfig,
     psi0: StateVector,
-    noise_shift: float = 0.0,
     dt: float | None = None,
 ) -> StateVector:
-    """Integrate the ramp from t=0 to ramp_time under H(eps(t) + noise_shift)."""
+    """Integrate the ramp from t=0 to ramp_time under H(eps(t))."""
     if dt is None:
         n_steps = DEFAULT_STEPS
     else:
@@ -305,7 +292,6 @@ def evolve(
             raise ValueError(f"dt={dt} exceeds ramp_time={cfg.ramp_time}")
         n_steps = max(1, int(round(cfg.ramp_time / dt)))
     ramp = np.array([[getattr(cfg, name)] for name in _AXIS_FIELDS], dtype=float)
-    ramp[:2] += noise_shift
     return StateVector(_ramp_states(*ramp, psi0.amplitudes[None], n_steps)[0])
 
 
@@ -367,8 +353,9 @@ def sweep_fidelity_grid(
 ) -> np.ndarray:
     """Initialization fidelity on a 2-D parameter grid.
 
-    Each axis is (field_name, values) with field_name a DqdConfig field; the
-    result has shape (len(axis1 values), len(axis2 values)), axis1 along rows.
+    Each axis is (field_name, values) with field_name a DqdConfig field and
+    flat values that each pass DqdConfig's rule for that field; the result
+    has shape (len(axis1 values), len(axis2 values)), axis1 along rows.
     """
     name1, vals1 = axis1
     name2, vals2 = axis2
@@ -379,13 +366,16 @@ def sweep_fidelity_grid(
         raise ValueError("sweep axes must differ")
     vals1 = np.asarray(vals1, dtype=float)
     vals2 = np.asarray(vals2, dtype=float)
+    for name, vals in ((name1, vals1), (name2, vals2)):
+        if vals.ndim != 1:
+            raise ValueError(f"{name} values must be a flat list, got shape {vals.shape}")
+        for value in vals.tolist():
+            replace(cfg, **{name: value})  # raises unless DqdConfig accepts the value
 
     grid_a, grid_b = np.meshgrid(vals1, vals2, indexing="ij")
     cells = {name: np.full(grid_a.shape, getattr(cfg, name), dtype=float) for name in _AXIS_FIELDS}
     cells[name1] = grid_a
     cells[name2] = grid_b
-    if np.any(cells["ramp_time"] <= 0.0):
-        raise ValueError("ramp_time values must be positive")
 
     fid = _cell_fidelities(*(cells[name].ravel() for name in _AXIS_FIELDS), noise, n_steps)
     return fid.reshape(len(vals1), len(vals2))

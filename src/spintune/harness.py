@@ -18,7 +18,6 @@ import contextlib
 import json
 import logging
 import math
-import numbers
 import os
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -27,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import analysis, backends, cmaes, rb
+from . import analysis, backends, cmaes, dqd, rb
 
 __all__ = [
     "ConfigError",
@@ -66,8 +65,8 @@ class EvaluationError(Exception):
     """Every candidate of a generation failed; nothing of it was written."""
 
 
-# RunConfig fields that take integers only (bools are rejected).
-_INTEGER_FIELDS = ("generations", "population", "seed", "shots")
+# RunConfig fields that take integers only (bools are rejected), with their minimums.
+_INTEGER_MINIMUMS = {"generations": 1, "population": 2, "seed": 0, "shots": 1}
 # The most trials numpy's binomial draw accepts.
 _MAX_SHOTS = 2**63 - 1
 
@@ -97,19 +96,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        for name in _INTEGER_FIELDS:
+        for name, minimum in _INTEGER_MINIMUMS.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            try:
+                dqd._require_int(name, value, minimum)
+            except ValueError as err:
+                raise ConfigError(str(err)) from None
             object.__setattr__(self, name, int(value))
-        if self.generations < 1:
-            raise ConfigError("generations must be >= 1")
-        if self.population < 2:
-            raise ConfigError("population must be >= 2")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.shots < 1:
-            raise ConfigError("shots must be >= 1")
         if self.shots > _MAX_SHOTS:
             raise ConfigError(f"shots must be <= {_MAX_SHOTS}")
         if not isinstance(self.output_dir, (type(None), str, os.PathLike)):

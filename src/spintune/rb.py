@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .backends import CostEvaluation, _rows, _shot_seeds
+from .dqd import _require_int
 
 __all__ = [
     "RbConfig",
@@ -45,8 +46,6 @@ RESONANCE_MHZ = 1000.0
 # Rotation rate per mV of drive amplitude, chosen so a 10 mV pulse of
 # 12.5 ns performs a quarter turn.
 DRIVE_RATE_RAD_PER_MV_NS = np.pi / 250.0
-
-GATES_PER_CLIFFORD = 1.875
 
 PRIMITIVE_NAMES = ("I", "X90", "Xm90", "X180", "Y90", "Ym90", "Y180")
 
@@ -80,6 +79,9 @@ CLIFFORD_DECOMPOSITIONS = (
     ("Xm90", "Y90", "Xm90"),
 )
 
+# Mean primitives per Clifford: 45 / 24 = 1.875.
+GATES_PER_CLIFFORD = sum(map(len, CLIFFORD_DECOMPOSITIONS)) / len(CLIFFORD_DECOMPOSITIONS)
+
 
 @dataclass(frozen=True)
 class RbConfig:
@@ -91,12 +93,8 @@ class RbConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sequence_length <= 0:
-            raise ValueError("sequence_length must be positive")
-        if self.n_randomizations <= 0:
-            raise ValueError("n_randomizations must be positive")
-        if self.shots_per_sequence <= 0:
-            raise ValueError("shots_per_sequence must be positive")
+        for f in fields(self):
+            _require_int(f.name, getattr(self, f.name), 0 if f.name == "seed" else 1)
 
 
 # Axis azimuth of each driven primitive, PRIMITIVE_NAMES[1:], and its

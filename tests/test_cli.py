@@ -294,6 +294,23 @@ def test_sweep_with_wrongly_typed_model_field_exits_2(tmp_path, capsys, section,
     assert not (tmp_path / "grid.csv").exists()
 
 
+# Raw JSON text, so that NaN and an out-of-range 1e400 reach the parser as written.
+@pytest.mark.parametrize("axis, field", [
+    ('{"name": "eps_final", "values": [NaN]}', "eps_final"),
+    ('{"name": "eps_initial", "start": 1e400, "stop": 2.0, "num": 3}', "eps_initial"),
+    ('{"name": "tunnel_coupling", "values": [-1.0]}', "tunnel_coupling"),
+    ('{"name": "eps_final", "values": [[1.0, 2.0]]}', "eps_final"),
+    ('{"name": "ramp_time", "values": [1.0, 0.0]}', "ramp_time"),
+])
+def test_sweep_with_a_bad_axis_value_exits_2(tmp_path, capsys, axis, field):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text('{"axis1": {"name": "zeeman_diff", "values": [0.3]}, "axis2": %s, '
+                   '"n_steps": 20}' % axis)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "grid.csv")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+
+
 # Arbitrary JSON with small numbers, so a valid sweep stays a few cells, mixed
 # with near-valid parts so that some configs run a sweep.
 JSON_VALUES = st.recursive(

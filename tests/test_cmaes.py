@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintune.cmaes import (
     Candidate,
@@ -127,6 +129,31 @@ def test_parameter_validation():
         StrategyParams.defaults(3, population=1)
     with pytest.raises(ValueError):
         DistributionState.initial(np.zeros(3), sigma=-1.0)
+
+
+def test_derived_constants_are_not_arguments():
+    with pytest.raises(TypeError):
+        StrategyParams(3, 6, parents=2)
+    with pytest.raises(ValueError):
+        StrategyParams(3, 6, seed=-1)
+    assert StrategyParams.defaults(3, 6) == StrategyParams(3, 6, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 200), lam=st.integers(2, 5000))
+def test_derived_constants_keep_the_strategy_invariants(n, lam):
+    params = StrategyParams(n, lam)
+    assert 1 <= params.parents <= lam
+    w = params.weights
+    assert w.shape == (params.parents,)
+    assert np.all(w > 0) and np.all(np.diff(w) <= 0)
+    assert abs(w.sum() - 1.0) <= 1e-12
+    for rate in (params.c_sigma, params.c_c, params.c_1):
+        assert 0.0 < rate <= 1.0
+    # a single parent has no rank-mu update, so c_mu may be exactly 0
+    assert 0.0 <= params.c_mu <= 1.0
+    assert params.c_1 + params.c_mu <= 1.0 + 1e-12
+    assert params.d_sigma >= 1.0
 
 
 def test_degenerate_direction_is_repaired_not_fatal():

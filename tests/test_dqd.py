@@ -11,7 +11,6 @@ from spintune.dqd import (
     StateVector,
     _eigensystem,
     _ramp_states,
-    detuning_ramp,
     evolve,
     hamiltonian,
     initialization_fidelity,
@@ -57,18 +56,6 @@ def test_hamiltonian_eigenvalues_match_characteristic_polynomial():
     coeffs = [1.0, e, -(t * t + d * d), -e * d * d]
     roots = np.sort(np.roots(coeffs).real)
     np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(h)), roots, atol=1e-10)
-
-
-def test_detuning_ramp_endpoints_and_midpoint():
-    cfg = DqdConfig(tunnel_coupling=1.0, zeeman_diff=0.1, eps_initial=0.0,
-                    eps_final=50.0, ramp_time=4.0)
-    assert detuning_ramp(cfg, 0.0) == 0.0
-    assert detuning_ramp(cfg, 4.0) == 50.0
-    assert detuning_ramp(cfg, 2.0) == 25.0
-    with pytest.raises(ValueError):
-        detuning_ramp(cfg, -0.1)
-    with pytest.raises(ValueError):
-        detuning_ramp(cfg, 4.1)
 
 
 def test_evolve_diagonal_hamiltonian_only_accrues_phase():

@@ -272,6 +272,18 @@ def test_input_validation():
         RbConfig(sequence_length=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("shots_per_sequence", 1.5), ("n_randomizations", True), ("seed", -1),
+])
+def test_config_takes_integers_only_and_a_non_negative_seed(field, value):
+    with pytest.raises(ValueError, match=field):
+        RbConfig(**{field: value})
+
+
+def test_gates_per_clifford_is_45_over_24():
+    assert GATES_PER_CLIFFORD == 1.875
+
+
 @settings(max_examples=40)
 @given(data=st.data())
 def test_block_equals_its_rows_bit_for_bit(data):
