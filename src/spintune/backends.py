@@ -240,7 +240,7 @@ def visibility_to_fidelity(v: float) -> float:
 
 @dataclass(frozen=True)
 class CostEvaluation:
-    """Scalar cost for one candidate plus backend-specific metadata."""
+    """Scalar cost for one candidate plus JSON-plain metadata, as the harness writes it."""
 
     cost: float
     metadata: dict = field(default_factory=dict)
@@ -286,10 +286,14 @@ class HiddenLandscape:
         if not 0.0 <= self.floor < 1.0:
             raise ValueError(f"floor {self.floor} outside [0, 1)")
 
-    def quadratic(self, x: np.ndarray) -> float:
-        """Crosstalk quadratic form evaluated at a normalized point."""
+    def quadratic(self, x: np.ndarray) -> float | np.ndarray:
+        """Crosstalk quadratic form at a normalized point (a float) or at each row of a block.
+
+        Each row gives the same bits as ``d @ coupling @ d`` on its own.
+        """
         d = np.asarray(x, dtype=float) - self.optimum
-        return float(d @ self.coupling @ d)
+        q = (d[..., None, :] @ self.coupling @ d[..., :, None])[..., 0, 0]
+        return float(q) if q.ndim == 0 else q
 
     def to_dict(self) -> dict:
         return {
@@ -388,8 +392,8 @@ def true_readout_visibility(landscape: HiddenLandscape, space: ParameterSpace,
         **{name: float(v[0]) for name, v in at_optimum.items()},
         zeeman_diff=_INIT_ZEEMAN_GHZ), n_steps=_INIT_STEPS)
     span = (1.0 - landscape.floor) - READOUT_BASE_VISIBILITY
-    out = [span * np.exp(-landscape.quadratic(row)) * min(1.0, f / f_opt)
-           + READOUT_BASE_VISIBILITY for row, f in zip(block, f_init)]
+    out = [float(span * np.exp(-q) * min(1.0, f / f_opt)) + READOUT_BASE_VISIBILITY
+           for q, f in zip(landscape.quadratic(block).tolist(), f_init)]
     return out[0] if single else out
 
 
@@ -458,32 +462,16 @@ def make_shuttle_landscape(seed: int, shot_noise: bool = False) -> HiddenLandsca
     return HiddenLandscape(optimum, raw / worst, SHUTTLE_P_OPTIMUM, shot_noise, seed)
 
 
-def shuttle_depolarization(landscape: HiddenLandscape, x: np.ndarray) -> float:
+def shuttle_depolarization(landscape: HiddenLandscape, x: np.ndarray) -> float | np.ndarray:
     """Depolarization parameter p(x) of the planted shuttle landscape.
 
     The quadratic form stays within [0, 1] on the unit cube (it is
     convex, so its maximum sits at the corner used for normalization),
     which pins p to [floor, SHUTTLE_P_WORST] with the floor attained exactly at
-    the planted optimum.
+    the planted optimum. ``x`` is one point (d,), giving a float, or rows
+    (n, d), giving an array.
     """
     return landscape.floor + (SHUTTLE_P_WORST - landscape.floor) * landscape.quadratic(x)
-
-
-def _measure_shuttle(landscape: HiddenLandscape, x: np.ndarray, distance: float,
-                     n_shots: int, shot_seed) -> CostEvaluation:
-    p = shuttle_depolarization(landscape, x)
-    amplitude = (1.0 - p) ** (distance / SHUTTLE_SEGMENT_UM)
-    meta: dict = {"p": p, "true_amplitude": amplitude, "distance_um": distance}
-    if landscape.shot_noise:
-        rng = np.random.default_rng((landscape.seed, shot_seed))
-        f_plus = rng.binomial(n_shots, 0.5 * (1.0 + amplitude)) / n_shots
-        f_minus = rng.binomial(n_shots, 0.5 * (1.0 - amplitude)) / n_shots
-        measured = f_plus - f_minus
-        meta["shots"] = {"n_shots": n_shots, "f_plus": f_plus, "f_minus": f_minus}
-    else:
-        measured = amplitude
-    meta["amplitude"] = measured
-    return CostEvaluation(cost=1.0 - measured, metadata=meta)
 
 
 def shuttle_backend_evaluate(landscape: HiddenLandscape, space: ParameterSpace,
@@ -507,6 +495,18 @@ def shuttle_backend_evaluate(landscape: HiddenLandscape, space: ParameterSpace,
     seeds = _shot_seeds(shot_seed, len(block))
     if landscape.shot_noise and n_shots <= 0:
         raise ValueError("n_shots must be positive")
-    out = [_measure_shuttle(landscape, row, distance, n_shots, s)
-           for row, s in zip(block, seeds)]
+    distance = float(distance)
+    p = shuttle_depolarization(landscape, block)
+    # float_power rounds as Python's scalar ** does; array ** may not
+    amplitude = np.float_power(1.0 - p, distance / SHUTTLE_SEGMENT_UM)
+    out = []
+    for p_row, a_row, seed in zip(p.tolist(), amplitude.tolist(), seeds):
+        meta = {"p": p_row, "true_amplitude": a_row, "distance_um": distance, "amplitude": a_row}
+        if landscape.shot_noise:  # only the binomial draws are per row
+            rng = np.random.default_rng((landscape.seed, seed))
+            f_plus = rng.binomial(n_shots, 0.5 * (1.0 + a_row)) / n_shots
+            f_minus = rng.binomial(n_shots, 0.5 * (1.0 - a_row)) / n_shots
+            meta["amplitude"] = f_plus - f_minus
+            meta["shots"] = {"n_shots": n_shots, "f_plus": f_plus, "f_minus": f_minus}
+        out.append(CostEvaluation(cost=1.0 - meta["amplitude"], metadata=meta))
     return out[0] if single else out

@@ -86,20 +86,19 @@ def _cmd_batch(args) -> int:
     return 0
 
 
-def _parse_axis(payload: dict) -> tuple:
+def _parse_axis(key: str, payload: dict) -> tuple:
+    """(field, values) of one sweep axis; an error names the axis and its field."""
     try:
         name = payload["name"]
         if "values" in payload:
-            values = np.asarray(payload["values"], dtype=float)
-        else:
-            num = int(payload["num"])
-            if payload.get("spacing", "linear") == "geom":
-                values = np.geomspace(float(payload["start"]), float(payload["stop"]), num)
-            else:
-                values = np.linspace(float(payload["start"]), float(payload["stop"]), num)
+            return name, np.asarray(payload["values"], dtype=float)
+        num, start, stop = int(payload["num"]), float(payload["start"]), float(payload["stop"])
+        if not np.isfinite([start, stop]).all():
+            raise ValueError(f"start and stop must be finite, got {start} and {stop}")
+        spaced = np.geomspace if payload.get("spacing", "linear") == "geom" else np.linspace
+        return name, spaced(start, stop, num)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise harness.ConfigError(f"bad sweep axis: {err}") from None
-    return name, values
+        raise harness.ConfigError(f"bad sweep axis {key} ({payload.get('name')}): {err}") from None
 
 
 def _cmd_sweep(args) -> int:
@@ -114,10 +113,9 @@ def _cmd_sweep(args) -> int:
         base = dqd.DqdConfig(**payload.get("base", {}))
     except (TypeError, ValueError) as err:
         raise harness.ConfigError(f"bad base config: {err}") from None
-    axis1 = _parse_axis(payload["axis1"]) if "axis1" in payload else None
-    axis2 = _parse_axis(payload["axis2"]) if "axis2" in payload else None
-    if axis1 is None or axis2 is None:
+    if "axis1" not in payload or "axis2" not in payload:
         raise harness.ConfigError("sweep config needs axis1 and axis2")
+    axis1, axis2 = (_parse_axis(key, payload[key]) for key in ("axis1", "axis2"))
     noise = None
     if payload.get("noise"):
         try:

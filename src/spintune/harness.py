@@ -258,25 +258,43 @@ def _make_evaluator(config: RunConfig, space: backends.ParameterSpace):
     return task.evaluator(config, space, landscape)
 
 
-def _shot_seed(base_seed: int, generation: int, candidate_id: int) -> int:
-    return int(np.random.SeedSequence((base_seed, generation, candidate_id)).generate_state(1)[0])
+def _shot_seeds(base_seed: int, generation: int, ids) -> list[int]:
+    """SeedSequence((base_seed, generation, id)).generate_state(1)[0] of every id, in one pass.
 
+    numpy's hash constants do not depend on the entropy, so its mixing runs
+    once on uint32 arrays, one element per id.
+    """
+    ids = np.asarray(ids, dtype=np.uint32)
+    words = [value >> shift & 0xFFFFFFFF for value in (base_seed, generation)
+             for shift in range(0, max(value.bit_length(), 1), 32)]
+    entropy = [np.full_like(ids, word) for word in words] + [ids]
+    entropy += [np.zeros_like(ids)] * (4 - len(entropy))
+    hash_const = 0x43B0D7E5
 
-def _plain(value):
-    """Make a metadata value JSON-serializable."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    return value
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * 0x931E8875 & 0xFFFFFFFF
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = x * 0xCA01F9DD - y * 0x4973F715
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        pool = [mix(value, hashmix(word)) for value in pool]
+    state = (pool[0] ^ 0x8B51F9DD) * (0x8B51F9DD * 0x58F38DED & 0xFFFFFFFF)
+    return (state ^ state >> 16).tolist()
 
 
 def _state_to_dict(state: cmaes.DistributionState) -> dict:
-    return _plain(vars(state))
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(state).items()}
 
 
 def _state_from_dict(payload: dict) -> cmaes.DistributionState:
@@ -284,8 +302,9 @@ def _state_from_dict(payload: dict) -> cmaes.DistributionState:
         k: np.array(v, dtype=float) if isinstance(v, list) else v for k, v in payload.items()})
 
 
-def _dump_line(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _dump_line(payload) -> bytes:
+    """One line of a record or its sidecar: compact key-sorted JSON and its newline."""
+    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
 def run(config: RunConfig, resume: bool = False) -> RunRecord:
@@ -310,6 +329,7 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
         if config.output_dir is not None:
             out_dir = Path(config.output_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
+            stored: list[bytes] = []
             if resume:
                 try:
                     prior = load_record(out_dir)
@@ -318,12 +338,17 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
                 else:
                     _check_resumable(prior, config, space)
                     done = prior.generations
-            record_file = files.enter_context((out_dir / RECORD_NAME).open("w"))
-            record_file.writelines(_dump_line(payload) + "\n" for payload in [
-                _header_payload(config, space), *map(_generation_payload, done)])
+                    # the kept generations 0..k-1 are lines 1..k of the file
+                    stored = (out_dir / RECORD_NAME).read_bytes().split(b"\n")[1:len(done) + 1]
+            # kept generations go back as stored, unless a non-finite cost becomes null
+            record_file = files.enter_context((out_dir / RECORD_NAME).open("wb"))
+            record_file.writelines([_dump_line(_header_payload(config, space)), *(
+                line + b"\n" if all(math.isfinite(c["cost"]) for c in rec.candidates)
+                else _dump_line(_generation_payload(rec)) for rec, line in zip(done, stored))])
             record_file.flush()
+            del stored
             _trim_timings(out_dir / TIMINGS_NAME, len(done))
-            timing_file = files.enter_context((out_dir / TIMINGS_NAME).open("a"))
+            timing_file = files.enter_context((out_dir / TIMINGS_NAME).open("ab"))
 
         best_cost, best_params = np.inf, []
         if done:
@@ -331,10 +356,12 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
             best_cost, best_params = done[-1].best_cost, list(done[-1].best_params)
 
         for gen in range(len(done), config.generations):
-            started = time.perf_counter()
+            ticks = [time.perf_counter()]  # and the end of each phase timed in the sidecar
             candidates = cmaes.ask(state, params)
+            ticks.append(time.perf_counter())
             X = np.array([cand.x for cand in candidates])
             results = _evaluate_generation(evaluate, X, candidates, config.seed, gen)
+            ticks.append(time.perf_counter())
             if not any(math.isfinite(cost) for cost, _ in results):
                 cost, meta = results[0]
                 raise EvaluationError(f"every candidate of generation {gen} failed; the first: "
@@ -355,13 +382,15 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
                 best_params=list(best_params),
             )
             done.append(rec)
+            ticks.append(time.perf_counter())
             if record_file is not None:
-                record_file.write(_dump_line(_generation_payload(rec)) + "\n")
+                record_file.write(_dump_line(_generation_payload(rec)))
                 record_file.flush()
-                timing_file.write(_dump_line({
-                    "generation": gen,
-                    "seconds": time.perf_counter() - started,
-                }) + "\n")
+                ticks.append(time.perf_counter())
+                phases = {f"{phase}_s": end - start for phase, start, end
+                          in zip(("ask", "evaluate", "tell", "persist"), ticks, ticks[1:])}
+                timing_file.write(_dump_line(
+                    {"generation": gen, "seconds": ticks[-1] - ticks[0], **phases}))
                 timing_file.flush()
 
     record = RunRecord(config=config, space=space, generations=done)
@@ -378,13 +407,13 @@ def _evaluate_generation(evaluate, X: np.ndarray, candidates: list, seed: int,
     block, and only those that raise then are failed: cost inf and an
     ``error`` in the metadata.
     """
-    seeds = [_shot_seed(seed, gen, cand.id) for cand in candidates]
+    seeds = _shot_seeds(seed, gen, [cand.id for cand in candidates])
 
     def costed(rows: np.ndarray, row_seeds: list) -> list[tuple[float, dict]]:
         results = evaluate(rows, row_seeds)
         if len(results) != len(rows):
             raise ValueError(f"{len(results)} evaluations for {len(rows)} candidates")
-        return [(float(r.cost), _plain(r.metadata)) for r in results]
+        return [(float(r.cost), r.metadata) for r in results]
 
     try:
         return costed(X, seeds)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spintune.backends import (
     DEFAULT_SHUTTLE_DISTANCE_UM,
+    SHUTTLE_P_WORST,
     HiddenLandscape,
     ParameterSpace,
     ReadoutShots,
@@ -290,3 +291,48 @@ def test_block_shapes_and_seed_counts_are_checked():
     shared = shuttle_backend_evaluate(make_shuttle_landscape(0, shot_noise=True), space,
                                       np.full((2, 8), 0.5), shot_seed=4)
     assert shared[0] == shared[1]
+
+
+# --------------------------------------------- the shuttle formula, per row
+
+def test_quadratic_of_a_block_is_the_scalar_form_of_each_row():
+    for land in (make_readout_landscape(4), make_shuttle_landscape(4)):
+        X = np.random.default_rng(4).uniform(0.0, 1.0, (300, land.optimum.size))
+        scalar = [float(d @ land.coupling @ d) for d in X - land.optimum]
+        assert land.quadratic(X).tolist() == scalar
+        assert [land.quadratic(x) for x in X] == scalar
+
+
+def reference_shuttle(landscape, x, distance, n_shots, shot_seed):
+    """One candidate by the scalar formula: d @ C @ d and Python's float **."""
+    d = np.asarray(x, dtype=float) - landscape.optimum
+    p = landscape.floor + (SHUTTLE_P_WORST - landscape.floor) * float(d @ landscape.coupling @ d)
+    amplitude = (1.0 - p) ** (distance / 10.0)
+    meta = {"p": p, "true_amplitude": amplitude, "distance_um": distance}
+    if landscape.shot_noise:
+        rng = np.random.default_rng((landscape.seed, shot_seed))
+        f_plus = rng.binomial(n_shots, 0.5 * (1.0 + amplitude)) / n_shots
+        f_minus = rng.binomial(n_shots, 0.5 * (1.0 - amplitude)) / n_shots
+        measured = f_plus - f_minus
+        meta["shots"] = {"n_shots": n_shots, "f_plus": f_plus, "f_minus": f_minus}
+    else:
+        measured = amplitude
+    meta["amplitude"] = measured
+    return 1.0 - measured, meta
+
+
+@pytest.mark.parametrize("shot_noise", [False, True])
+@pytest.mark.parametrize("distance", [0.0, 10.0, DEFAULT_SHUTTLE_DISTANCE_UM])
+def test_shuttle_block_matches_the_scalar_formula_byte_for_byte(shot_noise, distance):
+    corners = np.array(np.meshgrid(*[[0.0, 1.0]] * 8)).T.reshape(-1, 8)
+    for seed in range(3):
+        land = make_shuttle_landscape(seed, shot_noise=shot_noise)
+        X = np.vstack([corners, land.optimum, np.random.default_rng(seed).uniform(0, 1, (200, 8))])
+        seeds = list(range(len(X)))
+        block = shuttle_backend_evaluate(land, shuttle_space(), X, distance=distance,
+                                         n_shots=500, shot_seed=seeds)
+        for x, s, ev in zip(X, seeds, block):
+            cost, meta = reference_shuttle(land, x, distance, 500, s)
+            assert repr(ev.cost) == repr(cost)
+            assert json.dumps(ev.metadata, sort_keys=True) == json.dumps(meta, sort_keys=True)
+        assert block[len(corners)].metadata["p"] == land.floor

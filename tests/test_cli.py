@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -301,13 +302,20 @@ def test_sweep_with_wrongly_typed_model_field_exits_2(tmp_path, capsys, section,
     ('{"name": "tunnel_coupling", "values": [-1.0]}', "tunnel_coupling"),
     ('{"name": "eps_final", "values": [[1.0, 2.0]]}', "eps_final"),
     ('{"name": "ramp_time", "values": [1.0, 0.0]}', "ramp_time"),
+    ('{"name": "eps_final", "values": ["x"]}', "axis2 (eps_final)"),
+    ('{"name": "eps_final", "values": [1.0, [2.0, 3.0]]}', "axis2 (eps_final)"),
+    ('{"name": "eps_initial", "start": 1e400, "stop": 2.0, "num": 3}',
+     "axis2 (eps_initial): start and stop must be finite, got inf"),
 ])
 def test_sweep_with_a_bad_axis_value_exits_2(tmp_path, capsys, axis, field):
     cfg = tmp_path / "sweep.json"
     cfg.write_text('{"axis1": {"name": "zeeman_diff", "values": [0.3]}, "axis2": %s, '
                    '"n_steps": 20}' % axis)
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "grid.csv")]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "grid.csv")]) == 2
     assert field in capsys.readouterr().err
+    assert not caught
     assert not (tmp_path / "grid.csv").exists()
 
 

@@ -6,11 +6,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spintune import backends, harness, rb
 from spintune.harness import ConfigError, RunConfig
+
+
+def shot_seed(base_seed, generation, candidate_id):
+    """The shot seed of one candidate, from numpy's SeedSequence itself."""
+    return int(np.random.SeedSequence((base_seed, generation, candidate_id)).generate_state(1)[0])
+
+
+@settings(max_examples=300)
+@given(base=st.integers(0, 2**128 - 1), generation=st.integers(0, 2**40 - 1),
+       n=st.integers(1, 300))
+def test_shot_seeds_of_a_generation_equal_seed_sequence(base, generation, n):
+    # bases of 1-4 words and generations of 1-2 words give 3-7 entropy words:
+    # numpy's pool takes the first 4, and its mixing branch takes the rest
+    ids = list(range(n))
+    assert harness._shot_seeds(base, generation, ids) == [
+        shot_seed(base, generation, i) for i in ids]
 
 
 def benchmark_config(**overrides):
@@ -71,7 +87,7 @@ def _fail_at_seed(monkeypatch, bad_seed):
 def test_failing_candidate_is_penalized_not_fatal(monkeypatch, caplog):
     cfg = RunConfig(task="benchmark", generations=2, population=4)
     clean = harness.run(cfg)
-    bad_seed = harness._shot_seed(cfg.seed, 0, 2)
+    bad_seed = shot_seed(cfg.seed, 0, 2)
     _fail_at_seed(monkeypatch, bad_seed)
     record = harness.run(cfg)
     rows = record.generations[0].candidates
@@ -123,13 +139,13 @@ def test_evaluators_look_up_their_backend_at_call_time(monkeypatch, task, module
     record = harness.run(RunConfig(task=task, generations=2, population=5, seed=3, shots=20))
     assert len(calls) == 2
     seen = sorted(seed for call in calls for seed in call)
-    assert seen == sorted(harness._shot_seed(3, g, i) for g in range(2) for i in range(5))
+    assert seen == sorted(shot_seed(3, g, i) for g in range(2) for i in range(5))
     assert record.evaluation_count == 10
 
 
 def test_failed_candidate_cost_is_written_as_null(tmp_path, monkeypatch):
     cfg = benchmark_config(generations=3, output_dir=str(tmp_path))
-    _fail_at_seed(monkeypatch, harness._shot_seed(cfg.seed, 1, 0))
+    _fail_at_seed(monkeypatch, shot_seed(cfg.seed, 1, 0))
     record = harness.run(cfg)
     assert record.generations[1].candidates[0]["cost"] == math.inf
 
@@ -148,9 +164,43 @@ def test_failed_candidate_cost_is_written_as_null(tmp_path, monkeypatch):
     assert (tmp_path / harness.RECORD_NAME).read_text() == text
 
 
+def assert_plain(value):
+    """Every leaf of a JSON value is exactly a float, int, bool, str or None."""
+    if isinstance(value, dict):
+        assert all(type(k) is str for k in value)
+        value = list(value.values())
+    if isinstance(value, list):
+        for v in value:
+            assert_plain(v)
+    else:
+        assert type(value) in (float, int, bool, str, type(None)), (value, type(value))
+
+
+@pytest.mark.parametrize("task, fixture", [
+    ("readout", None),
+    ("readout", backends.make_readout_landscape(2, shot_noise=False).to_dict()),
+    ("shuttle", None),
+    ("shuttle", backends.make_shuttle_landscape(2, shot_noise=True).to_dict()),
+    ("single_qubit", None),
+    ("benchmark", None),
+])
+def test_backend_metadata_and_failures_are_json_plain(monkeypatch, task, fixture):
+    # the harness writes metadata as the backend returns it
+    cfg = RunConfig(task=task, generations=2, population=4, seed=2, shots=30,
+                    backend_fixture=fixture)
+    space = harness.space_for_task(task)
+    X = np.random.default_rng(0).uniform(0.0, 1.0, (4, space.dimension))
+    assert_plain([ev.metadata for ev in harness._make_evaluator(cfg, space)(X, [5, 6, 7, 8])])
+    _fail_at_seed(monkeypatch, shot_seed(cfg.seed, 1, 2))
+    record = harness.run(cfg)
+    metas = [c["meta"] for gen in record.generations for c in gen.candidates]
+    assert metas[6] == {"error": f"synthetic backend fault at seed {shot_seed(2, 1, 2)}"}
+    assert_plain(metas)
+
+
 def test_evaluated_samples_are_the_finite_candidates_in_the_unit_cube(monkeypatch):
     cfg = RunConfig(task="shuttle", generations=3, population=6, seed=2)
-    _fail_at_seed(monkeypatch, harness._shot_seed(cfg.seed, 1, 3))
+    _fail_at_seed(monkeypatch, shot_seed(cfg.seed, 1, 3))
     record = harness.run(cfg)
     samples, costs = harness.evaluated_samples(record)
     rows = [(record.space.normalize(np.array(c["x"])), c["cost"])
@@ -367,6 +417,55 @@ def test_resume_from_any_truncation_restores_the_uninterrupted_bytes(small_recor
         harness.run(replace(cfg, output_dir=out), resume=True)
         assert (out / harness.RECORD_NAME).read_bytes() == full
         assert sidecar_generations(out) == list(range(cfg.generations))
+
+
+def test_timings_split_each_generation_into_its_phases(tmp_path):
+    cfg = RunConfig(task="shuttle", generations=4, population=6, seed=1)
+    for out in ("a", "b"):
+        harness.run(replace(cfg, output_dir=tmp_path / out))
+    record = (tmp_path / "a" / harness.RECORD_NAME).read_bytes()
+    assert record == (tmp_path / "b" / harness.RECORD_NAME).read_bytes()
+    assert {key for line in record.splitlines()[1:] for key in json.loads(line)} == {
+        "type", "generation", "candidates", "state", "best_cost", "best_params"}
+    for line in (tmp_path / "a" / harness.TIMINGS_NAME).read_text().splitlines():
+        timing = json.loads(line)
+        phases = [timing.pop(f"{phase}_s") for phase in ("ask", "evaluate", "tell", "persist")]
+        assert set(timing) == {"generation", "seconds"}
+        assert min(phases) >= 0.0 and sum(phases) <= timing["seconds"]
+
+
+def test_resume_copies_kept_lines_and_rewrites_only_a_non_finite_cost(tmp_path, monkeypatch):
+    cfg = benchmark_config(generations=5, output_dir=tmp_path)
+    _fail_at_seed(monkeypatch, shot_seed(cfg.seed, 1, 0))
+    harness.run(cfg)
+    full = (tmp_path / harness.RECORD_NAME).read_bytes()
+    header, gen0, gen1, *rest = full.splitlines(keepends=True)
+    assert b'"cost":null' in gen1
+    # generation 0 spaced and with its keys reversed still loads, and stays as
+    # stored; generation 1's failure in the legacy form is written as null again
+    spaced = (json.dumps(dict(reversed(json.loads(gen0).items()))) + "\n").encode()
+    assert spaced != gen0 and json.loads(spaced) == json.loads(gen0)
+    legacy = gen1.replace(b'"cost":null', b'"cost":Infinity')
+    (tmp_path / harness.RECORD_NAME).write_bytes(header + spaced + legacy + rest[0])
+    harness.run(cfg, resume=True)
+    assert (tmp_path / harness.RECORD_NAME).read_bytes() == header + spaced + gen1 + b"".join(rest)
+
+
+def test_resume_encodes_only_the_header_and_the_new_generations(tmp_path, monkeypatch):
+    cfg = benchmark_config(generations=6)
+    full, part = stored_run(tmp_path, cfg, keep=4)
+    encoded = []
+    real = harness._dump_line
+
+    def counting(payload):
+        if isinstance(payload, dict) and "type" in payload:
+            encoded.append((payload["type"], payload.get("generation")))
+        return real(payload)
+
+    monkeypatch.setattr(harness, "_dump_line", counting)
+    harness.run(replace(cfg, output_dir=part), resume=True)
+    assert (part / harness.RECORD_NAME).read_bytes() == full
+    assert encoded == [("header", None), ("generation", 4), ("generation", 5)]
 
 
 def test_record_bytes_do_not_depend_on_output_location(tmp_path):
