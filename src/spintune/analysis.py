@@ -2,10 +2,9 @@
 
 Curve fits for decay and Rabi data, fidelity conversions, first-order
 HDMR sensitivity indices, and covariance-matrix aggregation across runs.
-The decay fit profiles out its linear amplitude and offset and searches
-the decay rate alone over a fixed grid and bracket; the Rabi fit runs
-damped least squares from a fixed set of starts. Neither draws random
-numbers, so results are reproducible bit for bit.
+Both curve fits profile out the parameters that enter linearly on a fixed
+grid and polish the best grid point with the analytic Jacobian. No step
+draws random numbers, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -90,27 +89,6 @@ class CovarianceSeries:
         return self.matrices[idx]
 
 
-def _std_errors_from_jacobian(jac: np.ndarray, residuals: np.ndarray,
-                              n_params: int) -> np.ndarray:
-    dof = max(residuals.size - n_params, 1)
-    s2 = float(residuals @ residuals) / dof
-    cov = np.linalg.pinv(jac.T @ jac) * s2
-    return np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
-
-
-def _multistart_least_squares(residual_fn, starts, lower, upper):
-    best = None
-    for x0 in starts:
-        x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
-        try:
-            res = least_squares(residual_fn, x0, bounds=(lower, upper), method="trf")
-        except (ValueError, np.linalg.LinAlgError):
-            continue
-        if best is None or res.cost < best.cost:
-            best = res
-    return best
-
-
 def _decay_profile(q: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                    a_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best bounded (A, C) of y = A * p**x + C at each p = 1 - q, and its residual norm.
@@ -145,6 +123,31 @@ def _decay_profile(q: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     return a[best, cols], c[best, cols], norms[best, cols]
 
 
+def _checked(xs, ys, min_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both curve arrays as floats: 1-D, one length, enough points, finite positions."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError(f"need two 1-D arrays of one length, got {xs.shape} and {ys.shape}")
+    if xs.size < min_points:
+        raise ValueError(f"need at least {min_points} points")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("sample positions must be finite")
+    return xs, ys
+
+
+def _polished(names, residual, jacobian, start, lower, upper) -> FitResult:
+    """One bounded polish from a profile optimum, with standard errors from the Jacobian."""
+    start = np.clip(start, lower, upper)
+    res = least_squares(residual, start, jac=jacobian, bounds=(lower, upper), method="trf")
+    # TRF first nudges a start off its active bounds: keep the polish only if it ends lower
+    theta = res.x if res.cost < 0.5 * np.sum(residual(start) ** 2) else start
+    fun, jac = residual(theta), jacobian(theta)
+    cov = np.linalg.pinv(jac.T @ jac) * (float(fun @ fun) / max(fun.size - len(names), 1))
+    errs = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
+    return FitResult(dict(zip(names, map(float, theta))), dict(zip(names, map(float, errs))),
+                     float(np.linalg.norm(fun)), bool(res.success))
+
+
 def fit_decay(xs: np.ndarray, ys: np.ndarray) -> FitResult:
     """Fit y = A * p**x + C with p in (0, 1].
 
@@ -155,10 +158,7 @@ def fit_decay(xs: np.ndarray, ys: np.ndarray) -> FitResult:
     Flat data is a documented degenerate case: the amplitude collapses
     to ~0 with near-zero residual and the fit reports converged.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.size < 4:
-        raise ValueError("need at least 4 points")
+    xs, ys = _checked(xs, ys, 4)
     if np.any(xs < 0):
         raise ValueError("xs must be non-negative")
     if not np.all(np.isfinite(ys)):
@@ -181,73 +181,75 @@ def fit_decay(xs: np.ndarray, ys: np.ndarray) -> FitResult:
         bounds=bracket, method="bounded", options={"xatol": _Q_XATOL})
     q = search.x if search.fun < grid_norms[k] else _Q_GRID[k]
     a, c, _ = _decay_profile(np.array([q]), xs, ys, a_max)
-    lower = np.array([_A_MIN, _P_MIN, -1.0])
-    upper = np.array([a_max, 1.0, 1.0])
-    # at the grid's far end 1 - q rounds just below the bound on p
-    start = np.clip([a[0], 1.0 - q, c[0]], lower, upper)
-    res = least_squares(residual, start, jac=jacobian, bounds=(lower, upper), method="trf")
-    # TRF first nudges a start off its active bounds, so keep the polish
-    # only where it ends below the profile optimum it started from
-    theta = res.x if res.cost < 0.5 * np.sum(residual(start) ** 2) else start
-    fun = residual(theta)
-    errs = _std_errors_from_jacobian(jacobian(theta), fun, 3)
-    names = ("A", "p", "C")
-    return FitResult(
-        params=dict(zip(names, (float(v) for v in theta))),
-        std_errors=dict(zip(names, (float(e) for e in errs))),
-        residual_norm=float(np.linalg.norm(fun)),
-        converged=bool(res.success),
-    )
+    # at the grid's far end 1 - q rounds just below the bound on p, which the polish clips
+    return _polished(("A", "p", "C"), residual, jacobian, [a[0], 1.0 - q, c[0]],
+                     np.array([_A_MIN, _P_MIN, -1.0]), np.array([a_max, 1.0, 1.0]))
 
 
 def fit_rabi(ts: np.ndarray, ps: np.ndarray) -> FitResult:
-    """Fit P = V_R * cos(w t + phi) * exp(-t / tau).
+    """Fit P = V_R * cos(w t + phi) * exp(-t / tau) to evenly spaced ts.
 
-    The frequency start comes from the discrete spectrum of the
-    mean-removed data; without a clear spectral peak the fit reports
-    converged=False rather than guessing.
+    Zero-padded FFTs profile out (a, b) of exp(-t / tau) (a cos(w t) + b sin(w t))
+    on eighth-bin steps of w in [0.3, 3] w0, w0 the spectral peak of the data,
+    and log steps of tau. The best point is polished in (a, b, w, tau), then in
+    the reported parameters. Without a clear peak it reports converged=False.
     """
-    ts = np.asarray(ts, dtype=float)
-    ps = np.asarray(ps, dtype=float)
-    if ts.size < 8:
-        raise ValueError("need at least 8 points")
-
-    n = ts.size
-    dt = (ts[-1] - ts[0]) / (n - 1)
-    if dt <= 0:
-        raise ValueError("ts must be increasing")
-    spectrum = np.abs(np.fft.rfft(ps - np.mean(ps)))
-    if spectrum.size < 2:
+    ts, ps = _checked(ts, ps, 8)
+    n, dt = ts.size, (ts[-1] - ts[0]) / (ts.size - 1)
+    if not (dt > 0 and np.abs(ts - np.linspace(ts[0], ts[-1], n)).max() <= 1e-3 * dt):
+        raise ValueError("ts must be increasing and evenly spaced")
+    if not np.all(np.isfinite(ps)):
         return FitResult({}, {}, np.inf, False)
-    mags = spectrum[1:]
+    mags = np.abs(np.fft.rfft(ps - np.mean(ps)))[1:]
     k_peak = int(np.argmax(mags)) + 1
-    floor = float(np.median(mags))
-    if mags[k_peak - 1] <= max(3.0 * floor, 1e-9 * n):
+    if mags[k_peak - 1] <= max(3.0 * float(np.median(mags)), 1e-9 * n):
         return FitResult({}, {}, np.inf, False)
-    w0 = 2.0 * np.pi * np.fft.rfftfreq(n, dt)[k_peak]
+    w_min, w_max = np.array([0.6, 6.0]) * np.pi * np.fft.rfftfreq(n, dt)[k_peak]
 
     def residual(theta):
-        v, w, phi, tau = theta
-        return v * np.cos(w * ts + phi) * np.exp(-ts / tau) - ps
+        a, b, w, tau = theta
+        return np.exp(-ts / tau) * (a * np.cos(w * ts) + b * np.sin(w * ts)) - ps
 
-    span = ts[-1] - ts[0]
-    v0 = 0.5 * float(np.max(ps) - np.min(ps))
-    starts = [(v0, w0, phi0, tau0)
-              for phi0 in (0.0, 0.5 * np.pi, np.pi, -0.5 * np.pi)
-              for tau0 in (span, 0.25 * span)]
-    lower = np.array([1e-12, 0.3 * w0, -np.pi, 1e-9])
-    upper = np.array([np.inf, 3.0 * w0, np.pi, np.inf])
-    res = _multistart_least_squares(residual, starts, lower, upper)
-    if res is None:
+    def jacobian(theta):
+        a, b, w, tau = theta
+        cos, sin = np.exp(-ts / tau) * np.array([np.cos(w * ts), np.sin(w * ts)])
+        return np.column_stack([cos, sin, ts * (b * cos - a * sin),
+                                ts * (a * cos + b * sin) / tau**2])
+
+    def linear(theta):  # (V_R, w, phi, tau) as (a, b, w, tau), and its derivative
+        v, w, phi, tau = theta
+        a, b = v * np.cos(phi), -v * np.sin(phi)
+        return [a, b, w, tau], np.array([[a / v, 0, b, 0], [b / v, 0, -a, 0], [0, 1, 0, 0],
+                                         [0, 0, 0, 1]])
+
+    # counted from ts[0], the sums over samples at w = w_min + m * step are FFT bins
+    pad, k, step = 8 * n, np.arange(n), np.pi / (4 * n * dt)
+    m, best = np.arange(int((w_max - w_min) / step) + 1), -np.inf
+    for tau_j in (n - 1) * dt * np.logspace(-2.0, 1.5, 49):
+        env = np.exp(-k * dt / tau_j - 1j * w_min * k * dt)
+        z = np.fft.fft(env * ps, pad)[m % pad]  # sums of y exp(-t / tau - i w t)
+        g = np.fft.fft(env**2, pad)[2 * m % pad]
+        e2 = np.sum(np.exp(-2.0 * k * dt / tau_j))
+        cc, ss, cs = (e2 + g.real) / 2, (e2 - g.real) / 2, -g.imag / 2
+        det = cc * ss - cs**2
+        # explained sum of squares, skipping w where sin(w t) vanishes (a saddle in w, phi)
+        gain = np.divide(ss * z.real**2 + 2 * cs * z.real * z.imag + cc * z.imag**2, det,
+                         out=np.full_like(det, -np.inf), where=det > 1e-9 * e2**2)
+        if gain.max() > best:
+            best, w, tau = gain.max(), w_min + m[np.argmax(gain)] * step, tau_j
+    if not np.isfinite(best):  # the sums overflow on data near the float range
         return FitResult({}, {}, np.inf, False)
-    errs = _std_errors_from_jacobian(res.jac, res.fun, 4)
-    names = ("V_R", "omega", "phi", "tau")
-    return FitResult(
-        params=dict(zip(names, (float(v) for v in res.x))),
-        std_errors=dict(zip(names, (float(e) for e in errs))),
-        residual_norm=float(np.linalg.norm(res.fun)),
-        converged=bool(res.success),
-    )
+    start = np.linalg.lstsq(jacobian([0.0, 0.0, w, tau])[:, :2], ps)[0]
+    a, b, w, tau = _polished(("a", "b", "omega", "tau"), residual, jacobian,
+                             [*start, w, tau], [-np.inf, -np.inf, w_min, 1e-9],
+                             [np.inf, np.inf, w_max, np.inf]).params.values()
+    fit = _polished(("V_R", "omega", "phi", "tau"), lambda theta: residual(linear(theta)[0]),
+                    lambda theta: jacobian(linear(theta)[0]) @ linear(theta)[1],
+                    [np.hypot(a, b), w, np.arctan2(-b, a), tau],
+                    [1e-12, w_min, -np.inf, 1e-9], [np.inf, w_max, np.inf, np.inf])
+    # the model has period 2 pi in phi, so wrapping moves neither residual nor Jacobian
+    fit.params["phi"] = float(np.pi - (np.pi - fit.params["phi"]) % (2.0 * np.pi))
+    return fit
 
 
 def shuttle_fidelity(p: float) -> float:

@@ -92,11 +92,14 @@ def _parse_axis(key: str, payload: dict) -> tuple:
         name = payload["name"]
         if "values" in payload:
             return name, np.asarray(payload["values"], dtype=float)
-        num, start, stop = int(payload["num"]), float(payload["start"]), float(payload["stop"])
+        num, start, stop = payload["num"], float(payload["start"]), float(payload["stop"])
+        dqd._require_int("num", num, 1)
         if not np.isfinite([start, stop]).all():
             raise ValueError(f"start and stop must be finite, got {start} and {stop}")
-        spaced = np.geomspace if payload.get("spacing", "linear") == "geom" else np.linspace
-        return name, spaced(start, stop, num)
+        spacing = payload.get("spacing", "linear")
+        if spacing not in ("linear", "geom"):
+            raise ValueError(f"spacing must be 'linear' or 'geom', got {spacing!r}")
+        return name, (np.geomspace if spacing == "geom" else np.linspace)(start, stop, num)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise harness.ConfigError(f"bad sweep axis {key} ({payload.get('name')}): {err}") from None
 

@@ -101,9 +101,6 @@ class StateVector:
             raise ValueError("state vector must be normalized")
         object.__setattr__(self, "amplitudes", amp)
 
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -354,8 +351,8 @@ def sweep_fidelity_grid(
     """Initialization fidelity on a 2-D parameter grid.
 
     Each axis is (field_name, values) with field_name a DqdConfig field and
-    flat values that each pass DqdConfig's rule for that field; the result
-    has shape (len(axis1 values), len(axis2 values)), axis1 along rows.
+    non-empty flat values that each pass DqdConfig's rule for that field; the
+    result has shape (len(axis1 values), len(axis2 values)), axis1 along rows.
     """
     name1, vals1 = axis1
     name2, vals2 = axis2
@@ -367,8 +364,8 @@ def sweep_fidelity_grid(
     vals1 = np.asarray(vals1, dtype=float)
     vals2 = np.asarray(vals2, dtype=float)
     for name, vals in ((name1, vals1), (name2, vals2)):
-        if vals.ndim != 1:
-            raise ValueError(f"{name} values must be a flat list, got shape {vals.shape}")
+        if vals.ndim != 1 or vals.size == 0:
+            raise ValueError(f"{name} values must be a non-empty 1-D list, got shape {vals.shape}")
         for value in vals.tolist():
             replace(cfg, **{name: value})  # raises unless DqdConfig accepts the value
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spintune import harness
@@ -56,6 +56,17 @@ def test_fit_decay_input_validation():
         fit_decay(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.9, 0.8]))
     with pytest.raises(ValueError):
         fit_decay(np.array([-1.0, 2.0, 3.0, 4.0]), np.zeros(4))
+
+
+def test_fit_decay_refuses_mismatched_or_non_finite_positions():
+    xs, ys = decay_data(0.5, 0.99, 0.5)
+    with pytest.raises(ValueError, match="one length"):
+        fit_decay(xs, ys[:-1])
+    with pytest.raises(ValueError, match="one length"):
+        fit_decay(xs[None], ys[None])
+    xs[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        fit_decay(xs, ys)
 
 
 def test_fit_decay_scale_consistency():
@@ -203,10 +214,95 @@ def test_fit_rabi_visibility_error_bars_have_coverage():
     assert hits >= 95
 
 
+def rabi_profile_oracle(ts, ps, n_omega=600, n_tau=200):
+    """Lowest residual norm of P = exp(-t / tau) (a cos wt + b sin wt) over a dense grid.
+
+    w spans the fit's bounds [0.3, 3] w0 around the spectral peak w0, tau is
+    log-spaced over 1e-2 to 1e2 times the span, and at each grid point (a, b)
+    solves the 2 x 2 normal equations exactly. Points where one column nearly
+    vanishes are skipped (at multiples of pi / dt sin(w t) is rounding noise on
+    the samples), so every value is the residual of a well-determined (a, b).
+    """
+    k_peak = int(np.argmax(np.abs(np.fft.rfft(ps - ps.mean()))[1:])) + 1
+    w0 = 2.0 * np.pi * np.fft.rfftfreq(ts.size, ts[1] - ts[0])[k_peak]
+    omegas = np.linspace(0.3, 3.0, n_omega) * w0
+    trig = np.stack([np.cos(np.outer(omegas, ts)), np.sin(np.outer(omegas, ts))])
+    best = np.inf
+    for tau in (ts[-1] - ts[0]) * np.logspace(-2.0, 2.0, n_tau):
+        c, s = trig * np.exp(-ts / tau)
+        cc, cs, ss, cy, sy = (c * c).sum(1), (c * s).sum(1), (s * s).sum(1), c @ ps, s @ ps
+        det = cc * ss - cs**2
+        ok = det > 1e-10 * (cc + ss) ** 2
+        a, b = (ss * cy - cs * sy)[ok] / det[ok], (cc * sy - cs * cy)[ok] / det[ok]
+        norms = np.linalg.norm(a[:, None] * c[ok] + b[:, None] * s[ok] - ps, axis=1)
+        best = min(best, float(np.min(norms, initial=np.inf)))
+    return best
+
+
+# Frequencies run from 0.6 periods in the window (log_bins = 0) to the Nyquist
+# frequency (log_bins = 1). The examples hold phi within 1e-7 of +pi and -pi,
+# 0.6 and 1.1 periods with the spectral peak at the first FFT bin (the second
+# with tau a fifteenth of a period), and Nyquist for even and odd n, which
+# peaks at the last bin.
+@settings(max_examples=40)
+@given(
+    n=st.integers(16, 100),
+    log_bins=st.floats(0.0, 1.0),
+    log_tau=st.floats(-1.5, 1.5),
+    phi=st.floats(-np.pi, np.pi),
+    v=st.floats(0.05, 1.0),
+    noise=st.floats(0.0, 0.1),
+    noise_seed=st.integers(0, 2**32 - 1),
+)
+@example(n=64, log_bins=0.3, log_tau=0.5, phi=np.pi - 1e-7, v=0.8, noise=0.02, noise_seed=1)
+@example(n=64, log_bins=0.3, log_tau=0.5, phi=-np.pi + 1e-7, v=0.8, noise=0.02, noise_seed=2)
+@example(n=40, log_bins=0.0, log_tau=1.0, phi=0.3, v=0.5, noise=0.05, noise_seed=3)
+@example(n=80, log_bins=0.15, log_tau=-1.2, phi=-1.0, v=0.9, noise=0.03, noise_seed=4)
+@example(n=100, log_bins=1.0, log_tau=0.0, phi=0.7, v=0.6, noise=0.05, noise_seed=5)
+@example(n=33, log_bins=1.0, log_tau=-0.5, phi=2.0, v=0.4, noise=0.08, noise_seed=6)
+def test_fit_rabi_is_no_worse_than_the_dense_profile_grid(n, log_bins, log_tau, phi, v, noise,
+                                                          noise_seed):
+    ts = np.linspace(0.0, 1.0, n)
+    periods = 0.6 * (n / 2.0 / 0.6) ** log_bins * (n - 1) / n
+    omega, tau = 2.0 * np.pi * periods, 10.0**log_tau
+    rng = np.random.default_rng(noise_seed)
+    ps = v * np.cos(omega * ts + phi) * np.exp(-ts / tau) + rng.normal(0.0, noise, n)
+    fit = fit_rabi(ts, ps)
+    if fit.params:
+        assert -np.pi < fit.params["phi"] <= np.pi
+        assert fit.residual_norm <= rabi_profile_oracle(ts, ps) * (1 + 1e-9) + 1e-15
+
+
 def test_fit_rabi_needs_enough_points():
     ts = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ValueError):
         fit_rabi(ts, np.cos(ts))
+
+
+def test_fit_rabi_refuses_mismatched_non_finite_or_uneven_times():
+    ts = np.linspace(0.0, 10.0, 200)
+    ps = rabi_signal(ts)
+    with pytest.raises(ValueError, match="one length"):
+        fit_rabi(ts, ps[:-1])
+    bad = ts.copy()
+    bad[5] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        fit_rabi(bad, ps)
+    # a dense grid on [0, 1] and a sparse one after it: the spectral start needs even spacing
+    two_density = np.concatenate([np.linspace(0.0, 1.0, 100), np.linspace(1.1, 10.0, 100)])
+    with pytest.raises(ValueError, match="evenly spaced"):
+        fit_rabi(two_density, rabi_signal(two_density))
+    with pytest.raises(ValueError, match="evenly spaced"):
+        fit_rabi(ts[::-1], ps)
+
+
+def test_fit_rabi_non_finite_data_gives_an_empty_unconverged_result():
+    ts = np.linspace(0.0, 10.0, 200)
+    ps = rabi_signal(ts)
+    ps[7] = np.nan
+    fit = fit_rabi(ts, ps)
+    assert fit.params == fit.std_errors == {}
+    assert fit.residual_norm == np.inf and not fit.converged
 
 
 # --------------------------------------------------------- fidelity formula

@@ -306,6 +306,15 @@ def test_sweep_with_wrongly_typed_model_field_exits_2(tmp_path, capsys, section,
     ('{"name": "eps_final", "values": [1.0, [2.0, 3.0]]}', "axis2 (eps_final)"),
     ('{"name": "eps_initial", "start": 1e400, "stop": 2.0, "num": 3}',
      "axis2 (eps_initial): start and stop must be finite, got inf"),
+    ('{"name": "eps_final", "start": 20, "stop": 40, "num": 2.7}',
+     "axis2 (eps_final): num must be an integer >= 1, got 2.7"),
+    ('{"name": "eps_final", "start": 20, "stop": 40, "num": true}',
+     "axis2 (eps_final): num must be an integer >= 1, got True"),
+    ('{"name": "eps_final", "start": 20, "stop": 40, "num": 0}',
+     "axis2 (eps_final): num must be an integer >= 1, got 0"),
+    ('{"name": "eps_final", "start": 20, "stop": 40, "num": 3, "spacing": "log"}',
+     "axis2 (eps_final): spacing must be 'linear' or 'geom', got 'log'"),
+    ('{"name": "eps_final", "values": []}', "eps_final values must be a non-empty"),
 ])
 def test_sweep_with_a_bad_axis_value_exits_2(tmp_path, capsys, axis, field):
     cfg = tmp_path / "sweep.json"

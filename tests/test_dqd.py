@@ -335,6 +335,13 @@ def test_grid_rejects_unknown_axis():
         sweep_fidelity_grid(base, ("epsilon_start", [0.0, 1.0]), ("eps_final", [1.0, 2.0]))
 
 
+@pytest.mark.parametrize("empty", [[], np.linspace(0.1, 1.0, 0)])
+def test_grid_rejects_an_empty_axis(empty):
+    base = DqdConfig(ramp_time=0.3, **STRONG)
+    with pytest.raises(ValueError, match="eps_final values must be a non-empty"):
+        sweep_fidelity_grid(base, ("ramp_time", [0.1, 0.2]), ("eps_final", empty))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         DqdConfig(tunnel_coupling=1.0, zeeman_diff=0.1, eps_initial=0.0,
