@@ -7,9 +7,11 @@ Runs ``perfbench/run.py --workload W --seed S --seconds 15 --trace 0`` for
 every workload and seeds 11-15 from the repository root. With ``--parent``
 (the root of another checkout, such as the parent commit) each run is paired
 with the same run there, the two alternating which goes first. The file
-holds, per tree and workload, the median and quartiles of each end-to-end
-metric, how many runs were correct, the failed operations, and the machine
-line of the first run. Standard library only.
+holds each tree's ``git rev-parse HEAD`` (suffixed ``-dirty`` when tracked
+files were edited since; null outside a git checkout) and, per tree and
+workload, the median and quartiles of each end-to-end metric, how many runs
+were correct, the failed operations, and the machine line of the first run.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -40,6 +42,19 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
         print(f"{tree} {workload} seed {seed} exited {proc.returncode}:\n{proc.stderr}",
               file=sys.stderr)
     return {"machine": machine, "result": result}
+
+
+def head_commit(tree: Path) -> str | None:
+    """The commit checked out at ``tree``, suffixed ``-dirty`` when tracked files differ
+    from it, or None outside a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=tree, capture_output=True, text=True,
+                              check=False)
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        return None
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -79,6 +94,7 @@ def main(argv=None) -> int:
                    "--trace 0",
         "seeds": list(SEEDS),
         "machine": first["machine"],
+        "commits": {label: head_commit(tree) for label, tree in trees.items()},
         "trees": {label: {w: summarize(r) for w, r in by_workload.items()}
                   for label, by_workload in runs.items()},
     }

@@ -187,7 +187,9 @@ def fit_decay(xs: np.ndarray, ys: np.ndarray) -> FitResult:
 
 
 def fit_rabi(ts: np.ndarray, ps: np.ndarray) -> FitResult:
-    """Fit P = V_R * cos(w t + phi) * exp(-t / tau) to evenly spaced ts.
+    """Fit P = V_R * cos(w t + phi) * exp(-t / tau) to evenly spaced ts, t counted from ts[0].
+
+    V_R and phi therefore refer to the first sample, wherever the window starts.
 
     Zero-padded FFTs profile out (a, b) of exp(-t / tau) (a cos(w t) + b sin(w t))
     on eighth-bin steps of w in [0.3, 3] w0, w0 the spectral peak of the data,
@@ -200,6 +202,7 @@ def fit_rabi(ts: np.ndarray, ps: np.ndarray) -> FitResult:
         raise ValueError("ts must be increasing and evenly spaced")
     if not np.all(np.isfinite(ps)):
         return FitResult({}, {}, np.inf, False)
+    ts = ts - ts[0]
     mags = np.abs(np.fft.rfft(ps - np.mean(ps)))[1:]
     k_peak = int(np.argmax(mags)) + 1
     if mags[k_peak - 1] <= max(3.0 * float(np.median(mags)), 1e-9 * n):
@@ -222,7 +225,7 @@ def fit_rabi(ts: np.ndarray, ps: np.ndarray) -> FitResult:
         return [a, b, w, tau], np.array([[a / v, 0, b, 0], [b / v, 0, -a, 0], [0, 1, 0, 0],
                                          [0, 0, 0, 1]])
 
-    # counted from ts[0], the sums over samples at w = w_min + m * step are FFT bins
+    # with t counted from 0, the sums over samples at w = w_min + m * step are FFT bins
     pad, k, step = 8 * n, np.arange(n), np.pi / (4 * n * dt)
     m, best = np.arange(int((w_max - w_min) / step) + 1), -np.inf
     for tau_j in (n - 1) * dt * np.logspace(-2.0, 1.5, 49):

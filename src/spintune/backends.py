@@ -2,14 +2,16 @@
 
 Two of the three cost functions live here: Pauli-spin-blockade readout
 visibility over 14 gate-voltage and timing parameters, and shuttling
-echo amplitude over 8 gate offsets. Both evaluate a candidate vector in
-the normalized unit cube against a hidden landscape whose optimum is
+echo amplitude over 8 gate offsets. Both evaluate candidates in the
+normalized unit cube against a hidden landscape whose optimum is
 planted at construction, so optimizer runs can be scored against ground
 truth. The single-qubit benchmarking backend is in ``rb``.
 
-Evaluations are deterministic given the landscape seed and an explicit
-shot seed per candidate, so a block of candidates evaluated in one call
-gives exactly what each candidate gives alone.
+Every cost function, here and in ``rb``, takes candidates as (n, d) rows,
+a vector being one row, and returns one result per row. Those that draw
+shots take one shot seed per row and are deterministic given it and the
+landscape seed, so a block evaluated in one call gives exactly what each
+row gives alone.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ class SpaceEntry:
     unit: str
 
     def __post_init__(self) -> None:
+        for bound in ("low", "high"):
+            dqd._require_real(f"parameter {self.name!r} {bound}", getattr(self, bound))
         if not self.low < self.high:
             raise ValueError(
                 f"parameter {self.name!r}: low {self.low} must be < high {self.high}"
@@ -286,14 +290,13 @@ class HiddenLandscape:
         if not 0.0 <= self.floor < 1.0:
             raise ValueError(f"floor {self.floor} outside [0, 1)")
 
-    def quadratic(self, x: np.ndarray) -> float | np.ndarray:
-        """Crosstalk quadratic form at a normalized point (a float) or at each row of a block.
+    def quadratic(self, x: np.ndarray) -> np.ndarray:
+        """Crosstalk quadratic form at each normalized row of x, (n, d); a vector is one row.
 
         Each row gives the same bits as ``d @ coupling @ d`` on its own.
         """
-        d = np.asarray(x, dtype=float) - self.optimum
-        q = (d[..., None, :] @ self.coupling @ d[..., :, None])[..., 0, 0]
-        return float(q) if q.ndim == 0 else q
+        d = _rows(x, self.optimum.size) - self.optimum
+        return (d[:, None, :] @ self.coupling @ d[:, :, None])[:, 0, 0]
 
     def to_dict(self) -> dict:
         return {
@@ -348,42 +351,51 @@ def _init_stage_ramps(space: ParameterSpace, block: np.ndarray) -> dict[str, np.
             for attr, name, (lo, hi) in _INIT_STAGE}
 
 
-def _rows(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    """x as a contiguous (n, dim) block, and whether x was one vector."""
+def _rows(x: np.ndarray, dim: int) -> np.ndarray:
+    """x as a contiguous (n, dim) block; a vector is one row."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != dim:
         raise ValueError(f"candidate must have dimension {dim}, got shape {x.shape}")
-    return np.ascontiguousarray(x.reshape(-1, dim)), x.ndim == 1
+    return np.ascontiguousarray(x.reshape(-1, dim))
 
 
-def _shot_seeds(shot_seed, n: int) -> list:
-    """One shot seed per row: a scalar is shared, a sequence is taken as is."""
-    seeds = list(shot_seed) if np.ndim(shot_seed) else [shot_seed] * n
-    if len(seeds) != n:
-        raise ValueError(f"expected {n} shot seeds, got {len(seeds)}")
-    return seeds
+def _seeded_rows(x: np.ndarray, dim: int, shot_seeds) -> np.ndarray:
+    """x as an (n, dim) block, checked to come with one shot seed per row."""
+    block = _rows(x, dim)
+    if len(shot_seeds) != len(block):
+        raise ValueError(f"expected {len(block)} shot seeds, got {len(shot_seeds)}")
+    return block
 
 
-def _check_cube(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    """x as an (n, dim) block clipped to the unit cube, and whether x was one vector."""
-    block, single = _rows(x, dim)
+def _unit_rows(landscape: HiddenLandscape, x: np.ndarray, shot_seeds, n_shots: int) -> np.ndarray:
+    """The checked (n, d) block of a landscape backend, clipped to the unit cube."""
+    block = _seeded_rows(x, landscape.optimum.size, shot_seeds)
     if np.any(block < -1e-9) or np.any(block > 1 + 1e-9):
         raise ValueError("candidate outside the unit cube")
-    return np.clip(block, 0.0, 1.0), single
+    if landscape.shot_noise and n_shots <= 0:
+        raise ValueError("n_shots must be positive")
+    return np.clip(block, 0.0, 1.0)
+
+
+def _contrast_counts(landscape: HiddenLandscape, shot_seed, n_shots: int,
+                     contrast: float) -> tuple[int, int]:
+    """Counts of n_shots at 0.5 (1 + contrast), then at 0.5 (1 - contrast), seeded per row."""
+    rng = np.random.default_rng((landscape.seed, shot_seed))
+    return (int(rng.binomial(n_shots, 0.5 * (1.0 + contrast))),
+            int(rng.binomial(n_shots, 0.5 * (1.0 - contrast))))
 
 
 def true_readout_visibility(landscape: HiddenLandscape, space: ParameterSpace,
-                            x: np.ndarray) -> float | list[float]:
-    """Noiseless visibility of the planted readout landscape at x.
+                            x: np.ndarray) -> list[float]:
+    """Noiseless visibility of the planted readout landscape at each row of x, (n, d).
 
     A Gaussian bump over the crosstalk quadratic is multiplied by the
     initialization-ramp fidelity relative to its value at the planted
     optimum, clamped at 1 so the optimum stays the unique maximizer even
-    though the ramp model's own best point lies elsewhere. ``x`` is one
-    point (d,), giving a float, or a block of rows (n, d), giving a list;
-    the ramps of all rows are integrated together.
+    though the ramp model's own best point lies elsewhere. The ramps of
+    all rows are integrated together; a vector is one row.
     """
-    block, single = _rows(x, space.dimension)
+    block = _rows(x, space.dimension)
     ramps = _init_stage_ramps(space, block)
     f_init = dqd._cell_fidelities(*ramps.values(), np.full(len(block), _INIT_ZEEMAN_GHZ),
                                   None, _INIT_STEPS).tolist()
@@ -392,29 +404,17 @@ def true_readout_visibility(landscape: HiddenLandscape, space: ParameterSpace,
         **{name: float(v[0]) for name, v in at_optimum.items()},
         zeeman_diff=_INIT_ZEEMAN_GHZ), n_steps=_INIT_STEPS)
     span = (1.0 - landscape.floor) - READOUT_BASE_VISIBILITY
-    out = [float(span * np.exp(-q) * min(1.0, f / f_opt)) + READOUT_BASE_VISIBILITY
-           for q, f in zip(landscape.quadratic(block).tolist(), f_init)]
-    return out[0] if single else out
+    return [float(span * np.exp(-q) * min(1.0, f / f_opt)) + READOUT_BASE_VISIBILITY
+            for q, f in zip(landscape.quadratic(block).tolist(), f_init)]
 
 
 def _measure_readout(landscape: HiddenLandscape, v_true: float, n_shots: int,
                      shot_seed) -> CostEvaluation:
     meta: dict = {"true_visibility": v_true}
     if landscape.shot_noise:
-        rng = np.random.default_rng((landscape.seed, shot_seed))
-        p_odd = 0.5 * (1.0 + v_true)
-        p_even = 0.5 * (1.0 - v_true)
-        shots = ReadoutShots(
-            n_shots=n_shots,
-            odd_given_odd=int(rng.binomial(n_shots, p_odd)),
-            odd_given_even=int(rng.binomial(n_shots, p_even)),
-        )
+        shots = ReadoutShots(n_shots, *_contrast_counts(landscape, shot_seed, n_shots, v_true))
         v_meas = visibility(shots)
-        meta["shots"] = {
-            "n_shots": shots.n_shots,
-            "odd_given_odd": shots.odd_given_odd,
-            "odd_given_even": shots.odd_given_even,
-        }
+        meta["shots"] = dict(vars(shots))
     else:
         v_meas = v_true
     meta["visibility"] = v_meas
@@ -423,25 +423,18 @@ def _measure_readout(landscape: HiddenLandscape, v_true: float, n_shots: int,
 
 
 def readout_backend_evaluate(landscape: HiddenLandscape, space: ParameterSpace,
-                             x: np.ndarray, n_shots: int,
-                             shot_seed=0) -> CostEvaluation | list[CostEvaluation]:
-    """Evaluate readout visibility at x; cost is the negated visibility.
+                             x: np.ndarray, n_shots: int, shot_seeds) -> list[CostEvaluation]:
+    """Evaluate readout visibility at each row of x, (n, 14); cost is the negated visibility.
 
-    With ``landscape.shot_noise`` the two parity fractions are drawn
-    binomially with ``n_shots`` trials each, seeded by the landscape
-    seed and ``shot_seed``. ``x`` is one candidate (14,), giving one
-    evaluation, or a block (n, 14) with a scalar or n shot seeds, giving
-    a list.
+    With ``landscape.shot_noise`` the two parity fractions of row i are
+    drawn binomially with ``n_shots`` trials each, seeded by the landscape
+    seed and ``shot_seeds[i]``. Returns one evaluation per row.
     """
-    block, single = _check_cube(x, space.dimension)
+    block = _unit_rows(landscape, x, shot_seeds, n_shots)
     if space.dimension != 14:
         raise ValueError("readout backend expects the 14-parameter space")
-    seeds = _shot_seeds(shot_seed, len(block))
-    if landscape.shot_noise and n_shots <= 0:
-        raise ValueError("n_shots must be positive")
     v_true = true_readout_visibility(landscape, space, block)
-    out = [_measure_readout(landscape, v, n_shots, s) for v, s in zip(v_true, seeds)]
-    return out[0] if single else out
+    return [_measure_readout(landscape, v, n_shots, s) for v, s in zip(v_true, shot_seeds)]
 
 
 def make_shuttle_landscape(seed: int, shot_noise: bool = False) -> HiddenLandscape:
@@ -462,51 +455,42 @@ def make_shuttle_landscape(seed: int, shot_noise: bool = False) -> HiddenLandsca
     return HiddenLandscape(optimum, raw / worst, SHUTTLE_P_OPTIMUM, shot_noise, seed)
 
 
-def shuttle_depolarization(landscape: HiddenLandscape, x: np.ndarray) -> float | np.ndarray:
-    """Depolarization parameter p(x) of the planted shuttle landscape.
+def shuttle_depolarization(landscape: HiddenLandscape, x: np.ndarray) -> np.ndarray:
+    """Depolarization parameter p at each row of x, (n, d), of the planted shuttle landscape.
 
     The quadratic form stays within [0, 1] on the unit cube (it is
     convex, so its maximum sits at the corner used for normalization),
     which pins p to [floor, SHUTTLE_P_WORST] with the floor attained exactly at
-    the planted optimum. ``x`` is one point (d,), giving a float, or rows
-    (n, d), giving an array.
+    the planted optimum.
     """
     return landscape.floor + (SHUTTLE_P_WORST - landscape.floor) * landscape.quadratic(x)
 
 
-def shuttle_backend_evaluate(landscape: HiddenLandscape, space: ParameterSpace,
-                             x: np.ndarray,
+def shuttle_backend_evaluate(landscape: HiddenLandscape, x: np.ndarray,
                              distance: float = DEFAULT_SHUTTLE_DISTANCE_UM,
-                             n_shots: int = 1000,
-                             shot_seed=0) -> CostEvaluation | list[CostEvaluation]:
-    """Evaluate the spin-echo amplitude after shuttling over ``distance``.
+                             n_shots: int = 1000, *, shot_seeds) -> list[CostEvaluation]:
+    """Evaluate the spin-echo amplitude after shuttling over ``distance`` at each row of x.
 
     The echo amplitude follows A(x) = (1 - p(x)) ** (distance / 10 um),
     measured as the contrast between the two echo circuit variants, and
-    the cost is 1 - A. ``x`` is one candidate (8,), giving one
-    evaluation, or a block (n, 8) with a scalar or n shot seeds, giving
-    a list.
+    the cost is 1 - A. With ``landscape.shot_noise`` row i draws its two
+    variants from ``n_shots`` shots seeded by ``shot_seeds[i]``. Returns
+    one evaluation per row.
     """
-    block, single = _check_cube(x, space.dimension)
-    if space.dimension != 8:
-        raise ValueError("shuttle backend expects the 8-parameter space")
+    block = _unit_rows(landscape, x, shot_seeds, n_shots)
     if distance < 0:
         raise ValueError("distance must be non-negative")
-    seeds = _shot_seeds(shot_seed, len(block))
-    if landscape.shot_noise and n_shots <= 0:
-        raise ValueError("n_shots must be positive")
     distance = float(distance)
     p = shuttle_depolarization(landscape, block)
     # float_power rounds as Python's scalar ** does; array ** may not
     amplitude = np.float_power(1.0 - p, distance / SHUTTLE_SEGMENT_UM)
     out = []
-    for p_row, a_row, seed in zip(p.tolist(), amplitude.tolist(), seeds):
+    for p_row, a_row, seed in zip(p.tolist(), amplitude.tolist(), shot_seeds):
         meta = {"p": p_row, "true_amplitude": a_row, "distance_um": distance, "amplitude": a_row}
         if landscape.shot_noise:  # only the binomial draws are per row
-            rng = np.random.default_rng((landscape.seed, seed))
-            f_plus = rng.binomial(n_shots, 0.5 * (1.0 + a_row)) / n_shots
-            f_minus = rng.binomial(n_shots, 0.5 * (1.0 - a_row)) / n_shots
+            k_plus, k_minus = _contrast_counts(landscape, seed, n_shots, a_row)
+            f_plus, f_minus = k_plus / n_shots, k_minus / n_shots
             meta["amplitude"] = f_plus - f_minus
             meta["shots"] = {"n_shots": n_shots, "f_plus": f_plus, "f_minus": f_minus}
         out.append(CostEvaluation(cost=1.0 - meta["amplitude"], metadata=meta))
-    return out[0] if single else out
+    return out

@@ -17,6 +17,7 @@ byte-identical candidates and an interrupted run can be resumed exactly.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -86,18 +87,18 @@ class DistributionState:
     generation: int = 0
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        n = mean.shape[0]
+        n = np.shape(self.mean)[0]
+        for name, shape in (("cov", (n, n)), ("p_sigma", (n,)), ("p_c", (n,))):
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"{name} shape {np.shape(getattr(self, name))} does not match {n}")
         cov = np.asarray(self.cov, dtype=float)
-        if cov.shape != (n, n):
-            raise ValueError(f"covariance shape {cov.shape} does not match dimension {n}")
         scale = max(np.abs(cov).max(), 1.0)
-        if np.abs(cov - cov.T).max() > 1e-12 * scale:
-            raise ValueError("covariance must be symmetric")
+        if not np.abs(cov - cov.T).max() <= 1e-12 * scale:  # also refuses nan and inf
+            raise ValueError("covariance must be finite and symmetric")
         if self.sigma <= 0.0 or not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.generation < 0:
-            raise ValueError("generation must be non-negative")
+        if not isinstance(self.generation, numbers.Integral) or self.generation < 0:
+            raise ValueError(f"generation must be a non-negative integer, got {self.generation!r}")
 
     @classmethod
     def initial(cls, mean: Sequence[float], sigma: float = 1.0) -> "DistributionState":

@@ -180,17 +180,17 @@ def _benchmark_space() -> backends.ParameterSpace:
 
 def _readout_evaluator(config, space, landscape):
     return lambda X, seeds: backends.readout_backend_evaluate(
-        landscape, space, X, config.shots, shot_seed=seeds)
+        landscape, space, X, config.shots, shot_seeds=seeds)
 
 
 def _shuttle_evaluator(config, space, landscape):
     return lambda X, seeds: backends.shuttle_backend_evaluate(
-        landscape, space, X, n_shots=config.shots, shot_seed=seeds)
+        landscape, X, n_shots=config.shots, shot_seeds=seeds)
 
 
 def _single_qubit_evaluator(config, space, landscape):
     cfg = rb.RbConfig(shots_per_sequence=config.shots, seed=config.seed)
-    return lambda X, seeds: rb.rb_backend_evaluate(cfg, space.denormalize(X), shot_seed=seeds)
+    return lambda X, seeds: rb.rb_backend_evaluate(cfg, space.denormalize(X), shot_seeds=seeds)
 
 
 def _benchmark_evaluator(config, space, landscape):
@@ -360,7 +360,7 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
             candidates = cmaes.ask(state, params)
             ticks.append(time.perf_counter())
             X = np.array([cand.x for cand in candidates])
-            results = _evaluate_generation(evaluate, X, candidates, config.seed, gen)
+            results = _evaluate_generation(evaluate, X, config.seed, gen)
             ticks.append(time.perf_counter())
             if not any(math.isfinite(cost) for cost, _ in results):
                 cost, meta = results[0]
@@ -399,15 +399,14 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
     return record
 
 
-def _evaluate_generation(evaluate, X: np.ndarray, candidates: list, seed: int,
-                         gen: int) -> list[tuple[float, dict]]:
-    """(cost, metadata) of each candidate, from one evaluator call on X.
+def _evaluate_generation(evaluate, X: np.ndarray, seed: int, gen: int) -> list[tuple[float, dict]]:
+    """(cost, metadata) of each row of X, candidates 0..n-1, from one evaluator call.
 
     If that call raises, each candidate is evaluated alone as a one-row
     block, and only those that raise then are failed: cost inf and an
     ``error`` in the metadata.
     """
-    seeds = _shot_seeds(seed, gen, [cand.id for cand in candidates])
+    seeds = _shot_seeds(seed, gen, np.arange(len(X)))
 
     def costed(rows: np.ndarray, row_seeds: list) -> list[tuple[float, dict]]:
         results = evaluate(rows, row_seeds)
@@ -421,11 +420,11 @@ def _evaluate_generation(evaluate, X: np.ndarray, candidates: list, seed: int,
         log.debug("generation %d failed as a block; evaluating candidates alone", gen,
                   exc_info=True)
     out = []
-    for i, cand in enumerate(candidates):
+    for i in range(len(X)):
         try:
             out += costed(X[i:i + 1], seeds[i:i + 1])
         except Exception as err:  # noqa: BLE001 - a bad candidate must not kill the run
-            log.warning("candidate %d of generation %d failed: %s", cand.id, gen, err)
+            log.warning("candidate %d of generation %d failed: %s", i, gen, err)
             out.append((float("inf"), {"error": str(err)}))
     return out
 
@@ -471,7 +470,8 @@ def load_record(record_dir: Path | str) -> RunRecord:
     Only the final line may be torn, as a crash mid-write leaves it; it is
     dropped. A null candidate cost, as a failed candidate is written, reads
     back as +inf. Any other unreadable line, a first line that is not the
-    header, or generation numbers other than 0, 1, 2, ... raise ConfigError.
+    header, generation numbers other than 0, 1, 2, ..., or a malformed
+    header, candidate x row or search distribution raise ConfigError.
     """
     path = Path(record_dir) / RECORD_NAME
     if not path.exists():
@@ -492,6 +492,11 @@ def load_record(record_dir: Path | str) -> RunRecord:
     header, *rest = payloads
     if header.get("type") != "header":
         raise ConfigError(f"{path} has no header line")
+    try:
+        config = RunConfig.from_dict(header["config"])
+        space = backends.ParameterSpace.from_dicts(header["space"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"{path} header is malformed: {err!r}") from None
     gens: list[GenerationRecord] = []
     for k, payload in enumerate(rest):
         if (payload.get("type"), payload.get("generation")) != ("generation", k):
@@ -499,13 +504,16 @@ def load_record(record_dir: Path | str) -> RunRecord:
         try:
             candidates = [{**cand, "cost": _stored_cost(cand["cost"])}
                           for cand in payload["candidates"]]
+            xs = np.array([cand["x"] for cand in candidates], dtype=float)
+            if xs.shape != (len(candidates), space.dimension) or not np.isfinite(xs).all():
+                raise ValueError(f"candidate x values are not finite rows of {space.dimension}")
+            if _state_from_dict(payload["state"]).mean.shape != (space.dimension,):
+                raise ValueError(f"state mean is not of dimension {space.dimension}")
             gens.append(GenerationRecord(k, candidates, payload["state"],
                                          float(payload["best_cost"]),
                                          list(payload["best_params"])))
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"{path} generation {k} is malformed: {err}") from None
-    config = RunConfig.from_dict(header["config"])
-    space = backends.ParameterSpace.from_dicts(header["space"])
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"{path} generation {k} is malformed: {err!r}") from None
     return RunRecord(config=config, space=space, generations=gens)
 
 

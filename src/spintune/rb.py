@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .backends import CostEvaluation, _rows, _shot_seeds
+from .backends import CostEvaluation, _seeded_rows
 from .dqd import _require_int
 
 __all__ = [
@@ -204,30 +204,26 @@ def _primitive_steps(sequences: list[tuple[np.ndarray, int]]) -> np.ndarray:
     return np.array(list(itertools.zip_longest(*rows, fillvalue=len(PRIMITIVE_NAMES))))
 
 
-def rb_backend_evaluate(cfg: RbConfig, x: np.ndarray,
-                        shot_seed=None) -> CostEvaluation | list[CostEvaluation]:
-    """Cost 1 - mean return probability at pulse parameters (t_d, A, f).
+def rb_backend_evaluate(cfg: RbConfig, x: np.ndarray, shot_seeds) -> list[CostEvaluation]:
+    """Cost 1 - mean return probability at each row (t_d, A, f) of x, (n, 3).
 
-    With ``shot_seed`` set, each sequence's return probability is
-    estimated from cfg.shots_per_sequence binomial shots; with None the
-    exact probabilities are averaged. ``x`` is one parameter vector (3,),
-    giving one evaluation, or a block (n, 3) with a scalar or n shot
-    seeds, giving a list; every sequence of every row is composed in one
-    stacked product.
+    Where ``shot_seeds[i]`` is set, row i estimates each sequence's return
+    probability from cfg.shots_per_sequence binomial shots; where it is
+    None the exact probabilities are averaged. Every sequence of every row
+    is composed in one stacked product; returns one evaluation per row.
     """
-    block, single = _rows(x, 3)
+    block = _seeded_rows(x, 3, shot_seeds)
     if np.any(block[:, 0] <= 0):
         raise ValueError("t_d must be positive")
     if np.any(block[:, 1] <= 0):
         raise ValueError("amplitude must be positive")
-    seeds = _shot_seeds(shot_seed, len(block))
     primitives = _primitives(block)
     steps = _primitive_steps(rb_sequences(cfg))
     u = np.broadcast_to(np.eye(2, dtype=complex), (len(block), steps.shape[1], 2, 2))
     for step in steps:
         u = primitives[:, step] @ u
     out = []
-    for amplitudes, seed in zip(u[..., 0, 0], seeds):
+    for amplitudes, seed in zip(u[..., 0, 0], shot_seeds):
         # scalar abs and **, as for a single sequence: np.abs and array **
         # round differently in the last bit
         probs = [abs(a) ** 2 for a in amplitudes]
@@ -237,7 +233,7 @@ def rb_backend_evaluate(cfg: RbConfig, x: np.ndarray,
             probs = [rng.binomial(n, p) / n for p in probs]
         mean = float(np.mean(probs))
         out.append(CostEvaluation(cost=1.0 - mean, metadata={"return_probability": mean}))
-    return out[0] if single else out
+    return out
 
 
 def rb_decay_curve(cfg: RbConfig, x: np.ndarray, lengths: list[int],
@@ -247,7 +243,7 @@ def rb_decay_curve(cfg: RbConfig, x: np.ndarray, lengths: list[int],
     for i, m in enumerate(lengths):
         cfg_m = replace(cfg, sequence_length=int(m))
         seed = None if shot_seed is None else int(shot_seed) + i
-        out.append(1.0 - rb_backend_evaluate(cfg_m, x, shot_seed=seed).cost)
+        out.append(1.0 - rb_backend_evaluate(cfg_m, x, [seed])[0].cost)
     return np.array(out)
 
 

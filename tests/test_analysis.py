@@ -176,12 +176,14 @@ def rabi_signal(ts):
 
 
 def test_fit_rabi_recovers_planted_parameters():
-    ts = np.linspace(0.0, 10.0, 200)
-    fit = fit_rabi(ts, rabi_signal(ts))
-    assert fit.converged
-    for name in ("V_R", "omega", "tau"):
-        assert fit.params[name] == pytest.approx(RABI_TRUE[name], rel=1e-6)
-    assert abs(fit.params["phi"] - RABI_TRUE["phi"]) < 1e-6
+    # time is counted from the first sample, wherever the window starts
+    for t0 in (0.0, 30.0, 1000.0):
+        ts = t0 + np.linspace(0.0, 10.0, 200)
+        fit = fit_rabi(ts, rabi_signal(ts - t0))
+        assert fit.converged
+        for name in ("V_R", "omega", "tau"):
+            assert fit.params[name] == pytest.approx(RABI_TRUE[name], rel=1e-6)
+        assert abs(fit.params["phi"] - RABI_TRUE["phi"]) < 1e-6
 
 
 def test_fit_rabi_flat_signal_does_not_converge():

@@ -24,6 +24,7 @@ from spintune.backends import (
     visibility,
     visibility_to_fidelity,
 )
+from spintune.rb import RbConfig, rb_backend_evaluate
 
 
 def test_space_normalize_round_trip():
@@ -76,7 +77,7 @@ def test_visibility_to_fidelity_examples():
 
 def test_readout_cost_at_optimum_matches_tuned_ceiling():
     land = make_readout_landscape(3, ceiling=0.99, shot_noise=False)
-    ev = readout_backend_evaluate(land, readout_space(), land.optimum, 1000)
+    ev = readout_backend_evaluate(land, readout_space(), land.optimum, 1000, [0])[0]
     assert ev.cost == pytest.approx(-0.99, abs=1e-12)
 
 
@@ -85,7 +86,7 @@ def test_readout_shot_noise_within_three_sigma_at_optimum():
     space = readout_space()
     sigma = 0.0044
     for shot_seed in range(5):
-        ev = readout_backend_evaluate(land, space, land.optimum, 1000, shot_seed=shot_seed)
+        ev = readout_backend_evaluate(land, space, land.optimum, 1000, [shot_seed])[0]
         assert abs(ev.cost - (-0.99)) < 3 * sigma
 
 
@@ -94,26 +95,26 @@ def test_minimum_ramp_time_is_penalized():
     space = readout_space()
     x = land.optimum.copy()
     x[space.index("t_read_init")] = 0.0
-    worse = readout_backend_evaluate(land, space, x, 1000).cost
-    best = readout_backend_evaluate(land, space, land.optimum, 1000).cost
+    worse = readout_backend_evaluate(land, space, x, 1000, [0])[0].cost
+    best = readout_backend_evaluate(land, space, land.optimum, 1000, [0])[0].cost
     assert worse > best
 
 
 def test_noiseless_cost_minimized_at_planted_optimum():
     land = make_readout_landscape(11, shot_noise=False)
     space = readout_space()
-    best = readout_backend_evaluate(land, space, land.optimum, 1000).cost
+    best = readout_backend_evaluate(land, space, land.optimum, 1000, [0])[0].cost
     for i in range(space.dimension):
         for delta in (-0.08, 0.08):
             x = land.optimum.copy()
             x[i] = np.clip(x[i] + delta, 0.0, 1.0)
-            assert readout_backend_evaluate(land, space, x, 1000).cost >= best
+            assert readout_backend_evaluate(land, space, x, 1000, [0])[0].cost >= best
 
 
 def test_readout_dimension_mismatch():
     land = make_readout_landscape(0)
     with pytest.raises(ValueError):
-        readout_backend_evaluate(land, readout_space(), np.full(8, 0.5), 1000)
+        readout_backend_evaluate(land, readout_space(), np.full(8, 0.5), 1000, [0])
 
 
 def test_readout_costs_finite_everywhere():
@@ -122,7 +123,7 @@ def test_readout_costs_finite_everywhere():
     rng = np.random.default_rng(1)
     for k in range(10):
         x = rng.uniform(0.0, 1.0, 14)
-        ev = readout_backend_evaluate(land, space, x, 1000, shot_seed=k)
+        ev = readout_backend_evaluate(land, space, x, 1000, [k])[0]
         assert np.isfinite(ev.cost)
 
 
@@ -130,8 +131,8 @@ def test_readout_evaluation_deterministic_given_seeds():
     land = make_readout_landscape(4)
     space = readout_space()
     x = np.full(14, 0.45)
-    a = readout_backend_evaluate(land, space, x, 1000, shot_seed=7)
-    b = readout_backend_evaluate(land, space, x, 1000, shot_seed=7)
+    a = readout_backend_evaluate(land, space, x, 1000, [7])[0]
+    b = readout_backend_evaluate(land, space, x, 1000, [7])[0]
     assert a.cost == b.cost
 
 
@@ -165,7 +166,7 @@ def test_planted_crosstalk_signs_in_coupling():
 
 def test_shuttle_optimum_examples():
     land = make_shuttle_landscape(1)
-    ev = shuttle_backend_evaluate(land, shuttle_space(), land.optimum, distance=10.0)
+    ev = shuttle_backend_evaluate(land, land.optimum, distance=10.0, shot_seeds=[0])[0]
     assert ev.metadata["p"] == pytest.approx(0.0192, abs=1e-12)
     assert ev.metadata["true_amplitude"] == pytest.approx(1.0 - 0.0192, abs=1e-12)
 
@@ -173,7 +174,7 @@ def test_shuttle_optimum_examples():
 def test_shuttle_worst_corner_depolarization():
     land = make_shuttle_landscape(1)
     corners = np.array(np.meshgrid(*[[0.0, 1.0]] * 8)).T.reshape(-1, 8)
-    worst = max(shuttle_depolarization(land, c) for c in corners)
+    worst = max(shuttle_depolarization(land, c)[0] for c in corners)
     assert worst == pytest.approx(0.117, abs=1e-12)
 
 
@@ -182,32 +183,32 @@ def test_shuttle_zero_distance_has_unit_amplitude():
     rng = np.random.default_rng(2)
     for _ in range(5):
         x = rng.uniform(0.0, 1.0, 8)
-        ev = shuttle_backend_evaluate(land, shuttle_space(), x, distance=0.0)
+        ev = shuttle_backend_evaluate(land, x, distance=0.0, shot_seeds=[0])[0]
         assert ev.metadata["true_amplitude"] == 1.0
 
 
 def test_shuttle_amplitude_decreases_with_distance():
     land = make_shuttle_landscape(3)
     x = np.full(8, 0.3)
-    amps = [shuttle_backend_evaluate(land, shuttle_space(), x, distance=d).metadata["true_amplitude"]
-            for d in (0.0, 10.0, 100.0, 172.8)]
+    amps = [shuttle_backend_evaluate(land, x, distance=d, shot_seeds=[0])[0]
+            .metadata["true_amplitude"] for d in (0.0, 10.0, 100.0, 172.8)]
     assert all(a > b for a, b in zip(amps, amps[1:]))
 
 
 def test_shuttle_dimension_mismatch():
     land = make_shuttle_landscape(0)
     with pytest.raises(ValueError):
-        shuttle_backend_evaluate(land, shuttle_space(), np.full(14, 0.5))
+        shuttle_backend_evaluate(land, np.full(14, 0.5), shot_seeds=[0])
 
 
 def test_true_visibility_caps_at_ceiling():
     land = make_readout_landscape(8, ceiling=0.995, shot_noise=False)
     space = readout_space()
-    assert true_readout_visibility(land, space, land.optimum) == pytest.approx(0.995, abs=1e-12)
+    assert true_readout_visibility(land, space, land.optimum)[0] == pytest.approx(0.995, abs=1e-12)
     rng = np.random.default_rng(5)
     for _ in range(10):
         x = rng.uniform(0.0, 1.0, 14)
-        v = true_readout_visibility(land, space, x)
+        v = true_readout_visibility(land, space, x)[0]
         assert 0.0 < v <= 0.995
 
 
@@ -228,7 +229,7 @@ def _block_and_rows(evaluate, X, seeds):
             return f"ValueError: {err}"
 
     block = outcome(lambda: evaluate(X, seeds))
-    rows = [outcome(lambda i=i: evaluate(X[i], seeds[i])) for i in range(len(X))]
+    rows = [outcome(lambda i=i: evaluate(X[i], [seeds[i]])[0]) for i in range(len(X))]
     return block, rows
 
 
@@ -263,10 +264,10 @@ def test_readout_block_equals_its_rows_bit_for_bit(data):
     space = readout_space()
     X, seeds, bad = _unit_block(data, 14)
     _assert_block_equals_rows(
-        lambda x, s: readout_backend_evaluate(land, space, x, 500, shot_seed=s), X, seeds, bad)
+        lambda x, s: readout_backend_evaluate(land, space, x, 500, shot_seeds=s), X, seeds, bad)
     if bad is None:
         assert repr(true_readout_visibility(land, space, X)) == repr(
-            [true_readout_visibility(land, space, x) for x in X])
+            [true_readout_visibility(land, space, x)[0] for x in X])
 
 
 @settings(max_examples=50)
@@ -277,20 +278,32 @@ def test_shuttle_block_equals_its_rows_bit_for_bit(data):
     distance = data.draw(st.sampled_from([0.0, 10.0, DEFAULT_SHUTTLE_DISTANCE_UM]))
     X, seeds, bad = _unit_block(data, 8)
     _assert_block_equals_rows(
-        lambda x, s: shuttle_backend_evaluate(land, shuttle_space(), x, distance=distance,
-                                              n_shots=300, shot_seed=s), X, seeds, bad)
+        lambda x, s: shuttle_backend_evaluate(land, x, distance=distance,
+                                              n_shots=300, shot_seeds=s), X, seeds, bad)
 
 
-def test_block_shapes_and_seed_counts_are_checked():
-    land = make_shuttle_landscape(0)
-    space = shuttle_space()
-    with pytest.raises(ValueError, match="dimension 8"):
-        shuttle_backend_evaluate(land, space, np.full((3, 8, 1), 0.5))
+_POINTS = {  # one candidate of each backend, as (evaluate(x, shot_seeds), x)
+    "readout": (lambda x, s: readout_backend_evaluate(
+        make_readout_landscape(0), readout_space(), x, 100, shot_seeds=s), np.full(14, 0.5)),
+    "shuttle": (lambda x, s: shuttle_backend_evaluate(
+        make_shuttle_landscape(0, shot_noise=True), x, n_shots=100, shot_seeds=s),
+        np.full(8, 0.5)),
+    "single_qubit": (lambda x, s: rb_backend_evaluate(RbConfig(), x, shot_seeds=s),
+                     np.array([12.0, 9.5, 1001.0])),
+}
+
+
+@pytest.mark.parametrize("task", list(_POINTS))
+def test_block_shapes_and_seed_counts_are_checked(task):
+    evaluate, x = _POINTS[task]
+    with pytest.raises(ValueError, match=f"dimension {x.size}"):
+        evaluate(np.tile(x, (3, 1))[..., None], [1, 2, 3])
     with pytest.raises(ValueError, match="3 shot seeds"):
-        shuttle_backend_evaluate(land, space, np.full((3, 8), 0.5), shot_seed=[1, 2])
-    shared = shuttle_backend_evaluate(make_shuttle_landscape(0, shot_noise=True), space,
-                                      np.full((2, 8), 0.5), shot_seed=4)
-    assert shared[0] == shared[1]
+        evaluate(np.tile(x, (3, 1)), [1, 2])
+    one = evaluate(x, [4])
+    assert isinstance(one, list) and one == evaluate(x[None], [4])
+    shared = evaluate(np.tile(x, (2, 1)), [4, 4])
+    assert shared[0] == shared[1] == one[0]
 
 
 # --------------------------------------------- the shuttle formula, per row
@@ -300,7 +313,7 @@ def test_quadratic_of_a_block_is_the_scalar_form_of_each_row():
         X = np.random.default_rng(4).uniform(0.0, 1.0, (300, land.optimum.size))
         scalar = [float(d @ land.coupling @ d) for d in X - land.optimum]
         assert land.quadratic(X).tolist() == scalar
-        assert [land.quadratic(x) for x in X] == scalar
+        assert [land.quadratic(x)[0] for x in X] == scalar
 
 
 def reference_shuttle(landscape, x, distance, n_shots, shot_seed):
@@ -329,8 +342,8 @@ def test_shuttle_block_matches_the_scalar_formula_byte_for_byte(shot_noise, dist
         land = make_shuttle_landscape(seed, shot_noise=shot_noise)
         X = np.vstack([corners, land.optimum, np.random.default_rng(seed).uniform(0, 1, (200, 8))])
         seeds = list(range(len(X)))
-        block = shuttle_backend_evaluate(land, shuttle_space(), X, distance=distance,
-                                         n_shots=500, shot_seed=seeds)
+        block = shuttle_backend_evaluate(land, X, distance=distance,
+                                         n_shots=500, shot_seeds=seeds)
         for x, s, ev in zip(X, seeds, block):
             cost, meta = reference_shuttle(land, x, distance, 500, s)
             assert repr(ev.cost) == repr(cost)

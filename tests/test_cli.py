@@ -404,6 +404,53 @@ def test_sweep_with_bad_step_count_exits_2(tmp_path, capsys, n_steps):
     assert not (tmp_path / "grid.csv").exists()
 
 
+# Damage to one line of an 8-parameter record: (line, edit of its parsed JSON).
+RECORD_DAMAGE = {
+    "header without config": (0, lambda h: h.pop("config")),
+    "space bound not a number": (0, lambda h: h["space"][0].update(low="a")),
+    "space bound not finite": (0, lambda h: h["space"][1].update(high=float("inf"))),
+    "space not a list": (0, lambda h: h.update(space=5)),
+    "state without cov": (-1, lambda g: g["state"].pop("cov")),
+    "state not an object": (-1, lambda g: g.update(state=[])),
+    "state cov of 1 x 1": (-1, lambda g: g["state"].update(cov=[[1.0]])),
+    "state cov not finite": (-1, lambda g: g["state"].update(cov=[[float("nan")] * 8] * 8)),
+    "state of dimension 1": (-1, lambda g: g["state"].update(
+        mean=[0.5], cov=[[1.0]], p_sigma=[0.0], p_c=[0.0])),
+    "state path of length 1": (-1, lambda g: g["state"].update(p_sigma=[0.0])),
+    "state path of 2 rows": (-1, lambda g: g["state"].update(p_c=[[0.0] * 8] * 2)),
+    "state generation not an integer": (-1, lambda g: g["state"].update(generation=1.5)),
+    "state generation infinite": (-1, lambda g: g["state"].update(generation=float("inf"))),
+    "candidate without x": (-1, lambda g: g["candidates"][0].pop("x")),
+    "candidate x of length 1": (-1, lambda g: g["candidates"][1].update(x=[0.5])),
+    "candidate x not numbers": (-1, lambda g: g["candidates"][0].update(x=["a"] * 8)),
+    "candidate x with a null": (-1, lambda g: g["candidates"][0].update(x=[None] * 8)),
+}
+
+
+@pytest.mark.parametrize("damage", list(RECORD_DAMAGE))
+def test_a_damaged_record_exits_2_from_analyze_and_resume(tmp_path, capsys, damage):
+    cfg = write_json(tmp_path / "run.json", {
+        "task": "shuttle", "generations": 7, "population": 8, "seed": 2,
+    })
+    out = tmp_path / "rec"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["analyze", "--record", str(out), "--hdmr", "--cov-pairs", "0,1"]) == 0
+    capsys.readouterr()
+    path = out / harness.RECORD_NAME
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    index, edit = RECORD_DAMAGE[damage]
+    edit(lines[index])
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    damaged = path.read_bytes()
+    with pytest.raises(harness.ConfigError, match="is malformed"):
+        harness.load_record(out)
+    assert main(["analyze", "--record", str(out), "--hdmr", "--cov-pairs", "0,1"]) == 2
+    assert "is malformed" in capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--out", str(out), "--resume"]) == 2
+    assert "is malformed" in capsys.readouterr().err
+    assert path.read_bytes() == damaged
+
+
 def test_analyze_missing_record_exits_2(tmp_path):
     assert main(["analyze", "--record", str(tmp_path / "void"), "--hdmr"]) == 2
 

@@ -131,8 +131,7 @@ def test_evaluators_look_up_their_backend_at_call_time(monkeypatch, task, module
     calls = []
 
     def counting(*args, **kwargs):
-        seeds = kwargs["shot_seed"]
-        calls.append(list(seeds) if np.ndim(seeds) else [seeds])
+        calls.append(list(kwargs["shot_seeds"]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)

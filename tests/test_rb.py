@@ -151,26 +151,27 @@ def test_per_gate_fidelity_convention():
 
 
 def test_exact_calibration_returns_every_sequence():
-    ev = rb_backend_evaluate(RbConfig(seed=3), CALIBRATED)
+    ev = rb_backend_evaluate(RbConfig(seed=3), CALIBRATED, [None])[0]
     assert abs(ev.cost) < 1e-9
 
 
 def test_amplitude_duration_product_invariance():
     cfg = RbConfig(seed=5)
-    base = rb_backend_evaluate(cfg, np.array([12.5, 10.0, RESONANCE_MHZ])).cost
+    base = rb_backend_evaluate(cfg, np.array([12.5, 10.0, RESONANCE_MHZ]), [None])[0].cost
     for s in (0.5, 0.8, 1.25, 2.0):
-        scaled = rb_backend_evaluate(cfg, np.array([12.5 / s, 10.0 * s, RESONANCE_MHZ])).cost
+        scaled = rb_backend_evaluate(cfg, np.array([12.5 / s, 10.0 * s, RESONANCE_MHZ]),
+                                     [None])[0].cost
         assert abs(scaled - base) < 1e-12
 
 
 def test_detuning_strictly_degrades_cost():
     cfg = RbConfig(seed=2)
     offsets = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
-    costs = [rb_backend_evaluate(cfg, np.array([12.5, 10.0, RESONANCE_MHZ + df])).cost
+    costs = [rb_backend_evaluate(cfg, np.array([12.5, 10.0, RESONANCE_MHZ + df]), [None])[0].cost
              for df in offsets]
     assert all(b > a for a, b in zip(costs, costs[1:]))
-    costs_neg = [rb_backend_evaluate(cfg, np.array([12.5, 10.0, RESONANCE_MHZ - df])).cost
-                 for df in offsets]
+    costs_neg = [rb_backend_evaluate(cfg, np.array([12.5, 10.0, RESONANCE_MHZ - df]),
+                                     [None])[0].cost for df in offsets]
     assert all(b > a for a, b in zip(costs_neg, costs_neg[1:]))
 
 
@@ -215,7 +216,7 @@ def dense_oracle(cfg, t_d, amplitude, frequency):
 def test_five_percent_overrotation_matches_dense_oracle():
     cfg = RbConfig(sequence_length=30, n_randomizations=15, seed=8)
     x = np.array([12.5, 10.5, RESONANCE_MHZ])  # 5% amplitude overdrive
-    backend = rb_backend_evaluate(cfg, x).cost
+    backend = rb_backend_evaluate(cfg, x, [None])[0].cost
     oracle = dense_oracle(cfg, 12.5, 10.5, RESONANCE_MHZ)
     assert abs(backend - oracle) < 1e-10
 
@@ -223,7 +224,7 @@ def test_five_percent_overrotation_matches_dense_oracle():
 def test_off_resonance_matches_dense_oracle():
     cfg = RbConfig(sequence_length=20, n_randomizations=10, seed=13)
     x = np.array([13.0, 9.0, RESONANCE_MHZ + 2.0])
-    backend = rb_backend_evaluate(cfg, x).cost
+    backend = rb_backend_evaluate(cfg, x, [None])[0].cost
     oracle = dense_oracle(cfg, 13.0, 9.0, RESONANCE_MHZ + 2.0)
     assert abs(backend - oracle) < 1e-10
 
@@ -246,12 +247,12 @@ def test_rb_sequences_are_seeded_and_inverted():
 def test_shot_sampling_is_deterministic_and_noisy():
     cfg = RbConfig(seed=4, shots_per_sequence=50)
     x = np.array([12.0, 9.5, RESONANCE_MHZ + 1.0])
-    a = rb_backend_evaluate(cfg, x, shot_seed=1)
-    b = rb_backend_evaluate(cfg, x, shot_seed=1)
-    c = rb_backend_evaluate(cfg, x, shot_seed=2)
+    a = rb_backend_evaluate(cfg, x, [1])[0]
+    b = rb_backend_evaluate(cfg, x, [1])[0]
+    c = rb_backend_evaluate(cfg, x, [2])[0]
     assert a.cost == b.cost
     assert a.cost != c.cost
-    exact = rb_backend_evaluate(cfg, x).cost
+    exact = rb_backend_evaluate(cfg, x, [None])[0].cost
     assert abs(a.cost - exact) < 0.2
 
 
@@ -265,9 +266,9 @@ def test_decay_curve_decreases_with_length_when_miscalibrated():
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        rb_backend_evaluate(RbConfig(), np.array([0.0, 10.0, RESONANCE_MHZ]))
+        rb_backend_evaluate(RbConfig(), np.array([0.0, 10.0, RESONANCE_MHZ]), [None])
     with pytest.raises(ValueError):
-        rb_backend_evaluate(RbConfig(), np.array([12.5, -1.0, RESONANCE_MHZ]))
+        rb_backend_evaluate(RbConfig(), np.array([12.5, -1.0, RESONANCE_MHZ]), [None])
     with pytest.raises(ValueError):
         RbConfig(sequence_length=0)
 
@@ -307,8 +308,8 @@ def test_block_equals_its_rows_bit_for_bit(data):
         except ValueError as err:
             return f"ValueError: {err}"
 
-    block = outcome(lambda: rb_backend_evaluate(cfg, X, shot_seed=seeds))
-    rows = [outcome(lambda i=i: rb_backend_evaluate(cfg, X[i], shot_seed=seeds[i]))
+    block = outcome(lambda: rb_backend_evaluate(cfg, X, shot_seeds=seeds))
+    rows = [outcome(lambda i=i: rb_backend_evaluate(cfg, X[i], shot_seeds=[seeds[i]])[0])
             for i in range(n)]
     if bad is None:
         assert block == f"[{', '.join(rows)}]"
@@ -319,7 +320,7 @@ def test_block_equals_its_rows_bit_for_bit(data):
 def test_stacked_composition_matches_the_dense_oracle_per_row():
     cfg = RbConfig(sequence_length=20, n_randomizations=10, seed=13)
     X = np.array([[13.0, 9.0, RESONANCE_MHZ + 2.0], [12.5, 10.5, RESONANCE_MHZ]])
-    for x, ev in zip(X, rb_backend_evaluate(cfg, X)):
+    for x, ev in zip(X, rb_backend_evaluate(cfg, X, [None] * len(X))):
         assert abs(ev.cost - dense_oracle(cfg, *x)) < 1e-10
 
 
@@ -329,7 +330,7 @@ def test_exact_cost_equals_the_sequence_by_sequence_product_bit_for_bit():
     cfg = RbConfig(seed=3)
     rng = np.random.default_rng(0)
     X = rng.uniform([10.0, 7.0, 995.0], [16.0, 13.0, 1005.0], (6, 3))
-    for x, ev in zip(X, rb_backend_evaluate(cfg, X)):
+    for x, ev in zip(X, rb_backend_evaluate(cfg, X, [None] * len(X))):
         primitives = {name: reference_primitive(name, *(float(v) for v in x))
                       for name in PRIMITIVE_NAMES}
         probs = []
