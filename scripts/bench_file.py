@@ -11,6 +11,8 @@ holds each tree's ``git rev-parse HEAD`` (suffixed ``-dirty`` when tracked
 files were edited since; null outside a git checkout) and, per tree and
 workload, the median and quartiles of each end-to-end metric, how many runs
 were correct, the failed operations, and the machine line of the first run.
+Under ``per_layer`` it keeps the same summary of the generation latencies
+the report line of each run prints; claims stay on the end-to-end metrics.
 Standard library only.
 """
 
@@ -28,20 +30,22 @@ WORKLOADS = ("readout_batch", "ramp_grid", "gate_loop", "shuttle_campaign")
 SEEDS = (11, 12, 13, 14, 15)
 SECONDS = 15
 METRICS = ("setup_s", "wall_s", "evals_per_s", "peak_rss_mb")
+PER_LAYER = ("gen_ms_p50", "gen_ms_p90")
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """One benchmark run: its machine line and its result object."""
+    """One benchmark run: its machine line, its report and its result object."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
     lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
     machine = next((line["machine"] for line in lines if "machine" in line), None)
+    report = next((line["report"] for line in lines if "report" in line), {})
     result = lines[-1] if lines and "correct" in lines[-1] else None
     if proc.returncode != 0 or result is None:
         print(f"{tree} {workload} seed {seed} exited {proc.returncode}:\n{proc.stderr}",
               file=sys.stderr)
-    return {"machine": machine, "result": result}
+    return {"machine": machine, "report": report, "result": result}
 
 
 def head_commit(tree: Path) -> str | None:
@@ -57,15 +61,22 @@ def head_commit(tree: Path) -> str | None:
     return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
 def summarize(runs: list[dict]) -> dict:
-    results = [r["result"] for r in runs if r["result"] is not None]
+    done = [r for r in runs if r["result"] is not None]
+    results = [r["result"] for r in done]
     out = {"runs": len(runs), "correct": sum(bool(r["correct"]) for r in results),
-           "failed": sum(r["failed"] for r in results), "metrics": {}}
-    for name in METRICS:
-        values = [r["metrics"][name]["value"] for r in results]
-        if len(values) >= 2:
-            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-            out["metrics"][name] = {"median": median, "q1": q1, "q3": q3, "values": values}
+           "failed": sum(r["failed"] for r in results), "metrics": {}, "per_layer": {}}
+    for key, names, source in (("metrics", METRICS, [r["metrics"] for r in results]),
+                               ("per_layer", PER_LAYER, [r["report"] for r in done])):
+        for name in names:
+            values = [block[name]["value"] for block in source if name in block]
+            if len(values) >= 2:
+                out[key][name] = quartiles(values)
     return out
 
 

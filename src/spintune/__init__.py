@@ -5,7 +5,7 @@ parameters against physics-backed simulated backends, with post-hoc
 sensitivity and covariance analysis.
 """
 
-from .cmaes import Candidate, DistributionState, StrategyParams, ask, tell
+from .cmaes import DistributionState, StrategyParams, ask, tell
 from .dqd import (
     DqdConfig,
     NoiseModel,
@@ -48,7 +48,7 @@ from .harness import BatchResult, RunConfig, RunRecord, batch, export, load_reco
 __version__ = "0.1.0"
 
 __all__ = [
-    "Candidate", "DistributionState", "StrategyParams", "ask", "tell",
+    "DistributionState", "StrategyParams", "ask", "tell",
     "DqdConfig", "NoiseModel", "StateVector", "evolve", "hamiltonian",
     "initialization_fidelity", "sweep_fidelity_grid",
     "CostEvaluation", "HiddenLandscape", "ParameterSpace", "ReadoutShots",

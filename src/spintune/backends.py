@@ -370,7 +370,7 @@ def _seeded_rows(x: np.ndarray, dim: int, shot_seeds) -> np.ndarray:
 def _unit_rows(landscape: HiddenLandscape, x: np.ndarray, shot_seeds, n_shots: int) -> np.ndarray:
     """The checked (n, d) block of a landscape backend, clipped to the unit cube."""
     block = _seeded_rows(x, landscape.optimum.size, shot_seeds)
-    if np.any(block < -1e-9) or np.any(block > 1 + 1e-9):
+    if not np.all((block >= -1e-9) & (block <= 1 + 1e-9)):  # nan fails it too
         raise ValueError("candidate outside the unit cube")
     if landscape.shot_noise and n_shots <= 0:
         raise ValueError("n_shots must be positive")

@@ -1,17 +1,17 @@
 """Rank-based evolution strategy with covariance matrix adaptation.
 
-The optimizer is a pure ask/tell pair. ``ask`` samples one generation of
-candidates from the current search distribution, ``tell`` consumes the
-evaluated candidates and returns the updated distribution. No cost values
-enter the update directly, only the candidate ranking, so the strategy is
-invariant under monotone transformations of the cost.
-
+A pure ask/tell pair on one generation as a block, the lambda x n sample
+matrix of Hansen's tutorial (arXiv:1604.00772). ``ask`` returns the points
+and their steps, ``points = mean + sigma * steps``; ``tell`` takes the steps
+and one cost per row and returns the updated distribution. Only the row
+ranking enters the update (non-finite costs last, ties to the earlier row),
+so the strategy is invariant under monotone transformations of the cost.
 No strategy constant is an option: ``StrategyParams`` derives each one from
-the dimension and the population size (Hansen, arXiv:1604.00772).
+the dimension and the population size.
 
 Sampling is counter-based: the normal draws for a generation are fully
 determined by (seed, generation), so asking the same state twice returns
-byte-identical candidates and an interrupted run can be resumed exactly.
+byte-identical points and an interrupted run can be resumed exactly.
 """
 
 from __future__ import annotations
@@ -91,6 +91,9 @@ class DistributionState:
         for name, shape in (("cov", (n, n)), ("p_sigma", (n,)), ("p_c", (n,))):
             if np.shape(getattr(self, name)) != shape:
                 raise ValueError(f"{name} shape {np.shape(getattr(self, name))} does not match {n}")
+        for name in ("mean", "p_sigma", "p_c"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         cov = np.asarray(self.cov, dtype=float)
         scale = max(np.abs(cov).max(), 1.0)
         if not np.abs(cov - cov.T).max() <= 1e-12 * scale:  # also refuses nan and inf
@@ -112,22 +115,6 @@ class DistributionState:
             p_c=np.zeros(n),
             generation=0,
         )
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One sampled search point.
-
-    ``x_raw = mean + sigma * y`` is the point as sampled; ``x`` is the same
-    point clipped into the unit cube for evaluation. The distribution update
-    uses ``y`` only, i.e. the unclipped displacement.
-    """
-
-    id: int
-    z: np.ndarray
-    y: np.ndarray
-    x_raw: np.ndarray
-    x: np.ndarray
 
 
 def _repaired_eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,56 +144,39 @@ def _inv_sqrt_cov(cov: np.ndarray) -> np.ndarray:
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 
-def ask(state: DistributionState, params: StrategyParams) -> list[Candidate]:
-    """Sample one generation of candidates from the current distribution.
+def ask(state: DistributionState, params: StrategyParams) -> tuple[np.ndarray, np.ndarray]:
+    """Sample one generation: (points, steps), two (population, dimension) arrays.
 
-    The draw is keyed by (params.seed, state.generation): asking the same
-    state twice returns identical candidates.
+    ``points = mean + sigma * steps``. The draw is keyed by (params.seed,
+    state.generation): asking the same state twice returns identical arrays.
     """
     n = params.dimension
     if state.mean.shape[0] != n:
         raise ValueError("state dimension does not match strategy dimension")
-    sqrt_c = _sqrt_cov(state.cov)
     rng = np.random.default_rng((params.seed, state.generation))
-    z = rng.standard_normal((params.population, n))
-    y = z @ sqrt_c.T
-    x_raw = state.mean + state.sigma * y
-    x = np.clip(x_raw, 0.0, 1.0)
-    return [
-        Candidate(id=i, z=z[i], y=y[i], x_raw=x_raw[i], x=x[i])
-        for i in range(params.population)
-    ]
+    steps = rng.standard_normal((params.population, n)) @ _sqrt_cov(state.cov).T
+    return state.mean + state.sigma * steps, steps
 
 
-def _rank(evaluated: Sequence[tuple[Candidate, float]]) -> list[Candidate]:
-    """Candidates sorted by cost; non-finite costs rank worst, ties break by id."""
-    if not any(math.isfinite(cost) for _, cost in evaluated):
+def tell(state: DistributionState, params: StrategyParams, steps: np.ndarray,
+         costs: Sequence[float]) -> DistributionState:
+    """Update the distribution from one generation's steps and their costs, row for row.
+
+    Rows are ranked by cost; non-finite costs rank worst and ties go to the
+    earlier row.
+    """
+    n, lam = params.dimension, params.population
+    if np.shape(steps) != (lam, n):
+        raise ValueError(f"expected steps of shape {(lam, n)}, got {np.shape(steps)}")
+    costs = np.asarray(costs, dtype=float)
+    if costs.shape != (lam,):
+        raise ValueError(f"expected {lam} costs, got shape {costs.shape}")
+    finite = np.isfinite(costs)
+    if not finite.any():
         raise ValueError("all candidate costs are non-finite")
-    keyed = [
-        (cost if math.isfinite(cost) else math.inf, cand.id, cand)
-        for cand, cost in evaluated
-    ]
-    keyed.sort(key=lambda t: (t[0], t[1]))
-    return [cand for _, _, cand in keyed]
 
-
-def tell(
-    state: DistributionState,
-    params: StrategyParams,
-    evaluated: Sequence[tuple[Candidate, float]],
-) -> DistributionState:
-    """Consume one evaluated generation and return the updated distribution."""
-    n = params.dimension
-    lam = params.population
-    if len(evaluated) != lam:
-        raise ValueError(f"expected {lam} evaluated candidates, got {len(evaluated)}")
-    ids = sorted(cand.id for cand, _ in evaluated)
-    if ids != list(range(lam)):
-        raise ValueError("evaluated candidates must cover ids 0..population-1 exactly once")
-
-    ranked = _rank(evaluated)
-    selected = ranked[: params.parents]
-    y_sel = np.stack([cand.y for cand in selected])
+    order = np.argsort(np.where(finite, costs, np.inf), kind="stable")
+    y_sel = np.asarray(steps)[order[: params.parents]]
     y_w = params.weights @ y_sel
 
     mean = state.mean + state.sigma * y_w

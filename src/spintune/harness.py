@@ -1,10 +1,11 @@
 """Closed-loop run orchestration with persisted, resumable records.
 
-A run wires one task backend to the optimizer: ask for candidates,
-evaluate the whole generation in one backend call (one reproducible shot
-seed per candidate), tell the ranked results back, and append one JSON
-line per generation to the record file. Identical configs produce byte-identical record files;
-wall-clock timings go to a separate sidecar so they never break that.
+A run wires one task backend to the optimizer: ask for a generation of
+points, clip them into the unit cube, evaluate them in one backend call
+(one reproducible shot seed per row), tell the steps and costs back, and
+append one JSON line per generation to the record file. Identical configs
+produce byte-identical record files; wall-clock timings go to a separate
+sidecar so they never break that.
 
 Errors: ConfigError for an invalid config, fixture or stored record;
 EvaluationError when every candidate of a generation fails, raised before
@@ -357,23 +358,21 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
 
         for gen in range(len(done), config.generations):
             ticks = [time.perf_counter()]  # and the end of each phase timed in the sidecar
-            candidates = cmaes.ask(state, params)
+            points, steps = cmaes.ask(state, params)
             ticks.append(time.perf_counter())
-            X = np.array([cand.x for cand in candidates])
+            X = np.clip(points, 0.0, 1.0)  # evaluated in the unit cube; tell gets the raw steps
             results = _evaluate_generation(evaluate, X, config.seed, gen)
             ticks.append(time.perf_counter())
             if not any(math.isfinite(cost) for cost, _ in results):
                 cost, meta = results[0]
                 raise EvaluationError(f"every candidate of generation {gen} failed; the first: "
                                       f"{meta.get('error', f'cost {cost}')}")
-            evaluated = []
             cand_rows = []
-            for cand, x, (cost, meta) in zip(candidates, space.denormalize(X).tolist(), results):
-                evaluated.append((cand, cost))
-                cand_rows.append({"id": cand.id, "x": x, "cost": cost, "meta": meta})
+            for i, (x, (cost, meta)) in enumerate(zip(space.denormalize(X).tolist(), results)):
+                cand_rows.append({"id": i, "x": x, "cost": cost, "meta": meta})
                 if cost < best_cost:
                     best_cost, best_params = cost, x
-            state = cmaes.tell(state, params, evaluated)
+            state = cmaes.tell(state, params, steps, [cost for cost, _ in results])
             rec = GenerationRecord(
                 generation=gen,
                 candidates=cand_rows,
@@ -470,8 +469,9 @@ def load_record(record_dir: Path | str) -> RunRecord:
     Only the final line may be torn, as a crash mid-write leaves it; it is
     dropped. A null candidate cost, as a failed candidate is written, reads
     back as +inf. Any other unreadable line, a first line that is not the
-    header, generation numbers other than 0, 1, 2, ..., or a malformed
-    header, candidate x row or search distribution raise ConfigError.
+    header, generation numbers other than 0, 1, 2, ..., candidate ids other
+    than 0..n-1 in order, or a malformed header, candidate x row or search
+    distribution (a non-finite mean or path included) raise ConfigError.
     """
     path = Path(record_dir) / RECORD_NAME
     if not path.exists():
@@ -504,6 +504,8 @@ def load_record(record_dir: Path | str) -> RunRecord:
         try:
             candidates = [{**cand, "cost": _stored_cost(cand["cost"])}
                           for cand in payload["candidates"]]
+            if [cand.get("id") for cand in candidates] != list(range(len(candidates))):
+                raise ValueError("candidate ids are not 0..n-1 in order")
             xs = np.array([cand["x"] for cand in candidates], dtype=float)
             if xs.shape != (len(candidates), space.dimension) or not np.isfinite(xs).all():
                 raise ValueError(f"candidate x values are not finite rows of {space.dimension}")

@@ -25,10 +25,10 @@ def minimize(fn, dimension, population, seed, mean0, sigma0, budget, target):
     state = cmaes.DistributionState.initial(mean0, sigma=sigma0)
     best = np.inf
     for _ in range(budget):
-        candidates = cmaes.ask(state, params)
-        scored = [(c, float(fn(c.x_raw))) for c in candidates]
-        state = cmaes.tell(state, params, scored)
-        best = min(best, min(cost for _, cost in scored))
+        points, steps = cmaes.ask(state, params)
+        costs = [float(fn(x)) for x in points]
+        state = cmaes.tell(state, params, steps, costs)
+        best = min(best, min(costs))
         if best < target:
             break
     return best, state

@@ -239,7 +239,8 @@ def _unit_block(data, dim):
     X = rng.uniform(0.0, 1.0, (n, dim))
     X[rng.random((n, dim)) < 0.05] = data.draw(st.sampled_from([0.0, 1.0, 1.0 + 1e-10]))
     seeds = rng.integers(0, 2**32, n).tolist()
-    bad = data.draw(st.sampled_from([None, -0.01, 1.5]), label="out-of-cube value")
+    bad = data.draw(st.sampled_from([None, -0.01, 1.5, float("nan")]),
+                     label="out-of-cube value")
     if bad is not None:
         X[data.draw(st.integers(0, n - 1), label="bad row"), rng.integers(dim)] = bad
     return X, seeds, bad

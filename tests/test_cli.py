@@ -420,10 +420,14 @@ RECORD_DAMAGE = {
     "state path of 2 rows": (-1, lambda g: g["state"].update(p_c=[[0.0] * 8] * 2)),
     "state generation not an integer": (-1, lambda g: g["state"].update(generation=1.5)),
     "state generation infinite": (-1, lambda g: g["state"].update(generation=float("inf"))),
+    "state mean not finite": (-1, lambda g: g["state"]["mean"].__setitem__(0, float("nan"))),
+    "state path not finite": (-1, lambda g: g["state"]["p_c"].__setitem__(3, float("inf"))),
     "candidate without x": (-1, lambda g: g["candidates"][0].pop("x")),
     "candidate x of length 1": (-1, lambda g: g["candidates"][1].update(x=[0.5])),
     "candidate x not numbers": (-1, lambda g: g["candidates"][0].update(x=["a"] * 8)),
     "candidate x with a null": (-1, lambda g: g["candidates"][0].update(x=[None] * 8)),
+    "candidate without id": (-1, lambda g: g["candidates"][3].pop("id")),
+    "candidate ids out of order": (-1, lambda g: g["candidates"].reverse()),
 }
 
 

@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spintune.cmaes import (
-    Candidate,
     DistributionState,
     StrategyParams,
     ask,
@@ -20,10 +21,10 @@ def run_minimizer(fn, n, population, seed, generations, sigma=1.0, mean=None):
     state = DistributionState.initial(mean, sigma=sigma)
     best = np.inf
     for _ in range(generations):
-        cands = ask(state, params)
-        evaluated = [(c, fn(c.x_raw)) for c in cands]
-        best = min(best, min(cost for _, cost in evaluated))
-        state = tell(state, params, evaluated)
+        points, steps = ask(state, params)
+        costs = [fn(x) for x in points]
+        best = min(best, min(costs))
+        state = tell(state, params, steps, costs)
     return best, state
 
 
@@ -53,36 +54,32 @@ def test_default_parents_are_half_population():
 def test_ask_returns_population_and_records_z_y_x():
     params = StrategyParams.defaults(3, population=8, seed=5)
     state = DistributionState.initial(np.full(3, 0.5), sigma=0.25)
-    cands = ask(state, params)
-    assert len(cands) == 8
-    for c in cands:
-        assert isinstance(c, Candidate)
-        np.testing.assert_allclose(c.x_raw, state.mean + state.sigma * c.y, atol=1e-14)
-        np.testing.assert_allclose(c.x, np.clip(c.x_raw, 0.0, 1.0), atol=0)
-    # identity covariance: y equals z exactly
-    for c in cands:
-        np.testing.assert_allclose(c.y, c.z, atol=1e-14)
+    points, steps = ask(state, params)
+    assert points.shape == steps.shape == (8, 3)
+    np.testing.assert_allclose(points, state.mean + state.sigma * steps, atol=1e-14)
+    # identity covariance: the steps are the normal draw z itself
+    z = np.random.default_rng((5, 0)).standard_normal((8, 3))
+    np.testing.assert_allclose(steps, z, atol=1e-14)
 
 
 def test_ask_is_deterministic_in_seed_and_generation():
     params = StrategyParams.defaults(4, population=6, seed=9)
     state = DistributionState.initial(np.zeros(4))
-    a = ask(state, params)
-    b = ask(state, params)
-    for ca, cb in zip(a, b):
-        assert np.array_equal(ca.z, cb.z)
+    a_points, a_steps = ask(state, params)
+    b_points, b_steps = ask(state, params)
+    assert np.array_equal(a_steps, b_steps) and np.array_equal(a_points, b_points)
     # a different generation draws a different block
-    bumped = tell(state, params, [(c, sphere(c.x_raw)) for c in a])
-    c2 = ask(bumped, params)
-    assert not np.array_equal(a[0].z, c2[0].z)
+    bumped = tell(state, params, a_steps, [sphere(x) for x in a_points])
+    _, c_steps = ask(bumped, params)
+    assert not np.array_equal(a_steps[0], c_steps[0])
 
 
 def test_tell_increments_generation_and_keeps_covariance_symmetric():
     params = StrategyParams.defaults(5, population=10, seed=1)
     state = DistributionState.initial(np.zeros(5))
     for _ in range(10):
-        cands = ask(state, params)
-        state = tell(state, params, [(c, sphere(c.x_raw)) for c in cands])
+        points, steps = ask(state, params)
+        state = tell(state, params, steps, [sphere(x) for x in points])
     assert state.generation == 10
     np.testing.assert_allclose(state.cov, state.cov.T, atol=1e-12)
     assert np.all(np.linalg.eigvalsh(state.cov) > 0)
@@ -91,20 +88,48 @@ def test_tell_increments_generation_and_keeps_covariance_symmetric():
 def test_tell_requires_full_generation():
     params = StrategyParams.defaults(3, population=6, seed=2)
     state = DistributionState.initial(np.zeros(3))
-    cands = ask(state, params)
+    points, steps = ask(state, params)
+    costs = [sphere(x) for x in points]
     with pytest.raises(ValueError):
-        tell(state, params, [(cands[0], 1.0)])
+        tell(state, params, steps[:1], costs[:1])
+    with pytest.raises(ValueError):
+        tell(state, params, steps[:, :2], costs)
+    with pytest.raises(ValueError):
+        tell(state, params, steps, costs[:-1])
+    with pytest.raises(ValueError):
+        tell(state, params, steps, [math.nan] * 3 + [math.inf] * 3)
 
 
 def test_tell_ranks_by_cost_not_input_order():
     params = StrategyParams.defaults(3, population=6, seed=7)
     state = DistributionState.initial(np.zeros(3))
-    cands = ask(state, params)
-    evaluated = [(c, sphere(c.x_raw)) for c in cands]
-    forward = tell(state, params, evaluated)
-    shuffled = tell(state, params, list(reversed(evaluated)))
+    points, steps = ask(state, params)
+    costs = [sphere(x) for x in points]
+    forward = tell(state, params, steps, costs)
+    shuffled = tell(state, params, steps[::-1], costs[::-1])
     np.testing.assert_allclose(forward.mean, shuffled.mean, atol=0)
     np.testing.assert_allclose(forward.cov, shuffled.cov, atol=0)
+
+
+_COST_POOL = (0.0, 0.0, 0.5, 1.0, 2.0, math.inf, -math.inf, math.nan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.integers(2, 12), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_tell_ranks_rows_by_cost_then_row_number(lam, n, seed, data):
+    # non-finite costs rank worst, ties go to the earlier row: the update equals
+    # the one for the rows sorted by (finite cost or inf, row) and costed 0..lam-1
+    costs = data.draw(st.lists(st.sampled_from(_COST_POOL), min_size=lam, max_size=lam)
+                      .filter(lambda cs: any(math.isfinite(c) for c in cs)))
+    params = StrategyParams(n, lam, seed)
+    state = DistributionState.initial(np.full(n, 0.5), sigma=0.3)
+    _, steps = ask(state, params)
+    order = sorted(range(lam), key=lambda i: (costs[i] if math.isfinite(costs[i]) else math.inf, i))
+    got = tell(state, params, steps, costs)
+    want = tell(state, params, steps[order], list(range(lam)))
+    for name, value in vars(got).items():
+        assert np.array_equal(value, vars(want)[name]), name
 
 
 def test_mean_moves_toward_sphere_optimum():
@@ -129,6 +154,12 @@ def test_parameter_validation():
         StrategyParams.defaults(3, population=1)
     with pytest.raises(ValueError):
         DistributionState.initial(np.zeros(3), sigma=-1.0)
+    for name in ("mean", "p_sigma", "p_c"):
+        for bad in (math.nan, math.inf):
+            fields = vars(DistributionState.initial(np.zeros(3))).copy()
+            fields[name] = np.array([0.0, bad, 0.0])
+            with pytest.raises(ValueError, match=name):
+                DistributionState(**fields)
 
 
 def test_derived_constants_are_not_arguments():
@@ -166,7 +197,7 @@ def test_degenerate_direction_is_repaired_not_fatal():
         return float(x[0] ** 2 + x[1] ** 2)
 
     for _ in range(60):
-        cands = ask(state, params)
-        state = tell(state, params, [(c, flat_axis(c.x_raw)) for c in cands])
+        points, steps = ask(state, params)
+        state = tell(state, params, steps, [flat_axis(x) for x in points])
     assert np.all(np.isfinite(state.cov))
     assert np.all(np.linalg.eigvalsh(state.cov) > 0)
