@@ -13,7 +13,11 @@ workload, the median and quartiles of each end-to-end metric, how many runs
 were correct, the failed operations, and the machine line of the first run.
 Under ``per_layer`` it keeps the same summary of the generation latencies
 the report line of each run prints; claims stay on the end-to-end metrics.
-Standard library only.
+With ``--parent``, ``pairs`` holds, per workload and end-to-end metric, how
+many seed pairs the change won, lost and tied, by the metric's direction
+(``end_to_end[].better`` in BENCHMARK.json), and how many it skipped because
+either run has no result; a claim can be checked against a pair rule from
+the file alone. Standard library only.
 """
 
 from __future__ import annotations
@@ -80,6 +84,27 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
+def pair_counts(change: list[dict], parent: list[dict], better: dict) -> dict:
+    """Per metric, the seed pairs the change won, lost and tied, and those it skipped.
+
+    ``better`` maps each metric to the direction that wins, "lower" or "higher".
+    """
+    out = {}
+    for name, direction in better.items():
+        counts = dict.fromkeys(("won", "lost", "tied", "skipped"), 0)
+        for pair in zip(change, parent):
+            new, old = (r["result"]["metrics"].get(name, {}).get("value") if r["result"]
+                        else None for r in pair)
+            if new is None or old is None:
+                counts["skipped"] += 1
+            elif new == old:
+                counts["tied"] += 1
+            else:
+                counts["won" if (new < old) == (direction == "lower") else "lost"] += 1
+        out[name] = counts
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the file name")
@@ -109,6 +134,11 @@ def main(argv=None) -> int:
         "trees": {label: {w: summarize(r) for w, r in by_workload.items()}
                   for label, by_workload in runs.items()},
     }
+    if "parent" in runs:
+        better = {metric["name"]: metric["better"] for metric
+                  in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+        payload["pairs"] = {w: pair_counts(runs["change"][w], runs["parent"][w], better)
+                            for w in WORKLOADS}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(out)

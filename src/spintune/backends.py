@@ -5,7 +5,8 @@ visibility over 14 gate-voltage and timing parameters, and shuttling
 echo amplitude over 8 gate offsets. Both evaluate candidates in the
 normalized unit cube against a hidden landscape whose optimum is
 planted at construction, so optimizer runs can be scored against ground
-truth. The single-qubit benchmarking backend is in ``rb``.
+truth. The single-qubit benchmarking backend is in ``rb``. A landscape
+fixture is written by ``HiddenLandscape.save`` and read by ``harness``.
 
 Every cost function, here and in ``rb``, takes candidates as (n, d) rows,
 a vector being one row, and returns one result per row. Those that draw
@@ -17,7 +18,7 @@ row gives alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -309,14 +310,6 @@ class HiddenLandscape:
 
     def save(self, path: Path | str) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "HiddenLandscape":
-        return cls(**{f.name: payload[f.name] for f in fields(cls)})
-
-    @classmethod
-    def load(cls, path: Path | str) -> "HiddenLandscape":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def make_readout_landscape(seed: int, ceiling: float = READOUT_CEILING,

@@ -86,8 +86,14 @@ def _cmd_batch(args) -> int:
     return 0
 
 
-def _parse_axis(key: str, payload: dict) -> tuple:
+# The keys a sweep config and each of its axes may hold.
+_SWEEP_KEYS = ("base", "axis1", "axis2", "noise", "n_steps", "out")
+_AXIS_KEYS = ("name", "values", "start", "stop", "num", "spacing")
+
+
+def _parse_axis(key: str, payload) -> tuple:
     """(field, values) of one sweep axis; an error names the axis and its field."""
+    harness.json_keys(payload, _AXIS_KEYS, f"sweep config {key}")
     try:
         name = payload["name"]
         if "values" in payload:
@@ -106,25 +112,13 @@ def _parse_axis(key: str, payload: dict) -> tuple:
 
 def _cmd_sweep(args) -> int:
     payload = harness.read_json(args.config)
-    if not isinstance(payload, dict):
-        raise harness.ConfigError(
-            f"sweep config must be a JSON object, got {type(payload).__name__}")
-    for key in ("base", "axis1", "axis2"):
-        if not isinstance(payload.get(key, {}), dict):
-            raise harness.ConfigError(f"sweep config {key} must be a JSON object")
-    try:
-        base = dqd.DqdConfig(**payload.get("base", {}))
-    except (TypeError, ValueError) as err:
-        raise harness.ConfigError(f"bad base config: {err}") from None
+    harness.json_keys(payload, _SWEEP_KEYS, "sweep config")
+    base = harness.json_object(dqd.DqdConfig, payload.get("base", {}), "sweep config base")
     if "axis1" not in payload or "axis2" not in payload:
         raise harness.ConfigError("sweep config needs axis1 and axis2")
     axis1, axis2 = (_parse_axis(key, payload[key]) for key in ("axis1", "axis2"))
-    noise = None
-    if payload.get("noise"):
-        try:
-            noise = dqd.NoiseModel(**payload["noise"])
-        except (TypeError, ValueError) as err:
-            raise harness.ConfigError(f"bad noise model: {err}") from None
+    noise = (harness.json_object(dqd.NoiseModel, payload["noise"], "sweep config noise")
+             if payload.get("noise") not in (None, {}) else None)
     n_steps = payload.get("n_steps", dqd.GRID_STEPS)
     out = args.out if args.out is not None else payload.get("out", "grid.csv")
     if not isinstance(out, str):

@@ -117,30 +117,35 @@ class DistributionState:
         )
 
 
-def _repaired_eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric eigendecomposition with a relative floor on the eigenvalues."""
+def _repaired_eigh(cov: np.ndarray, warn: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric eigendecomposition with a relative floor on the eigenvalues.
+
+    ``ask`` and ``tell`` repair the same matrix; only ``ask``, which samples
+    the repaired one, warns, so each repair warns once.
+    """
     vals, vecs = np.linalg.eigh(cov)
     top = vals[-1]
     if not np.isfinite(top) or top <= 0.0:
         raise ValueError("covariance has no positive eigenvalue; cannot repair")
     floor = EIGENVALUE_FLOOR * top
     if vals[0] < floor:
-        warnings.warn(
-            f"covariance eigenvalue {vals[0]:.3e} below floor {floor:.3e}; repairing",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        if warn:
+            warnings.warn(
+                f"covariance eigenvalue {vals[0]:.3e} below floor {floor:.3e}; repairing",
+                RuntimeWarning,
+                stacklevel=3,
+            )
         vals = np.maximum(vals, floor)
     return vals, vecs
 
 
 def _sqrt_cov(cov: np.ndarray) -> np.ndarray:
-    vals, vecs = _repaired_eigh(cov)
+    vals, vecs = _repaired_eigh(cov, warn=True)
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
 def _inv_sqrt_cov(cov: np.ndarray) -> np.ndarray:
-    vals, vecs = _repaired_eigh(cov)
+    vals, vecs = _repaired_eigh(cov, warn=False)
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 

@@ -5,12 +5,15 @@ points, clip them into the unit cube, evaluate them in one backend call
 (one reproducible shot seed per row), tell the steps and costs back, and
 append one JSON line per generation to the record file. Identical configs
 produce byte-identical record files; wall-clock timings go to a separate
-sidecar so they never break that.
+sidecar so they never break that. Configs and fixtures a user writes are
+read by ``json_object``, which refuses unknown keys; a fixture file is read
+once, and its object, not its path, is what a run holds and records.
 
 Errors: ConfigError for an invalid config, fixture or stored record;
 EvaluationError when every candidate of a generation fails, raised before
 that generation is written, so the record can be resumed once the cause is
-fixed.
+fixed. A candidate whose evaluation raises or whose cost is not finite is
+failed: cost +inf and an ``error`` in its metadata.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ __all__ = [
     "batch",
     "load_record",
     "read_json",
+    "json_keys",
+    "json_object",
     "evaluated_samples",
     "EXPORTS",
     "export",
@@ -73,13 +78,33 @@ _MAX_SHOTS = 2**63 - 1
 
 
 def read_json(path: Path | str):
-    """The JSON value in a config file; a missing or unparsable file is a ConfigError."""
+    """The JSON value in a config or fixture file; a missing or unparsable file is a ConfigError."""
     try:
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ConfigError(f"file not found: {path}") from None
     except ValueError as err:  # JSONDecodeError, undecodable bytes, over-long integers
-        raise ConfigError(f"config file is not valid JSON: {err}") from None
+        raise ConfigError(f"{path} is not valid JSON: {err}") from None
+
+
+def json_keys(payload, allowed, what: str) -> None:
+    """Refuse, naming ``what``, a payload that is not a JSON object or has a key not allowed."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(payload).__name__}")
+    if unknown := sorted(set(payload) - set(allowed), key=str):
+        raise ConfigError(f"{what} has unknown keys {unknown}")
+
+
+def json_object(cls, payload, what: str):
+    """Dataclass ``cls`` from a JSON object a user wrote; a ConfigError naming ``what`` if not."""
+    json_keys(payload, [f.name for f in fields(cls)], what)
+    if missing := [f.name for f in fields(cls) if f.name not in payload
+                   and f.default is MISSING and f.default_factory is MISSING]:
+        raise ConfigError(f"{what} is missing required keys {missing}")
+    try:
+        return cls(**payload)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad {what}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -113,23 +138,13 @@ class RunConfig:
         if not isinstance(self.backend_fixture, (type(None), dict, str, os.PathLike)):
             raise ConfigError("backend_fixture must be a JSON object or a path, "
                               f"got {self.backend_fixture!r}")
-
-    def to_dict(self) -> dict:
-        payload = dict(vars(self))
-        if isinstance(self.backend_fixture, os.PathLike):
-            payload["backend_fixture"] = os.fspath(self.backend_fixture)
-        if self.output_dir is not None:
-            payload["output_dir"] = str(self.output_dir)
-        return payload
+        for name in ("output_dir", "backend_fixture"):  # a path is kept as its string
+            if isinstance(getattr(self, name), os.PathLike):
+                object.__setattr__(self, name, str(getattr(self, name)))
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        if not isinstance(payload, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(payload).__name__}")
-        for f in fields(cls):
-            if f.default is MISSING and f.name not in payload:
-                raise ConfigError(f"config is missing required key {f.name!r}")
-        return cls(**{f.name: payload[f.name] for f in fields(cls) if f.name in payload})
+        return json_object(cls, payload, "config")
 
     @classmethod
     def from_json(cls, path: Path | str) -> "RunConfig":
@@ -236,17 +251,9 @@ def _load_landscape(config: RunConfig, make_default) -> backends.HiddenLandscape
     fixture = config.backend_fixture
     if fixture is None:
         return make_default(config.seed)
-    if isinstance(fixture, dict):
-        try:
-            return backends.HiddenLandscape.from_dict(fixture)
-        except (KeyError, ValueError, TypeError) as err:
-            raise ConfigError(f"bad inline landscape fixture: {err}") from None
-    try:
-        return backends.HiddenLandscape.load(fixture)
-    except FileNotFoundError:
-        raise ConfigError(f"backend fixture not found: {fixture}") from None
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as err:
-        raise ConfigError(f"bad landscape fixture {fixture}: {err}") from None
+    return json_object(backends.HiddenLandscape,
+                       fixture if isinstance(fixture, dict) else read_json(fixture),
+                       "landscape fixture")
 
 
 def _make_evaluator(config: RunConfig, space: backends.ParameterSpace):
@@ -317,6 +324,7 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
     uninterrupted run. If every candidate of a generation fails, EvaluationError
     is raised before that generation is written.
     """
+    config = _read_fixture_file(config)
     space = space_for_task(config.task)
     evaluate = _make_evaluator(config, space)
     params = cmaes.StrategyParams.defaults(
@@ -364,9 +372,8 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
             results = _evaluate_generation(evaluate, X, config.seed, gen)
             ticks.append(time.perf_counter())
             if not any(math.isfinite(cost) for cost, _ in results):
-                cost, meta = results[0]
-                raise EvaluationError(f"every candidate of generation {gen} failed; the first: "
-                                      f"{meta.get('error', f'cost {cost}')}")
+                raise EvaluationError(f"every candidate of generation {gen} failed; "
+                                      f"the first: {results[0][1]['error']}")
             cand_rows = []
             for i, (x, (cost, meta)) in enumerate(zip(space.denormalize(X).tolist(), results)):
                 cand_rows.append({"id": i, "x": x, "cost": cost, "meta": meta})
@@ -403,7 +410,8 @@ def _evaluate_generation(evaluate, X: np.ndarray, seed: int, gen: int) -> list[t
 
     If that call raises, each candidate is evaluated alone as a one-row
     block, and only those that raise then are failed: cost inf and an
-    ``error`` in the metadata.
+    ``error`` in the metadata. A row whose cost is not finite is failed
+    the same way.
     """
     seeds = _shot_seeds(seed, gen, np.arange(len(X)))
 
@@ -411,7 +419,8 @@ def _evaluate_generation(evaluate, X: np.ndarray, seed: int, gen: int) -> list[t
         results = evaluate(rows, row_seeds)
         if len(results) != len(rows):
             raise ValueError(f"{len(results)} evaluations for {len(rows)} candidates")
-        return [(float(r.cost), r.metadata) for r in results]
+        return [(cost, r.metadata) if math.isfinite(cost := float(r.cost))
+                else (math.inf, {**r.metadata, "error": f"cost {cost}"}) for r in results]
 
     try:
         return costed(X, seeds)
@@ -431,7 +440,7 @@ def _evaluate_generation(evaluate, X: np.ndarray, seed: int, gen: int) -> list[t
 def _header_payload(config: RunConfig, space: backends.ParameterSpace) -> dict:
     from . import __version__
 
-    payload = config.to_dict()
+    payload = dict(vars(config))
     # The storage location does not define the run; keeping it out of the
     # header makes records from identical configs byte-comparable.
     payload.pop("output_dir", None)
@@ -526,7 +535,7 @@ def _check_resumable(prior: RunRecord, config: RunConfig,
     Only ``generations`` may differ, and not below the stored count:
     stored generations are never rewritten.
     """
-    old, new = prior.config.to_dict(), config.to_dict()
+    old, new = vars(prior.config), vars(config)
     changed = [key for key in new if key not in ("generations", "output_dir")
                and _dump_line(old[key]) != _dump_line(new[key])]
     if prior.space != space:
@@ -547,24 +556,31 @@ def _trim_timings(path: Path, kept: int) -> None:
     path.write_text("".join(line for line in lines if line.endswith("\n")))
 
 
-def _pin_backend_fixture(config: RunConfig) -> RunConfig:
-    """Materialize the default landscape so every repeat sees the same device.
+def _read_fixture_file(config: RunConfig) -> RunConfig:
+    """The config with a landscape task's fixture file replaced by the JSON object it holds.
 
-    A batch models repeated tune-ups of one physical sample, so the hidden
-    landscape must stay fixed while the optimizer seed and shot noise vary.
-    Without this, each derived seed would plant a different optimum.
+    The run then holds, and its header records, the device, so resume
+    compares devices rather than file names. Tasks without a landscape
+    ignore the fixture and keep it as given.
     """
-    make_default = _TASKS[config.task].landscape
-    if config.backend_fixture is not None or make_default is None:
+    fixture = config.backend_fixture
+    if _TASKS[config.task].landscape is None or fixture is None or isinstance(fixture, dict):
         return config
-    return replace(config, backend_fixture=make_default(config.seed).to_dict())
+    return replace(config, backend_fixture=read_json(fixture))
 
 
 def batch(config: RunConfig, repeats: int) -> BatchResult:
     """Repeat the run with derived seeds; failures do not abort the batch."""
-    if repeats < 1:
-        raise ConfigError("repeats must be >= 1")
-    config = _pin_backend_fixture(config)
+    try:
+        dqd._require_int("repeats", repeats, 1)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    config = _read_fixture_file(config)
+    make_default = _TASKS[config.task].landscape
+    if config.backend_fixture is None and make_default is not None:
+        # The repeats model tune-ups of one sample: with its derived seed each
+        # would otherwise plant a different optimum.
+        config = replace(config, backend_fixture=make_default(config.seed).to_dict())
     base_out = Path(config.output_dir) if config.output_dir is not None else None
     records: list = []
     rows = []
@@ -594,7 +610,7 @@ def batch(config: RunConfig, repeats: int) -> BatchResult:
     aggregate = {
         "task": config.task,
         "base_seed": config.seed,
-        "repeats": repeats,
+        "repeats": int(repeats),
         "runs": rows,
         "best_costs": best_costs,
         "band_width": (max(best_costs) - min(best_costs)) if best_costs else None,

@@ -24,6 +24,7 @@ from spintune.backends import (
     visibility,
     visibility_to_fidelity,
 )
+from spintune.harness import json_object, read_json
 from spintune.rb import RbConfig, rb_backend_evaluate
 
 
@@ -140,7 +141,7 @@ def test_landscape_serialization_round_trip(tmp_path):
     land = make_readout_landscape(9)
     path = tmp_path / "fixture.json"
     land.save(path)
-    loaded = HiddenLandscape.load(path)
+    loaded = json_object(HiddenLandscape, read_json(path), "landscape fixture")
     np.testing.assert_array_equal(loaded.optimum, land.optimum)
     np.testing.assert_array_equal(loaded.coupling, land.coupling)
     assert loaded.floor == land.floor
@@ -214,7 +215,7 @@ def test_true_visibility_caps_at_ceiling():
 
 def test_inline_fixture_dict_round_trip():
     land = make_shuttle_landscape(12)
-    again = HiddenLandscape.from_dict(json.loads(json.dumps(land.to_dict())))
+    again = json_object(HiddenLandscape, json.loads(json.dumps(land.to_dict())), "fixture")
     np.testing.assert_array_equal(again.coupling, land.coupling)
 
 

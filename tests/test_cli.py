@@ -238,12 +238,49 @@ def readout_run(fixture_changes=(), **changes):
     readout_run({"optimum": [0.5], "coupling": [[1.0]]}),
     readout_run(shots=10**30),
     readout_run(output_dir="a\u0000b"),
+    {"task": "benchmark", "generations": 2, "population": 3, "shot": 5},
+    readout_run({"shots": 5}),
 ])
 def test_wrongly_typed_config_exits_2(tmp_path, capsys, payload):
     cfg = write_json(tmp_path / "cfg.json", payload)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, payload, error", [
+    ("run", {"task": "benchmark", "generations": 2, "population": 3, "shot": 5,
+             "outputdir": "x"}, "config has unknown keys ['outputdir', 'shot']"),
+    ("run", readout_run({"shots": 5}), "landscape fixture has unknown keys ['shots']"),
+    ("run", readout_run(backend_fixture="a file"), "landscape fixture has unknown keys ['shots']"),
+    ("sweep", {"axis1": {"name": "ramp_time", "values": [1.0]},
+               "axis2": {"name": "eps_final", "values": [20.0]},
+               "nsteps": 20, "noize": {"sigma_eps": 1.0}},
+     "sweep config has unknown keys ['noize', 'nsteps']"),
+])
+def test_an_unknown_key_exits_2_and_is_named(tmp_path, capsys, command, payload, error):
+    if payload.get("backend_fixture") == "a file":
+        payload["backend_fixture"] = write_json(tmp_path / "device.json",
+                                                {**READOUT_FIXTURE, "shots": 5})
+    cfg = write_json(tmp_path / "cfg.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_resume_after_the_fixture_file_changed_exits_2(tmp_path, capsys):
+    fixture = tmp_path / "device.json"
+    backends.make_shuttle_landscape(1).save(fixture)
+    run = {"task": "shuttle", "generations": 3, "population": 4, "backend_fixture": str(fixture)}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_json(tmp_path / "run.json", run),
+                 "--out", str(out)]) == 0
+    stored = (out / harness.RECORD_NAME).read_bytes()
+    backends.make_shuttle_landscape(99).save(fixture)
+    longer = write_json(tmp_path / "longer.json", {**run, "generations": 5})
+    assert main(["run", "--config", longer, "--out", str(out), "--resume"]) == 2
+    assert "differs in backend_fixture" in capsys.readouterr().err
+    assert (out / harness.RECORD_NAME).read_bytes() == stored
 
 
 def test_sweep_without_axes_exits_2(tmp_path):
@@ -257,6 +294,10 @@ def test_sweep_without_axes_exits_2(tmp_path):
      "axis2": {"name": "eps_final", "values": [20.0]}},
     {"axis1": "ramp_time", "axis2": {"name": "eps_final", "values": [20.0]}},
     {"axis1": {"name": "ramp_time", "values": [1.0]}, "axis2": None},
+    {"axis1": {"name": "ramp_time", "values": [1.0]},
+     "axis2": {"name": "eps_final", "values": [20.0]}, "noise": []},
+    {"axis1": {"name": "ramp_time", "values": [1.0]},
+     "axis2": {"name": "eps_final", "values": [20.0]}, "noise": 0},
 ])
 def test_sweep_config_that_is_not_an_object_exits_2(tmp_path, capsys, payload):
     cfg = write_json(tmp_path / "sweep.json", payload)
@@ -315,6 +356,8 @@ def test_sweep_with_wrongly_typed_model_field_exits_2(tmp_path, capsys, section,
     ('{"name": "eps_final", "start": 20, "stop": 40, "num": 3, "spacing": "log"}',
      "axis2 (eps_final): spacing must be 'linear' or 'geom', got 'log'"),
     ('{"name": "eps_final", "values": []}', "eps_final values must be a non-empty"),
+    ('{"name": "eps_final", "start": 20, "stop": 40, "num": 3, "spaceing": "geom"}',
+     "sweep config axis2 has unknown keys ['spaceing']"),
 ])
 def test_sweep_with_a_bad_axis_value_exits_2(tmp_path, capsys, axis, field):
     cfg = tmp_path / "sweep.json"

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,6 +187,18 @@ def test_derived_constants_keep_the_strategy_invariants(n, lam):
     assert 0.0 <= params.c_mu <= 1.0
     assert params.c_1 + params.c_mu <= 1.0 + 1e-12
     assert params.d_sigma >= 1.0
+
+
+def test_a_covariance_repair_warns_once_per_generation():
+    # ask and tell both repair the same matrix; only the sampler warns
+    params = StrategyParams.defaults(3, population=6, seed=1)
+    state = replace(DistributionState.initial(np.zeros(3)), cov=np.diag([1.0, 1.0, 1e-20]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        points, steps = ask(state, params)
+        tell(state, params, steps, np.arange(6.0))
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "below floor" in str(caught[0].message)
 
 
 def test_degenerate_direction_is_repaired_not_fatal():

@@ -197,6 +197,30 @@ def test_backend_metadata_and_failures_are_json_plain(monkeypatch, task, fixture
     assert_plain(metas)
 
 
+def test_a_non_finite_cost_is_a_failed_candidate(tmp_path, monkeypatch):
+    # NaN or -inf from a backend must neither win best-so-far nor reach the record
+    real = harness._make_evaluator
+    bad = {shot_seed(0, 0, 1): float("nan"), shot_seed(0, 1, 2): -math.inf}
+
+    def factory(config, space):
+        inner = real(config, space)
+        return lambda X, seeds: [backends.CostEvaluation(bad.get(seed, ev.cost), ev.metadata)
+                                 for seed, ev in zip(seeds, inner(X, seeds))]
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    monkeypatch.setattr(harness, "_make_evaluator", factory)
+    record = harness.run(benchmark_config(generations=3, seed=0, output_dir=tmp_path))
+    for line in (tmp_path / harness.RECORD_NAME).read_text().splitlines():
+        json.loads(line, parse_constant=refuse)
+    assert all(math.isfinite(gen.best_cost) for gen in record.generations)
+    failed = [record.generations[0].candidates[1], record.generations[1].candidates[2]]
+    assert [(c["cost"], c["meta"]) for c in failed] == [
+        (math.inf, {"error": "cost nan"}), (math.inf, {"error": "cost -inf"})]
+    assert harness.load_record(tmp_path).generations == record.generations
+
+
 def test_evaluated_samples_are_the_finite_candidates_in_the_unit_cube(monkeypatch):
     cfg = RunConfig(task="shuttle", generations=3, population=6, seed=2)
     _fail_at_seed(monkeypatch, shot_seed(cfg.seed, 1, 3))
@@ -526,8 +550,9 @@ def test_batch_isolates_a_failing_repeat(monkeypatch):
 
 
 def test_batch_rejects_nonpositive_repeats():
-    with pytest.raises(ConfigError):
-        harness.batch(benchmark_config(), repeats=0)
+    for repeats in (0, True, 2.5, "3"):
+        with pytest.raises(ConfigError, match="repeats"):
+            harness.batch(benchmark_config(), repeats=repeats)
 
 
 def test_repeated_readout_tuneups_land_in_a_narrow_band():
@@ -647,6 +672,18 @@ def test_missing_fixture_file_is_a_config_error(tmp_path):
                     backend_fixture=str(tmp_path / "absent.json"))
     with pytest.raises(ConfigError):
         harness.run(cfg)
+
+
+def test_a_fixture_file_is_recorded_as_the_device_it_holds(tmp_path):
+    land = backends.make_shuttle_landscape(3, shot_noise=True)
+    land.save(tmp_path / "device.json")
+    cfg = RunConfig(task="shuttle", generations=3, population=4, seed=2, shots=50)
+    harness.run(replace(cfg, backend_fixture=tmp_path / "device.json",
+                        output_dir=tmp_path / "file"))
+    harness.run(replace(cfg, backend_fixture=land.to_dict(), output_dir=tmp_path / "inline"))
+    record = (tmp_path / "file" / harness.RECORD_NAME).read_bytes()
+    assert record == (tmp_path / "inline" / harness.RECORD_NAME).read_bytes()
+    assert harness.load_record(tmp_path / "file").config.backend_fixture == land.to_dict()
 
 
 def test_malformed_inline_fixture_is_a_config_error():
