@@ -12,7 +12,8 @@ files were edited since; null outside a git checkout) and, per tree and
 workload, the median and quartiles of each end-to-end metric, how many runs
 were correct, the failed operations, and the machine line of the first run.
 Under ``per_layer`` it keeps the same summary of the generation latencies
-the report line of each run prints; claims stay on the end-to-end metrics.
+and the record bytes written that the report line of each run prints;
+claims stay on the end-to-end metrics.
 With ``--parent``, ``pairs`` holds, per workload and end-to-end metric, how
 many seed pairs the change won, lost and tied, by the metric's direction
 (``end_to_end[].better`` in BENCHMARK.json), and how many it skipped because
@@ -34,7 +35,7 @@ WORKLOADS = ("readout_batch", "ramp_grid", "gate_loop", "shuttle_campaign")
 SEEDS = (11, 12, 13, 14, 15)
 SECONDS = 15
 METRICS = ("setup_s", "wall_s", "evals_per_s", "peak_rss_mb")
-PER_LAYER = ("gen_ms_p50", "gen_ms_p90")
+PER_LAYER = ("gen_ms_p50", "gen_ms_p90", "harness.record_bytes")
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:

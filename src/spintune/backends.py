@@ -12,7 +12,11 @@ Every cost function, here and in ``rb``, takes candidates as (n, d) rows,
 a vector being one row, and returns one result per row. Those that draw
 shots take one shot seed per row and are deterministic given it and the
 landscape seed, so a block evaluated in one call gives exactly what each
-row gives alone.
+row gives alone. Metadata holds only what the cost does not give: readout
+keeps ``true_visibility`` and shuttle ``p``, each with its ``shots`` under
+shot noise; RB keeps none. Visibility is -cost and readout fidelity
+(1 + clamp(V)) / 2; echo amplitude is 1 - cost and its noiseless value
+(1 - p) ** (distance / 10 um); RB return probability is 1 - cost.
 """
 
 from __future__ import annotations
@@ -59,8 +63,10 @@ DEFAULT_SHUTTLE_DISTANCE_UM = 172.8
 
 # Integrator steps for the embedded initialization-ramp fidelity. The
 # closed loop integrates one ramp per candidate, so it runs coarser than the
-# standalone quantum-sim default; the fidelity is converged to ~1e-4
-# here, far below the binomial shot noise it feeds into.
+# standalone quantum-sim default. Against 2400 steps, over 300 random ramps
+# of the readout space, the fidelity error has median 3.8e-6, 90th
+# percentile 2.2e-4 and maximum 2.4e-3, the largest on the longest ramps;
+# all are below the binomial noise of 1000 shots it feeds into.
 _INIT_STEPS = 300
 
 # The four initialization-stage parameters as (DqdConfig field, readout
@@ -403,16 +409,11 @@ def true_readout_visibility(landscape: HiddenLandscape, space: ParameterSpace,
 
 def _measure_readout(landscape: HiddenLandscape, v_true: float, n_shots: int,
                      shot_seed) -> CostEvaluation:
-    meta: dict = {"true_visibility": v_true}
-    if landscape.shot_noise:
-        shots = ReadoutShots(n_shots, *_contrast_counts(landscape, shot_seed, n_shots, v_true))
-        v_meas = visibility(shots)
-        meta["shots"] = dict(vars(shots))
-    else:
-        v_meas = v_true
-    meta["visibility"] = v_meas
-    meta["fidelity"] = visibility_to_fidelity(max(-1.0, min(1.0, v_meas)))
-    return CostEvaluation(cost=-v_meas, metadata=meta)
+    if not landscape.shot_noise:
+        return CostEvaluation(cost=-v_true, metadata={"true_visibility": v_true})
+    shots = ReadoutShots(n_shots, *_contrast_counts(landscape, shot_seed, n_shots, v_true))
+    return CostEvaluation(cost=-visibility(shots),
+                          metadata={"true_visibility": v_true, "shots": dict(vars(shots))})
 
 
 def readout_backend_evaluate(landscape: HiddenLandscape, space: ParameterSpace,
@@ -473,17 +474,16 @@ def shuttle_backend_evaluate(landscape: HiddenLandscape, x: np.ndarray,
     block = _unit_rows(landscape, x, shot_seeds, n_shots)
     if distance < 0:
         raise ValueError("distance must be non-negative")
-    distance = float(distance)
     p = shuttle_depolarization(landscape, block)
     # float_power rounds as Python's scalar ** does; array ** may not
     amplitude = np.float_power(1.0 - p, distance / SHUTTLE_SEGMENT_UM)
     out = []
     for p_row, a_row, seed in zip(p.tolist(), amplitude.tolist(), shot_seeds):
-        meta = {"p": p_row, "true_amplitude": a_row, "distance_um": distance, "amplitude": a_row}
+        meta = {"p": p_row}
         if landscape.shot_noise:  # only the binomial draws are per row
             k_plus, k_minus = _contrast_counts(landscape, seed, n_shots, a_row)
             f_plus, f_minus = k_plus / n_shots, k_minus / n_shots
-            meta["amplitude"] = f_plus - f_minus
+            a_row = f_plus - f_minus
             meta["shots"] = {"n_shots": n_shots, "f_plus": f_plus, "f_minus": f_minus}
-        out.append(CostEvaluation(cost=1.0 - meta["amplitude"], metadata=meta))
+        out.append(CostEvaluation(cost=1.0 - a_row, metadata=meta))
     return out

@@ -5,9 +5,13 @@ points, clip them into the unit cube, evaluate them in one backend call
 (one reproducible shot seed per row), tell the steps and costs back, and
 append one JSON line per generation to the record file. Identical configs
 produce byte-identical record files; wall-clock timings go to a separate
-sidecar so they never break that. Configs and fixtures a user writes are
-read by ``json_object``, which refuses unknown keys; a fixture file is read
-once, and its object, not its path, is what a run holds and records.
+sidecar so they never break that. A record of version RECORD_VERSION is a
+header line, then per generation its number, its state and its candidates
+by row, each {x, cost (null where failed), meta}; best-so-far is not
+stored but recomputed on load, and other versions are refused. Configs
+and fixtures a user writes are read by ``json_object``, which refuses
+unknown keys; a fixture file is read once, and its object, not its path,
+is what a run holds and records.
 
 Errors: ConfigError for an invalid config, fixture or stored record;
 EvaluationError when every candidate of a generation fails, raised before
@@ -56,6 +60,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 RECORD_NAME = "record.jsonl"
+RECORD_VERSION = 2
 TIMINGS_NAME = "timings.jsonl"
 AGGREGATE_NAME = "aggregate.json"
 
@@ -347,22 +352,18 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
                 else:
                     _check_resumable(prior, config, space)
                     done = prior.generations
-                    # the kept generations 0..k-1 are lines 1..k of the file
+                    # the kept generations 0..k-1 are lines 1..k of the file, kept as stored
                     stored = (out_dir / RECORD_NAME).read_bytes().split(b"\n")[1:len(done) + 1]
-            # kept generations go back as stored, unless a non-finite cost becomes null
             record_file = files.enter_context((out_dir / RECORD_NAME).open("wb"))
-            record_file.writelines([_dump_line(_header_payload(config, space)), *(
-                line + b"\n" if all(math.isfinite(c["cost"]) for c in rec.candidates)
-                else _dump_line(_generation_payload(rec)) for rec, line in zip(done, stored))])
+            record_file.writelines([_dump_line(_header_payload(config, space)),
+                                    *(line + b"\n" for line in stored)])
             record_file.flush()
             del stored
             _trim_timings(out_dir / TIMINGS_NAME, len(done))
             timing_file = files.enter_context((out_dir / TIMINGS_NAME).open("ab"))
 
-        best_cost, best_params = np.inf, []
         if done:
             state = _state_from_dict(done[-1].state)
-            best_cost, best_params = done[-1].best_cost, list(done[-1].best_params)
 
         for gen in range(len(done), config.generations):
             ticks = [time.perf_counter()]  # and the end of each phase timed in the sidecar
@@ -374,19 +375,10 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
             if not any(math.isfinite(cost) for cost, _ in results):
                 raise EvaluationError(f"every candidate of generation {gen} failed; "
                                       f"the first: {results[0][1]['error']}")
-            cand_rows = []
-            for i, (x, (cost, meta)) in enumerate(zip(space.denormalize(X).tolist(), results)):
-                cand_rows.append({"id": i, "x": x, "cost": cost, "meta": meta})
-                if cost < best_cost:
-                    best_cost, best_params = cost, x
             state = cmaes.tell(state, params, steps, [cost for cost, _ in results])
-            rec = GenerationRecord(
-                generation=gen,
-                candidates=cand_rows,
-                state=_state_to_dict(state),
-                best_cost=float(best_cost),
-                best_params=list(best_params),
-            )
+            rec = _generation(gen, [{"x": x, "cost": cost, "meta": meta} for x, (cost, meta)
+                                    in zip(space.denormalize(X).tolist(), results)],
+                              _state_to_dict(state), done[-1] if done else None)
             done.append(rec)
             ticks.append(time.perf_counter())
             if record_file is not None:
@@ -437,9 +429,17 @@ def _evaluate_generation(evaluate, X: np.ndarray, seed: int, gen: int) -> list[t
     return out
 
 
-def _header_payload(config: RunConfig, space: backends.ParameterSpace) -> dict:
-    from . import __version__
+def _generation(number: int, candidates: list, state: dict,
+                before: GenerationRecord | None) -> GenerationRecord:
+    """A generation with its best-so-far: a candidate takes over only with a strictly lower cost."""
+    best_cost, best_params = (before.best_cost, before.best_params) if before else (math.inf, [])
+    for cand in candidates:
+        if cand["cost"] < best_cost:
+            best_cost, best_params = cand["cost"], cand["x"]
+    return GenerationRecord(number, candidates, state, float(best_cost), list(best_params))
 
+
+def _header_payload(config: RunConfig, space: backends.ParameterSpace) -> dict:
     payload = dict(vars(config))
     # The storage location does not define the run; keeping it out of the
     # header makes records from identical configs byte-comparable.
@@ -448,15 +448,16 @@ def _header_payload(config: RunConfig, space: backends.ParameterSpace) -> dict:
         "type": "header",
         "config": payload,
         "space": space.to_dicts(),
-        "version": __version__,
+        "version": RECORD_VERSION,
     }
 
 
 def _generation_payload(rec: GenerationRecord) -> dict:
-    """A generation as written: a non-finite candidate cost becomes null."""
+    """A generation as written: its candidates, a failed one's cost as null, and its state."""
     candidates = [cand if math.isfinite(cand["cost"]) else {**cand, "cost": None}
                   for cand in rec.candidates]
-    return {"type": "generation", **vars(rec), "candidates": candidates}
+    return {"type": "generation", "generation": rec.generation, "candidates": candidates,
+            "state": rec.state}
 
 
 def _stored_cost(cost) -> float:
@@ -468,19 +469,25 @@ def _stored_cost(cost) -> float:
     return cost
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not strict JSON")
+
+
 class _NothingStored(ConfigError):
     """No record file, or not even its header line was written in full."""
 
 
 def load_record(record_dir: Path | str) -> RunRecord:
-    """Load a persisted run.
+    """Load a persisted run of record version RECORD_VERSION.
 
     Only the final line may be torn, as a crash mid-write leaves it; it is
     dropped. A null candidate cost, as a failed candidate is written, reads
-    back as +inf. Any other unreadable line, a first line that is not the
-    header, generation numbers other than 0, 1, 2, ..., candidate ids other
-    than 0..n-1 in order, or a malformed header, candidate x row or search
-    distribution (a non-finite mean or path included) raise ConfigError.
+    back as +inf, and each generation's best-so-far is recomputed from the
+    candidates. Any other line that is not strict JSON (NaN and Infinity
+    are not), a first line that is not the header, another version,
+    generation numbers other than 0, 1, 2, ..., or a malformed header,
+    candidate x row or search distribution (a non-finite mean or path
+    included) raise ConfigError.
     """
     path = Path(record_dir) / RECORD_NAME
     if not path.exists():
@@ -489,18 +496,22 @@ def load_record(record_dir: Path | str) -> RunRecord:
     payloads = []
     for i, line in enumerate(lines):
         try:
-            payload = json.loads(line)
-        except ValueError:
-            payload = None
-        if isinstance(payload, dict):
+            payload = json.loads(line, parse_constant=_refuse_constant)
+            if not isinstance(payload, dict):
+                raise ValueError("not a JSON object")
+        except ValueError as err:
+            if i < len(lines) - 1:
+                raise ConfigError(f"{path} line {i + 1} is malformed: {err}") from None
+        else:
             payloads.append(payload)
-        elif i < len(lines) - 1:
-            raise ConfigError(f"{path} line {i + 1} is not a JSON object")
     if not payloads:
         raise _NothingStored(f"{path} has no complete header line")
     header, *rest = payloads
     if header.get("type") != "header":
         raise ConfigError(f"{path} has no header line")
+    if header.get("version") != RECORD_VERSION:
+        raise ConfigError(f"{path} is a record of version {header.get('version')!r}; "
+                          f"only version {RECORD_VERSION} can be read")
     try:
         config = RunConfig.from_dict(header["config"])
         space = backends.ParameterSpace.from_dicts(header["space"])
@@ -513,16 +524,12 @@ def load_record(record_dir: Path | str) -> RunRecord:
         try:
             candidates = [{**cand, "cost": _stored_cost(cand["cost"])}
                           for cand in payload["candidates"]]
-            if [cand.get("id") for cand in candidates] != list(range(len(candidates))):
-                raise ValueError("candidate ids are not 0..n-1 in order")
             xs = np.array([cand["x"] for cand in candidates], dtype=float)
             if xs.shape != (len(candidates), space.dimension) or not np.isfinite(xs).all():
                 raise ValueError(f"candidate x values are not finite rows of {space.dimension}")
             if _state_from_dict(payload["state"]).mean.shape != (space.dimension,):
                 raise ValueError(f"state mean is not of dimension {space.dimension}")
-            gens.append(GenerationRecord(k, candidates, payload["state"],
-                                         float(payload["best_cost"]),
-                                         list(payload["best_params"])))
+            gens.append(_generation(k, candidates, payload["state"], gens[-1] if gens else None))
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"{path} generation {k} is malformed: {err!r}") from None
     return RunRecord(config=config, space=space, generations=gens)
@@ -657,8 +664,8 @@ def evaluated_samples(record: RunRecord) -> tuple[np.ndarray, np.ndarray]:
 
 def _trace_csv(record: RunRecord) -> str:
     lines = ["generation,individual,cost"] + [
-        f"{rec.generation},{cand['id']},{cand['cost']!r}"
-        for rec in record.generations for cand in rec.candidates]
+        f"{rec.generation},{row},{cand['cost']!r}"
+        for rec in record.generations for row, cand in enumerate(rec.candidates)]
     return "\n".join(lines) + "\n"
 
 

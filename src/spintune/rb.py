@@ -232,7 +232,7 @@ def rb_backend_evaluate(cfg: RbConfig, x: np.ndarray, shot_seeds) -> list[CostEv
             n = cfg.shots_per_sequence
             probs = [rng.binomial(n, p) / n for p in probs]
         mean = float(np.mean(probs))
-        out.append(CostEvaluation(cost=1.0 - mean, metadata={"return_probability": mean}))
+        out.append(CostEvaluation(cost=1.0 - mean))
     return out
 
 

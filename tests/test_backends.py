@@ -169,7 +169,7 @@ def test_shuttle_optimum_examples():
     land = make_shuttle_landscape(1)
     ev = shuttle_backend_evaluate(land, land.optimum, distance=10.0, shot_seeds=[0])[0]
     assert ev.metadata["p"] == pytest.approx(0.0192, abs=1e-12)
-    assert ev.metadata["true_amplitude"] == pytest.approx(1.0 - 0.0192, abs=1e-12)
+    assert 1 - ev.cost == pytest.approx(1.0 - 0.0192, abs=1e-12)
 
 
 def test_shuttle_worst_corner_depolarization():
@@ -185,14 +185,14 @@ def test_shuttle_zero_distance_has_unit_amplitude():
     for _ in range(5):
         x = rng.uniform(0.0, 1.0, 8)
         ev = shuttle_backend_evaluate(land, x, distance=0.0, shot_seeds=[0])[0]
-        assert ev.metadata["true_amplitude"] == 1.0
+        assert 1 - ev.cost == 1.0
 
 
 def test_shuttle_amplitude_decreases_with_distance():
     land = make_shuttle_landscape(3)
     x = np.full(8, 0.3)
-    amps = [shuttle_backend_evaluate(land, x, distance=d, shot_seeds=[0])[0]
-            .metadata["true_amplitude"] for d in (0.0, 10.0, 100.0, 172.8)]
+    amps = [1 - shuttle_backend_evaluate(land, x, distance=d, shot_seeds=[0])[0].cost
+            for d in (0.0, 10.0, 100.0, 172.8)]
     assert all(a > b for a, b in zip(amps, amps[1:]))
 
 
@@ -323,7 +323,7 @@ def reference_shuttle(landscape, x, distance, n_shots, shot_seed):
     d = np.asarray(x, dtype=float) - landscape.optimum
     p = landscape.floor + (SHUTTLE_P_WORST - landscape.floor) * float(d @ landscape.coupling @ d)
     amplitude = (1.0 - p) ** (distance / 10.0)
-    meta = {"p": p, "true_amplitude": amplitude, "distance_um": distance}
+    meta = {"p": p}
     if landscape.shot_noise:
         rng = np.random.default_rng((landscape.seed, shot_seed))
         f_plus = rng.binomial(n_shots, 0.5 * (1.0 + amplitude)) / n_shots
@@ -332,7 +332,6 @@ def reference_shuttle(landscape, x, distance, n_shots, shot_seed):
         meta["shots"] = {"n_shots": n_shots, "f_plus": f_plus, "f_minus": f_minus}
     else:
         measured = amplitude
-    meta["amplitude"] = measured
     return 1.0 - measured, meta
 
 

@@ -469,8 +469,8 @@ RECORD_DAMAGE = {
     "candidate x of length 1": (-1, lambda g: g["candidates"][1].update(x=[0.5])),
     "candidate x not numbers": (-1, lambda g: g["candidates"][0].update(x=["a"] * 8)),
     "candidate x with a null": (-1, lambda g: g["candidates"][0].update(x=[None] * 8)),
-    "candidate without id": (-1, lambda g: g["candidates"][3].pop("id")),
-    "candidate ids out of order": (-1, lambda g: g["candidates"].reverse()),
+    "candidate cost NaN": (-1, lambda g: g["candidates"][3].update(cost=float("nan"))),
+    "metadata p infinite": (-1, lambda g: g["candidates"][0]["meta"].update(p=float("inf"))),
 }
 
 
@@ -496,6 +496,24 @@ def test_a_damaged_record_exits_2_from_analyze_and_resume(tmp_path, capsys, dama
     assert main(["run", "--config", cfg, "--out", str(out), "--resume"]) == 2
     assert "is malformed" in capsys.readouterr().err
     assert path.read_bytes() == damaged
+
+
+def test_a_record_of_another_version_exits_2_and_is_left_as_it_is(tmp_path, capsys):
+    cfg = write_json(tmp_path / "run.json", {
+        "task": "benchmark", "generations": 3, "population": 4,
+    })
+    out = tmp_path / "rec"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    path = out / harness.RECORD_NAME
+    header, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text(json.dumps({**json.loads(header), "version": "0.1.0"}) + "\n" + "".join(rest))
+    old = path.read_bytes()
+    capsys.readouterr()
+    assert main(["analyze", "--record", str(out), "--cov-pairs", "0,1"]) == 2
+    assert "version '0.1.0'" in capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--out", str(out), "--resume"]) == 2
+    assert "version '0.1.0'" in capsys.readouterr().err
+    assert path.read_bytes() == old
 
 
 def test_analyze_missing_record_exits_2(tmp_path):

@@ -91,12 +91,11 @@ def test_failing_candidate_is_penalized_not_fatal(monkeypatch, caplog):
     _fail_at_seed(monkeypatch, bad_seed)
     record = harness.run(cfg)
     rows = record.generations[0].candidates
-    failed = [c for c in rows if c["cost"] == float("inf")]
-    assert [c["id"] for c in failed] == [2]
-    assert failed[0]["meta"] == {"error": f"synthetic backend fault at seed {bad_seed}"}
+    assert [i for i, c in enumerate(rows) if c["cost"] == float("inf")] == [2]
+    assert rows[2]["meta"] == {"error": f"synthetic backend fault at seed {bad_seed}"}
     assert "candidate 2 of generation 0 failed: synthetic backend fault" in caplog.text
-    assert [c for c in rows if c["id"] != 2] == [
-        c for c in clean.generations[0].candidates if c["id"] != 2]
+    clean_rows = clean.generations[0].candidates
+    assert rows[:2] + rows[3:] == clean_rows[:2] + clean_rows[3:]
     assert len(record.generations) == 2
     assert record.best_cost < float("inf")
 
@@ -422,18 +421,39 @@ def test_resume_trims_the_timings_sidecar_to_kept_generations(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def small_record(tmp_path_factory):
-    cfg = RunConfig(task="benchmark", generations=3, population=2, seed=4)
-    out = tmp_path_factory.mktemp("small")
-    harness.run(replace(cfg, output_dir=out))
-    return cfg, (out / harness.RECORD_NAME).read_bytes(), (out / harness.TIMINGS_NAME).read_bytes()
+def small_records(tmp_path_factory):
+    """Name -> (config, failing shot seed or None, record bytes, timings bytes) of short runs.
+
+    One is a plain benchmark run; the other a shot-noise shuttle run, whose
+    metadata is not empty, with one failed candidate.
+    """
+    noisy = backends.make_shuttle_landscape(3, shot_noise=True).to_dict()
+    runs = {
+        "benchmark": (RunConfig(task="benchmark", generations=3, population=2, seed=4), None),
+        "shuttle": (RunConfig(task="shuttle", generations=3, population=3, seed=3, shots=300,
+                              backend_fixture=noisy), shot_seed(3, 1, 2)),
+    }
+    records = {}
+    for name, (cfg, bad_seed) in runs.items():
+        out = tmp_path_factory.mktemp(name)
+        with pytest.MonkeyPatch.context() as mp:
+            if bad_seed is not None:
+                _fail_at_seed(mp, bad_seed)
+            harness.run(replace(cfg, output_dir=out))
+        records[name] = (cfg, bad_seed, (out / harness.RECORD_NAME).read_bytes(),
+                         (out / harness.TIMINGS_NAME).read_bytes())
+    assert b'"cost":null' in records["shuttle"][2] and b'"shots":' in records["shuttle"][2]
+    return records
 
 
 @given(data=st.data())
-def test_resume_from_any_truncation_restores_the_uninterrupted_bytes(small_record, data):
-    cfg, full, timings = small_record
+def test_resume_from_any_truncation_restores_the_uninterrupted_bytes(small_records, data):
+    name = data.draw(st.sampled_from(sorted(small_records)), label="record")
+    cfg, bad_seed, full, timings = small_records[name]
     cut = data.draw(st.integers(0, len(full)), label="cut")
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        if bad_seed is not None:
+            _fail_at_seed(mp, bad_seed)
         out = Path(tmp)
         (out / harness.RECORD_NAME).write_bytes(full[:cut])
         (out / harness.TIMINGS_NAME).write_bytes(timings)
@@ -448,8 +468,14 @@ def test_timings_split_each_generation_into_its_phases(tmp_path):
         harness.run(replace(cfg, output_dir=tmp_path / out))
     record = (tmp_path / "a" / harness.RECORD_NAME).read_bytes()
     assert record == (tmp_path / "b" / harness.RECORD_NAME).read_bytes()
-    assert {key for line in record.splitlines()[1:] for key in json.loads(line)} == {
-        "type", "generation", "candidates", "state", "best_cost", "best_params"}
+    header, *lines = [json.loads(line) for line in record.splitlines()]
+    assert header["version"] == harness.RECORD_VERSION == 2
+    assert {key for line in lines for key in line} == {
+        "type", "generation", "candidates", "state"}
+    assert {key for line in lines for cand in line["candidates"] for key in cand} == {
+        "x", "cost", "meta"}
+    assert {key for line in lines for cand in line["candidates"] for key in cand["meta"]} == {
+        "p"}
     for line in (tmp_path / "a" / harness.TIMINGS_NAME).read_text().splitlines():
         timing = json.loads(line)
         phases = [timing.pop(f"{phase}_s") for phase in ("ask", "evaluate", "tell", "persist")]
@@ -464,14 +490,18 @@ def test_resume_copies_kept_lines_and_rewrites_only_a_non_finite_cost(tmp_path, 
     full = (tmp_path / harness.RECORD_NAME).read_bytes()
     header, gen0, gen1, *rest = full.splitlines(keepends=True)
     assert b'"cost":null' in gen1
-    # generation 0 spaced and with its keys reversed still loads, and stays as
-    # stored; generation 1's failure in the legacy form is written as null again
+    # generation 0 spaced and with its keys reversed still loads, and stays as stored
     spaced = (json.dumps(dict(reversed(json.loads(gen0).items()))) + "\n").encode()
     assert spaced != gen0 and json.loads(spaced) == json.loads(gen0)
-    legacy = gen1.replace(b'"cost":null', b'"cost":Infinity')
-    (tmp_path / harness.RECORD_NAME).write_bytes(header + spaced + legacy + rest[0])
+    (tmp_path / harness.RECORD_NAME).write_bytes(header + spaced + gen1 + rest[0])
     harness.run(cfg, resume=True)
     assert (tmp_path / harness.RECORD_NAME).read_bytes() == header + spaced + gen1 + b"".join(rest)
+    # a failure stored as the non-JSON token Infinity is refused, and the file left as it is
+    legacy = header + gen0 + gen1.replace(b'"cost":null', b'"cost":Infinity') + rest[0]
+    (tmp_path / harness.RECORD_NAME).write_bytes(legacy)
+    with pytest.raises(ConfigError, match="line 3 is malformed: Infinity"):
+        harness.run(cfg, resume=True)
+    assert (tmp_path / harness.RECORD_NAME).read_bytes() == legacy
 
 
 def test_resume_encodes_only_the_header_and_the_new_generations(tmp_path, monkeypatch):
