@@ -6,7 +6,8 @@ echo amplitude over 8 gate offsets. Both evaluate candidates in the
 normalized unit cube against a hidden landscape whose optimum is
 planted at construction, so optimizer runs can be scored against ground
 truth. The single-qubit benchmarking backend is in ``rb``. A landscape
-fixture is written by ``HiddenLandscape.save`` and read by ``harness``.
+is written as a fixture by ``harness.json_plain`` and read back by
+``harness.json_object``.
 
 Every cost function, here and in ``rb``, takes candidates as (n, d) rows,
 a vector being one row, and returns one result per row. Those that draw
@@ -21,9 +22,7 @@ shot noise; RB keeps none. Visibility is -cost and readout fidelity
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -157,16 +156,6 @@ class ParameterSpace:
                 f"expected a vector of length {self.dimension} or rows of it, "
                 f"got shape {arr.shape}"
             )
-
-    def to_dicts(self) -> list[dict]:
-        return [
-            {"name": e.name, "low": e.low, "high": e.high, "unit": e.unit}
-            for e in self.entries
-        ]
-
-    @classmethod
-    def from_dicts(cls, items: list[dict]) -> "ParameterSpace":
-        return cls(tuple(SpaceEntry(d["name"], d["low"], d["high"], d["unit"]) for d in items))
 
 
 def readout_space() -> ParameterSpace:
@@ -304,18 +293,6 @@ class HiddenLandscape:
         """
         d = _rows(x, self.optimum.size) - self.optimum
         return (d[:, None, :] @ self.coupling @ d[:, :, None])[:, 0, 0]
-
-    def to_dict(self) -> dict:
-        return {
-            "optimum": self.optimum.tolist(),
-            "coupling": self.coupling.tolist(),
-            "floor": self.floor,
-            "shot_noise": self.shot_noise,
-            "seed": self.seed,
-        }
-
-    def save(self, path: Path | str) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
 
 
 def make_readout_landscape(seed: int, ceiling: float = READOUT_CEILING,

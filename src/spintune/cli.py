@@ -56,12 +56,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_config(args) -> harness.RunConfig:
+    """The run config of ``--config``, with ``--out`` as its output directory if given."""
+    config = harness.json_object(harness.RunConfig, harness.read_json(args.config), "config")
+    return config if args.out is None else replace(config, output_dir=args.out)
+
+
 def _cmd_run(args) -> int:
-    config = harness.RunConfig.from_json(args.config)
+    config = _run_config(args)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if args.out is not None:
-        config = replace(config, output_dir=args.out)
     record = harness.run(config, resume=args.resume)
     if config.output_dir is not None:
         for what, (name, _) in harness.EXPORTS.items():
@@ -73,10 +77,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    config = harness.RunConfig.from_json(args.config)
-    if args.out is not None:
-        config = replace(config, output_dir=args.out)
-    result = harness.batch(config, repeats=args.repeats)
+    result = harness.batch(_run_config(args), repeats=args.repeats)
     summary = {
         "repeats": result.aggregate["repeats"],
         "best_costs": result.aggregate["best_costs"],

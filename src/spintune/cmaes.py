@@ -77,6 +77,8 @@ class DistributionState:
 
     ``cov`` is the unscaled covariance shape matrix C (step size kept
     separate), which is what the post-hoc correlation analysis consumes.
+    ``mean``, ``cov``, ``p_sigma`` and ``p_c`` are converted to float
+    arrays, so the state can be built from the lists a record stores.
     """
 
     mean: np.ndarray
@@ -87,16 +89,17 @@ class DistributionState:
     generation: int = 0
 
     def __post_init__(self) -> None:
-        n = np.shape(self.mean)[0]
+        for name in ("mean", "cov", "p_sigma", "p_c"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        n = self.mean.shape[0]
         for name, shape in (("cov", (n, n)), ("p_sigma", (n,)), ("p_c", (n,))):
-            if np.shape(getattr(self, name)) != shape:
-                raise ValueError(f"{name} shape {np.shape(getattr(self, name))} does not match {n}")
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} shape {getattr(self, name).shape} does not match {n}")
         for name in ("mean", "p_sigma", "p_c"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
-        cov = np.asarray(self.cov, dtype=float)
-        scale = max(np.abs(cov).max(), 1.0)
-        if not np.abs(cov - cov.T).max() <= 1e-12 * scale:  # also refuses nan and inf
+        scale = max(np.abs(self.cov).max(), 1.0)
+        if not np.abs(self.cov - self.cov.T).max() <= 1e-12 * scale:  # also refuses nan and inf
             raise ValueError("covariance must be finite and symmetric")
         if self.sigma <= 0.0 or not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
@@ -105,8 +108,7 @@ class DistributionState:
 
     @classmethod
     def initial(cls, mean: Sequence[float], sigma: float = 1.0) -> "DistributionState":
-        mean = np.asarray(mean, dtype=float)
-        n = mean.shape[0]
+        n = len(mean)
         return cls(
             mean=mean,
             sigma=float(sigma),

@@ -8,10 +8,12 @@ produce byte-identical record files; wall-clock timings go to a separate
 sidecar so they never break that. A record of version RECORD_VERSION is a
 header line, then per generation its number, its state and its candidates
 by row, each {x, cost (null where failed), meta}; best-so-far is not
-stored but recomputed on load, and other versions are refused. Configs
-and fixtures a user writes are read by ``json_object``, which refuses
-unknown keys; a fixture file is read once, and its object, not its path,
-is what a run holds and records.
+stored but recomputed on load, and other versions are refused. Every
+object spintune stores goes out through one writer, ``json_plain``, and
+every object a user writes or a record holds comes back through one
+reader, ``json_object``, which refuses unknown keys; a stored line or
+candidate must hold exactly its keys. A fixture file is read once, and
+its object, not its path, is what a run holds and records.
 
 Errors: ConfigError for an invalid config, fixture or stored record;
 EvaluationError when every candidate of a generation fails, raised before
@@ -28,7 +30,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -50,6 +52,7 @@ __all__ = [
     "read_json",
     "json_keys",
     "json_object",
+    "json_plain",
     "evaluated_samples",
     "EXPORTS",
     "export",
@@ -101,7 +104,7 @@ def json_keys(payload, allowed, what: str) -> None:
 
 
 def json_object(cls, payload, what: str):
-    """Dataclass ``cls`` from a JSON object a user wrote; a ConfigError naming ``what`` if not."""
+    """Dataclass ``cls`` from a JSON object, written or stored; else a ConfigError naming ``what``."""
     json_keys(payload, [f.name for f in fields(cls)], what)
     if missing := [f.name for f in fields(cls) if f.name not in payload
                    and f.default is MISSING and f.default_factory is MISSING]:
@@ -110,6 +113,17 @@ def json_object(cls, payload, what: str):
         return cls(**payload)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad {what}: {err}") from None
+
+
+def json_plain(obj):
+    """``obj`` with each dataclass a dict of its fields and each array, tuple or list a list."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: json_plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (tuple, list)):
+        return [json_plain(item) for item in obj]
+    return obj
 
 
 @dataclass(frozen=True)
@@ -146,14 +160,6 @@ class RunConfig:
         for name in ("output_dir", "backend_fixture"):  # a path is kept as its string
             if isinstance(getattr(self, name), os.PathLike):
                 object.__setattr__(self, name, str(getattr(self, name)))
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunConfig":
-        return json_object(cls, payload, "config")
-
-    @classmethod
-    def from_json(cls, path: Path | str) -> "RunConfig":
-        return cls.from_dict(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -252,20 +258,15 @@ def space_for_task(task: str) -> backends.ParameterSpace:
     return _TASKS[task].space()
 
 
-def _load_landscape(config: RunConfig, make_default) -> backends.HiddenLandscape:
-    fixture = config.backend_fixture
-    if fixture is None:
-        return make_default(config.seed)
-    return json_object(backends.HiddenLandscape,
-                       fixture if isinstance(fixture, dict) else read_json(fixture),
-                       "landscape fixture")
-
-
 def _make_evaluator(config: RunConfig, space: backends.ParameterSpace):
-    """Return evaluate(X, shot_seeds) for the configured task."""
+    """Return evaluate(X, shot_seeds) for the configured task, its fixture file already read."""
     task = _TASKS[config.task]
-    landscape = _load_landscape(config, task.landscape) if task.landscape else None
-    if landscape is not None and landscape.optimum.shape != (space.dimension,):
+    if task.landscape is None:
+        return task.evaluator(config, space, None)
+    fixture = config.backend_fixture
+    landscape = (task.landscape(config.seed) if fixture is None
+                 else json_object(backends.HiddenLandscape, fixture, "landscape fixture"))
+    if landscape.optimum.shape != (space.dimension,):
         raise ConfigError(f"landscape fixture has {landscape.optimum.size} parameters; "
                           f"the {config.task} task has {space.dimension}")
     return task.evaluator(config, space, landscape)
@@ -304,15 +305,6 @@ def _shot_seeds(base_seed: int, generation: int, ids) -> list[int]:
         pool = [mix(value, hashmix(word)) for value in pool]
     state = (pool[0] ^ 0x8B51F9DD) * (0x8B51F9DD * 0x58F38DED & 0xFFFFFFFF)
     return (state ^ state >> 16).tolist()
-
-
-def _state_to_dict(state: cmaes.DistributionState) -> dict:
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(state).items()}
-
-
-def _state_from_dict(payload: dict) -> cmaes.DistributionState:
-    return cmaes.DistributionState(**{
-        k: np.array(v, dtype=float) if isinstance(v, list) else v for k, v in payload.items()})
 
 
 def _dump_line(payload) -> bytes:
@@ -363,7 +355,7 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
             timing_file = files.enter_context((out_dir / TIMINGS_NAME).open("ab"))
 
         if done:
-            state = _state_from_dict(done[-1].state)
+            state = cmaes.DistributionState(**done[-1].state)
 
         for gen in range(len(done), config.generations):
             ticks = [time.perf_counter()]  # and the end of each phase timed in the sidecar
@@ -378,7 +370,7 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
             state = cmaes.tell(state, params, steps, [cost for cost, _ in results])
             rec = _generation(gen, [{"x": x, "cost": cost, "meta": meta} for x, (cost, meta)
                                     in zip(space.denormalize(X).tolist(), results)],
-                              _state_to_dict(state), done[-1] if done else None)
+                              json_plain(state), done[-1] if done else None)
             done.append(rec)
             ticks.append(time.perf_counter())
             if record_file is not None:
@@ -440,14 +432,14 @@ def _generation(number: int, candidates: list, state: dict,
 
 
 def _header_payload(config: RunConfig, space: backends.ParameterSpace) -> dict:
-    payload = dict(vars(config))
+    payload = json_plain(config)
     # The storage location does not define the run; keeping it out of the
     # header makes records from identical configs byte-comparable.
     payload.pop("output_dir", None)
     return {
         "type": "header",
         "config": payload,
-        "space": space.to_dicts(),
+        "space": json_plain(space.entries),
         "version": RECORD_VERSION,
     }
 
@@ -460,13 +452,15 @@ def _generation_payload(rec: GenerationRecord) -> dict:
             "state": rec.state}
 
 
-def _stored_cost(cost) -> float:
-    """A candidate cost as loaded: null, as a failed one is written, is +inf."""
-    if cost is None:
-        return math.inf
+def _stored_candidate(cand) -> dict:
+    """A candidate as loaded, exactly {x, cost, meta}: meta an object, a null cost +inf."""
+    json_keys(cand, ("x", "cost", "meta"), "candidate")  # a missing key is a KeyError
+    if not isinstance(cand["meta"], dict):
+        raise TypeError(f"candidate meta {cand['meta']!r} is not an object")
+    cost = math.inf if cand["cost"] is None else cand["cost"]  # a failed one is written null
     if not isinstance(cost, float):
         raise TypeError(f"candidate cost {cost!r} is not a float")
-    return cost
+    return {**cand, "cost": cost}
 
 
 def _refuse_constant(token: str):
@@ -485,9 +479,10 @@ def load_record(record_dir: Path | str) -> RunRecord:
     back as +inf, and each generation's best-so-far is recomputed from the
     candidates. Any other line that is not strict JSON (NaN and Infinity
     are not), a first line that is not the header, another version,
-    generation numbers other than 0, 1, 2, ..., or a malformed header,
-    candidate x row or search distribution (a non-finite mean or path
-    included) raise ConfigError.
+    generation numbers other than 0, 1, 2, ..., a header, generation line
+    or candidate without exactly its keys, or a malformed config, space,
+    candidate x row, metadata or search distribution (a non-finite mean or
+    path included) raise ConfigError.
     """
     path = Path(record_dir) / RECORD_NAME
     if not path.exists():
@@ -513,24 +508,27 @@ def load_record(record_dir: Path | str) -> RunRecord:
         raise ConfigError(f"{path} is a record of version {header.get('version')!r}; "
                           f"only version {RECORD_VERSION} can be read")
     try:
-        config = RunConfig.from_dict(header["config"])
-        space = backends.ParameterSpace.from_dicts(header["space"])
-    except (KeyError, TypeError, ValueError) as err:
+        json_keys(header, ("type", "config", "space", "version"), "header")
+        config = json_object(RunConfig, header["config"], "config")
+        space = backends.ParameterSpace(tuple(
+            json_object(backends.SpaceEntry, entry, "space entry") for entry in header["space"]))
+    except (ConfigError, KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"{path} header is malformed: {err!r}") from None
     gens: list[GenerationRecord] = []
     for k, payload in enumerate(rest):
         if (payload.get("type"), payload.get("generation")) != ("generation", k):
             raise ConfigError(f"{path} line {k + 2} is not generation {k}")
         try:
-            candidates = [{**cand, "cost": _stored_cost(cand["cost"])}
-                          for cand in payload["candidates"]]
+            json_keys(payload, ("type", "generation", "candidates", "state"), "generation line")
+            candidates = [_stored_candidate(cand) for cand in payload["candidates"]]
             xs = np.array([cand["x"] for cand in candidates], dtype=float)
             if xs.shape != (len(candidates), space.dimension) or not np.isfinite(xs).all():
                 raise ValueError(f"candidate x values are not finite rows of {space.dimension}")
-            if _state_from_dict(payload["state"]).mean.shape != (space.dimension,):
+            state = json_object(cmaes.DistributionState, payload["state"], "state")
+            if state.mean.shape != (space.dimension,):
                 raise ValueError(f"state mean is not of dimension {space.dimension}")
             gens.append(_generation(k, candidates, payload["state"], gens[-1] if gens else None))
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
+        except (ConfigError, IndexError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"{path} generation {k} is malformed: {err!r}") from None
     return RunRecord(config=config, space=space, generations=gens)
 
@@ -587,7 +585,7 @@ def batch(config: RunConfig, repeats: int) -> BatchResult:
     if config.backend_fixture is None and make_default is not None:
         # The repeats model tune-ups of one sample: with its derived seed each
         # would otherwise plant a different optimum.
-        config = replace(config, backend_fixture=make_default(config.seed).to_dict())
+        config = replace(config, backend_fixture=json_plain(make_default(config.seed)))
     base_out = Path(config.output_dir) if config.output_dir is not None else None
     records: list = []
     rows = []
@@ -646,6 +644,7 @@ def covariance_series(record: RunRecord) -> analysis.CovarianceSeries:
 
 def evaluate_params(config: RunConfig, physical_values, shot_seed: int = 0) -> backends.CostEvaluation:
     """Evaluate one physical-unit parameter vector under a run's backend."""
+    config = _read_fixture_file(config)
     space = space_for_task(config.task)
     evaluate = _make_evaluator(config, space)
     x = space.normalize(np.asarray(physical_values, dtype=float))

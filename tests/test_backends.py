@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from spintune.backends import (
     visibility,
     visibility_to_fidelity,
 )
-from spintune.harness import json_object, read_json
+from spintune.cmaes import DistributionState, StrategyParams, ask, tell
+from spintune.harness import TASKS, RunConfig, json_object, json_plain, read_json, space_for_task
 from spintune.rb import RbConfig, rb_backend_evaluate
 
 
@@ -137,16 +139,40 @@ def test_readout_evaluation_deterministic_given_seeds():
     assert a.cost == b.cost
 
 
-def test_landscape_serialization_round_trip(tmp_path):
-    land = make_readout_landscape(9)
-    path = tmp_path / "fixture.json"
-    land.save(path)
-    loaded = json_object(HiddenLandscape, read_json(path), "landscape fixture")
-    np.testing.assert_array_equal(loaded.optimum, land.optimum)
-    np.testing.assert_array_equal(loaded.coupling, land.coupling)
-    assert loaded.floor == land.floor
-    assert loaded.shot_noise == land.shot_noise
-    assert loaded.seed == land.seed
+def _told_state():
+    params = StrategyParams.defaults(dimension=4, population=6, seed=3)
+    state = DistributionState.initial(np.full(4, 0.5), sigma=0.25)
+    for _ in range(3):
+        points, steps = ask(state, params)
+        state = tell(state, params, steps, np.sum((points - 0.3) ** 2, axis=1))
+    return state
+
+
+# Every kind of object spintune stores, as a list of instances to send through a file.
+STORED_OBJECTS = {
+    "run config with an inline fixture": lambda: [RunConfig(
+        "shuttle", 3, 4, seed=2, shots=50,
+        backend_fixture=json_plain(make_shuttle_landscape(2, shot_noise=True)))],
+    "readout landscape": lambda: [make_readout_landscape(9)],
+    "shuttle landscape": lambda: [make_shuttle_landscape(12)],
+    **{f"{task} space entries": lambda task=task: list(space_for_task(task).entries)
+       for task in TASKS},
+    "distribution state after three tells": lambda: [_told_state()],
+}
+
+
+@pytest.mark.parametrize("kind", list(STORED_OBJECTS))
+def test_every_stored_object_round_trips_through_a_json_file_bit_for_bit(tmp_path, kind):
+    path = tmp_path / "object.json"
+    for obj in STORED_OBJECTS[kind]():
+        path.write_text(json.dumps(json_plain(obj)))
+        again = json_object(type(obj), read_json(path), kind)
+        for f in fields(obj):
+            value, back = getattr(obj, f.name), getattr(again, f.name)
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(back, value, strict=True)
+            else:
+                assert type(back) is type(value) and back == value, f.name
 
 
 def test_landscape_rejects_non_spd_coupling():
@@ -211,12 +237,6 @@ def test_true_visibility_caps_at_ceiling():
         x = rng.uniform(0.0, 1.0, 14)
         v = true_readout_visibility(land, space, x)[0]
         assert 0.0 < v <= 0.995
-
-
-def test_inline_fixture_dict_round_trip():
-    land = make_shuttle_landscape(12)
-    again = json_object(HiddenLandscape, json.loads(json.dumps(land.to_dict())), "fixture")
-    np.testing.assert_array_equal(again.coupling, land.coupling)
 
 
 # ------------------------------------------------- a block equals its rows

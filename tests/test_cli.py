@@ -210,7 +210,7 @@ def test_unknown_task_exits_2(tmp_path):
     assert main(["run", "--config", cfg]) == 2
 
 
-READOUT_FIXTURE = backends.make_readout_landscape(0).to_dict()
+READOUT_FIXTURE = harness.json_plain(backends.make_readout_landscape(0))
 
 
 def readout_run(fixture_changes=(), **changes):
@@ -270,13 +270,13 @@ def test_an_unknown_key_exits_2_and_is_named(tmp_path, capsys, command, payload,
 
 def test_resume_after_the_fixture_file_changed_exits_2(tmp_path, capsys):
     fixture = tmp_path / "device.json"
-    backends.make_shuttle_landscape(1).save(fixture)
+    fixture.write_text(json.dumps(harness.json_plain(backends.make_shuttle_landscape(1))))
     run = {"task": "shuttle", "generations": 3, "population": 4, "backend_fixture": str(fixture)}
     out = tmp_path / "out"
     assert main(["run", "--config", write_json(tmp_path / "run.json", run),
                  "--out", str(out)]) == 0
     stored = (out / harness.RECORD_NAME).read_bytes()
-    backends.make_shuttle_landscape(99).save(fixture)
+    fixture.write_text(json.dumps(harness.json_plain(backends.make_shuttle_landscape(99))))
     longer = write_json(tmp_path / "longer.json", {**run, "generations": 5})
     assert main(["run", "--config", longer, "--out", str(out), "--resume"]) == 2
     assert "differs in backend_fixture" in capsys.readouterr().err
@@ -471,6 +471,13 @@ RECORD_DAMAGE = {
     "candidate x with a null": (-1, lambda g: g["candidates"][0].update(x=[None] * 8)),
     "candidate cost NaN": (-1, lambda g: g["candidates"][3].update(cost=float("nan"))),
     "metadata p infinite": (-1, lambda g: g["candidates"][0]["meta"].update(p=float("inf"))),
+    "candidate without meta": (-1, lambda g: g["candidates"][0].pop("meta")),
+    "candidate meta not an object": (-1, lambda g: g["candidates"][1].update(meta=5)),
+    "candidate with an id": (-1, lambda g: g["candidates"][2].update(id=2)),
+    "generation line with a best_cost": (-1, lambda g: g.update(best_cost=0.5)),
+    "header with an unknown key": (0, lambda h: h.update(created="today")),
+    "space entry with an unknown key": (0, lambda h: h["space"][0].update(step=0.1)),
+    "config with an unknown key": (0, lambda h: h["config"].update(shot=100)),
 }
 
 

@@ -176,9 +176,9 @@ def assert_plain(value):
 
 @pytest.mark.parametrize("task, fixture", [
     ("readout", None),
-    ("readout", backends.make_readout_landscape(2, shot_noise=False).to_dict()),
+    ("readout", harness.json_plain(backends.make_readout_landscape(2, shot_noise=False))),
     ("shuttle", None),
-    ("shuttle", backends.make_shuttle_landscape(2, shot_noise=True).to_dict()),
+    ("shuttle", harness.json_plain(backends.make_shuttle_landscape(2, shot_noise=True))),
     ("single_qubit", None),
     ("benchmark", None),
 ])
@@ -427,7 +427,7 @@ def small_records(tmp_path_factory):
     One is a plain benchmark run; the other a shot-noise shuttle run, whose
     metadata is not empty, with one failed candidate.
     """
-    noisy = backends.make_shuttle_landscape(3, shot_noise=True).to_dict()
+    noisy = harness.json_plain(backends.make_shuttle_landscape(3, shot_noise=True))
     runs = {
         "benchmark": (RunConfig(task="benchmark", generations=3, population=2, seed=4), None),
         "shuttle": (RunConfig(task="shuttle", generations=3, population=3, seed=3, shots=300,
@@ -644,6 +644,19 @@ def test_noiseless_task_reevaluates_exactly():
     assert check.cost == pytest.approx(record.best_cost, abs=1e-12)
 
 
+def test_evaluate_params_reads_a_fixture_file_as_the_object_it_holds(tmp_path):
+    land = backends.make_shuttle_landscape(4, shot_noise=True)
+    (tmp_path / "device.json").write_text(json.dumps(harness.json_plain(land)))
+    cfg = RunConfig(task="shuttle", generations=1, population=2, shots=200)
+    values = backends.shuttle_space().denormalize(np.full(8, 0.4))
+    by_file = harness.evaluate_params(
+        replace(cfg, backend_fixture=tmp_path / "device.json"), values, shot_seed=3)
+    inline = harness.evaluate_params(
+        replace(cfg, backend_fixture=harness.json_plain(land)), values, shot_seed=3)
+    assert by_file == inline
+    assert by_file != harness.evaluate_params(cfg, values, shot_seed=3)
+
+
 # ------------------------------------------------------------- config errors
 
 def test_config_rejects_bad_fields():
@@ -659,7 +672,7 @@ def test_config_rejects_bad_fields():
 
 def test_config_from_dict_requires_core_keys():
     with pytest.raises(ConfigError):
-        RunConfig.from_dict({"task": "readout", "generations": 5})
+        harness.json_object(RunConfig, {"task": "readout", "generations": 5}, "config")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -670,7 +683,7 @@ def test_config_from_dict_requires_core_keys():
 def test_config_takes_integers_only_and_a_non_negative_seed(key, value):
     payload = {"task": "benchmark", "generations": 2, "population": 4, key: value}
     with pytest.raises(ConfigError, match=key):
-        RunConfig.from_dict(payload)
+        harness.json_object(RunConfig, payload, "config")
     with pytest.raises(ConfigError, match=key):
         RunConfig(**payload)
 
@@ -678,23 +691,23 @@ def test_config_takes_integers_only_and_a_non_negative_seed(key, value):
 @pytest.mark.parametrize("payload", [[], ["task"], "benchmark", 3, None])
 def test_config_from_dict_needs_an_object(payload):
     with pytest.raises(ConfigError, match="JSON object"):
-        RunConfig.from_dict(payload)
+        harness.json_object(RunConfig, payload, "config")
 
 
 def test_config_keeps_integers_as_python_ints():
-    cfg = RunConfig.from_dict({"task": "benchmark", "generations": np.int64(2),
-                               "population": 4, "seed": 0})
+    cfg = harness.json_object(RunConfig, {"task": "benchmark", "generations": np.int64(2),
+                                          "population": 4, "seed": 0}, "config")
     assert type(cfg.generations) is int
     assert cfg == RunConfig(task="benchmark", generations=2, population=4)
 
 
 def test_config_from_json_errors_are_config_errors(tmp_path):
     with pytest.raises(ConfigError):
-        RunConfig.from_json(tmp_path / "missing.json")
+        harness.json_object(RunConfig, harness.read_json(tmp_path / "missing.json"), "config")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
-        RunConfig.from_json(bad)
+        harness.json_object(RunConfig, harness.read_json(bad), "config")
 
 
 def test_missing_fixture_file_is_a_config_error(tmp_path):
@@ -706,14 +719,15 @@ def test_missing_fixture_file_is_a_config_error(tmp_path):
 
 def test_a_fixture_file_is_recorded_as_the_device_it_holds(tmp_path):
     land = backends.make_shuttle_landscape(3, shot_noise=True)
-    land.save(tmp_path / "device.json")
+    (tmp_path / "device.json").write_text(json.dumps(harness.json_plain(land)))
     cfg = RunConfig(task="shuttle", generations=3, population=4, seed=2, shots=50)
     harness.run(replace(cfg, backend_fixture=tmp_path / "device.json",
                         output_dir=tmp_path / "file"))
-    harness.run(replace(cfg, backend_fixture=land.to_dict(), output_dir=tmp_path / "inline"))
+    harness.run(replace(cfg, backend_fixture=harness.json_plain(land),
+                        output_dir=tmp_path / "inline"))
     record = (tmp_path / "file" / harness.RECORD_NAME).read_bytes()
     assert record == (tmp_path / "inline" / harness.RECORD_NAME).read_bytes()
-    assert harness.load_record(tmp_path / "file").config.backend_fixture == land.to_dict()
+    assert harness.load_record(tmp_path / "file").config.backend_fixture == harness.json_plain(land)
 
 
 def test_malformed_inline_fixture_is_a_config_error():
