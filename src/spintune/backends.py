@@ -15,9 +15,11 @@ shots take one shot seed per row and are deterministic given it and the
 landscape seed, so a block evaluated in one call gives exactly what each
 row gives alone. Metadata holds only what the cost does not give: readout
 keeps ``true_visibility`` and shuttle ``p``, each with its ``shots`` under
-shot noise; RB keeps none. Visibility is -cost and readout fidelity
-(1 + clamp(V)) / 2; echo amplitude is 1 - cost and its noiseless value
-(1 - p) ** (distance / 10 um); RB return probability is 1 - cost.
+shot noise; RB keeps none. Visibility V is -cost, under shot noise
+(odd_given_odd - odd_given_even) / n_shots from the readout ``shots``
+counts, and readout fidelity (1 + clamp(V)) / 2; echo amplitude is
+1 - cost and its noiseless value (1 - p) ** (distance / 10 um); RB
+return probability is 1 - cost.
 """
 
 from __future__ import annotations
@@ -32,14 +34,11 @@ from .dqd import DqdConfig, initialization_fidelity
 __all__ = [
     "SpaceEntry",
     "ParameterSpace",
-    "ReadoutShots",
     "CostEvaluation",
     "HiddenLandscape",
     "readout_space",
     "shuttle_space",
     "rb_space",
-    "visibility",
-    "visibility_to_fidelity",
     "make_readout_landscape",
     "make_shuttle_landscape",
     "true_readout_visibility",
@@ -210,35 +209,6 @@ def rb_space() -> ParameterSpace:
 
 
 @dataclass(frozen=True)
-class ReadoutShots:
-    """Counts from a pair of parity-readout shot batches."""
-
-    n_shots: int
-    odd_given_odd: int
-    odd_given_even: int
-
-    def __post_init__(self) -> None:
-        if self.n_shots <= 0:
-            raise ValueError("n_shots must be positive")
-        for label, count in (("odd_given_odd", self.odd_given_odd),
-                             ("odd_given_even", self.odd_given_even)):
-            if not 0 <= count <= self.n_shots:
-                raise ValueError(f"{label} count {count} outside [0, {self.n_shots}]")
-
-
-def visibility(shots: ReadoutShots) -> float:
-    """Readout visibility: fraction odd after odd prep minus odd after even prep."""
-    return (shots.odd_given_odd - shots.odd_given_even) / shots.n_shots
-
-
-def visibility_to_fidelity(v: float) -> float:
-    """Convert visibility to readout fidelity, (1 + V) / 2."""
-    if not -1.0 <= v <= 1.0:
-        raise ValueError(f"visibility {v} outside [-1, 1]")
-    return 0.5 * (1.0 + v)
-
-
-@dataclass(frozen=True)
 class CostEvaluation:
     """Scalar cost for one candidate plus JSON-plain metadata, as the harness writes it."""
 
@@ -388,9 +358,11 @@ def _measure_readout(landscape: HiddenLandscape, v_true: float, n_shots: int,
                      shot_seed) -> CostEvaluation:
     if not landscape.shot_noise:
         return CostEvaluation(cost=-v_true, metadata={"true_visibility": v_true})
-    shots = ReadoutShots(n_shots, *_contrast_counts(landscape, shot_seed, n_shots, v_true))
-    return CostEvaluation(cost=-visibility(shots),
-                          metadata={"true_visibility": v_true, "shots": dict(vars(shots))})
+    odd_given_odd, odd_given_even = _contrast_counts(landscape, shot_seed, n_shots, v_true)
+    shots = {"n_shots": n_shots, "odd_given_odd": odd_given_odd, "odd_given_even": odd_given_even}
+    # negate the quotient, not the difference: a tie costs -0.0, as records store it
+    return CostEvaluation(cost=-((odd_given_odd - odd_given_even) / n_shots),
+                          metadata={"true_visibility": v_true, "shots": shots})
 
 
 def readout_backend_evaluate(landscape: HiddenLandscape, space: ParameterSpace,

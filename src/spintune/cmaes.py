@@ -24,6 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
+__all__ = ["StrategyParams", "DistributionState", "ask", "tell", "covariance_snapshot"]
+
 # Relative eigenvalue floor used when repairing a numerically non-positive
 # covariance matrix.
 EIGENVALUE_FLOOR = 1e-14

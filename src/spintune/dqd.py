@@ -40,6 +40,10 @@ from typing import Sequence
 
 import numpy as np
 
+__all__ = ["DqdConfig", "StateVector", "NoiseModel", "hamiltonian", "evolve",
+           "initialization_fidelity", "sweep_fidelity_grid", "grid_to_csv",
+           "DEFAULT_STEPS", "GRID_STEPS"]
+
 # Default number of integration steps per ramp (dt = ramp_time / 8000).
 # The midpoint rule is second order, so this budget keeps the halved-step
 # fidelity residue below 1e-8 even for the slowest ramps of interest;

@@ -463,6 +463,11 @@ def _stored_candidate(cand) -> dict:
     return {**cand, "cost": cost}
 
 
+def _is_int(value, expected: int) -> bool:
+    """Whether a loaded JSON value is the integer ``expected``; 2.0 and true are not."""
+    return type(value) is int and value == expected
+
+
 def _refuse_constant(token: str):
     raise ValueError(f"{token} is not strict JSON")
 
@@ -478,11 +483,11 @@ def load_record(record_dir: Path | str) -> RunRecord:
     dropped. A null candidate cost, as a failed candidate is written, reads
     back as +inf, and each generation's best-so-far is recomputed from the
     candidates. Any other line that is not strict JSON (NaN and Infinity
-    are not), a first line that is not the header, another version,
-    generation numbers other than 0, 1, 2, ..., a header, generation line
-    or candidate without exactly its keys, or a malformed config, space,
-    candidate x row, metadata or search distribution (a non-finite mean or
-    path included) raise ConfigError.
+    are not), a first line that is not the header, a version or generation
+    number other than the JSON integer RECORD_VERSION, k or k + 1 (line k's
+    state), a header, generation line or candidate without exactly its keys,
+    or a malformed config, space, candidate x row, metadata or search
+    distribution (a non-finite mean or path included) raise ConfigError.
     """
     path = Path(record_dir) / RECORD_NAME
     if not path.exists():
@@ -504,9 +509,9 @@ def load_record(record_dir: Path | str) -> RunRecord:
     header, *rest = payloads
     if header.get("type") != "header":
         raise ConfigError(f"{path} has no header line")
-    if header.get("version") != RECORD_VERSION:
-        raise ConfigError(f"{path} is a record of version {header.get('version')!r}; "
-                          f"only version {RECORD_VERSION} can be read")
+    if not _is_int(header.get("version"), RECORD_VERSION):
+        raise ConfigError(f"{path} header is malformed: a record of version "
+                          f"{header.get('version')!r}; only version {RECORD_VERSION} can be read")
     try:
         json_keys(header, ("type", "config", "space", "version"), "header")
         config = json_object(RunConfig, header["config"], "config")
@@ -516,8 +521,8 @@ def load_record(record_dir: Path | str) -> RunRecord:
         raise ConfigError(f"{path} header is malformed: {err!r}") from None
     gens: list[GenerationRecord] = []
     for k, payload in enumerate(rest):
-        if (payload.get("type"), payload.get("generation")) != ("generation", k):
-            raise ConfigError(f"{path} line {k + 2} is not generation {k}")
+        if payload.get("type") != "generation" or not _is_int(payload.get("generation"), k):
+            raise ConfigError(f"{path} line {k + 2} is malformed: it is not generation {k}")
         try:
             json_keys(payload, ("type", "generation", "candidates", "state"), "generation line")
             candidates = [_stored_candidate(cand) for cand in payload["candidates"]]
@@ -527,6 +532,8 @@ def load_record(record_dir: Path | str) -> RunRecord:
             state = json_object(cmaes.DistributionState, payload["state"], "state")
             if state.mean.shape != (space.dimension,):
                 raise ValueError(f"state mean is not of dimension {space.dimension}")
+            if not _is_int(payload["state"]["generation"], k + 1):  # missing: a KeyError
+                raise ValueError(f"state generation is not {k + 1}")
             gens.append(_generation(k, candidates, payload["state"], gens[-1] if gens else None))
         except (ConfigError, IndexError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"{path} generation {k} is malformed: {err!r}") from None

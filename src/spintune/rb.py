@@ -34,7 +34,6 @@ __all__ = [
     "RESONANCE_MHZ",
     "DRIVE_RATE_RAD_PER_MV_NS",
     "clifford_table",
-    "primitive_unitary",
     "rb_sequences",
     "rb_backend_evaluate",
     "rb_decay_curve",
@@ -131,15 +130,6 @@ def _primitives(block: np.ndarray) -> np.ndarray:
     out[:, 1:-1, 1, 1] = c + 1j * s * nz
     out[:, -1] = np.eye(2)
     return out
-
-
-def primitive_unitary(name: str, t_d: float, amplitude: float,
-                      frequency_mhz: float) -> np.ndarray:
-    """Unitary of one drive primitive at the given pulse parameters."""
-    if name not in PRIMITIVE_NAMES:
-        raise KeyError(f"unknown primitive {name!r}")
-    block = np.array([[t_d, amplitude, frequency_mhz]], dtype=float)
-    return _primitives(block)[0, PRIMITIVE_NAMES.index(name)]
 
 
 def clifford_table() -> tuple[tuple[np.ndarray, ...], tuple[tuple[str, ...], ...]]:

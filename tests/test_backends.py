@@ -11,7 +11,6 @@ from spintune.backends import (
     SHUTTLE_P_WORST,
     HiddenLandscape,
     ParameterSpace,
-    ReadoutShots,
     SpaceEntry,
     make_readout_landscape,
     make_shuttle_landscape,
@@ -22,8 +21,6 @@ from spintune.backends import (
     shuttle_depolarization,
     shuttle_space,
     true_readout_visibility,
-    visibility,
-    visibility_to_fidelity,
 )
 from spintune.cmaes import DistributionState, StrategyParams, ask, tell
 from spintune.harness import TASKS, RunConfig, json_object, json_plain, read_json, space_for_task
@@ -54,28 +51,17 @@ def test_task_spaces_have_expected_shapes():
     assert readout_space().entries[0].name == "ve12_read"
 
 
-def test_visibility_examples():
-    assert visibility(ReadoutShots(1000, 1000, 0)) == 1.0
-    assert visibility(ReadoutShots(1000, 500, 500)) == 0.0
-    assert visibility(ReadoutShots(1000, 993, 7)) == pytest.approx(0.986, abs=1e-12)
-
-
-def test_visibility_input_validation():
-    with pytest.raises(ValueError):
-        ReadoutShots(0, 0, 0)
-    with pytest.raises(ValueError):
-        ReadoutShots(10, 11, 0)
-    with pytest.raises(ValueError):
-        ReadoutShots(10, 3, -1)
-
-
-def test_visibility_to_fidelity_examples():
-    assert visibility_to_fidelity(0.98) == pytest.approx(0.99, abs=1e-12)
-    assert visibility_to_fidelity(0.85) == pytest.approx(0.925, abs=1e-12)
-    assert visibility_to_fidelity(0.90) == pytest.approx(0.95, abs=1e-12)
-    assert visibility_to_fidelity(1.0) == 1.0
-    with pytest.raises(ValueError):
-        visibility_to_fidelity(1.5)
+@pytest.mark.parametrize("n_shots", [1, 7, 1000])
+def test_readout_cost_is_minus_the_count_difference_over_the_shots(n_shots):
+    land = make_readout_landscape(4, shot_noise=True)
+    x = np.random.default_rng(n_shots).uniform(0.0, 1.0, (40, 14))
+    for ev in readout_backend_evaluate(land, readout_space(), x, n_shots, list(range(40))):
+        shots = ev.metadata["shots"]
+        assert set(shots) == {"n_shots", "odd_given_odd", "odd_given_even"}
+        odd, even = shots["odd_given_odd"], shots["odd_given_even"]
+        assert shots["n_shots"] == n_shots and 0 <= odd <= n_shots and 0 <= even <= n_shots
+        # by repr, so a tie must cost -0.0
+        assert repr(ev.cost) == repr(-((odd - even) / n_shots))
 
 
 def test_readout_cost_at_optimum_matches_tuned_ceiling():

@@ -478,6 +478,13 @@ RECORD_DAMAGE = {
     "header with an unknown key": (0, lambda h: h.update(created="today")),
     "space entry with an unknown key": (0, lambda h: h["space"][0].update(step=0.1)),
     "config with an unknown key": (0, lambda h: h["config"].update(shot=100)),
+    "last state without generation": (-1, lambda g: g["state"].pop("generation")),
+    "last state with generation 1": (-1, lambda g: g["state"].update(generation=1)),
+    "state of generation 0 with generation true": (
+        1, lambda g: g["state"].update(generation=True)),
+    "line generation 3.0": (4, lambda g: g.update(generation=3.0)),
+    "line generation true at 1": (2, lambda g: g.update(generation=True)),
+    "header version 2.0": (0, lambda h: h.update(version=2.0)),
 }
 
 

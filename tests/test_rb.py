@@ -14,7 +14,6 @@ from spintune.rb import (
     _primitives,
     clifford_table,
     per_gate_fidelity,
-    primitive_unitary,
     rb_backend_evaluate,
     rb_decay_curve,
     rb_sequences,
@@ -88,13 +87,7 @@ def test_every_primitive_equals_the_scalar_reference_bit_for_bit(rows):
     for r, row in enumerate(rows):
         for k, name in enumerate(PRIMITIVE_NAMES):
             assert out[r, k].tobytes() == reference_primitive(name, *row).tobytes(), (row, name)
-            assert primitive_unitary(name, *row).tobytes() == out[r, k].tobytes()
         assert np.array_equal(out[r, -1], np.eye(2))
-
-
-def test_unknown_primitive_raises_key_error():
-    with pytest.raises(KeyError, match="Z90"):
-        primitive_unitary("Z90", 12.5, 10.0, RESONANCE_MHZ)
 
 
 def test_group_tables_equal_the_search_over_every_product():
@@ -136,8 +129,7 @@ def test_mean_primitives_per_clifford():
 def test_decompositions_reproduce_table():
     table, decomps = clifford_table()
     assert decomps is CLIFFORD_DECOMPOSITIONS
-    prim = {name: primitive_unitary(name, 12.5, 10.0, RESONANCE_MHZ)
-            for name in PRIMITIVE_NAMES}
+    prim = dict(zip(PRIMITIVE_NAMES, _primitives(CALIBRATED[None])[0]))
     for target, names in zip(table, decomps):
         u = np.eye(2, dtype=complex)
         for name in names:
