@@ -16,9 +16,11 @@ and the record bytes written that the report line of each run prints;
 claims stay on the end-to-end metrics.
 With ``--parent``, ``pairs`` holds, per workload and end-to-end metric, how
 many seed pairs the change won, lost and tied, by the metric's direction
-(``end_to_end[].better`` in BENCHMARK.json), and how many it skipped because
-either run has no result; a claim can be checked against a pair rule from
-the file alone. Standard library only.
+(``end_to_end[].better`` in BENCHMARK.json), how many it skipped because
+either run has no result, and ``median_ratio``, the median over the seed
+pairs of change / parent (null when no pair has both values, or a parent
+value is 0); a claim can be checked against a pair rule from the file
+alone. Standard library only.
 """
 
 from __future__ import annotations
@@ -86,22 +88,28 @@ def summarize(runs: list[dict]) -> dict:
 
 
 def pair_counts(change: list[dict], parent: list[dict], better: dict) -> dict:
-    """Per metric, the seed pairs the change won, lost and tied, and those it skipped.
+    """Per metric, the seed pairs the change won, lost and tied, those it skipped,
+    and the median over the pairs of change / parent.
 
     ``better`` maps each metric to the direction that wins, "lower" or "higher".
     """
     out = {}
     for name, direction in better.items():
         counts = dict.fromkeys(("won", "lost", "tied", "skipped"), 0)
+        both = []
         for pair in zip(change, parent):
             new, old = (r["result"]["metrics"].get(name, {}).get("value") if r["result"]
                         else None for r in pair)
             if new is None or old is None:
                 counts["skipped"] += 1
-            elif new == old:
+                continue
+            both.append((new, old))
+            if new == old:
                 counts["tied"] += 1
             else:
                 counts["won" if (new < old) == (direction == "lower") else "lost"] += 1
+        counts["median_ratio"] = (statistics.median(new / old for new, old in both)
+                                  if both and all(old != 0 for _, old in both) else None)
         out[name] = counts
     return out
 

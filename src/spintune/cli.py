@@ -92,14 +92,23 @@ _SWEEP_KEYS = ("base", "axis1", "axis2", "noise", "n_steps", "out")
 _AXIS_KEYS = ("name", "values", "start", "stop", "num", "spacing")
 
 
+def _numbers(name: str, values: list) -> np.ndarray:
+    """The JSON numbers of a sweep axis entry as floats; a bool or a string is refused."""
+    if not isinstance(values, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"{name} must be JSON numbers, got {values!r}")
+    return np.array(values, dtype=float)
+
+
 def _parse_axis(key: str, payload) -> tuple:
     """(field, values) of one sweep axis; an error names the axis and its field."""
     harness.json_keys(payload, _AXIS_KEYS, f"sweep config {key}")
     try:
         name = payload["name"]
         if "values" in payload:
-            return name, np.asarray(payload["values"], dtype=float)
-        num, start, stop = payload["num"], float(payload["start"]), float(payload["stop"])
+            return name, _numbers("values", payload["values"])
+        num = payload["num"]
+        start, stop = _numbers("start and stop", [payload["start"], payload["stop"]]).tolist()
         dqd._require_int("num", num, 1)
         if not np.isfinite([start, stop]).all():
             raise ValueError(f"start and stop must be finite, got {start} and {stop}")

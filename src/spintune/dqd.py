@@ -27,7 +27,9 @@ forms of lam_mid disagree, or where both eigenvectors vanish (dE_z = 0 or a
 level crossing). Arrays are component-major with trajectories on the last
 axis: C trajectories hold their step unitaries as (n_steps, 3, 3, C) and fold
 them pairwise in time order with einsum, C being set by one byte budget
-that keeps the step unitaries in cache.
+that keeps the step unitaries in cache. Trajectories are ordered by path,
+the exact bits of (eps0, eps1, t_c, dE_z), which the ramp time does not
+enter, and a chunk diagonalizes the Hamiltonians of each distinct path once.
 """
 
 from __future__ import annotations
@@ -176,32 +178,35 @@ def _eigensystem(
     q = eps / -3.0
     p = np.sqrt(q * q + (t2 + d2) / 3.0)
     det_b = eps * ((2.0 * d2 - t2) / 3.0 - (2.0 / 27.0) * eps * eps)
+    lam = np.empty((3,) + eps.shape)
+    v, v_alt = np.empty((3, 3) + eps.shape), np.empty((3, 3) + eps.shape)
+    low, top = lam[::2]
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = np.arccos(np.clip(det_b / (2.0 * p**3), -1.0, 1.0)) / 3.0
-        low, top = q + 2.0 * p * np.cos(phi + _BRANCHES)
+        np.add(q, 2.0 * p * np.cos(phi + _BRANCHES), out=lam[::2])
         # det H = eps dE_z^2 gives mid to full relative precision near 0,
         # where the trace form loses digits; the two are compared below
         trace_mid = -eps - low - top
-        lam = np.stack([low, eps * d2 / (low * top), top])
+        np.divide(eps * d2, low * top, out=lam[1])
         # Two closed forms, the cross products of rows (0, 2) and (1, 2) of
         # H - lam: each loses digits where the other does not, so take the
         # one with the larger norm.
         shifted = eps + lam
-        v = np.stack([t_c * lam, lam * shifted, de_z * shifted], axis=1)
-        t_dz = np.broadcast_to(t_c * de_z, lam.shape)
-        v_alt = np.stack([lam * lam - d2, t_c * lam, t_dz], axis=1)
-        norm2 = np.einsum("kinc,kinc->knc", v, v)
-        norm2_alt = np.einsum("kinc,kinc->knc", v_alt, v_alt)
+        np.multiply(t_c, lam, out=v[:, 0])
+        np.multiply(lam, shifted, out=v[:, 1])
+        np.multiply(de_z, shifted, out=v[:, 2])
+        np.subtract(lam * lam, d2, out=v_alt[:, 0])
+        v_alt[:, 1], v_alt[:, 2] = v[:, 0], t_c * de_z
+        # summed in component order, as einsum sums except over a single point
+        norm2, norm2_alt = (w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1] + w[:, 2] * w[:, 2]
+                            for w in (v, v_alt))
         use_alt = norm2_alt > norm2
-        v = np.where(use_alt[:, None], v_alt, v)
-        norm2 = np.where(use_alt, norm2_alt, norm2)
+        np.copyto(v, v_alt, where=use_alt[:, None])
+        np.copyto(norm2, norm2_alt, where=use_alt)
         scale = np.maximum(-low, top)
         gap = np.minimum(trace_mid - low, top - trace_mid)
-        ok = (
-            (gap >= _GAP_TOL * scale)
-            & (np.abs(lam[1] - trace_mid) <= _MID_TOL * gap)
-            & np.all(norm2 > np.finfo(float).tiny, axis=0)
-        )
+        ok = ((gap >= _GAP_TOL * scale) & (np.abs(lam[1] - trace_mid) <= _MID_TOL * gap)
+              & np.all(norm2 > np.finfo(float).tiny, axis=0))
     return lam, v, norm2, ok
 
 
@@ -221,13 +226,21 @@ def _ramp_states(
     """
     frac = ((np.arange(n_steps) + 0.5) / n_steps)[:, None]
     chunk = max(1, _CHUNK_BYTES // (n_steps * 9 * 16))
+    key = np.stack([eps0, eps1, t_c, de_z]).view(np.uint64)
+    order = np.lexsort(key)
     out = np.empty((len(eps0), 3), dtype=complex)
-    for lo in range(0, len(eps0), chunk):
-        s = slice(lo, lo + chunk)
-        # component-major: steps first, trajectories last, (N, C) and (N, 3, 3, C)
-        eps = eps0[s] + (eps1[s] - eps0[s]) * frac
+    for lo in range(0, len(order), chunk):
+        s = order[lo:lo + chunk]
+        # component-major: steps first, trajectories last, (N, C) and (N, 3, 3, C);
+        # one eigensystem per path, at the first of its run of columns
+        first = np.r_[0, 1 + np.flatnonzero(np.diff(key[:, s]).any(axis=0))]
+        p = s[first]
+        eps = eps0[p] + (eps1[p] - eps0[p]) * frac
+        lam, v, norm2, ok = _eigensystem(eps, t_c[p], de_z[p])
+        if len(p) < len(s):
+            runs = np.diff(first, append=len(s))
+            eps, lam, v, norm2, ok = (np.repeat(a, runs, axis=-1) for a in (eps, lam, v, norm2, ok))
         dt = t_f[s] / n_steps
-        lam, v, norm2, ok = _eigensystem(eps, t_c[s], de_z[s])
         # U = sum_k exp(-2i pi lam_k dt) v_k v_k^T / |v_k|^2, in real arithmetic
         theta = (-2.0 * np.pi * dt) * lam
         u = np.empty((n_steps, 3, 3, eps.shape[1]), dtype=complex)
@@ -332,9 +345,12 @@ def _cell_fidelities(
         return np.repeat(a, len(shifts), axis=0)
 
     # one trajectory per (cell, noise sample), cells major
+    with np.errstate(over="ignore"):
+        paths = [(e[:, None] + shifts).ravel() for e in (eps0, eps1)]
+        if not np.isfinite(2.0 * np.pi * np.concatenate(paths)).all():
+            raise ValueError("a detuning plus its noise shift overflows its phase rate 2*pi*eps")
     psi = _ramp_states(
-        (eps0[:, None] + shifts).ravel(),
-        (eps1[:, None] + shifts).ravel(),
+        *paths,
         per_sample(t_f),
         per_sample(t_c),
         per_sample(de_z),
@@ -373,13 +389,12 @@ def sweep_fidelity_grid(
         for value in vals.tolist():
             replace(cfg, **{name: value})  # raises unless DqdConfig accepts the value
 
-    grid_a, grid_b = np.meshgrid(vals1, vals2, indexing="ij")
-    cells = {name: np.full(grid_a.shape, getattr(cfg, name), dtype=float) for name in _AXIS_FIELDS}
-    cells[name1] = grid_a
-    cells[name2] = grid_b
+    shape = (len(vals1), len(vals2))
+    cells = {name: np.full(shape, getattr(cfg, name), dtype=float) for name in _AXIS_FIELDS}
+    cells[name1], cells[name2] = np.meshgrid(vals1, vals2, indexing="ij")
 
     fid = _cell_fidelities(*(cells[name].ravel() for name in _AXIS_FIELDS), noise, n_steps)
-    return fid.reshape(len(vals1), len(vals2))
+    return fid.reshape(shape)
 
 
 def grid_to_csv(

@@ -356,6 +356,15 @@ def test_sweep_with_wrongly_typed_model_field_exits_2(tmp_path, capsys, section,
     ('{"name": "eps_final", "start": 20, "stop": 40, "num": 3, "spacing": "log"}',
      "axis2 (eps_final): spacing must be 'linear' or 'geom', got 'log'"),
     ('{"name": "eps_final", "values": []}', "eps_final values must be a non-empty"),
+    ('{"name": "ramp_time", "values": [0.1, true]}',
+     "axis2 (ramp_time): values must be JSON numbers, got [0.1, True]"),
+    ('{"name": "ramp_time", "values": ["30"]}',
+     "axis2 (ramp_time): values must be JSON numbers, got ['30']"),
+    ('{"name": "ramp_time", "values": 0.3}', "axis2 (ramp_time): values must be JSON numbers"),
+    ('{"name": "eps_final", "start": true, "stop": 40, "num": 2}',
+     "axis2 (eps_final): start and stop must be JSON numbers, got [True, 40]"),
+    ('{"name": "eps_final", "start": 20, "stop": "40", "num": 2}',
+     "axis2 (eps_final): start and stop must be JSON numbers, got [20, '40']"),
     ('{"name": "eps_final", "start": 20, "stop": 40, "num": 3, "spaceing": "geom"}',
      "sweep config axis2 has unknown keys ['spaceing']"),
 ])
@@ -367,6 +376,21 @@ def test_sweep_with_a_bad_axis_value_exits_2(tmp_path, capsys, axis, field):
         warnings.simplefilter("always")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "grid.csv")]) == 2
     assert field in capsys.readouterr().err
+    assert not caught
+    assert not (tmp_path / "grid.csv").exists()
+
+
+def test_sweep_whose_noise_overflows_the_detuning_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "sweep.json", {
+        "axis1": {"name": "ramp_time", "values": [0.1, 0.2]},
+        "axis2": {"name": "eps_final", "values": [10.0]},
+        "noise": {"sigma_eps": 1e308, "n_samples": 3}, "n_steps": 20})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "grid.csv")]) == 2
+    captured = capsys.readouterr()
+    assert "overflows its phase rate" in captured.err
+    assert captured.out == ""
     assert not caught
     assert not (tmp_path / "grid.csv").exists()
 

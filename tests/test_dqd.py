@@ -1,9 +1,14 @@
+import warnings
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spintune import dqd
 from spintune.dqd import (
     DEFAULT_STEPS,
     DqdConfig,
@@ -274,7 +279,7 @@ def test_grid_cells_equal_initialization_fidelity(noise):
             cfg = DqdConfig(tunnel_coupling=10.0, zeeman_diff=0.3, eps_initial=-30.0,
                             eps_final=eps_f, ramp_time=t_f)
             direct = initialization_fidelity(cfg, noise=noise, n_steps=300)
-            assert abs(grid[i, j] - direct) < 1e-14
+            assert grid[i, j] == direct
 
 
 def test_chunk_boundaries_do_not_change_grid_cells():
@@ -282,12 +287,82 @@ def test_chunk_boundaries_do_not_change_grid_cells():
                      eps_final=50.0, ramp_time=0.06)
     ramps_ns, finals = np.geomspace(0.04, 4.0, 40), np.linspace(2.0, 40.0, 40)
     grid = sweep_fidelity_grid(base, ("ramp_time", ramps_ns), ("eps_final", finals), n_steps=300)
-    # cells 0, 47, 48 and 1599 in row-major order: first, both sides of the
-    # first chunk boundary at 300 steps, and last
-    for i, j in ((0, 0), (1, 7), (1, 8), (39, 39)):
+    # The kernel orders trajectories by path, eps_final here, and keeps row
+    # order within a path, so cell (i, j) is trajectory 40 j + i. Cells
+    # (7, 1) and (8, 1) sit on both sides of the first chunk boundary at
+    # 300 steps; (1, 7) and (1, 8) did in row-major order.
+    for i, j in ((0, 0), (7, 1), (8, 1), (1, 7), (1, 8), (39, 39)):
         one = sweep_fidelity_grid(base, ("ramp_time", [ramps_ns[i]]), ("eps_final", [finals[j]]),
                                   n_steps=300)
-        assert abs(one[0, 0] - grid[i, j]) < 1e-14
+        assert one[0, 0] == grid[i, j]
+
+
+# Exact zeros of either sign: -0.0 and 0.0 are distinct paths, and zero
+# couplings take the eigh fallback.
+ZERO = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def shared_paths(draw):
+    """Up to 4 distinct paths (eps0, eps1, t_c, de_z), each shared by trajectories
+    with their own ramp time and start state, and a chunk of 1 to 8 trajectories
+    or the kernel's own budget. Each field takes one of at most two values, so
+    paths often differ in one field only."""
+    values = [draw(st.lists(field, min_size=1, max_size=2)) for field in (
+        ZERO | st.floats(-50.0, 50.0), ZERO | st.floats(-50.0, 50.0),
+        ZERO | st.floats(0.05, 20.0), ZERO | st.floats(0.05, 5.0))]
+    paths = draw(st.lists(st.tuples(*map(st.sampled_from, values)), min_size=1, max_size=4))
+    which = draw(st.lists(st.integers(0, len(paths) - 1), min_size=1, max_size=24))
+    eps0, eps1, t_c, de_z = np.array([paths[k] for k in which]).T
+    t_f = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(which),
+                                 max_size=len(which))))
+    amp = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=6 * len(which),
+                                 max_size=6 * len(which)))).reshape(-1, 6)
+    psi0 = amp[:, :3] + 1j * amp[:, 3:] + np.array([1e-3, 0.0, 0.0])
+    psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+    return ((eps0, eps1, t_f, t_c, de_z), psi0, draw(st.integers(1, 30)),
+            draw(st.none() | st.integers(1, 8)))
+
+
+@given(shared_paths())
+def test_trajectories_sharing_a_path_equal_each_one_alone(block):
+    ramp, psi0, n_steps, chunk = block
+    budget = dqd._CHUNK_BYTES if chunk is None else chunk * n_steps * 9 * 16
+    with mock.patch.object(dqd, "_CHUNK_BYTES", budget):
+        together = _ramp_states(*ramp, psi0, n_steps)
+    for i in range(len(psi0)):
+        alone = _ramp_states(*(a[i:i + 1] for a in ramp), psi0[i:i + 1], n_steps)
+        assert np.array_equal(together[i:i + 1], alone)
+
+
+def test_more_trajectories_than_a_chunk_equal_each_one_alone():
+    # 150 trajectories on 7 paths, at 300 steps 48 to a chunk, so runs of
+    # one path straddle chunk boundaries; the first five paths differ from
+    # the first in one field each, the last two only in the sign of zero
+    rng = np.random.default_rng(8)
+    paths = np.array([[-30.0, 20.0, 10.0, 0.3], [-20.0, 20.0, 10.0, 0.3], [-30.0, 25.0, 10.0, 0.3],
+                      [-30.0, 20.0, 5.0, 0.3], [-30.0, 20.0, 10.0, 0.0],
+                      [-0.0, 5.0, 0.0, 0.3], [0.0, 5.0, 0.0, 0.3]])
+    eps0, eps1, t_c, de_z = paths[rng.integers(0, len(paths), 150)].T
+    t_f = rng.uniform(0.05, 2.0, 150)
+    psi0 = np.linalg.qr(rng.normal(size=(150, 3, 3)) + 1j * rng.normal(size=(150, 3, 3)))[0][:, 0]
+    together = _ramp_states(eps0, eps1, t_f, t_c, de_z, psi0, 300)
+    for i in range(150):
+        alone = _ramp_states(eps0[i:i + 1], eps1[i:i + 1], t_f[i:i + 1], t_c[i:i + 1],
+                             de_z[i:i + 1], psi0[i:i + 1], 300)
+        assert np.array_equal(together[i:i + 1], alone)
+
+
+def test_noise_that_overflows_the_phase_rate_is_refused_without_warnings():
+    cfg = DqdConfig(ramp_time=0.3, **STRONG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="phase rate"):
+            initialization_fidelity(cfg, noise=NoiseModel(sigma_eps=1e308, n_samples=3),
+                                    n_steps=20)
+        with pytest.raises(ValueError, match="phase rate"):
+            sweep_fidelity_grid(replace(cfg, eps_initial=1.7e308), ("ramp_time", [0.1]),
+                                ("eps_final", [30.0]), n_steps=20)
 
 
 @pytest.mark.parametrize("n_steps", [0, -3, 1.5, 300.0, "abc", None, True])
