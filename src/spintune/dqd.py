@@ -30,6 +30,8 @@ them pairwise in time order with einsum, C being set by one byte budget
 that keeps the step unitaries in cache. Trajectories are ordered by path,
 the exact bits of (eps0, eps1, t_c, dE_z), which the ramp time does not
 enter, and a chunk diagonalizes the Hamiltonians of each distinct path once.
+The kernel runs with floating-point warnings off; a ramp whose phase
+overflows ends in a non-finite fidelity, which is refused.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class StateVector:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (3,):
             raise ValueError(f"expected 3 amplitudes, got shape {amp.shape}")
-        if abs(np.linalg.norm(amp) - 1.0) > 1e-6:
+        if not abs(np.linalg.norm(amp) - 1.0) <= 1e-6:  # NaN fails it too
             raise ValueError("state vector must be normalized")
         object.__setattr__(self, "amplitudes", amp)
 
@@ -181,35 +183,35 @@ def _eigensystem(
     lam = np.empty((3,) + eps.shape)
     v, v_alt = np.empty((3, 3) + eps.shape), np.empty((3, 3) + eps.shape)
     low, top = lam[::2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.arccos(np.clip(det_b / (2.0 * p**3), -1.0, 1.0)) / 3.0
-        np.add(q, 2.0 * p * np.cos(phi + _BRANCHES), out=lam[::2])
-        # det H = eps dE_z^2 gives mid to full relative precision near 0,
-        # where the trace form loses digits; the two are compared below
-        trace_mid = -eps - low - top
-        np.divide(eps * d2, low * top, out=lam[1])
-        # Two closed forms, the cross products of rows (0, 2) and (1, 2) of
-        # H - lam: each loses digits where the other does not, so take the
-        # one with the larger norm.
-        shifted = eps + lam
-        np.multiply(t_c, lam, out=v[:, 0])
-        np.multiply(lam, shifted, out=v[:, 1])
-        np.multiply(de_z, shifted, out=v[:, 2])
-        np.subtract(lam * lam, d2, out=v_alt[:, 0])
-        v_alt[:, 1], v_alt[:, 2] = v[:, 0], t_c * de_z
-        # summed in component order, as einsum sums except over a single point
-        norm2, norm2_alt = (w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1] + w[:, 2] * w[:, 2]
-                            for w in (v, v_alt))
-        use_alt = norm2_alt > norm2
-        np.copyto(v, v_alt, where=use_alt[:, None])
-        np.copyto(norm2, norm2_alt, where=use_alt)
-        scale = np.maximum(-low, top)
-        gap = np.minimum(trace_mid - low, top - trace_mid)
-        ok = ((gap >= _GAP_TOL * scale) & (np.abs(lam[1] - trace_mid) <= _MID_TOL * gap)
-              & np.all(norm2 > np.finfo(float).tiny, axis=0))
+    phi = np.arccos(np.clip(det_b / (2.0 * p**3), -1.0, 1.0)) / 3.0
+    np.add(q, 2.0 * p * np.cos(phi + _BRANCHES), out=lam[::2])
+    # det H = eps dE_z^2 gives mid to full relative precision near 0,
+    # where the trace form loses digits; the two are compared below
+    trace_mid = -eps - low - top
+    np.divide(eps * d2, low * top, out=lam[1])
+    # Two closed forms, the cross products of rows (0, 2) and (1, 2) of
+    # H - lam: each loses digits where the other does not, so take the
+    # one with the larger norm.
+    shifted = eps + lam
+    np.multiply(t_c, lam, out=v[:, 0])
+    np.multiply(lam, shifted, out=v[:, 1])
+    np.multiply(de_z, shifted, out=v[:, 2])
+    np.subtract(lam * lam, d2, out=v_alt[:, 0])
+    v_alt[:, 1], v_alt[:, 2] = v[:, 0], t_c * de_z
+    # summed in component order, as einsum sums except over a single point
+    norm2, norm2_alt = (w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1] + w[:, 2] * w[:, 2]
+                        for w in (v, v_alt))
+    use_alt = norm2_alt > norm2
+    np.copyto(v, v_alt, where=use_alt[:, None])
+    np.copyto(norm2, norm2_alt, where=use_alt)
+    scale = np.maximum(-low, top)
+    gap = np.minimum(trace_mid - low, top - trace_mid)
+    ok = ((gap >= _GAP_TOL * scale) & (np.abs(lam[1] - trace_mid) <= _MID_TOL * gap)
+          & np.all(norm2 > np.finfo(float).tiny, axis=0))
     return lam, v, norm2, ok
 
 
+@np.errstate(all="ignore")  # a non-finite step is left to the caller's check
 def _ramp_states(
     eps0: np.ndarray,
     eps1: np.ndarray,
@@ -244,11 +246,10 @@ def _ramp_states(
         # U = sum_k exp(-2i pi lam_k dt) v_k v_k^T / |v_k|^2, in real arithmetic
         theta = (-2.0 * np.pi * dt) * lam
         u = np.empty((n_steps, 3, 3, eps.shape[1]), dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u.real = np.einsum("knc,kinc,kjnc->nijc", np.cos(theta) / norm2, v, v)
-            u.imag = np.einsum("knc,kinc,kjnc->nijc", np.sin(theta) / norm2, v, v)
+        u.real = np.einsum("knc,kinc,kjnc->nijc", np.cos(theta) / norm2, v, v)
+        u.imag = np.einsum("knc,kinc,kjnc->nijc", np.sin(theta) / norm2, v, v)
         if not ok.all():
-            bad = ~ok
+            bad = ~ok & np.isfinite(eps)  # eigh refuses NaN; such a step stays NaN
             cols = np.nonzero(bad)[1]
             vals, vecs = np.linalg.eigh(_h_batch(eps[bad], t_c[s][cols], de_z[s][cols]))
             ph = np.exp(-2j * np.pi * vals * dt[cols, None])
@@ -326,6 +327,7 @@ def initialization_fidelity(
     return float(_cell_fidelities(*cell, noise, n_steps)[0])
 
 
+@np.errstate(all="ignore")  # an overflow leaves a non-finite fidelity, refused below
 def _cell_fidelities(
     eps0: np.ndarray,
     eps1: np.ndarray,
@@ -345,12 +347,8 @@ def _cell_fidelities(
         return np.repeat(a, len(shifts), axis=0)
 
     # one trajectory per (cell, noise sample), cells major
-    with np.errstate(over="ignore"):
-        paths = [(e[:, None] + shifts).ravel() for e in (eps0, eps1)]
-        if not np.isfinite(2.0 * np.pi * np.concatenate(paths)).all():
-            raise ValueError("a detuning plus its noise shift overflows its phase rate 2*pi*eps")
     psi = _ramp_states(
-        *paths,
+        *((e[:, None] + shifts).ravel() for e in (eps0, eps1)),
         per_sample(t_f),
         per_sample(t_c),
         per_sample(de_z),
@@ -358,7 +356,11 @@ def _cell_fidelities(
         n_steps,
     )
     amp = np.sum(per_sample(target).conj() * psi, axis=-1).reshape(-1, len(shifts))
-    return np.mean(np.abs(amp) ** 2, axis=-1)
+    fid = np.mean(np.abs(amp) ** 2, axis=-1)
+    if not np.isfinite(fid).all():
+        raise ValueError("a ramp overflows its phase rate 2*pi*eps (its detuning plus noise "
+                         "shift) or its phase 2*pi*E*t_f")
+    return fid
 
 
 def sweep_fidelity_grid(

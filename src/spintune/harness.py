@@ -2,18 +2,19 @@
 
 A run wires one task backend to the optimizer: ask for a generation of
 points, clip them into the unit cube, evaluate them in one backend call
-(one reproducible shot seed per row), tell the steps and costs back, and
-append one JSON line per generation to the record file. Identical configs
-produce byte-identical record files; wall-clock timings go to a separate
-sidecar so they never break that. A record of version RECORD_VERSION is a
-header line, then per generation its number, its state and its candidates
-by row, each {x, cost (null where failed), meta}; best-so-far is not
-stored but recomputed on load, and other versions are refused. Every
-object spintune stores goes out through one writer, ``json_plain``, and
-every object a user writes or a record holds comes back through one
-reader, ``json_object``, which refuses unknown keys; a stored line or
-candidate must hold exactly its keys. A fixture file is read once, and
-its object, not its path, is what a run holds and records.
+(each row's shot seed is its key, seed << 64 | generation << 32 | row),
+tell the steps and costs back, and append one JSON line per generation to
+the record file. Identical configs produce byte-identical record files;
+wall-clock timings go to a separate sidecar so they never break that. A
+record of version RECORD_VERSION is a header line, then per generation
+its number, its state and its candidates by row, each {x, cost (null
+where failed), meta}; best-so-far is not stored but recomputed on load,
+and other versions are refused. Every object spintune stores goes out
+through one writer, ``json_plain``, and every object a user writes or a
+record holds comes back through one reader, ``json_object``, which
+refuses unknown keys; a stored line or candidate must hold exactly its
+keys. A fixture file is read once, and its object, not its path, is what
+a run holds and records.
 
 Errors: ConfigError for an invalid config, fixture or stored record;
 EvaluationError when every candidate of a generation fails, raised before
@@ -63,7 +64,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 RECORD_NAME = "record.jsonl"
-RECORD_VERSION = 2
+RECORD_VERSION = 3
 TIMINGS_NAME = "timings.jsonl"
 AGGREGATE_NAME = "aggregate.json"
 
@@ -272,39 +273,9 @@ def _make_evaluator(config: RunConfig, space: backends.ParameterSpace):
     return task.evaluator(config, space, landscape)
 
 
-def _shot_seeds(base_seed: int, generation: int, ids) -> list[int]:
-    """SeedSequence((base_seed, generation, id)).generate_state(1)[0] of every id, in one pass.
-
-    numpy's hash constants do not depend on the entropy, so its mixing runs
-    once on uint32 arrays, one element per id.
-    """
-    ids = np.asarray(ids, dtype=np.uint32)
-    words = [value >> shift & 0xFFFFFFFF for value in (base_seed, generation)
-             for shift in range(0, max(value.bit_length(), 1), 32)]
-    entropy = [np.full_like(ids, word) for word in words] + [ids]
-    entropy += [np.zeros_like(ids)] * (4 - len(entropy))
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * 0x931E8875 & 0xFFFFFFFF
-        value = value * hash_const
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = x * 0xCA01F9DD - y * 0x4973F715
-        return value ^ value >> 16
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        pool = [mix(value, hashmix(word)) for value in pool]
-    state = (pool[0] ^ 0x8B51F9DD) * (0x8B51F9DD * 0x58F38DED & 0xFFFFFFFF)
-    return (state ^ state >> 16).tolist()
+def _shot_seeds(base_seed: int, generation: int, rows) -> list[int]:
+    """Each row's shot seed: its key (base_seed, generation, row), the last two 32 bits wide."""
+    return [base_seed << 64 | generation << 32 | row for row in rows]
 
 
 def _dump_line(payload) -> bytes:
@@ -397,7 +368,7 @@ def _evaluate_generation(evaluate, X: np.ndarray, seed: int, gen: int) -> list[t
     ``error`` in the metadata. A row whose cost is not finite is failed
     the same way.
     """
-    seeds = _shot_seeds(seed, gen, np.arange(len(X)))
+    seeds = _shot_seeds(seed, gen, range(len(X)))
 
     def costed(rows: np.ndarray, row_seeds: list) -> list[tuple[float, dict]]:
         results = evaluate(rows, row_seeds)

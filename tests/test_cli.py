@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -395,6 +396,43 @@ def test_sweep_whose_noise_overflows_the_detuning_exits_2(tmp_path, capsys):
     assert not (tmp_path / "grid.csv").exists()
 
 
+# Two cells whose ramps are finite but huge: (base, noise, axis1, exit code).
+HUGE_RAMPS = {
+    "ramp time 1e308": ({"ramp_time": 1e308}, None, "eps_final", 2),
+    "final detuning 1e200, overridden": ({"eps_final": 1e200}, None, "eps_final", 0),
+    "final detuning 1e200": ({"eps_final": 1e200}, None, "ramp_time", 0),
+    "tunnel coupling 1e200": ({"tunnel_coupling": 1e200}, None, "eps_final", 0),
+    "noise of 1e150": ({}, {"sigma_eps": 1e150, "n_samples": 3}, "eps_final", 0),
+}
+
+
+@pytest.mark.parametrize("case", list(HUGE_RAMPS))
+def test_sweep_of_huge_ramps_warns_nothing_and_writes_no_nan(tmp_path, capsys, case):
+    # a phase 2*pi*E*t_f that overflows is refused; overflows inside the
+    # closed-form eigensystem fall back to eigh and give finite cells
+    base, noise, name, code = HUGE_RAMPS[case]
+    sweep = {"base": base, "axis1": {"name": name, "values": [10.0, 20.0]},
+             "axis2": {"name": "eps_initial", "values": [-10.0]}, "n_steps": 20}
+    if noise is not None:
+        sweep["noise"] = noise
+    cfg = write_json(tmp_path / "sweep.json", sweep)
+    out = tmp_path / "grid.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert not caught
+    if code == 2:
+        assert "overflows its phase rate" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+    else:
+        assert math.isfinite(json.loads(captured.out)["mean_fidelity"])
+        cells = [float(cell) for row in out.read_text().splitlines()[1:]
+                 for cell in row.split(",")[1:]]
+        assert len(cells) == 2 and all(0.0 <= cell <= 1.0 + 1e-9 for cell in cells)
+
+
 # Arbitrary JSON with small numbers, so a valid sweep stays a few cells, mixed
 # with near-valid parts so that some configs run a sweep.
 JSON_VALUES = st.recursive(
@@ -509,6 +547,8 @@ RECORD_DAMAGE = {
     "line generation 3.0": (4, lambda g: g.update(generation=3.0)),
     "line generation true at 1": (2, lambda g: g.update(generation=True)),
     "header version 2.0": (0, lambda h: h.update(version=2.0)),
+    "header version 3.0": (0, lambda h: h.update(version=3.0)),
+    "header version 2": (0, lambda h: h.update(version=2)),
 }
 
 
@@ -544,14 +584,17 @@ def test_a_record_of_another_version_exits_2_and_is_left_as_it_is(tmp_path, caps
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     path = out / harness.RECORD_NAME
     header, *rest = path.read_text().splitlines(keepends=True)
-    path.write_text(json.dumps({**json.loads(header), "version": "0.1.0"}) + "\n" + "".join(rest))
-    old = path.read_bytes()
-    capsys.readouterr()
-    assert main(["analyze", "--record", str(out), "--cov-pairs", "0,1"]) == 2
-    assert "version '0.1.0'" in capsys.readouterr().err
-    assert main(["run", "--config", cfg, "--out", str(out), "--resume"]) == 2
-    assert "version '0.1.0'" in capsys.readouterr().err
-    assert path.read_bytes() == old
+    # the package version older records carried, and version 2, whose noise was drawn differently
+    for version in ("0.1.0", 2):
+        path.write_text(json.dumps({**json.loads(header), "version": version}) + "\n"
+                        + "".join(rest))
+        old = path.read_bytes()
+        capsys.readouterr()
+        assert main(["analyze", "--record", str(out), "--cov-pairs", "0,1"]) == 2
+        assert f"version {version!r}" in capsys.readouterr().err
+        assert main(["run", "--config", cfg, "--out", str(out), "--resume"]) == 2
+        assert f"version {version!r}" in capsys.readouterr().err
+        assert path.read_bytes() == old
 
 
 def test_analyze_missing_record_exits_2(tmp_path):

@@ -365,6 +365,21 @@ def test_noise_that_overflows_the_phase_rate_is_refused_without_warnings():
                                 ("eps_final", [30.0]), n_steps=20)
 
 
+def test_a_ramp_whose_phase_overflows_is_refused_without_warnings():
+    cfg = DqdConfig(ramp_time=1e308, **STRONG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="phase rate"):
+            initialization_fidelity(cfg, n_steps=20)
+        # the first shift overflows eps_initial to inf, so the ramp's
+        # detuning is inf - inf = NaN, where eigh would not converge
+        with pytest.raises(ValueError, match="phase rate"):
+            initialization_fidelity(replace(cfg, eps_initial=1.7e308, ramp_time=0.3),
+                                    noise=NoiseModel(sigma_eps=1e308, n_samples=3), n_steps=20)
+        with pytest.raises(ValueError, match="normalized"):
+            evolve(cfg, ground_state(cfg, cfg.eps_initial), dt=cfg.ramp_time / 20)
+
+
 @pytest.mark.parametrize("n_steps", [0, -3, 1.5, 300.0, "abc", None, True])
 def test_bad_step_counts_are_rejected(n_steps):
     cfg = DqdConfig(ramp_time=0.3, **STRONG)

@@ -14,19 +14,35 @@ from spintune.harness import ConfigError, RunConfig
 
 
 def shot_seed(base_seed, generation, candidate_id):
-    """The shot seed of one candidate, from numpy's SeedSequence itself."""
-    return int(np.random.SeedSequence((base_seed, generation, candidate_id)).generate_state(1)[0])
+    """The shot seed of one candidate: its key, packed into one integer."""
+    return base_seed << 64 | generation << 32 | candidate_id
 
 
 @settings(max_examples=300)
-@given(base=st.integers(0, 2**128 - 1), generation=st.integers(0, 2**40 - 1),
-       n=st.integers(1, 300))
-def test_shot_seeds_of_a_generation_equal_seed_sequence(base, generation, n):
-    # bases of 1-4 words and generations of 1-2 words give 3-7 entropy words:
-    # numpy's pool takes the first 4, and its mixing branch takes the rest
-    ids = list(range(n))
-    assert harness._shot_seeds(base, generation, ids) == [
-        shot_seed(base, generation, i) for i in ids]
+@given(keys=st.lists(st.tuples(st.integers(0, 2**128 - 1), st.integers(0, 2**32 - 1),
+                               st.integers(0, 2**32 - 1)), min_size=2, max_size=20, unique=True))
+def test_distinct_keys_give_distinct_shot_seeds(keys):
+    seeds = [harness._shot_seeds(seed, generation, [row])[0] for seed, generation, row in keys]
+    assert len(set(seeds)) == len(keys)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**128 - 1), min_size=2, max_size=2, unique=True))
+def test_runs_that_differ_only_in_seed_draw_disjoint_shot_seeds(seeds):
+    seen = []
+    for seed in seeds:
+        calls = []
+
+        def evaluate(X, shot_seeds):
+            calls.extend(shot_seeds)
+            return [backends.CostEvaluation(cost=float(np.sum(x))) for x in X]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_make_evaluator", lambda config, space: evaluate)
+            harness.run(benchmark_config(generations=3, population=4, seed=seed))
+        assert len(set(calls)) == 12
+        seen.append(set(calls))
+    assert not seen[0] & seen[1]
 
 
 def benchmark_config(**overrides):
@@ -469,7 +485,7 @@ def test_timings_split_each_generation_into_its_phases(tmp_path):
     record = (tmp_path / "a" / harness.RECORD_NAME).read_bytes()
     assert record == (tmp_path / "b" / harness.RECORD_NAME).read_bytes()
     header, *lines = [json.loads(line) for line in record.splitlines()]
-    assert header["version"] == harness.RECORD_VERSION == 2
+    assert header["version"] == harness.RECORD_VERSION == 3
     assert {key for line in lines for key in line} == {
         "type", "generation", "candidates", "state"}
     assert {key for line in lines for cand in line["candidates"] for key in cand} == {
