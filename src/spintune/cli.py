@@ -123,10 +123,14 @@ def _parse_axis(key: str, payload) -> tuple:
 def _cmd_sweep(args) -> int:
     payload = harness.read_json(args.config)
     harness.json_keys(payload, _SWEEP_KEYS, "sweep config")
-    base = harness.json_object(dqd.DqdConfig, payload.get("base", {}), "sweep config base")
+    base_payload = payload.get("base", {})
+    base = harness.json_object(dqd.DqdConfig, base_payload, "sweep config base")
     if "axis1" not in payload or "axis2" not in payload:
         raise harness.ConfigError("sweep config needs axis1 and axis2")
     axis1, axis2 = (_parse_axis(key, payload[key]) for key in ("axis1", "axis2"))
+    for key, (name, _) in (("axis1", axis1), ("axis2", axis2)):
+        if name in list(base_payload):  # a list, as name may be unhashable JSON
+            raise harness.ConfigError(f"sweep config base sets {name}, which {key} sweeps")
     noise = (harness.json_object(dqd.NoiseModel, payload["noise"], "sweep config noise")
              if payload.get("noise") not in (None, {}) else None)
     n_steps = payload.get("n_steps", dqd.GRID_STEPS)

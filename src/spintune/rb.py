@@ -10,15 +10,16 @@ sequence to the initial state and the cost floor is exactly zero.
 Cliffords are compiled into the primitive set {I, X(+-90), X180,
 Y(+-90), Y180}, 45 primitives over the 24 group elements, 1.875 on
 average. One array function states the pulse physics: it gives every
-primitive at each row of a block of pulse parameters. The driven
-sequences read it at the candidates, and the ideal Clifford table, with
-its multiplication and inverse tables, reads it at the calibrated pulse.
+primitive at each row of a block of pulse parameters, and one more
+composes the 24 Cliffords from them. The driven sequences are products
+of a row's Cliffords at the candidates; the ideal Clifford table, with
+its multiplication and inverse tables, is the same composition at the
+calibrated pulse.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -48,34 +49,17 @@ DRIVE_RATE_RAD_PER_MV_NS = np.pi / 250.0
 
 PRIMITIVE_NAMES = ("I", "X90", "Xm90", "X180", "Y90", "Ym90", "Y180")
 
-# Time-ordered primitive lists for each of the 24 Cliffords: Paulis,
-# the eight 2pi/3 axis rotations, the six quarter turns, and the six
-# half turns about diagonal axes. 45 primitives in total.
+# Time-ordered primitive lists for each of the 24 Cliffords, by class:
+# Paulis, the eight 2pi/3 axis rotations, the six quarter turns, and the
+# six half turns about diagonal axes. 45 primitives in total.
 CLIFFORD_DECOMPOSITIONS = (
-    ("I",),
-    ("X180",),
-    ("Y180",),
-    ("Y180", "X180"),
-    ("X90", "Y90"),
-    ("X90", "Ym90"),
-    ("Xm90", "Y90"),
-    ("Xm90", "Ym90"),
-    ("Y90", "X90"),
-    ("Y90", "Xm90"),
-    ("Ym90", "X90"),
-    ("Ym90", "Xm90"),
-    ("X90",),
-    ("Xm90",),
-    ("Y90",),
-    ("Ym90",),
-    ("Xm90", "Y90", "X90"),
-    ("Xm90", "Ym90", "X90"),
-    ("X180", "Y90"),
-    ("X180", "Ym90"),
-    ("Y180", "X90"),
-    ("Y180", "Xm90"),
-    ("X90", "Y90", "X90"),
-    ("Xm90", "Y90", "Xm90"),
+    ("I",), ("X180",), ("Y180",), ("Y180", "X180"),
+    ("X90", "Y90"), ("X90", "Ym90"), ("Xm90", "Y90"), ("Xm90", "Ym90"),
+    ("Y90", "X90"), ("Y90", "Xm90"), ("Ym90", "X90"), ("Ym90", "Xm90"),
+    ("X90",), ("Xm90",), ("Y90",), ("Ym90",),
+    ("Xm90", "Y90", "X90"), ("Xm90", "Ym90", "X90"),
+    ("X180", "Y90"), ("X180", "Ym90"), ("Y180", "X90"), ("Y180", "Xm90"),
+    ("X90", "Y90", "X90"), ("Xm90", "Y90", "Xm90"),
 )
 
 # Mean primitives per Clifford: 45 / 24 = 1.875.
@@ -105,9 +89,9 @@ _DRIVE_DURATIONS = np.array([1.0, 1.0, 2.0, 1.0, 1.0, 2.0])
 def _primitives(block: np.ndarray) -> np.ndarray:
     """Unitaries of every primitive at each row (t_d, A, f) of an (n, 3) block.
 
-    Returns (n, 8, 2, 2): PRIMITIVE_NAMES in order, then the identity used
-    as padding. The drive Rabi rate is linear in amplitude and the detuning
-    from the resonance frequency tilts the rotation axis.
+    Returns (n, 7, 2, 2), PRIMITIVE_NAMES in order. The drive Rabi rate is
+    linear in amplitude and the detuning from the resonance frequency tilts
+    the rotation axis.
     """
     t_d, amplitude, frequency_mhz = (block[:, k, None] for k in range(3))
     delta = 2.0 * np.pi * (frequency_mhz - RESONANCE_MHZ) * 1e-3
@@ -120,28 +104,35 @@ def _primitives(block: np.ndarray) -> np.ndarray:
     nx = omega * np.cos(_DRIVE_PHASES) / eff
     ny = omega * np.sin(_DRIVE_PHASES) / eff
     nz = delta / eff
-    out = np.zeros((len(block), len(PRIMITIVE_NAMES) + 1, 2, 2), dtype=complex)
+    out = np.zeros((len(block), len(PRIMITIVE_NAMES), 2, 2), dtype=complex)
     # the idle I lasts t_d and only precesses: the driven form's axis is 0/0
     # at resonance without drive
     out[:, 0, [0, 1], [0, 1]] = np.exp(np.array([-1j, 1j]) * (0.5 * delta * t_d))
-    out[:, 1:-1, 0, 0] = c - 1j * s * nz
-    out[:, 1:-1, 0, 1] = -1j * s * (nx - 1j * ny)
-    out[:, 1:-1, 1, 0] = -1j * s * (nx + 1j * ny)
-    out[:, 1:-1, 1, 1] = c + 1j * s * nz
-    out[:, -1] = np.eye(2)
+    out[:, 1:, 0, 0] = c - 1j * s * nz
+    out[:, 1:, 0, 1] = -1j * s * (nx - 1j * ny)
+    out[:, 1:, 1, 0] = -1j * s * (nx + 1j * ny)
+    out[:, 1:, 1, 1] = c + 1j * s * nz
     return out
 
 
-def clifford_table() -> tuple[tuple[np.ndarray, ...], tuple[tuple[str, ...], ...]]:
-    """All 24 Clifford unitaries with their primitive decompositions.
+def _cliffords(block: np.ndarray) -> np.ndarray:
+    """The 24 Clifford unitaries at each row of an (n, 3) block, (n, 24, 2, 2).
 
-    The unitaries are composed from the primitives at the calibrated pulse
-    (12.5 ns, 10 mV, on resonance), where each is ideal up to rounding.
+    Each is the product of its CLIFFORD_DECOMPOSITIONS primitives in
+    application order, the first primitive rightmost.
     """
-    ideal = dict(zip(PRIMITIVE_NAMES, _primitives(np.array([[12.5, 10.0, RESONANCE_MHZ]]))[0]))
-    unitaries = tuple(functools.reduce(lambda u, name: ideal[name] @ u, seq, np.eye(2))
-                      for seq in CLIFFORD_DECOMPOSITIONS)
-    return unitaries, CLIFFORD_DECOMPOSITIONS
+    named = dict(zip(PRIMITIVE_NAMES, _primitives(block).swapaxes(0, 1)))
+    return np.stack([functools.reduce(lambda u, name: named[name] @ u, seq[1:], named[seq[0]])
+                     for seq in CLIFFORD_DECOMPOSITIONS], axis=1)
+
+
+def clifford_table() -> np.ndarray:
+    """All 24 Clifford unitaries, (24, 2, 2), in CLIFFORD_DECOMPOSITIONS order.
+
+    They are composed from the primitives at the calibrated pulse (12.5 ns,
+    10 mV, on resonance), where each is ideal up to rounding.
+    """
+    return _cliffords(np.array([[12.5, 10.0, RESONANCE_MHZ]]))[0]
 
 
 @functools.cache
@@ -151,7 +142,7 @@ def _group_tables() -> tuple[np.ndarray, np.ndarray]:
     Every product T_i T_j and every adjoint T_i^H is matched to the entry
     T_k with |tr(T_k^H U)| = 2, which holds when U equals T_k up to phase.
     """
-    table = np.array(clifford_table()[0])
+    table = clifford_table()
     n = len(table)
     targets = np.concatenate([(table[:, None] @ table[None]).reshape(n * n, 2, 2),
                               table.conj().swapaxes(1, 2)])
@@ -182,36 +173,28 @@ def rb_sequences(cfg: RbConfig) -> list[tuple[np.ndarray, int]]:
     return out
 
 
-def _primitive_steps(sequences: list[tuple[np.ndarray, int]]) -> np.ndarray:
-    """Primitives of each sequence and its recovery gate, in application order.
-
-    Returns (L, R) indices into the primitives of ``_primitives``: step l of
-    sequence r, shorter sequences padded at the end with the identity.
-    """
-    index = {name: k for k, name in enumerate(PRIMITIVE_NAMES)}
-    rows = [[index[name] for c in (*seq, rec) for name in CLIFFORD_DECOMPOSITIONS[c]]
-            for seq, rec in sequences]
-    return np.array(list(itertools.zip_longest(*rows, fillvalue=len(PRIMITIVE_NAMES))))
-
-
 def rb_backend_evaluate(cfg: RbConfig, x: np.ndarray, shot_seeds) -> list[CostEvaluation]:
     """Cost 1 - mean return probability at each row (t_d, A, f) of x, (n, 3).
 
     Where ``shot_seeds[i]`` is set, row i estimates each sequence's return
     probability from cfg.shots_per_sequence binomial shots; where it is
-    None the exact probabilities are averaged. Every sequence of every row
-    is composed in one stacked product; returns one evaluation per row.
+    None the exact probabilities are averaged. Each row's 24 Cliffords are
+    composed once, then every sequence of every row from them in one stacked
+    product of sequence_length + 1 Clifford steps; returns one evaluation
+    per row.
     """
     block = _seeded_rows(x, 3, shot_seeds)
+    if not np.all(np.isfinite(block)):
+        raise ValueError("pulse parameters must be finite")
     if np.any(block[:, 0] <= 0):
         raise ValueError("t_d must be positive")
     if np.any(block[:, 1] <= 0):
         raise ValueError("amplitude must be positive")
-    primitives = _primitives(block)
-    steps = _primitive_steps(rb_sequences(cfg))
-    u = np.broadcast_to(np.eye(2, dtype=complex), (len(block), steps.shape[1], 2, 2))
-    for step in steps:
-        u = primitives[:, step] @ u
+    cliffords = _cliffords(block)
+    steps = np.array([(*seq, rec) for seq, rec in rb_sequences(cfg)]).T
+    u = cliffords[:, steps[0]]
+    for step in steps[1:]:
+        u = cliffords[:, step] @ u
     out = []
     for amplitudes, seed in zip(u[..., 0, 0], shot_seeds):
         # scalar abs and **, as for a single sequence: np.abs and array **

@@ -399,7 +399,6 @@ def test_sweep_whose_noise_overflows_the_detuning_exits_2(tmp_path, capsys):
 # Two cells whose ramps are finite but huge: (base, noise, axis1, exit code).
 HUGE_RAMPS = {
     "ramp time 1e308": ({"ramp_time": 1e308}, None, "eps_final", 2),
-    "final detuning 1e200, overridden": ({"eps_final": 1e200}, None, "eps_final", 0),
     "final detuning 1e200": ({"eps_final": 1e200}, None, "ramp_time", 0),
     "tunnel coupling 1e200": ({"tunnel_coupling": 1e200}, None, "eps_final", 0),
     "noise of 1e150": ({}, {"sigma_eps": 1e150, "n_samples": 3}, "eps_final", 0),
@@ -431,6 +430,21 @@ def test_sweep_of_huge_ramps_warns_nothing_and_writes_no_nan(tmp_path, capsys, c
         cells = [float(cell) for row in out.read_text().splitlines()[1:]
                  for cell in row.split(",")[1:]]
         assert len(cells) == 2 and all(0.0 <= cell <= 1.0 + 1e-9 for cell in cells)
+
+
+@pytest.mark.parametrize("key", ["axis1", "axis2"])
+def test_sweep_refuses_a_base_field_that_an_axis_sweeps(tmp_path, capsys, key):
+    axes = {"axis1": {"name": "ramp_time", "values": [1.0]},
+            "axis2": {"name": "eps_initial", "values": [-10.0]}}
+    axes[key] = {"name": "eps_final", "values": [10.0, 20.0]}
+    cfg = write_json(tmp_path / "sweep.json", {"base": {"eps_final": 1e200}, **axes,
+                                               "n_steps": 20})
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "eps_final" in captured.err and key in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # Arbitrary JSON with small numbers, so a valid sweep stays a few cells, mixed

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -58,7 +60,7 @@ def reference_primitive(name, t_d, amplitude, frequency_mhz):
 
 def reference_group_tables():
     """Multiplication and inverse tables by a search over every product."""
-    unitaries, _ = clifford_table()
+    unitaries = clifford_table()
     n = len(unitaries)
     mult = np.empty((n, n), dtype=np.int64)
     inverse = np.empty(n, dtype=np.int64)
@@ -83,11 +85,10 @@ PULSE_ROWS = st.tuples(
 def test_every_primitive_equals_the_scalar_reference_bit_for_bit(rows):
     block = np.array(rows)
     out = _primitives(block)
-    assert out.shape == (len(rows), len(PRIMITIVE_NAMES) + 1, 2, 2)
+    assert out.shape == (len(rows), len(PRIMITIVE_NAMES), 2, 2)
     for r, row in enumerate(rows):
         for k, name in enumerate(PRIMITIVE_NAMES):
             assert out[r, k].tobytes() == reference_primitive(name, *row).tobytes(), (row, name)
-        assert np.array_equal(out[r, -1], np.eye(2))
 
 
 def test_group_tables_equal_the_search_over_every_product():
@@ -98,8 +99,8 @@ def test_group_tables_equal_the_search_over_every_product():
 
 
 def test_clifford_table_has_24_distinct_unitaries():
-    table, _ = clifford_table()
-    assert len(table) == 24
+    table = clifford_table()
+    assert table.shape == (24, 2, 2)
     for u in table:
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
     for i in range(24):
@@ -108,7 +109,7 @@ def test_clifford_table_has_24_distinct_unitaries():
 
 
 def test_clifford_group_closure():
-    table, _ = clifford_table()
+    table = clifford_table()
     for a in table:
         for b in table:
             prod = a @ b
@@ -116,7 +117,7 @@ def test_clifford_group_closure():
 
 
 def test_every_clifford_has_table_inverse():
-    table, _ = clifford_table()
+    table = clifford_table()
     for u in table:
         assert any(phase_invariant_equal(u @ v, np.eye(2)) for v in table)
 
@@ -127,10 +128,8 @@ def test_mean_primitives_per_clifford():
 
 
 def test_decompositions_reproduce_table():
-    table, decomps = clifford_table()
-    assert decomps is CLIFFORD_DECOMPOSITIONS
     prim = dict(zip(PRIMITIVE_NAMES, _primitives(CALIBRATED[None])[0]))
-    for target, names in zip(table, decomps):
+    for target, names in zip(clifford_table(), CLIFFORD_DECOMPOSITIONS):
         u = np.eye(2, dtype=complex)
         for name in names:
             u = prim[name] @ u
@@ -227,7 +226,7 @@ def test_rb_sequences_are_seeded_and_inverted():
     b = rb_sequences(cfg)
     for (sa, ra), (sb, rb_) in zip(a, b):
         assert np.array_equal(sa, sb) and ra == rb_
-    table, _ = clifford_table()
+    table = clifford_table()
     for seq, recovery in a:
         net = np.eye(2, dtype=complex)
         for c in seq:
@@ -261,6 +260,12 @@ def test_input_validation():
         rb_backend_evaluate(RbConfig(), np.array([0.0, 10.0, RESONANCE_MHZ]), [None])
     with pytest.raises(ValueError):
         rb_backend_evaluate(RbConfig(), np.array([12.5, -1.0, RESONANCE_MHZ]), [None])
+    for row in ([np.nan, 10.0, RESONANCE_MHZ], [12.5, 10.0, np.nan],
+                [np.inf, 10.0, RESONANCE_MHZ], [12.5, np.inf, RESONANCE_MHZ],
+                [12.5, 10.0, -np.inf]):
+        for seeds in ([None], [1]):
+            with pytest.raises(ValueError, match="finite"):
+                rb_backend_evaluate(RbConfig(), np.array(row), seeds)
     with pytest.raises(ValueError):
         RbConfig(sequence_length=0)
 
@@ -280,8 +285,8 @@ def test_gates_per_clifford_is_45_over_24():
 @settings(max_examples=40)
 @given(data=st.data())
 def test_block_equals_its_rows_bit_for_bit(data):
-    # Every sequence of every row is composed in one stacked product, with
-    # shorter sequences padded by the identity; no row may feel another.
+    # Every sequence of every row is composed in one stacked product of its
+    # row's Cliffords; no row may feel another.
     cfg = RbConfig(sequence_length=data.draw(st.integers(1, 30)),
                    n_randomizations=data.draw(st.integers(1, 15)),
                    shots_per_sequence=50, seed=data.draw(st.integers(0, 99)))
@@ -323,13 +328,37 @@ def test_exact_cost_equals_the_sequence_by_sequence_product_bit_for_bit():
     rng = np.random.default_rng(0)
     X = rng.uniform([10.0, 7.0, 995.0], [16.0, 13.0, 1005.0], (6, 3))
     for x, ev in zip(X, rb_backend_evaluate(cfg, X, [None] * len(X))):
-        primitives = {name: reference_primitive(name, *(float(v) for v in x))
-                      for name in PRIMITIVE_NAMES}
+        # each Clifford from its primitives, then each sequence Clifford by Clifford
+        cliffords = []
+        for names in CLIFFORD_DECOMPOSITIONS:
+            primitives = [reference_primitive(name, *(float(v) for v in x)) for name in names]
+            u = primitives[0]
+            for primitive in primitives[1:]:
+                u = primitive @ u
+            cliffords.append(u)
         probs = []
         for seq, recovery in rb_sequences(cfg):
-            u = np.eye(2, dtype=complex)
-            for c in (*seq, recovery):
-                for name in CLIFFORD_DECOMPOSITIONS[c]:
-                    u = primitives[name] @ u
+            u = cliffords[seq[0]]
+            for c in (*seq[1:], recovery):
+                u = cliffords[c] @ u
             probs.append(abs(u[0, 0]) ** 2)
         assert ev.cost == 1.0 - float(np.mean(probs))
+
+
+def test_noisy_decay_curve_draws_length_i_at_shot_seed_plus_i():
+    cfg = RbConfig(n_randomizations=6, shots_per_sequence=40, seed=9)
+    x = np.array([12.5, 10.3, RESONANCE_MHZ + 0.4])
+    lengths = [1, 4, 17, 40]
+    curve = rb_decay_curve(cfg, x, lengths, shot_seed=7)
+    for i, m in enumerate(lengths):
+        ev = rb_backend_evaluate(replace(cfg, sequence_length=m), x, [7 + i])[0]
+        assert curve[i] == 1.0 - ev.cost
+
+
+def test_exact_decay_curve_matches_the_dense_oracle():
+    cfg = RbConfig(n_randomizations=8, seed=12)
+    x = (13.0, 9.4, RESONANCE_MHZ - 1.5)
+    lengths = [1, 9, 50]
+    curve = rb_decay_curve(cfg, np.array(x), lengths)
+    for p, m in zip(curve, lengths):
+        assert abs(p - (1.0 - dense_oracle(replace(cfg, sequence_length=m), *x))) < 1e-10
