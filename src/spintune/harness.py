@@ -13,8 +13,8 @@ and other versions are refused. Every object spintune stores goes out
 through one writer, ``json_plain``, and every object a user writes or a
 record holds comes back through one reader, ``json_object``, which
 refuses unknown keys; a stored line or candidate must hold exactly its
-keys. A fixture file is read once, and its object, not its path, is what
-a run holds and records.
+keys. A fixture file is read once, when its config is made; the config
+then holds, and a run records, its object, not its path.
 
 Errors: ConfigError for an invalid config, fixture or stored record;
 EvaluationError when every candidate of a generation fails, raised before
@@ -155,12 +155,19 @@ class RunConfig:
             raise ConfigError(f"output_dir must be a path, got {self.output_dir!r}")
         if self.output_dir is not None and "\0" in str(self.output_dir):
             raise ConfigError("output_dir must not contain a NUL character")
-        if not isinstance(self.backend_fixture, (type(None), dict, str, os.PathLike)):
-            raise ConfigError("backend_fixture must be a JSON object or a path, "
-                              f"got {self.backend_fixture!r}")
-        for name in ("output_dir", "backend_fixture"):  # a path is kept as its string
-            if isinstance(getattr(self, name), os.PathLike):
-                object.__setattr__(self, name, str(getattr(self, name)))
+        if isinstance(self.output_dir, os.PathLike):  # a path is kept as its string
+            object.__setattr__(self, "output_dir", str(self.output_dir))
+        if self.backend_fixture is None:
+            return
+        task = _TASKS[self.task]
+        if task.landscape is None:
+            raise ConfigError(f"the {self.task} task has no landscape; backend_fixture must be null")
+        if isinstance(self.backend_fixture, (str, os.PathLike)):  # held as the device it names
+            object.__setattr__(self, "backend_fixture", read_json(self.backend_fixture))
+        landscape = json_object(backends.HiddenLandscape, self.backend_fixture, "landscape fixture")
+        if landscape.optimum.shape != (dimension := task.space().dimension,):
+            raise ConfigError(f"landscape fixture has {landscape.optimum.size} parameters; "
+                              f"the {self.task} task has {dimension}")
 
 
 @dataclass(frozen=True)
@@ -260,16 +267,10 @@ def space_for_task(task: str) -> backends.ParameterSpace:
 
 
 def _make_evaluator(config: RunConfig, space: backends.ParameterSpace):
-    """Return evaluate(X, shot_seeds) for the configured task, its fixture file already read."""
-    task = _TASKS[config.task]
-    if task.landscape is None:
-        return task.evaluator(config, space, None)
-    fixture = config.backend_fixture
-    landscape = (task.landscape(config.seed) if fixture is None
-                 else json_object(backends.HiddenLandscape, fixture, "landscape fixture"))
-    if landscape.optimum.shape != (space.dimension,):
-        raise ConfigError(f"landscape fixture has {landscape.optimum.size} parameters; "
-                          f"the {config.task} task has {space.dimension}")
+    """Return evaluate(X, shot_seeds) for the configured task; its config checked the fixture."""
+    task, fixture = _TASKS[config.task], config.backend_fixture
+    landscape = (json_object(backends.HiddenLandscape, fixture, "landscape fixture")
+                 if fixture is not None else task.landscape and task.landscape(config.seed))
     return task.evaluator(config, space, landscape)
 
 
@@ -292,7 +293,6 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
     uninterrupted run. If every candidate of a generation fails, EvaluationError
     is raised before that generation is written.
     """
-    config = _read_fixture_file(config)
     space = space_for_task(config.task)
     evaluate = _make_evaluator(config, space)
     params = cmaes.StrategyParams.defaults(
@@ -485,6 +485,9 @@ def load_record(record_dir: Path | str) -> RunRecord:
                           f"{header.get('version')!r}; only version {RECORD_VERSION} can be read")
     try:
         json_keys(header, ("type", "config", "space", "version"), "header")
+        stored = header["config"]  # RunConfig would open the file a stored path names
+        if isinstance(stored, dict) and isinstance(stored.get("backend_fixture"), str):
+            raise ValueError("config backend_fixture is a path, not a JSON object or null")
         config = json_object(RunConfig, header["config"], "config")
         space = backends.ParameterSpace(tuple(
             json_object(backends.SpaceEntry, entry, "space entry") for entry in header["space"]))
@@ -539,26 +542,12 @@ def _trim_timings(path: Path, kept: int) -> None:
     path.write_text("".join(line for line in lines if line.endswith("\n")))
 
 
-def _read_fixture_file(config: RunConfig) -> RunConfig:
-    """The config with a landscape task's fixture file replaced by the JSON object it holds.
-
-    The run then holds, and its header records, the device, so resume
-    compares devices rather than file names. Tasks without a landscape
-    ignore the fixture and keep it as given.
-    """
-    fixture = config.backend_fixture
-    if _TASKS[config.task].landscape is None or fixture is None or isinstance(fixture, dict):
-        return config
-    return replace(config, backend_fixture=read_json(fixture))
-
-
 def batch(config: RunConfig, repeats: int) -> BatchResult:
     """Repeat the run with derived seeds; failures do not abort the batch."""
     try:
         dqd._require_int("repeats", repeats, 1)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    config = _read_fixture_file(config)
     make_default = _TASKS[config.task].landscape
     if config.backend_fixture is None and make_default is not None:
         # The repeats model tune-ups of one sample: with its derived seed each
@@ -622,7 +611,6 @@ def covariance_series(record: RunRecord) -> analysis.CovarianceSeries:
 
 def evaluate_params(config: RunConfig, physical_values, shot_seed: int = 0) -> backends.CostEvaluation:
     """Evaluate one physical-unit parameter vector under a run's backend."""
-    config = _read_fixture_file(config)
     space = space_for_task(config.task)
     evaluate = _make_evaluator(config, space)
     x = space.normalize(np.asarray(physical_values, dtype=float))

@@ -86,6 +86,7 @@ _DRIVE_PHASES = np.array([0.0, np.pi, 0.0, 0.5 * np.pi, 1.5 * np.pi, 0.5 * np.pi
 _DRIVE_DURATIONS = np.array([1.0, 1.0, 2.0, 1.0, 1.0, 2.0])
 
 
+@np.errstate(all="ignore")  # an overflow leaves a non-finite unitary, refused by the caller
 def _primitives(block: np.ndarray) -> np.ndarray:
     """Unitaries of every primitive at each row (t_d, A, f) of an (n, 3) block.
 
@@ -191,6 +192,8 @@ def rb_backend_evaluate(cfg: RbConfig, x: np.ndarray, shot_seeds) -> list[CostEv
     if np.any(block[:, 1] <= 0):
         raise ValueError("amplitude must be positive")
     cliffords = _cliffords(block)
+    if not np.all(np.isfinite(cliffords)):
+        raise ValueError("pulse parameters give Clifford unitaries that are not finite")
     steps = np.array([(*seq, rec) for seq, rec in rb_sequences(cfg)]).T
     u = cliffords[:, steps[0]]
     for step in steps[1:]:
@@ -211,9 +214,14 @@ def rb_backend_evaluate(cfg: RbConfig, x: np.ndarray, shot_seeds) -> list[CostEv
 
 def rb_decay_curve(cfg: RbConfig, x: np.ndarray, lengths: list[int],
                    shot_seed: int | None = None) -> np.ndarray:
-    """Mean return probability versus sequence length at fixed pulses."""
+    """Mean return probability versus sequence length at fixed pulses.
+
+    A length may be an integral float, such as 2.0, but not 2.5 or inf.
+    """
     out = []
     for i, m in enumerate(lengths):
+        if not float(m).is_integer():
+            raise ValueError(f"sequence length {m!r} is not a whole number")
         cfg_m = replace(cfg, sequence_length=int(m))
         seed = None if shot_seed is None else int(shot_seed) + i
         out.append(1.0 - rb_backend_evaluate(cfg_m, x, [seed])[0].cost)

@@ -241,6 +241,7 @@ def readout_run(fixture_changes=(), **changes):
     readout_run(output_dir="a\u0000b"),
     {"task": "benchmark", "generations": 2, "population": 3, "shot": 5},
     readout_run({"shots": 5}),
+    {"task": "single_qubit", "generations": 1, "population": 2, "backend_fixture": READOUT_FIXTURE},
 ])
 def test_wrongly_typed_config_exits_2(tmp_path, capsys, payload):
     cfg = write_json(tmp_path / "cfg.json", payload)
@@ -266,6 +267,16 @@ def test_an_unknown_key_exits_2_and_is_named(tmp_path, capsys, command, payload,
     cfg = write_json(tmp_path / "cfg.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert error in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["batch", "--repeats", "2"]])
+@pytest.mark.parametrize("task", ["single_qubit", "benchmark"])
+def test_a_task_without_a_landscape_exits_2_on_a_fixture(tmp_path, capsys, command, task):
+    cfg = write_json(tmp_path / "cfg.json", {"task": task, "generations": 1, "population": 2,
+                                             "backend_fixture": READOUT_FIXTURE})
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"the {task} task has no landscape" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -523,6 +534,7 @@ def test_sweep_with_bad_step_count_exits_2(tmp_path, capsys, n_steps):
     assert not (tmp_path / "grid.csv").exists()
 
 
+SHUTTLE_FIXTURE = harness.json_plain(backends.make_shuttle_landscape(2))
 # Damage to one line of an 8-parameter record: (line, edit of its parsed JSON).
 RECORD_DAMAGE = {
     "header without config": (0, lambda h: h.pop("config")),
@@ -563,6 +575,13 @@ RECORD_DAMAGE = {
     "header version 2.0": (0, lambda h: h.update(version=2.0)),
     "header version 3.0": (0, lambda h: h.update(version=3.0)),
     "header version 2": (0, lambda h: h.update(version=2)),
+    "header fixture optimum one entry short": (0, lambda h: h["config"].update(
+        backend_fixture={**SHUTTLE_FIXTURE, "optimum": SHUTTLE_FIXTURE["optimum"][:-1],
+                         "coupling": [row[:-1] for row in SHUTTLE_FIXTURE["coupling"][:-1]]})),
+    # never opened: loading names no missing file, it refuses the header
+    "header fixture a path": (0, lambda h: h["config"].update(backend_fixture="absent.json")),
+    "benchmark header with a fixture": (0, lambda h: h["config"].update(
+        task="benchmark", backend_fixture=SHUTTLE_FIXTURE)),
 }
 
 
@@ -583,10 +602,11 @@ def test_a_damaged_record_exits_2_from_analyze_and_resume(tmp_path, capsys, dama
     damaged = path.read_bytes()
     with pytest.raises(harness.ConfigError, match="is malformed"):
         harness.load_record(out)
-    assert main(["analyze", "--record", str(out), "--hdmr", "--cov-pairs", "0,1"]) == 2
-    assert "is malformed" in capsys.readouterr().err
-    assert main(["run", "--config", cfg, "--out", str(out), "--resume"]) == 2
-    assert "is malformed" in capsys.readouterr().err
+    for command in (["analyze", "--record", str(out), "--hdmr", "--cov-pairs", "0,1"],
+                    ["run", "--config", cfg, "--out", str(out), "--resume"]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert "is malformed" in err and "file not found" not in err
     assert path.read_bytes() == damaged
 
 

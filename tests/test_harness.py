@@ -336,7 +336,6 @@ def stored_run(tmp_path, cfg, keep):
     dict(population=8),
     dict(shots=10),
     dict(task="shuttle"),
-    dict(backend_fixture="elsewhere.json"),
 ])
 def test_resume_refuses_a_changed_config(tmp_path, change):
     cfg = benchmark_config(seed=1, population=6, generations=5)
@@ -727,10 +726,9 @@ def test_config_from_json_errors_are_config_errors(tmp_path):
 
 
 def test_missing_fixture_file_is_a_config_error(tmp_path):
-    cfg = RunConfig(task="readout", generations=2, population=4,
-                    backend_fixture=str(tmp_path / "absent.json"))
     with pytest.raises(ConfigError):
-        harness.run(cfg)
+        RunConfig(task="readout", generations=2, population=4,
+                  backend_fixture=str(tmp_path / "absent.json"))
 
 
 def test_a_fixture_file_is_recorded_as_the_device_it_holds(tmp_path):
@@ -747,10 +745,40 @@ def test_a_fixture_file_is_recorded_as_the_device_it_holds(tmp_path):
 
 
 def test_malformed_inline_fixture_is_a_config_error():
-    cfg = RunConfig(task="readout", generations=2, population=4,
-                    backend_fixture={"kind": "bogus"})
     with pytest.raises(ConfigError):
-        harness.run(cfg)
+        RunConfig(task="readout", generations=2, population=4,
+                  backend_fixture={"kind": "bogus"})
+
+
+def test_a_fixture_file_is_read_when_the_config_is_made(tmp_path):
+    land = harness.json_plain(backends.make_shuttle_landscape(5, shot_noise=True))
+    device = tmp_path / "device.json"
+    device.write_text(json.dumps(land))
+    cfg = RunConfig(task="shuttle", generations=3, population=4, seed=1, shots=50,
+                    backend_fixture=device)
+    assert cfg.backend_fixture == land
+    assert cfg == replace(cfg, backend_fixture=land)
+    device.unlink()  # the config holds the device, so the run never opens the file
+    harness.run(replace(cfg, output_dir=tmp_path / "file"))
+    harness.run(replace(cfg, backend_fixture=land, output_dir=tmp_path / "inline"))
+    record = (tmp_path / "file" / harness.RECORD_NAME).read_bytes()
+    assert record == (tmp_path / "inline" / harness.RECORD_NAME).read_bytes()
+
+
+@pytest.mark.parametrize("task", ["single_qubit", "benchmark"])
+def test_a_task_without_a_landscape_refuses_a_fixture(tmp_path, task):
+    land = harness.json_plain(backends.make_shuttle_landscape(0))
+    (tmp_path / "device.json").write_text(json.dumps(land))
+    for fixture in (land, tmp_path / "device.json", 7):
+        with pytest.raises(ConfigError, match=f"the {task} task has no landscape"):
+            RunConfig(task=task, generations=2, population=4, backend_fixture=fixture)
+
+
+def test_a_fixture_of_another_size_is_refused_when_the_config_is_made():
+    land = harness.json_plain(backends.make_shuttle_landscape(0))
+    with pytest.raises(ConfigError, match="landscape fixture has 8 parameters; "
+                                          "the readout task has 14"):
+        RunConfig(task="readout", generations=2, population=4, backend_fixture=land)
 
 
 def test_load_record_requires_header_and_file(tmp_path):

@@ -266,6 +266,13 @@ def test_input_validation():
         for seeds in ([None], [1]):
             with pytest.raises(ValueError, match="finite"):
                 rb_backend_evaluate(RbConfig(), np.array(row), seeds)
+    # finite rows whose unitaries overflow, or whose drive axis is 0/0 once the
+    # squared amplitude underflows; tier-1 makes any numpy warning an error
+    for row in ([12.5, 1e200, RESONANCE_MHZ], [12.5, 10.0, 1e300], [12.5, 10.0, -1e300],
+                [1e308, 10.0, RESONANCE_MHZ], [12.5, 1e-300, RESONANCE_MHZ]):
+        for seeds in ([None], [1]):
+            with pytest.raises(ValueError, match="not finite"):
+                rb_backend_evaluate(RbConfig(), np.array(row), seeds)
     with pytest.raises(ValueError):
         RbConfig(sequence_length=0)
 
@@ -353,6 +360,19 @@ def test_noisy_decay_curve_draws_length_i_at_shot_seed_plus_i():
     for i, m in enumerate(lengths):
         ev = rb_backend_evaluate(replace(cfg, sequence_length=m), x, [7 + i])[0]
         assert curve[i] == 1.0 - ev.cost
+
+
+@pytest.mark.parametrize("length", [2.5, 3.9, np.inf, np.nan])
+def test_decay_curve_refuses_a_length_that_is_not_a_whole_number(length):
+    with pytest.raises(ValueError, match="whole number"):
+        rb_decay_curve(RbConfig(), np.array([12.5, 10.0, RESONANCE_MHZ]), [1, length])
+
+
+def test_decay_curve_takes_integral_float_lengths():
+    x = np.array([12.6, 10.2, RESONANCE_MHZ + 0.3])
+    cfg = RbConfig(n_randomizations=4)
+    assert np.array_equal(rb_decay_curve(cfg, x, np.array([2.0, 7.0])),
+                          rb_decay_curve(cfg, x, [2, 7]))
 
 
 def test_exact_decay_curve_matches_the_dense_oracle():
