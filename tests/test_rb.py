@@ -267,7 +267,7 @@ def test_input_validation():
             with pytest.raises(ValueError, match="finite"):
                 rb_backend_evaluate(RbConfig(), np.array(row), seeds)
     # finite rows whose unitaries overflow, or whose drive axis is 0/0 once the
-    # squared amplitude underflows; tier-1 makes any numpy warning an error
+    # squared amplitude underflows; the suite turns a RuntimeWarning into an error
     for row in ([12.5, 1e200, RESONANCE_MHZ], [12.5, 10.0, 1e300], [12.5, 10.0, -1e300],
                 [1e308, 10.0, RESONANCE_MHZ], [12.5, 1e-300, RESONANCE_MHZ]):
         for seeds in ([None], [1]):
@@ -366,13 +366,6 @@ def test_noisy_decay_curve_draws_length_i_at_shot_seed_plus_i():
 def test_decay_curve_refuses_a_length_that_is_not_a_whole_number(length):
     with pytest.raises(ValueError, match="whole number"):
         rb_decay_curve(RbConfig(), np.array([12.5, 10.0, RESONANCE_MHZ]), [1, length])
-
-
-def test_decay_curve_takes_integral_float_lengths():
-    x = np.array([12.6, 10.2, RESONANCE_MHZ + 0.3])
-    cfg = RbConfig(n_randomizations=4)
-    assert np.array_equal(rb_decay_curve(cfg, x, np.array([2.0, 7.0])),
-                          rb_decay_curve(cfg, x, [2, 7]))
 
 
 def test_exact_decay_curve_matches_the_dense_oracle():
