@@ -488,7 +488,7 @@ def load_record(record_dir: Path | str) -> RunRecord:
         stored = header["config"]  # RunConfig would open the file a stored path names
         if isinstance(stored, dict) and isinstance(stored.get("backend_fixture"), str):
             raise ValueError("config backend_fixture is a path, not a JSON object or null")
-        config = json_object(RunConfig, header["config"], "config")
+        config = json_object(RunConfig, stored, "config")
         space = backends.ParameterSpace(tuple(
             json_object(backends.SpaceEntry, entry, "space entry") for entry in header["space"]))
     except (ConfigError, KeyError, TypeError, ValueError) as err:
