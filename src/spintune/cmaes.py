@@ -9,6 +9,11 @@ so the strategy is invariant under monotone transformations of the cost.
 No strategy constant is an option: ``StrategyParams`` derives each one from
 the dimension and the population size.
 
+Each distribution's covariance C is decomposed once, on first use, into the
+eigensystem that ``ask`` samples with (C^1/2) and ``tell`` whitens with
+(C^-1/2), as in the tutorial's B and D. A numerically non-positive C is
+repaired by an eigenvalue floor, and each repair warns once, from ``ask``.
+
 Sampling is counter-based: the normal draws for a generation are fully
 determined by (seed, generation), so asking the same state twice returns
 byte-identical points and an interrupted run can be resumed exactly.
@@ -20,6 +25,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -120,37 +126,21 @@ class DistributionState:
             generation=0,
         )
 
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(vals, vecs, least): C = vecs diag(vals) vecs^T once repaired, and C's least eigenvalue.
 
-def _repaired_eigh(cov: np.ndarray, warn: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric eigendecomposition with a relative floor on the eigenvalues.
-
-    ``ask`` and ``tell`` repair the same matrix; only ``ask``, which samples
-    the repaired one, warns, so each repair warns once.
-    """
-    vals, vecs = np.linalg.eigh(cov)
-    top = vals[-1]
-    if not np.isfinite(top) or top <= 0.0:
-        raise ValueError("covariance has no positive eigenvalue; cannot repair")
-    floor = EIGENVALUE_FLOOR * top
-    if vals[0] < floor:
-        if warn:
-            warnings.warn(
-                f"covariance eigenvalue {vals[0]:.3e} below floor {floor:.3e}; repairing",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        vals = np.maximum(vals, floor)
-    return vals, vecs
-
-
-def _sqrt_cov(cov: np.ndarray) -> np.ndarray:
-    vals, vecs = _repaired_eigh(cov, warn=True)
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
-def _inv_sqrt_cov(cov: np.ndarray) -> np.ndarray:
-    vals, vecs = _repaired_eigh(cov, warn=False)
-    return (vecs / np.sqrt(vals)) @ vecs.T
+        Computed once per state, on first use; it is no field, so neither
+        equality nor the record sees it. A numerically non-positive C is
+        repaired by raising its eigenvalues to EIGENVALUE_FLOOR times the
+        largest, so a repair was made exactly when ``least < vals[0]``. A C
+        with no positive eigenvalue cannot be repaired: ValueError.
+        """
+        vals, vecs = np.linalg.eigh(self.cov)
+        top = vals[-1]
+        if not np.isfinite(top) or top <= 0.0:
+            raise ValueError("covariance has no positive eigenvalue; cannot repair")
+        return np.maximum(vals, EIGENVALUE_FLOOR * top), vecs, float(vals[0])
 
 
 def ask(state: DistributionState, params: StrategyParams) -> tuple[np.ndarray, np.ndarray]:
@@ -163,7 +153,11 @@ def ask(state: DistributionState, params: StrategyParams) -> tuple[np.ndarray, n
     if state.mean.shape[0] != n:
         raise ValueError("state dimension does not match strategy dimension")
     rng = np.random.default_rng((params.seed, state.generation))
-    steps = rng.standard_normal((params.population, n)) @ _sqrt_cov(state.cov).T
+    vals, vecs, least = state.eigensystem
+    if least < vals[0]:
+        warnings.warn(f"covariance eigenvalue {least:.3e} below floor {vals[0]:.3e}; repairing",
+                      RuntimeWarning)
+    steps = rng.standard_normal((params.population, n)) @ ((vecs * np.sqrt(vals)) @ vecs.T).T
     return state.mean + state.sigma * steps, steps
 
 
@@ -192,7 +186,8 @@ def tell(state: DistributionState, params: StrategyParams, steps: np.ndarray,
 
     g_next = state.generation + 1
     c_s, d_s = params.c_sigma, params.d_sigma
-    inv_sqrt_c = _inv_sqrt_cov(state.cov)
+    vals, vecs, _ = state.eigensystem
+    inv_sqrt_c = (vecs / np.sqrt(vals)) @ vecs.T
     p_sigma = (1.0 - c_s) * state.p_sigma + math.sqrt(
         c_s * (2.0 - c_s) * params.mu_eff
     ) * (inv_sqrt_c @ y_w)

@@ -189,8 +189,20 @@ def test_derived_constants_keep_the_strategy_invariants(n, lam):
     assert params.d_sigma >= 1.0
 
 
+def test_ask_and_tell_decompose_a_distribution_once(monkeypatch):
+    params = StrategyParams.defaults(8, population=50, seed=3)
+    state = DistributionState.initial(np.zeros(8))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    for generation in range(3):
+        points, steps = ask(state, params)
+        state = tell(state, params, steps, [sphere(x - 1.0) for x in points])
+        assert len(calls) == generation + 1
+
+
 def test_a_covariance_repair_warns_once_per_generation():
-    # ask and tell both repair the same matrix; only the sampler warns
+    # ask and tell share one repaired eigensystem; only the sampler warns
     params = StrategyParams.defaults(3, population=6, seed=1)
     state = replace(DistributionState.initial(np.zeros(3)), cov=np.diag([1.0, 1.0, 1e-20]))
     with warnings.catch_warnings(record=True) as caught:
