@@ -7,7 +7,7 @@ and one cost per row and returns the updated distribution. Only the row
 ranking enters the update (non-finite costs last, ties to the earlier row),
 so the strategy is invariant under monotone transformations of the cost.
 No strategy constant is an option: ``StrategyParams`` derives each one from
-the dimension and the population size.
+the dimension and the population size, which like the seed must be integers.
 
 Each distribution's covariance C is decomposed once, on first use, into the
 eigensystem that ``ask`` samples with (C^1/2) and ``tell`` whitens with
@@ -51,13 +51,12 @@ class StrategyParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, minimum in (("dimension", 1), ("population", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < minimum):
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
         n, lam = self.dimension, self.population
-        if n < 1:
-            raise ValueError(f"dimension must be >= 1, got {n}")
-        if lam < 2:
-            raise ValueError(f"population must be >= 2, got {lam}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
         mu = max(1, lam // 2)
         raw = np.log((lam + 1) / 2.0) - np.log(np.arange(1, mu + 1))
         weights = raw / raw.sum()
@@ -76,7 +75,7 @@ class StrategyParams:
     @classmethod
     def defaults(cls, dimension: int, population: int, seed: int = 0) -> "StrategyParams":
         """Standard hyperparameters for a given dimension and population size."""
-        return cls(int(dimension), int(population), int(seed))
+        return cls(dimension, population, seed)
 
 
 @dataclass(frozen=True)

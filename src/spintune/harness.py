@@ -164,6 +164,12 @@ class RunConfig:
             raise ConfigError(f"the {self.task} task has no landscape; backend_fixture must be null")
         if isinstance(self.backend_fixture, (str, os.PathLike)):  # held as the device it names
             object.__setattr__(self, "backend_fixture", read_json(self.backend_fixture))
+        else:  # a copy, so a later change to the caller's object bypasses no check
+            try:
+                object.__setattr__(self, "backend_fixture",
+                                   json.loads(json.dumps(self.backend_fixture)))
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"landscape fixture is not JSON: {err}") from None
         landscape = json_object(backends.HiddenLandscape, self.backend_fixture, "landscape fixture")
         if landscape.optimum.shape != (dimension := task.space().dimension,):
             raise ConfigError(f"landscape fixture has {landscape.optimum.size} parameters; "
@@ -424,14 +430,15 @@ def _generation_payload(rec: GenerationRecord) -> dict:
 
 
 def _stored_candidate(cand) -> dict:
-    """A candidate as loaded, exactly {x, cost, meta}: meta an object, a null cost +inf."""
+    """A candidate as loaded, exactly {x, cost, meta}: meta an object, cost finite or null (inf)."""
     json_keys(cand, ("x", "cost", "meta"), "candidate")  # a missing key is a KeyError
     if not isinstance(cand["meta"], dict):
         raise TypeError(f"candidate meta {cand['meta']!r} is not an object")
-    cost = math.inf if cand["cost"] is None else cand["cost"]  # a failed one is written null
-    if not isinstance(cost, float):
-        raise TypeError(f"candidate cost {cost!r} is not a float")
-    return {**cand, "cost": cost}
+    if cand["cost"] is None:  # a failed one is written null
+        return {**cand, "cost": math.inf}
+    if not isinstance(cand["cost"], float) or not math.isfinite(cand["cost"]):  # 1e400 is inf
+        raise ValueError(f"candidate cost {cand['cost']!r} is not a finite number or null")
+    return cand
 
 
 def _is_int(value, expected: int) -> bool:
@@ -457,8 +464,10 @@ def load_record(record_dir: Path | str) -> RunRecord:
     are not), a first line that is not the header, a version or generation
     number other than the JSON integer RECORD_VERSION, k or k + 1 (line k's
     state), a header, generation line or candidate without exactly its keys,
-    or a malformed config, space, candidate x row, metadata or search
-    distribution (a non-finite mean or path included) raise ConfigError.
+    a candidate cost that is neither a finite number nor null, or a
+    malformed config, space, candidate x row, metadata or search
+    distribution (a non-finite mean or path, or a covariance with no
+    positive eigenvalue, included) raise ConfigError.
     """
     path = Path(record_dir) / RECORD_NAME
     if not path.exists():
@@ -504,6 +513,7 @@ def load_record(record_dir: Path | str) -> RunRecord:
             if xs.shape != (len(candidates), space.dimension) or not np.isfinite(xs).all():
                 raise ValueError(f"candidate x values are not finite rows of {space.dimension}")
             state = json_object(cmaes.DistributionState, payload["state"], "state")
+            state.eigensystem  # a covariance with no positive eigenvalue is a ValueError
             if state.mean.shape != (space.dimension,):
                 raise ValueError(f"state mean is not of dimension {space.dimension}")
             if not _is_int(payload["state"]["generation"], k + 1):  # missing: a KeyError

@@ -536,6 +536,9 @@ def test_sweep_with_bad_step_count_exits_2(tmp_path, capsys, n_steps):
 
 SHUTTLE_FIXTURE = harness.json_plain(backends.make_shuttle_landscape(2))
 # Damage to one line of an 8-parameter record: (line, edit of its parsed JSON).
+# json.dumps cannot write a number that overflows a float, so a damaged
+# line holds a placeholder that is swapped for the raw text
+OVERFLOWS = [(1.25e300, "1e400"), (-2.5e300, "-1e400")]
 RECORD_DAMAGE = {
     "header without config": (0, lambda h: h.pop("config")),
     "space bound not a number": (0, lambda h: h["space"][0].update(low="a")),
@@ -545,6 +548,9 @@ RECORD_DAMAGE = {
     "state not an object": (-1, lambda g: g.update(state=[])),
     "state cov of 1 x 1": (-1, lambda g: g["state"].update(cov=[[1.0]])),
     "state cov not finite": (-1, lambda g: g["state"].update(cov=[[float("nan")] * 8] * 8)),
+    "state cov of zeros": (-1, lambda g: g["state"].update(cov=[[0.0] * 8] * 8)),
+    "state cov negative definite at generation 2": (3, lambda g: g["state"].update(
+        cov=[[-float(i == j) for j in range(8)] for i in range(8)])),
     "state of dimension 1": (-1, lambda g: g["state"].update(
         mean=[0.5], cov=[[1.0]], p_sigma=[0.0], p_c=[0.0])),
     "state path of length 1": (-1, lambda g: g["state"].update(p_sigma=[0.0])),
@@ -558,6 +564,8 @@ RECORD_DAMAGE = {
     "candidate x not numbers": (-1, lambda g: g["candidates"][0].update(x=["a"] * 8)),
     "candidate x with a null": (-1, lambda g: g["candidates"][0].update(x=[None] * 8)),
     "candidate cost NaN": (-1, lambda g: g["candidates"][3].update(cost=float("nan"))),
+    "candidate cost 1e400": (-1, lambda g: g["candidates"][3].update(cost=OVERFLOWS[0][0])),
+    "candidate cost -1e400": (-1, lambda g: g["candidates"][2].update(cost=OVERFLOWS[1][0])),
     "metadata p infinite": (-1, lambda g: g["candidates"][0]["meta"].update(p=float("inf"))),
     "candidate without meta": (-1, lambda g: g["candidates"][0].pop("meta")),
     "candidate meta not an object": (-1, lambda g: g["candidates"][1].update(meta=5)),
@@ -598,7 +606,10 @@ def test_a_damaged_record_exits_2_from_analyze_and_resume(tmp_path, capsys, dama
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     index, edit = RECORD_DAMAGE[damage]
     edit(lines[index])
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    text = "".join(json.dumps(line) + "\n" for line in lines)
+    for placeholder, raw in OVERFLOWS:
+        text = text.replace(json.dumps(placeholder), raw)
+    path.write_text(text)
     damaged = path.read_bytes()
     with pytest.raises(harness.ConfigError, match="is malformed"):
         harness.load_record(out)

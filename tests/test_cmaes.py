@@ -170,6 +170,13 @@ def test_derived_constants_are_not_arguments():
     with pytest.raises(ValueError):
         StrategyParams(3, 6, seed=-1)
     assert StrategyParams.defaults(3, 6) == StrategyParams(3, 6, 0)
+    # a bool or a fraction is no integer: refused, never truncated
+    for args in ((3, 4.5), (3.0, 6), (True, 6), (3, 6, True), (3, 6, 1.5), (3, "6")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            StrategyParams(*args)
+        with pytest.raises(ValueError, match="must be an integer"):
+            StrategyParams.defaults(*args)
+    assert StrategyParams(np.int64(3), np.int64(6)) == StrategyParams(3, 6)
 
 
 @settings(max_examples=300, deadline=None)

@@ -765,6 +765,21 @@ def test_a_fixture_file_is_read_when_the_config_is_made(tmp_path):
     assert record == (tmp_path / "inline" / harness.RECORD_NAME).read_bytes()
 
 
+def test_a_config_holds_a_copy_of_the_callers_fixture(tmp_path):
+    land = harness.json_plain(backends.make_shuttle_landscape(2))
+    caller = json.loads(json.dumps(land))
+    cfg = RunConfig(task="shuttle", generations=3, population=4, seed=1, backend_fixture=caller)
+    # trimmed after the check: the run would fail every candidate on this device
+    caller["optimum"] = caller["optimum"][:7]
+    caller["coupling"] = [row[:7] for row in caller["coupling"][:7]]
+    assert cfg.backend_fixture == land
+    harness.run(replace(cfg, output_dir=tmp_path / "trimmed"))
+    harness.run(RunConfig(task="shuttle", generations=3, population=4, seed=1,
+                          backend_fixture=land, output_dir=tmp_path / "kept"))
+    record = (tmp_path / "trimmed" / harness.RECORD_NAME).read_bytes()
+    assert record == (tmp_path / "kept" / harness.RECORD_NAME).read_bytes()
+
+
 @pytest.mark.parametrize("task", ["single_qubit", "benchmark"])
 def test_a_task_without_a_landscape_refuses_a_fixture(tmp_path, task):
     land = harness.json_plain(backends.make_shuttle_landscape(0))
