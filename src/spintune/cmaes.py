@@ -84,8 +84,8 @@ class DistributionState:
 
     ``cov`` is the unscaled covariance shape matrix C (step size kept
     separate), which is what the post-hoc correlation analysis consumes.
-    ``mean``, ``cov``, ``p_sigma`` and ``p_c`` are converted to float
-    arrays, so the state can be built from the lists a record stores.
+    ``mean``, ``cov``, ``p_sigma`` and ``p_c`` are converted to read-only
+    float arrays, so the state can be built from the lists a record stores.
     """
 
     mean: np.ndarray
@@ -97,7 +97,10 @@ class DistributionState:
 
     def __post_init__(self) -> None:
         for name in ("mean", "cov", "p_sigma", "p_c"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            # read-only copies, so the cached eigensystem stays the one of cov
+            value = np.array(getattr(self, name), dtype=float)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         n = self.mean.shape[0]
         for name, shape in (("cov", (n, n)), ("p_sigma", (n,)), ("p_c", (n,))):
             if getattr(self, name).shape != shape:

@@ -147,6 +147,13 @@ def test_covariance_snapshot_is_a_tagged_copy():
     assert snap.shape == (2, 2)
     snap[0, 0] = 99.0
     assert state.cov[0, 0] == 1.0
+    # the state's own arrays are read-only copies, so its eigensystem cannot go stale
+    cov = np.eye(2)
+    state = replace(state, cov=cov)
+    cov[1, 1] = 1e-20
+    assert state.cov[1, 1] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.cov[1, 1] = 1e-20
 
 
 def test_parameter_validation():
