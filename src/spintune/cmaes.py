@@ -132,7 +132,7 @@ class DistributionState:
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(vals, vecs, least): C = vecs diag(vals) vecs^T once repaired, and C's least eigenvalue.
 
-        Computed once per state, on first use; it is no field, so neither
+        Computed once per state, on first use; it is not a field, so neither
         equality nor the record sees it. A numerically non-positive C is
         repaired by raising its eigenvalues to EIGENVALUE_FLOOR times the
         largest, so a repair was made exactly when ``least < vals[0]``. A C
