@@ -137,24 +137,13 @@ class ParameterSpace:
 
     def normalize(self, values: np.ndarray) -> np.ndarray:
         """Map physical values, one vector or rows of them, to the unit cube."""
-        values = np.asarray(values, dtype=float)
-        self._check_shape(values)
         lo, hi = self.lows(), self.highs()
-        return (values - lo) / (hi - lo)
+        return ((_rows(values, self.dimension) - lo) / (hi - lo)).reshape(np.shape(values))
 
     def denormalize(self, x: np.ndarray) -> np.ndarray:
         """Map unit-cube coordinates, one vector or rows of them, to physical values."""
-        x = np.asarray(x, dtype=float)
-        self._check_shape(x)
         lo, hi = self.lows(), self.highs()
-        return lo + (hi - lo) * x
-
-    def _check_shape(self, arr: np.ndarray) -> None:
-        if arr.ndim not in (1, 2) or arr.shape[-1] != self.dimension:
-            raise ValueError(
-                f"expected a vector of length {self.dimension} or rows of it, "
-                f"got shape {arr.shape}"
-            )
+        return (lo + (hi - lo) * _rows(x, self.dimension)).reshape(np.shape(x))
 
 
 def readout_space() -> ParameterSpace:
@@ -224,7 +213,8 @@ class HiddenLandscape:
     ``coupling`` the SPD quadratic form giving curvature and crosstalk,
     and ``floor`` the planted best defect: one minus the peak visibility
     for the readout task, or the minimal depolarization parameter for
-    the shuttle task.
+    the shuttle task. ``optimum`` and ``coupling`` are held as read-only
+    float copies.
     """
 
     optimum: np.ndarray
@@ -235,10 +225,7 @@ class HiddenLandscape:
 
     def __post_init__(self) -> None:
         for name in ("optimum", "coupling"):
-            arr = np.asarray(getattr(self, name))
-            if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be an array of finite numbers")
-            object.__setattr__(self, name, arr.astype(float))
+            object.__setattr__(self, name, dqd._require_reals(name, getattr(self, name)))
         if self.optimum.ndim != 1 or self.optimum.size == 0:
             raise ValueError("optimum must be a non-empty vector")
         if not isinstance(self.shot_noise, bool):
@@ -301,7 +288,7 @@ def _rows(x: np.ndarray, dim: int) -> np.ndarray:
     """x as a contiguous (n, dim) block; a vector is one row."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != dim:
-        raise ValueError(f"candidate must have dimension {dim}, got shape {x.shape}")
+        raise ValueError(f"expected a vector or rows of dimension {dim}, got shape {x.shape}")
     return np.ascontiguousarray(x.reshape(-1, dim))
 
 

@@ -22,13 +22,14 @@ byte-identical points and an interrupted run can be resumed exactly.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+
+from .dqd import _require_int, _require_real, _require_reals
 
 __all__ = ["StrategyParams", "DistributionState", "ask", "tell", "covariance_snapshot"]
 
@@ -52,10 +53,7 @@ class StrategyParams:
 
     def __post_init__(self) -> None:
         for name, minimum in (("dimension", 1), ("population", 2), ("seed", 0)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < minimum):
-                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+            _require_int(name, getattr(self, name), minimum)
         n, lam = self.dimension, self.population
         mu = max(1, lam // 2)
         raw = np.log((lam + 1) / 2.0) - np.log(np.arange(1, mu + 1))
@@ -84,8 +82,9 @@ class DistributionState:
 
     ``cov`` is the unscaled covariance shape matrix C (step size kept
     separate), which is what the post-hoc correlation analysis consumes.
-    ``mean``, ``cov``, ``p_sigma`` and ``p_c`` are converted to read-only
-    float arrays, so the state can be built from the lists a record stores.
+    ``mean``, ``cov``, ``p_sigma`` and ``p_c`` are held as read-only float
+    copies, so the state can be built from the lists a record stores; a bool
+    is refused in them, as it is for ``sigma`` and ``generation``.
     """
 
     mean: np.ndarray
@@ -98,35 +97,23 @@ class DistributionState:
     def __post_init__(self) -> None:
         for name in ("mean", "cov", "p_sigma", "p_c"):
             # read-only copies, so the cached eigensystem stays the one of cov
-            value = np.array(getattr(self, name), dtype=float)
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _require_reals(name, getattr(self, name)))
         n = self.mean.shape[0]
         for name, shape in (("cov", (n, n)), ("p_sigma", (n,)), ("p_c", (n,))):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} shape {getattr(self, name).shape} does not match {n}")
-        for name in ("mean", "p_sigma", "p_c"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
-        scale = max(np.abs(self.cov).max(), 1.0)
-        if not np.abs(self.cov - self.cov.T).max() <= 1e-12 * scale:  # also refuses nan and inf
-            raise ValueError("covariance must be finite and symmetric")
-        if self.sigma <= 0.0 or not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if not isinstance(self.generation, numbers.Integral) or self.generation < 0:
-            raise ValueError(f"generation must be a non-negative integer, got {self.generation!r}")
+        if not np.abs(self.cov - self.cov.T).max() <= 1e-12 * max(np.abs(self.cov).max(), 1.0):
+            raise ValueError("covariance must be symmetric")
+        _require_real("sigma", self.sigma)
+        if self.sigma <= 0.0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        _require_int("generation", self.generation, 0)
 
     @classmethod
     def initial(cls, mean: Sequence[float], sigma: float = 1.0) -> "DistributionState":
         n = len(mean)
-        return cls(
-            mean=mean,
-            sigma=float(sigma),
-            cov=np.eye(n),
-            p_sigma=np.zeros(n),
-            p_c=np.zeros(n),
-            generation=0,
-        )
+        return cls(mean=mean, sigma=float(sigma), cov=np.eye(n), p_sigma=np.zeros(n),
+                   p_c=np.zeros(n), generation=0)
 
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -209,15 +196,8 @@ def tell(state: DistributionState, params: StrategyParams, steps: np.ndarray,
     )
     cov = 0.5 * (cov + cov.T)
 
-    return replace(
-        state,
-        mean=mean,
-        sigma=sigma,
-        cov=cov,
-        p_sigma=p_sigma,
-        p_c=p_c,
-        generation=g_next,
-    )
+    return replace(state, mean=mean, sigma=sigma, cov=cov, p_sigma=p_sigma, p_c=p_c,
+                   generation=g_next)
 
 
 def covariance_snapshot(state: DistributionState) -> np.ndarray:

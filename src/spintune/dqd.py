@@ -37,6 +37,7 @@ overflows ends in a non-finite fidelity, which is refused.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -73,6 +74,32 @@ def _require_int(name: str, value, minimum: int) -> None:
     """Raise ValueError naming ``name`` unless value is an integer >= minimum."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _require_reals(name: str, value) -> np.ndarray:
+    """A read-only float copy of ``value``; ValueError naming ``name`` unless all are finite reals.
+
+    numpy reads the list [True, 0.5] as [1.0, 0.5], so the entries of anything
+    but an array are looked at one by one, and a bool among them is refused.
+    """
+    if isinstance(value, np.ndarray):  # a bool, complex, str or object array is refused
+        arr = np.array(value, dtype=float) if value.dtype.kind in "iuf" else None
+    else:
+        try:
+            arr = np.array(value, dtype=float)
+        except (OverflowError, TypeError, ValueError):  # no number, a huge int, ragged rows
+            arr = None
+        else:
+            entries = value if arr.ndim else [value]
+            for _ in range(arr.ndim - 1):
+                entries = itertools.chain.from_iterable(entries)
+            if any(kind is bool or not issubclass(kind, numbers.Real)
+                   for kind in set(map(type, entries))):
+                arr = None
+    if arr is None or not np.isfinite(arr).all():
+        raise ValueError(f"{name} must hold only finite real numbers")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)

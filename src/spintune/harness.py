@@ -509,9 +509,9 @@ def load_record(record_dir: Path | str) -> RunRecord:
         try:
             json_keys(payload, ("type", "generation", "candidates", "state"), "generation line")
             candidates = [_stored_candidate(cand) for cand in payload["candidates"]]
-            xs = np.array([cand["x"] for cand in candidates], dtype=float)
-            if xs.shape != (len(candidates), space.dimension) or not np.isfinite(xs).all():
-                raise ValueError(f"candidate x values are not finite rows of {space.dimension}")
+            xs = dqd._require_reals("candidate x", [cand["x"] for cand in candidates])
+            if xs.shape != (len(candidates), space.dimension):
+                raise ValueError(f"candidate x values are not rows of {space.dimension}")
             state = json_object(cmaes.DistributionState, payload["state"], "state")
             state.eigensystem  # a covariance with no positive eigenvalue is a ValueError
             if state.mean.shape != (space.dimension,):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .backends import CostEvaluation, _seeded_rows
-from .dqd import _require_int
+from .dqd import _require_int, _require_reals
 
 __all__ = [
     "RbConfig",
@@ -184,9 +184,7 @@ def rb_backend_evaluate(cfg: RbConfig, x: np.ndarray, shot_seeds) -> list[CostEv
     product of sequence_length + 1 Clifford steps; returns one evaluation
     per row.
     """
-    block = _seeded_rows(x, 3, shot_seeds)
-    if not np.all(np.isfinite(block)):
-        raise ValueError("pulse parameters must be finite")
+    block = _require_reals("pulse parameters", _seeded_rows(x, 3, shot_seeds))
     if np.any(block[:, 0] <= 0):
         raise ValueError("t_d must be positive")
     if np.any(block[:, 1] <= 0):

@@ -43,6 +43,25 @@ def test_space_validation():
         ParameterSpace((SpaceEntry("a", 0.0, 1.0, "mV"), SpaceEntry("a", 0.0, 2.0, "mV")))
 
 
+@settings(max_examples=50)
+@given(data=st.data())
+def test_space_maps_a_block_row_for_row_as_each_vector_alone(data):
+    space = data.draw(st.sampled_from([readout_space(), shuttle_space(), rb_space()]))
+    d = space.dimension
+    n = data.draw(st.integers(1, 6))
+    block = np.array(data.draw(st.lists(
+        st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d), min_size=n, max_size=n)))
+    for f in (space.normalize, space.denormalize):
+        mapped = f(block)
+        assert mapped.shape == (n, d)
+        for row, vector in zip(mapped, block):
+            assert f(vector).shape == (d,)
+            assert f(vector).tobytes() == row.tobytes()
+        for shape in ((), (d + 1,), (n, d, 1)):
+            with pytest.raises(ValueError, match=f"dimension {d}"):
+                f(np.zeros(shape))
+
+
 def test_task_spaces_have_expected_shapes():
     assert readout_space().dimension == 14
     assert shuttle_space().dimension == 8
@@ -168,6 +187,23 @@ def test_landscape_rejects_non_spd_coupling():
     with pytest.raises(ValueError):
         HiddenLandscape(np.full(2, 0.5), np.array([[1.0, 0.5], [0.4, 1.0]]),
                         0.01, False, 0)
+
+
+def test_landscape_refuses_a_bool_among_floats_and_holds_read_only_arrays():
+    # numpy reads [True, 0.5] as the floats [1.0, 0.5]; the entries are checked
+    for optimum in ([True, 0.5], np.array([True, False]), ["0.5", 0.5]):
+        with pytest.raises(ValueError, match="optimum"):
+            HiddenLandscape(optimum, np.eye(2), 0.01, False, 0)
+    with pytest.raises(ValueError, match="coupling"):
+        HiddenLandscape([0.5, 0.5], [[1.0, False], [0.0, 1.0]], 0.01, False, 0)
+    optimum, coupling = np.full(2, 0.5), np.eye(2)
+    land = HiddenLandscape(optimum, coupling, 0.01, False, 0)
+    for arr in (land.optimum, land.coupling):
+        assert arr.dtype == float and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    optimum[0] = 0.1  # a copy: the caller's array stays its own
+    assert land.optimum[0] == 0.5
 
 
 def test_planted_crosstalk_signs_in_coupling():

@@ -235,6 +235,7 @@ def readout_run(fixture_changes=(), **changes):
     readout_run({"floor": "0.1"}),
     readout_run({"optimum": 5}),
     readout_run({"optimum": ["0.5"] * 14}),
+    readout_run({"optimum": [True] + [0.5] * 13}),
     readout_run({"coupling": [[float("nan")] * 14] * 14}),
     readout_run({"optimum": [0.5], "coupling": [[1.0]]}),
     readout_run(shots=10**30),
@@ -559,10 +560,14 @@ RECORD_DAMAGE = {
     "state generation infinite": (-1, lambda g: g["state"].update(generation=float("inf"))),
     "state mean not finite": (-1, lambda g: g["state"]["mean"].__setitem__(0, float("nan"))),
     "state path not finite": (-1, lambda g: g["state"]["p_c"].__setitem__(3, float("inf"))),
+    "state sigma true": (-1, lambda g: g["state"].update(sigma=True)),
+    "state mean with false among floats": (-1, lambda g: g["state"]["mean"].__setitem__(0, False)),
     "candidate without x": (-1, lambda g: g["candidates"][0].pop("x")),
     "candidate x of length 1": (-1, lambda g: g["candidates"][1].update(x=[0.5])),
     "candidate x not numbers": (-1, lambda g: g["candidates"][0].update(x=["a"] * 8)),
     "candidate x with a null": (-1, lambda g: g["candidates"][0].update(x=[None] * 8)),
+    "candidate x with true among floats": (-1, lambda g: g["candidates"][1]["x"].__setitem__(
+        2, True)),
     "candidate cost NaN": (-1, lambda g: g["candidates"][3].update(cost=float("nan"))),
     "candidate cost 1e400": (-1, lambda g: g["candidates"][3].update(cost=OVERFLOWS[0][0])),
     "candidate cost -1e400": (-1, lambda g: g["candidates"][2].update(cost=OVERFLOWS[1][0])),

@@ -164,11 +164,16 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         DistributionState.initial(np.zeros(3), sigma=-1.0)
     for name in ("mean", "p_sigma", "p_c"):
-        for bad in (math.nan, math.inf):
+        # a bool among floats, which numpy alone reads as 1.0 or 0.0
+        for bad in (math.nan, math.inf, [0.0, True, 0.0], [False, 0.5, 0.5]):
             fields = vars(DistributionState.initial(np.zeros(3))).copy()
-            fields[name] = np.array([0.0, bad, 0.0])
+            fields[name] = np.array([0.0, bad, 0.0]) if isinstance(bad, float) else bad
             with pytest.raises(ValueError, match=name):
                 DistributionState(**fields)
+    for name, bad in (("sigma", True), ("sigma", math.inf), ("generation", True),
+                      ("generation", 1.0), ("generation", -1)):
+        with pytest.raises(ValueError, match=name):
+            replace(DistributionState.initial(np.zeros(3)), **{name: bad})
 
 
 def test_derived_constants_are_not_arguments():
