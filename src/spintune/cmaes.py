@@ -83,8 +83,7 @@ class DistributionState:
     ``cov`` is the unscaled covariance shape matrix C (step size kept
     separate), which is what the post-hoc correlation analysis consumes.
     ``mean``, ``cov``, ``p_sigma`` and ``p_c`` are held as read-only float
-    copies, so the state can be built from the lists a record stores; a bool
-    is refused in them, as it is for ``sigma`` and ``generation``.
+    copies, so the state can be built from the lists a record stores.
     """
 
     mean: np.ndarray
@@ -102,7 +101,8 @@ class DistributionState:
         for name, shape in (("cov", (n, n)), ("p_sigma", (n,)), ("p_c", (n,))):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} shape {getattr(self, name).shape} does not match {n}")
-        if not np.abs(self.cov - self.cov.T).max() <= 1e-12 * max(np.abs(self.cov).max(), 1.0):
+        scale = max(np.abs(self.cov).max(), 1.0)
+        if not np.abs(self.cov - self.cov.T).max() <= 1e-12 * scale:
             raise ValueError("covariance must be symmetric")
         _require_real("sigma", self.sigma)
         if self.sigma <= 0.0:
@@ -112,8 +112,14 @@ class DistributionState:
     @classmethod
     def initial(cls, mean: Sequence[float], sigma: float = 1.0) -> "DistributionState":
         n = len(mean)
-        return cls(mean=mean, sigma=float(sigma), cov=np.eye(n), p_sigma=np.zeros(n),
-                   p_c=np.zeros(n), generation=0)
+        return cls(
+            mean=mean,
+            sigma=float(sigma),
+            cov=np.eye(n),
+            p_sigma=np.zeros(n),
+            p_c=np.zeros(n),
+            generation=0,
+        )
 
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -196,8 +202,15 @@ def tell(state: DistributionState, params: StrategyParams, steps: np.ndarray,
     )
     cov = 0.5 * (cov + cov.T)
 
-    return replace(state, mean=mean, sigma=sigma, cov=cov, p_sigma=p_sigma, p_c=p_c,
-                   generation=g_next)
+    return replace(
+        state,
+        mean=mean,
+        sigma=sigma,
+        cov=cov,
+        p_sigma=p_sigma,
+        p_c=p_c,
+        generation=g_next,
+    )
 
 
 def covariance_snapshot(state: DistributionState) -> np.ndarray:

@@ -36,8 +36,8 @@ overflows ends in a non-finite fidelity, which is refused.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -79,27 +79,19 @@ def _require_int(name: str, value, minimum: int) -> None:
 def _require_reals(name: str, value) -> np.ndarray:
     """A read-only float copy of ``value``; ValueError naming ``name`` unless all are finite reals.
 
-    numpy reads the list [True, 0.5] as [1.0, 0.5], so the entries of anything
-    but an array are looked at one by one, and a bool among them is refused.
+    numpy reads the list [True, 0.5] as [1.0, 0.5], so the entries of a list
+    are looked at one by one, and a bool among them is refused.
     """
-    if isinstance(value, np.ndarray):  # a bool, complex, str or object array is refused
-        arr = np.array(value, dtype=float) if value.dtype.kind in "iuf" else None
-    else:
-        try:
-            arr = np.array(value, dtype=float)
-        except (OverflowError, TypeError, ValueError):  # no number, a huge int, ragged rows
-            arr = None
-        else:
-            entries = value if arr.ndim else [value]
-            for _ in range(arr.ndim - 1):
-                entries = itertools.chain.from_iterable(entries)
-            if any(kind is bool or not issubclass(kind, numbers.Real)
-                   for kind in set(map(type, entries))):
-                arr = None
-    if arr is None or not np.isfinite(arr).all():
+    arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+    kinds = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
+    reals = None
+    if all(issubclass(kind, numbers.Real) and kind is not bool for kind in kinds):
+        with contextlib.suppress(OverflowError):  # an int too large for a float
+            reals = arr.astype(float)
+    if reals is None or not np.isfinite(reals).all():
         raise ValueError(f"{name} must hold only finite real numbers")
-    arr.setflags(write=False)
-    return arr
+    reals.setflags(write=False)
+    return reals
 
 
 @dataclass(frozen=True)
