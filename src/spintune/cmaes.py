@@ -107,6 +107,7 @@ class DistributionState:
         _require_real("sigma", self.sigma)
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        object.__setattr__(self, "sigma", float(self.sigma))
         _require_int("generation", self.generation, 0)
 
     @classmethod
@@ -114,7 +115,7 @@ class DistributionState:
         n = len(mean)
         return cls(
             mean=mean,
-            sigma=float(sigma),
+            sigma=sigma,
             cov=np.eye(n),
             p_sigma=np.zeros(n),
             p_c=np.zeros(n),

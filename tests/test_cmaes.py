@@ -161,8 +161,10 @@ def test_parameter_validation():
         StrategyParams.defaults(0, population=4)
     with pytest.raises(ValueError):
         StrategyParams.defaults(3, population=1)
-    with pytest.raises(ValueError):
-        DistributionState.initial(np.zeros(3), sigma=-1.0)
+    for sigma in (-1.0, True):
+        with pytest.raises(ValueError, match="sigma"):
+            DistributionState.initial(np.zeros(3), sigma=sigma)
+    assert type(DistributionState.initial(np.zeros(3), sigma=np.float64(0.5)).sigma) is float
     for name in ("mean", "p_sigma", "p_c"):
         # a bool among floats, which numpy alone reads as 1.0 or 0.0
         for bad in (math.nan, math.inf, [0.0, True, 0.0], [False, 0.5, 0.5]):
