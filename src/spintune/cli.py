@@ -92,26 +92,16 @@ _SWEEP_KEYS = ("base", "axis1", "axis2", "noise", "n_steps", "out")
 _AXIS_KEYS = ("name", "values", "start", "stop", "num", "spacing")
 
 
-def _numbers(name: str, values: list) -> np.ndarray:
-    """The JSON numbers of a sweep axis entry as floats; a bool or a string is refused."""
-    if not isinstance(values, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        raise ValueError(f"{name} must be JSON numbers, got {values!r}")
-    return np.array(values, dtype=float)
-
-
 def _parse_axis(key: str, payload) -> tuple:
     """(field, values) of one sweep axis; an error names the axis and its field."""
     harness.json_keys(payload, _AXIS_KEYS, f"sweep config {key}")
     try:
         name = payload["name"]
         if "values" in payload:
-            return name, _numbers("values", payload["values"])
+            return name, dqd._require_reals("values", payload["values"])
         num = payload["num"]
-        start, stop = _numbers("start and stop", [payload["start"], payload["stop"]]).tolist()
+        start, stop = dqd._require_reals("start and stop", [payload["start"], payload["stop"]])
         dqd._require_int("num", num, 1)
-        if not np.isfinite([start, stop]).all():
-            raise ValueError(f"start and stop must be finite, got {start} and {stop}")
         spacing = payload.get("spacing", "linear")
         if spacing not in ("linear", "geom"):
             raise ValueError(f"spacing must be 'linear' or 'geom', got {spacing!r}")
@@ -141,7 +131,9 @@ def _cmd_sweep(args) -> int:
         grid = dqd.sweep_fidelity_grid(base, axis1, axis2, noise=noise, n_steps=n_steps)
     except (TypeError, ValueError) as err:
         raise harness.ConfigError(str(err)) from None
-    dqd.grid_to_csv(Path(out), axis1, axis2, grid)
+    (name1, vals1), (name2, vals2) = axis1, axis2
+    rows = [[f"{name1}\\{name2}", *vals2.tolist()], *np.column_stack([vals1, grid]).tolist()]
+    Path(out).write_text("".join(",".join(map(str, row)) + "\n" for row in rows))  # str(float) is repr
     print(json.dumps({"out": str(out), "shape": list(grid.shape),
                       "mean_fidelity": float(grid.mean())}, sort_keys=True))
     return 0
@@ -164,9 +156,8 @@ def _cmd_analyze(args) -> int:
             "normalized": report.normalized_contributions(),
         }
         (out_dir / "hdmr.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        lines = ["name,contribution"]
-        for name, value in report.normalized_contributions().items():
-            lines.append(f"{name},{value!r}")
+        lines = ["name,contribution"] + [f"{name},{value!r}"
+                                         for name, value in payload["normalized"].items()]
         (out_dir / "hdmr.csv").write_text("\n".join(lines) + "\n")
         wrote += ["hdmr.json", "hdmr.csv"]
     if args.cov_pairs:

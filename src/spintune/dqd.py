@@ -37,7 +37,6 @@ overflows ends in a non-finite fidelity, which is refused.
 from __future__ import annotations
 
 import contextlib
-import csv
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -46,8 +45,8 @@ from typing import Sequence
 import numpy as np
 
 __all__ = ["DqdConfig", "StateVector", "NoiseModel", "hamiltonian", "evolve",
-           "initialization_fidelity", "sweep_fidelity_grid", "grid_to_csv",
-           "DEFAULT_STEPS", "GRID_STEPS"]
+           "initialization_fidelity", "sweep_fidelity_grid", "DEFAULT_STEPS",
+           "GRID_STEPS"]
 
 # Default number of integration steps per ramp (dt = ramp_time / 8000).
 # The midpoint rule is second order, so this budget keeps the halved-step
@@ -417,21 +416,3 @@ def sweep_fidelity_grid(
     fid = _cell_fidelities(*(cells[name].ravel() for name in _AXIS_FIELDS), noise, n_steps)
     return fid.reshape(shape)
 
-
-def grid_to_csv(
-    path: str,
-    axis1: tuple[str, Sequence[float]],
-    axis2: tuple[str, Sequence[float]],
-    grid: np.ndarray,
-) -> None:
-    """Write a sweep grid as CSV: header row = axis2 values, first column = axis1."""
-    name1, vals1 = axis1
-    name2, vals2 = axis2
-    grid = np.asarray(grid)
-    if grid.shape != (len(vals1), len(vals2)):
-        raise ValueError(f"grid shape {grid.shape} does not match axes")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"{name1}\\{name2}"] + [repr(float(v)) for v in vals2])
-        for value, row in zip(vals1, grid):
-            writer.writerow([repr(float(value))] + [repr(float(x)) for x in row])

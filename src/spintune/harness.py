@@ -437,7 +437,8 @@ def _stored_candidate(cand) -> dict:
     if cand["cost"] is None:  # a failed one is written null
         return {**cand, "cost": math.inf}
     if not isinstance(cand["cost"], float) or not math.isfinite(cand["cost"]):  # 1e400 is inf
-        raise ValueError(f"candidate cost {cand['cost']!r} is not a finite number or null")
+        raise ValueError(f"candidate cost {cand['cost']!r} is not a finite float (a JSON number "
+                         "written with a fraction or an exponent) or null")
     return cand
 
 
@@ -464,10 +465,11 @@ def load_record(record_dir: Path | str) -> RunRecord:
     are not), a first line that is not the header, a version or generation
     number other than the JSON integer RECORD_VERSION, k or k + 1 (line k's
     state), a header, generation line or candidate without exactly its keys,
-    a candidate cost that is neither a finite number nor null, or a
-    malformed config, space, candidate x row, metadata or search
-    distribution (a non-finite mean or path, or a covariance with no
-    positive eigenvalue, included) raise ConfigError.
+    a candidate cost that is not a finite float (a JSON number written with
+    a fraction or an exponent) or null, or a malformed config, space,
+    candidate x row, metadata or search distribution (a non-finite mean or
+    path, or a covariance with no positive eigenvalue, included) raise
+    ConfigError.
     """
     path = Path(record_dir) / RECORD_NAME
     if not path.exists():

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .backends import CostEvaluation, _seeded_rows
-from .dqd import _require_int, _require_reals
+from .dqd import _require_int, _require_real, _require_reals
 
 __all__ = [
     "RbConfig",
@@ -218,6 +218,7 @@ def rb_decay_curve(cfg: RbConfig, x: np.ndarray, lengths: list[int],
     """
     out = []
     for i, m in enumerate(lengths):
+        _require_real("sequence length", m)
         if not float(m).is_integer():
             raise ValueError(f"sequence length {m!r} is not a whole number")
         cfg_m = replace(cfg, sequence_length=int(m))

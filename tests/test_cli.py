@@ -7,6 +7,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,10 +136,20 @@ def test_sweep_writes_the_grid_csv(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["shape"] == [3, 4]
     assert 0.0 <= summary["mean_fidelity"] <= 1.0
-    rows = out.read_text().splitlines()
+    raw = out.read_bytes()
+    assert b"\r" not in raw  # lines end in \n, as in every CSV spintune writes
+    rows = [row.split(",") for row in raw.decode().splitlines()]
     assert len(rows) == 1 + 3
-    assert rows[0].startswith("ramp_time\\eps_final")
-    assert len(rows[1].split(",")) == 1 + 4
+    assert rows[0][0] == "ramp_time\\eps_final"
+    assert all(len(row) == 1 + 4 for row in rows)
+    # every number reads back as the value computed, bit for bit
+    axis1 = ("ramp_time", np.geomspace(0.1, 1.0, 3))
+    axis2 = ("eps_final", np.linspace(10.0, 40.0, 4))
+    base = dqd.DqdConfig(eps_initial=-30.0, tunnel_coupling=10.0, zeeman_diff=0.3)
+    grid = dqd.sweep_fidelity_grid(base, axis1, axis2, n_steps=200)
+    assert [float(v) for v in rows[0][1:]] == axis2[1].tolist()
+    assert [float(row[0]) for row in rows[1:]] == axis1[1].tolist()
+    assert [[float(v) for v in row[1:]] for row in rows[1:]] == grid.tolist()
 
 
 def test_analyze_writes_sensitivity_and_covariance_files(tmp_path, capsys):
@@ -359,7 +370,7 @@ def test_sweep_with_wrongly_typed_model_field_exits_2(tmp_path, capsys, section,
     ('{"name": "eps_final", "values": ["x"]}', "axis2 (eps_final)"),
     ('{"name": "eps_final", "values": [1.0, [2.0, 3.0]]}', "axis2 (eps_final)"),
     ('{"name": "eps_initial", "start": 1e400, "stop": 2.0, "num": 3}',
-     "axis2 (eps_initial): start and stop must be finite, got inf"),
+     "axis2 (eps_initial): start and stop must hold only finite real numbers"),
     ('{"name": "eps_final", "start": 20, "stop": 40, "num": 2.7}',
      "axis2 (eps_final): num must be an integer >= 1, got 2.7"),
     ('{"name": "eps_final", "start": 20, "stop": 40, "num": true}',
@@ -370,14 +381,14 @@ def test_sweep_with_wrongly_typed_model_field_exits_2(tmp_path, capsys, section,
      "axis2 (eps_final): spacing must be 'linear' or 'geom', got 'log'"),
     ('{"name": "eps_final", "values": []}', "eps_final values must be a non-empty"),
     ('{"name": "ramp_time", "values": [0.1, true]}',
-     "axis2 (ramp_time): values must be JSON numbers, got [0.1, True]"),
+     "axis2 (ramp_time): values must hold only finite real numbers"),
     ('{"name": "ramp_time", "values": ["30"]}',
-     "axis2 (ramp_time): values must be JSON numbers, got ['30']"),
-    ('{"name": "ramp_time", "values": 0.3}', "axis2 (ramp_time): values must be JSON numbers"),
+     "axis2 (ramp_time): values must hold only finite real numbers"),
+    ('{"name": "ramp_time", "values": 0.3}', "ramp_time values must be a non-empty 1-D list"),
     ('{"name": "eps_final", "start": true, "stop": 40, "num": 2}',
-     "axis2 (eps_final): start and stop must be JSON numbers, got [True, 40]"),
+     "axis2 (eps_final): start and stop must hold only finite real numbers"),
     ('{"name": "eps_final", "start": 20, "stop": "40", "num": 2}',
-     "axis2 (eps_final): start and stop must be JSON numbers, got [20, '40']"),
+     "axis2 (eps_final): start and stop must hold only finite real numbers"),
     ('{"name": "eps_final", "start": 20, "stop": 40, "num": 3, "spaceing": "geom"}',
      "sweep config axis2 has unknown keys ['spaceing']"),
 ])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -386,7 +387,8 @@ def test_a_stored_cost_must_be_a_float_or_null(tmp_path, cost):
     header, gen0, gen1 = path.read_text().splitlines(keepends=True)
     first = json.loads(gen0)["candidates"][0]["cost"]
     path.write_text(header + gen0.replace(f'"cost":{first!r}', f'"cost":{cost}', 1) + gen1)
-    with pytest.raises(ConfigError, match="generation 0 is malformed"):
+    wording = "is not a finite float (a JSON number written with a fraction or an exponent) or null"
+    with pytest.raises(ConfigError, match=f"generation 0 is malformed.*{re.escape(wording)}"):
         harness.load_record(tmp_path)
     with pytest.raises(ConfigError):
         harness.run(cfg, resume=True)

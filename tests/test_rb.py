@@ -362,9 +362,9 @@ def test_noisy_decay_curve_draws_length_i_at_shot_seed_plus_i():
         assert curve[i] == 1.0 - ev.cost
 
 
-@pytest.mark.parametrize("length", [2.5, 3.9, np.inf, np.nan])
+@pytest.mark.parametrize("length", [2.5, 3.9, np.inf, np.nan, "3", True])
 def test_decay_curve_refuses_a_length_that_is_not_a_whole_number(length):
-    with pytest.raises(ValueError, match="whole number"):
+    with pytest.raises(ValueError, match="sequence length"):
         rb_decay_curve(RbConfig(), np.array([12.5, 10.0, RESONANCE_MHZ]), [1, length])
 
 
