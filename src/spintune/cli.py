@@ -11,6 +11,7 @@ it, so ``run --resume`` continues once the cause is fixed).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 from dataclasses import replace
@@ -98,7 +99,11 @@ def _parse_axis(key: str, payload) -> tuple:
     try:
         name = payload["name"]
         if "values" in payload:
-            return name, dqd._require_reals("values", payload["values"])
+            values = dqd._require_reals("values", payload["values"])
+            if values.ndim != 1 or not values.size:
+                raise ValueError(f"{name} values must be a non-empty 1-D list, "
+                                 f"got shape {values.shape}")
+            return name, values
         num = payload["num"]
         start, stop = dqd._require_reals("start and stop", [payload["start"], payload["stop"]])
         dqd._require_int("num", num, 1)
@@ -127,6 +132,8 @@ def _cmd_sweep(args) -> int:
     out = args.out if args.out is not None else payload.get("out", "grid.csv")
     if not isinstance(out, str):
         raise harness.ConfigError(f"sweep config out must be a path, got {out!r}")
+    if not Path(out).parent.is_dir():  # refused before the grid is computed, not after
+        raise FileNotFoundError(errno.ENOENT, "no such directory", str(Path(out).parent))
     try:
         grid = dqd.sweep_fidelity_grid(base, axis1, axis2, noise=noise, n_steps=n_steps)
     except (TypeError, ValueError) as err:

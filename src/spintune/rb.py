@@ -11,15 +11,15 @@ Cliffords are compiled into the primitive set {I, X(+-90), X180,
 Y(+-90), Y180}, 45 primitives over the 24 group elements, 1.875 on
 average. One array function states the pulse physics: it gives every
 primitive at each row of a block of pulse parameters, and one more
-composes the 24 Cliffords from them. The driven sequences are products
-of a row's Cliffords at the candidates; the ideal Clifford table, with
-its multiplication and inverse tables, is the same composition at the
-calibrated pulse.
+composes the 24 Cliffords from them. The start state |0> is propagated
+through a row's Cliffords at the candidates; the ideal Clifford table, with
+its multiplication and inverse tables, is the composition at the calibrated pulse.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -78,6 +78,14 @@ class RbConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             _require_int(f.name, getattr(self, f.name), 0 if f.name == "seed" else 1)
+
+    @functools.cached_property
+    def step_table(self) -> np.ndarray:
+        """Read-only (sequence_length + 1, n_randomizations) Clifford indices, built on first
+        use: column r is rb_sequences' randomization r, then its recovery. Not a field."""
+        table = np.array([(*seq, rec) for seq, rec in rb_sequences(self)]).T
+        table.flags.writeable = False
+        return table
 
 
 # Axis azimuth of each driven primitive, PRIMITIVE_NAMES[1:], and its
@@ -163,27 +171,15 @@ def rb_sequences(cfg: RbConfig) -> list[tuple[np.ndarray, int]]:
     that share a seed.
     """
     mult, inverse = _group_tables()
-    out = []
-    for r in range(cfg.n_randomizations):
-        rng = np.random.default_rng((cfg.seed, r))
-        seq = rng.integers(0, 24, size=cfg.sequence_length)
-        net = 0
-        for c in seq:
-            net = mult[c, net]
-        out.append((seq, int(inverse[net])))
-    return out
+    seqs = [np.random.default_rng((cfg.seed, r)).integers(0, 24, size=cfg.sequence_length)
+            for r in range(cfg.n_randomizations)]
+    nets = functools.reduce(lambda net, step: mult[step, net], np.transpose(seqs), 0)
+    return [(seq, int(inverse[net])) for seq, net in zip(seqs, nets)]
 
 
-def rb_backend_evaluate(cfg: RbConfig, x: np.ndarray, shot_seeds) -> list[CostEvaluation]:
-    """Cost 1 - mean return probability at each row (t_d, A, f) of x, (n, 3).
-
-    Where ``shot_seeds[i]`` is set, row i estimates each sequence's return
-    probability from cfg.shots_per_sequence binomial shots; where it is
-    None the exact probabilities are averaged. Each row's 24 Cliffords are
-    composed once, then every sequence of every row from them in one stacked
-    product of sequence_length + 1 Clifford steps; returns one evaluation
-    per row.
-    """
+def _return_amplitudes(x: np.ndarray, shot_seeds, sequences: np.ndarray, recoveries: dict) -> dict:
+    """{m: (n, R) <0|U|0>} at each checked row (t_d, A, f) of x for the prefixes of (M, R)
+    ``sequences`` that the (R,) Cliffords ``recoveries[m]`` end, in one pass of |0>."""
     block = _require_reals("pulse parameters", _seeded_rows(x, 3, shot_seeds))
     if np.any(block[:, 0] <= 0):
         raise ValueError("t_d must be positive")
@@ -192,39 +188,64 @@ def rb_backend_evaluate(cfg: RbConfig, x: np.ndarray, shot_seeds) -> list[CostEv
     cliffords = _cliffords(block)
     if not np.all(np.isfinite(cliffords)):
         raise ValueError("pulse parameters give Clifford unitaries that are not finite")
-    steps = np.array([(*seq, rec) for seq, rec in rb_sequences(cfg)]).T
-    u = cliffords[:, steps[0]]
-    for step in steps[1:]:
-        u = cliffords[:, step] @ u
-    out = []
-    for amplitudes, seed in zip(u[..., 0, 0], shot_seeds):
-        # scalar abs and **, as for a single sequence: np.abs and array **
-        # round differently in the last bit
-        probs = [abs(a) ** 2 for a in amplitudes]
-        if seed is not None:
-            rng = np.random.default_rng((cfg.seed, seed))
-            n = cfg.shots_per_sequence
-            probs = [rng.binomial(n, p) / n for p in probs]
-        mean = float(np.mean(probs))
-        out.append(CostEvaluation(cost=1.0 - mean))
+    c00, c01, c10, c11 = (cliffords[..., i, j].T for i in (0, 1) for j in (0, 1))
+    steps = [c[sequences] for c in (c00, c01, c10, c11)]  # (M, R, n): each step contiguous
+    a, b, out = steps[0][0], steps[2][0], {}  # the first Clifford's first column
+    for m, (u00, u01, u10, u11) in enumerate(zip(*steps), 1):
+        if m > 1:
+            a, b = u00 * a + u01 * b, u10 * a + u11 * b
+        if m in recoveries:
+            out[m] = (c00[recoveries[m]] * a + c01[recoveries[m]] * b).T
     return out
+
+
+def _cost(cfg: RbConfig, amplitudes: np.ndarray, shot_seed) -> float:
+    """1 - mean return probability of (R,) amplitudes, from shots where shot_seed is set."""
+    # scalar abs and **, as for a single sequence: np.abs and array **
+    # round differently in the last bit
+    probs = [abs(a) ** 2 for a in amplitudes]
+    if shot_seed is not None:
+        rng = np.random.default_rng((cfg.seed, shot_seed))
+        n = cfg.shots_per_sequence
+        # a return probability can round to just above 1
+        probs = [rng.binomial(n, min(p, 1.0)) / n for p in probs]
+    return 1.0 - float(np.mean(probs))
+
+
+def rb_backend_evaluate(cfg: RbConfig, x: np.ndarray, shot_seeds) -> list[CostEvaluation]:
+    """Cost 1 - mean return probability at each row (t_d, A, f) of x, (n, 3).
+
+    Where ``shot_seeds[i]`` is set, row i estimates each sequence's return
+    probability from cfg.shots_per_sequence binomial shots; where it is None
+    the exact probabilities are averaged. The start state is propagated through
+    cfg.step_table at each row's 24 Cliffords; returns one evaluation per row.
+    """
+    steps, m = cfg.step_table, cfg.sequence_length
+    amplitudes = _return_amplitudes(x, shot_seeds, steps[:-1], {m: steps[-1]})[m]
+    return [CostEvaluation(cost=_cost(cfg, row, seed)) for row, seed in zip(amplitudes, shot_seeds)]
 
 
 def rb_decay_curve(cfg: RbConfig, x: np.ndarray, lengths: list[int],
                    shot_seed: int | None = None) -> np.ndarray:
     """Mean return probability versus sequence length at fixed pulses.
 
-    A length may be an integral float, such as 2.0, but not 2.5 or inf.
+    A length may be an integral float, such as 2.0, but not 2.5 or inf. Entry i is
+    1 - rb_backend_evaluate's cost at lengths[i] and shot seed shot_seed + i, from one
+    pass through the sequences of the longest length, which begin with the shorter ones.
     """
-    out = []
-    for i, m in enumerate(lengths):
+    for m in lengths:
         _require_real("sequence length", m)
         if not float(m).is_integer():
             raise ValueError(f"sequence length {m!r} is not a whole number")
-        cfg_m = replace(cfg, sequence_length=int(m))
-        seed = None if shot_seed is None else int(shot_seed) + i
-        out.append(1.0 - rb_backend_evaluate(cfg_m, x, [seed])[0].cost)
-    return np.array(out)
+    ms = [replace(cfg, sequence_length=int(m)).sequence_length for m in lengths]
+    seeds = [None if shot_seed is None else int(shot_seed) + i for i in range(len(ms))]
+    if not ms:
+        return np.array([])
+    sequences = replace(cfg, sequence_length=max(ms)).step_table[:-1]
+    mult, inverse = _group_tables()
+    nets = list(itertools.accumulate(sequences, lambda net, k: mult[k, net], initial=0))
+    amplitudes = _return_amplitudes(x, [None], sequences, {m: inverse[nets[m]] for m in ms})
+    return np.array([1.0 - _cost(cfg, amplitudes[m][0], seed) for m, seed in zip(ms, seeds)])
 
 
 def per_gate_fidelity(p: float) -> float:

@@ -385,6 +385,8 @@ def test_sweep_with_wrongly_typed_model_field_exits_2(tmp_path, capsys, section,
     ('{"name": "ramp_time", "values": ["30"]}',
      "axis2 (ramp_time): values must hold only finite real numbers"),
     ('{"name": "ramp_time", "values": 0.3}', "ramp_time values must be a non-empty 1-D list"),
+    ('{"name": "ramp_time", "values": 0.3}',
+     "bad sweep axis axis2 (ramp_time): ramp_time values must be a non-empty 1-D list, got shape ()"),
     ('{"name": "eps_final", "start": true, "stop": 40, "num": 2}',
      "axis2 (eps_final): start and stop must hold only finite real numbers"),
     ('{"name": "eps_final", "start": 20, "stop": "40", "num": 2}',
@@ -402,6 +404,20 @@ def test_sweep_with_a_bad_axis_value_exits_2(tmp_path, capsys, axis, field):
     assert field in capsys.readouterr().err
     assert not caught
     assert not (tmp_path / "grid.csv").exists()
+
+
+def test_sweep_into_a_missing_directory_exits_3_before_computing(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the grid was computed")
+
+    monkeypatch.setattr(dqd, "sweep_fidelity_grid", never)
+    cfg = write_json(tmp_path / "sweep.json", {
+        "axis1": {"name": "ramp_time", "values": [1.0, 2.0]},
+        "axis2": {"name": "eps_final", "values": [20.0]}, "n_steps": 20})
+    out = tmp_path / "missing" / "grid.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    assert "i/o error:" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_sweep_whose_noise_overflows_the_detuning_exits_2(tmp_path, capsys):

@@ -158,6 +158,30 @@ def test_evaluators_look_up_their_backend_at_call_time(monkeypatch, task, module
     assert record.evaluation_count == 10
 
 
+def test_a_single_qubit_run_draws_its_sequences_once(monkeypatch):
+    real, calls = rb.rb_sequences, []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(rb, "rb_sequences", counting)
+    record = harness.run(RunConfig(task="single_qubit", generations=5, population=6, seed=2,
+                                   shots=20))
+    assert record.evaluation_count == 30
+    assert len(calls) == 1
+
+
+def test_a_noisy_decay_curve_at_a_gate_loops_best_pulse_is_drawn():
+    # seed 18's best pulse has a return probability just above 1 when rounded
+    config = RunConfig(task="single_qubit", generations=40, population=14, seed=18, shots=100)
+    record = harness.run(config)
+    lengths = [1, 3, 6, 10, 16, 24, 40, 60, 90, 140, 200, 300]
+    curve = rb.rb_decay_curve(rb.RbConfig(shots_per_sequence=100, seed=18),
+                              np.array(record.best_params), lengths, shot_seed=18)
+    assert np.all((curve >= 0.0) & (curve <= 1.0))
+
+
 def test_failed_candidate_cost_is_written_as_null(tmp_path, monkeypatch):
     cfg = benchmark_config(generations=3, output_dir=str(tmp_path))
     _fail_at_seed(monkeypatch, shot_seed(cfg.seed, 1, 0))

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -328,14 +328,15 @@ def test_stacked_composition_matches_the_dense_oracle_per_row():
         assert abs(ev.cost - dense_oracle(cfg, *x)) < 1e-10
 
 
-def test_exact_cost_equals_the_sequence_by_sequence_product_bit_for_bit():
-    # the stacked product must not move a probability by one ulp: shot
-    # counts are drawn from them, and records are compared byte for byte
+def test_exact_cost_equals_the_sequence_by_sequence_propagation_bit_for_bit():
+    # propagation must not move a probability by one ulp: shot counts are
+    # drawn from them, and records are compared byte for byte
     cfg = RbConfig(seed=3)
     rng = np.random.default_rng(0)
     X = rng.uniform([10.0, 7.0, 995.0], [16.0, 13.0, 1005.0], (6, 3))
     for x, ev in zip(X, rb_backend_evaluate(cfg, X, [None] * len(X))):
-        # each Clifford from its primitives, then each sequence Clifford by Clifford
+        # each Clifford from its primitives, then each sequence's start state
+        # Clifford by Clifford
         cliffords = []
         for names in CLIFFORD_DECOMPOSITIONS:
             primitives = [reference_primitive(name, *(float(v) for v in x)) for name in names]
@@ -343,13 +344,60 @@ def test_exact_cost_equals_the_sequence_by_sequence_product_bit_for_bit():
             for primitive in primitives[1:]:
                 u = primitive @ u
             cliffords.append(u)
-        probs = []
+        probs, product_probs = [], []
         for seq, recovery in rb_sequences(cfg):
+            # the amplitudes of |0> as length-1 arrays: Python's complex product
+            # rounds differently from numpy's array product in the last bit
             u = cliffords[seq[0]]
+            a, b = u[:1, 0], u[1:, 0]
             for c in (*seq[1:], recovery):
-                u = cliffords[c] @ u
-            probs.append(abs(u[0, 0]) ** 2)
+                g = cliffords[c]
+                a, b = g[0, :1] * a + g[0, 1:] * b, g[1, :1] * a + g[1, 1:] * b
+                u = g @ u
+            probs.append(abs(a[0]) ** 2)
+            product_probs.append(abs(u[0, 0]) ** 2)
         assert ev.cost == 1.0 - float(np.mean(probs))
+        # the sequence's full product rounds differently, within a few ulps
+        assert abs(ev.cost - (1.0 - float(np.mean(product_probs)))) <= 1e-14
+
+
+def test_step_table_is_each_sequence_then_its_recovery_and_cannot_be_written():
+    cfg = RbConfig(sequence_length=5, n_randomizations=3, seed=4)
+    table = cfg.step_table
+    assert table.shape == (6, 3)
+    for column, (seq, recovery) in zip(table.T, rb_sequences(cfg)):
+        assert column.tolist() == [*seq.tolist(), recovery]
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+    with pytest.raises(FrozenInstanceError):
+        cfg.step_table = table.copy()
+    assert cfg.step_table is table
+    assert "step_table" not in {f.name for f in fields(RbConfig)}
+    assert cfg == RbConfig(sequence_length=5, n_randomizations=3, seed=4)
+
+
+def test_shots_at_the_planted_pulse_give_cost_zero():
+    # an exact return probability can round to just above 1, which a
+    # binomial draw refuses unless it is clamped
+    for seed in range(20):
+        assert rb_backend_evaluate(RbConfig(seed=seed), [CALIBRATED], [1])[0].cost == 0.0
+
+
+@pytest.mark.parametrize("shot_seed", [None, 7])
+def test_decay_curve_equals_evaluation_at_each_length_bit_for_bit(shot_seed):
+    # one pass through the longest sequences, whose prefixes are the shorter ones
+    cfg = RbConfig(shots_per_sequence=40, seed=9)
+    x = np.array([12.5, 10.3, RESONANCE_MHZ + 0.4])
+    lengths = [300, 1, 17, 17, 2]
+    curve = rb_decay_curve(cfg, x, lengths, shot_seed=shot_seed)
+    assert curve.shape == (len(lengths),)
+    for i, m in enumerate(lengths):
+        seed = None if shot_seed is None else shot_seed + i
+        ev = rb_backend_evaluate(replace(cfg, sequence_length=m), x, [seed])[0]
+        assert curve[i] == 1.0 - ev.cost
+    assert rb_decay_curve(cfg, x, [], shot_seed=shot_seed).shape == (0,)
+    with pytest.raises(ValueError, match="sequence_length"):
+        rb_decay_curve(cfg, x, [300, 0], shot_seed=shot_seed)
 
 
 def test_noisy_decay_curve_draws_length_i_at_shot_seed_plus_i():
