@@ -132,7 +132,10 @@ def _cmd_sweep(args) -> int:
     out = args.out if args.out is not None else payload.get("out", "grid.csv")
     if not isinstance(out, str):
         raise harness.ConfigError(f"sweep config out must be a path, got {out!r}")
-    if not Path(out).parent.is_dir():  # refused before the grid is computed, not after
+    # both refused before the grid is computed, not after
+    if Path(out).is_dir():
+        raise IsADirectoryError(errno.EISDIR, "is a directory", out)
+    if not Path(out).parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, "no such directory", str(Path(out).parent))
     try:
         grid = dqd.sweep_fidelity_grid(base, axis1, axis2, noise=noise, n_steps=n_steps)

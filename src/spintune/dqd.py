@@ -24,12 +24,12 @@ Each eigenvector is v ~ (t_c*lam, lam*(eps+lam), dE_z*(eps+lam)) or the equal
 (lam^2 - dE_z^2, t_c*lam, t_c*dE_z), whichever has the larger norm. A step
 falls back to eigh where its spectrum is nearly degenerate, where the two
 forms of lam_mid disagree, or where both eigenvectors vanish (dE_z = 0 or a
-level crossing). Arrays are component-major with trajectories on the last
-axis: C trajectories hold their step unitaries as (n_steps, 3, 3, C) and fold
-them pairwise in time order with einsum, C being set by one byte budget
-that keeps the step unitaries in cache. Trajectories are ordered by path,
-the exact bits of (eps0, eps1, t_c, dE_z), which the ramp time does not
-enter, and a chunk diagonalizes the Hamiltonians of each distinct path once.
+level crossing). Arrays are component-major, trajectories on the last axis.
+Trajectories are ordered by path, the exact bits of (eps0, eps1, t_c, dE_z),
+which the ramp time does not enter, and cut into chunks of C. A chunk carries
+its states (3, C) through the steps in time order, one einsum a step, and
+builds the step unitaries (n, 3, 3, C) in slabs that fit one byte budget,
+diagonalizing the Hamiltonians of each distinct path once per slab.
 The kernel runs with floating-point warnings off; a ramp whose phase
 overflows ends in a non-finite fidelity, which is refused.
 """
@@ -166,9 +166,10 @@ _GAP_TOL = 1e-5
 # eigenvalues, and its ratio to the gap the error of the eigenvectors.
 _MID_TOL = 1e-12
 
-# Bytes of step unitaries held at once. Trajectories are integrated in
-# chunks of this size so that a chunk's working set stays in cache.
-_CHUNK_BYTES = 1 << 21
+# Trajectories integrated together, and bytes of step unitaries built at once:
+# a chunk pays one numpy call a step for all its states, so it holds many, and
+# builds its steps in slabs of this size, which stay in cache until applied.
+_CHUNK, _SLAB_BYTES = 1024, 1 << 20
 
 # Phase offsets of the trigonometric eigenvalue formula: lowest, highest.
 _BRANCHES = np.array([2.0, 0.0])[:, None, None] * (np.pi / 3.0)
@@ -245,39 +246,38 @@ def _ramp_states(
     shape (T, 3); returns the (T, 3) amplitudes after n_steps midpoint steps.
     """
     frac = ((np.arange(n_steps) + 0.5) / n_steps)[:, None]
-    chunk = max(1, _CHUNK_BYTES // (n_steps * 9 * 16))
     key = np.stack([eps0, eps1, t_c, de_z]).view(np.uint64)
     order = np.lexsort(key)
     out = np.empty((len(eps0), 3), dtype=complex)
-    for lo in range(0, len(order), chunk):
-        s = order[lo:lo + chunk]
-        # component-major: steps first, trajectories last, (N, C) and (N, 3, 3, C);
+    for lo in range(0, len(order), _CHUNK):
+        s = order[lo:lo + _CHUNK]
+        # component-major: steps first, trajectories last, (n, C) and (n, 3, 3, C);
         # one eigensystem per path, at the first of its run of columns
         first = np.r_[0, 1 + np.flatnonzero(np.diff(key[:, s]).any(axis=0))]
+        runs = np.diff(first, append=len(s))
         p = s[first]
-        eps = eps0[p] + (eps1[p] - eps0[p]) * frac
-        lam, v, norm2, ok = _eigensystem(eps, t_c[p], de_z[p])
-        if len(p) < len(s):
-            runs = np.diff(first, append=len(s))
-            eps, lam, v, norm2, ok = (np.repeat(a, runs, axis=-1) for a in (eps, lam, v, norm2, ok))
         dt = t_f[s] / n_steps
-        # U = sum_k exp(-2i pi lam_k dt) v_k v_k^T / |v_k|^2, in real arithmetic
-        theta = (-2.0 * np.pi * dt) * lam
-        u = np.empty((n_steps, 3, 3, eps.shape[1]), dtype=complex)
-        u.real = np.einsum("knc,kinc,kjnc->nijc", np.cos(theta) / norm2, v, v)
-        u.imag = np.einsum("knc,kinc,kjnc->nijc", np.sin(theta) / norm2, v, v)
-        if not ok.all():
-            bad = ~ok & np.isfinite(eps)  # eigh refuses NaN; such a step stays NaN
-            cols = np.nonzero(bad)[1]
-            vals, vecs = np.linalg.eigh(_h_batch(eps[bad], t_c[s][cols], de_z[s][cols]))
-            ph = np.exp(-2j * np.pi * vals * dt[cols, None])
-            np.moveaxis(u, 3, 1)[bad] = (vecs * ph[:, None, :]) @ np.swapaxes(vecs, -1, -2)
-        # pairwise time-ordered fold: U[N-1] @ ... @ U[0]
-        while len(u) > 1:
-            m = len(u) // 2 * 2
-            paired = np.einsum("nijc,njkc->nikc", u[1:m:2], u[0:m:2])
-            u = np.concatenate([paired, u[m:]]) if m < len(u) else paired
-        out[s] = np.einsum("ijc,cj->ci", u[0], psi0[s])
+        psi = psi0[s].T
+        slab = max(1, _SLAB_BYTES // (len(s) * 9 * 16))
+        for n in range(0, n_steps, slab):
+            eps = eps0[p] + (eps1[p] - eps0[p]) * frac[n:n + slab]
+            lam, v, norm2, ok = _eigensystem(eps, t_c[p], de_z[p])
+            if len(p) < len(s):
+                eps, lam, v, norm2, ok = (np.repeat(a, runs, -1) for a in (eps, lam, v, norm2, ok))
+            # U = sum_k exp(-2i pi lam_k dt) v_k v_k^T / |v_k|^2, in real arithmetic
+            theta = (-2.0 * np.pi * dt) * lam
+            u = np.empty((len(eps), 3, 3, len(s)), dtype=complex)
+            u.real = np.einsum("knc,kinc,kjnc->nijc", np.cos(theta) / norm2, v, v)
+            u.imag = np.einsum("knc,kinc,kjnc->nijc", np.sin(theta) / norm2, v, v)
+            if not ok.all():
+                bad = ~ok & np.isfinite(eps)  # eigh refuses NaN; such a step stays NaN
+                cols = np.nonzero(bad)[1]
+                vals, vecs = np.linalg.eigh(_h_batch(eps[bad], t_c[s][cols], de_z[s][cols]))
+                ph = np.exp(-2j * np.pi * vals * dt[cols, None])
+                np.moveaxis(u, 3, 1)[bad] = (vecs * ph[:, None, :]) @ np.swapaxes(vecs, -1, -2)
+            for step in u:  # in time order
+                psi = np.einsum("ijc,jc->ic", step, psi)
+        out[s] = psi.T
     return out
 
 

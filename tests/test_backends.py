@@ -1,11 +1,13 @@
 import json
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spintune import dqd
 from spintune.backends import (
     DEFAULT_SHUTTLE_DISTANCE_UM,
     SHUTTLE_P_WORST,
@@ -301,17 +303,20 @@ def _assert_block_equals_rows(evaluate, X, seeds, bad):
 @settings(max_examples=25)
 @given(data=st.data())
 def test_readout_block_equals_its_rows_bit_for_bit(data):
-    # up to 100 rows: the ramp kernel integrates 48 trajectories per chunk
-    # at 300 steps, so blocks cross chunk boundaries
+    # up to 100 rows in ramp-kernel chunks of 1 to 100 trajectories, so
+    # blocks cross chunk boundaries; a chunk of more than
+    # dqd._SLAB_BYTES // (300 * 9 * 16) trajectories builds its 300 steps
+    # in more than one slab, where a row alone builds them in one
     land = make_readout_landscape(data.draw(st.integers(0, 50)),
                                   shot_noise=data.draw(st.booleans()))
     space = readout_space()
     X, seeds, bad = _unit_block(data, 14)
-    _assert_block_equals_rows(
-        lambda x, s: readout_backend_evaluate(land, space, x, 500, shot_seeds=s), X, seeds, bad)
-    if bad is None:
-        assert repr(true_readout_visibility(land, space, X)) == repr(
-            [true_readout_visibility(land, space, x)[0] for x in X])
+    with mock.patch.object(dqd, "_CHUNK", data.draw(st.integers(1, 100), label="chunk")):
+        _assert_block_equals_rows(
+            lambda x, s: readout_backend_evaluate(land, space, x, 500, shot_seeds=s), X, seeds, bad)
+        if bad is None:
+            assert repr(true_readout_visibility(land, space, X)) == repr(
+                [true_readout_visibility(land, space, x)[0] for x in X])
 
 
 @settings(max_examples=50)

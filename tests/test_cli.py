@@ -420,6 +420,21 @@ def test_sweep_into_a_missing_directory_exits_3_before_computing(tmp_path, capsy
     assert not out.parent.exists()
 
 
+
+def test_sweep_into_an_existing_directory_exits_3_before_computing(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the grid was computed")
+
+    monkeypatch.setattr(dqd, "sweep_fidelity_grid", never)
+    cfg = write_json(tmp_path / "sweep.json", {
+        "axis1": {"name": "ramp_time", "values": [1.0, 2.0]},
+        "axis2": {"name": "eps_final", "values": [20.0]}, "n_steps": 20})
+    out = tmp_path / "grid.csv"
+    out.mkdir()
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    assert "i/o error:" in capsys.readouterr().err
+    assert out.is_dir() and not any(out.iterdir())
+
 def test_sweep_whose_noise_overflows_the_detuning_exits_2(tmp_path, capsys):
     cfg = write_json(tmp_path / "sweep.json", {
         "axis1": {"name": "ramp_time", "values": [0.1, 0.2]},

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from spintune import dqd
@@ -288,10 +288,11 @@ def test_chunk_boundaries_do_not_change_grid_cells():
     ramps_ns, finals = np.geomspace(0.04, 4.0, 40), np.linspace(2.0, 40.0, 40)
     grid = sweep_fidelity_grid(base, ("ramp_time", ramps_ns), ("eps_final", finals), n_steps=300)
     # The kernel orders trajectories by path, eps_final here, and keeps row
-    # order within a path, so cell (i, j) is trajectory 40 j + i. Cells
-    # (7, 1) and (8, 1) sit on both sides of the first chunk boundary at
-    # 300 steps; (1, 7) and (1, 8) did in row-major order.
-    for i, j in ((0, 0), (7, 1), (8, 1), (1, 7), (1, 8), (39, 39)):
+    # order within a path, so cell (i, j) is trajectory 40 j + i. The cells
+    # of trajectories _CHUNK - 1 and _CHUNK sit on both sides of the first
+    # chunk boundary; (1, 7) and (1, 8) are neighbours in row-major order.
+    straddling = [(k % 40, k // 40) for k in (dqd._CHUNK - 1, dqd._CHUNK)]
+    for i, j in ((0, 0), *straddling, (1, 7), (1, 8), (39, 39)):
         one = sweep_fidelity_grid(base, ("ramp_time", [ramps_ns[i]]), ("eps_final", [finals[j]]),
                                   n_steps=300)
         assert one[0, 0] == grid[i, j]
@@ -306,7 +307,7 @@ ZERO = st.sampled_from([0.0, -0.0])
 def shared_paths(draw):
     """Up to 4 distinct paths (eps0, eps1, t_c, de_z), each shared by trajectories
     with their own ramp time and start state, and a chunk of 1 to 8 trajectories
-    or the kernel's own budget. Each field takes one of at most two values, so
+    or the kernel's own chunk. Each field takes one of at most two values, so
     paths often differ in one field only."""
     values = [draw(st.lists(field, min_size=1, max_size=2)) for field in (
         ZERO | st.floats(-50.0, 50.0), ZERO | st.floats(-50.0, 50.0),
@@ -327,8 +328,7 @@ def shared_paths(draw):
 @given(shared_paths())
 def test_trajectories_sharing_a_path_equal_each_one_alone(block):
     ramp, psi0, n_steps, chunk = block
-    budget = dqd._CHUNK_BYTES if chunk is None else chunk * n_steps * 9 * 16
-    with mock.patch.object(dqd, "_CHUNK_BYTES", budget):
+    with mock.patch.object(dqd, "_CHUNK", dqd._CHUNK if chunk is None else chunk):
         together = _ramp_states(*ramp, psi0, n_steps)
     for i in range(len(psi0)):
         alone = _ramp_states(*(a[i:i + 1] for a in ramp), psi0[i:i + 1], n_steps)
@@ -336,22 +336,40 @@ def test_trajectories_sharing_a_path_equal_each_one_alone(block):
 
 
 def test_more_trajectories_than_a_chunk_equal_each_one_alone():
-    # 150 trajectories on 7 paths, at 300 steps 48 to a chunk, so runs of
-    # one path straddle chunk boundaries; the first five paths differ from
+    # 150 trajectories more than a chunk holds, on 7 paths, so runs of one
+    # path straddle the chunk boundary; the first five paths differ from
     # the first in one field each, the last two only in the sign of zero
+    n = dqd._CHUNK + 150
     rng = np.random.default_rng(8)
     paths = np.array([[-30.0, 20.0, 10.0, 0.3], [-20.0, 20.0, 10.0, 0.3], [-30.0, 25.0, 10.0, 0.3],
                       [-30.0, 20.0, 5.0, 0.3], [-30.0, 20.0, 10.0, 0.0],
                       [-0.0, 5.0, 0.0, 0.3], [0.0, 5.0, 0.0, 0.3]])
-    eps0, eps1, t_c, de_z = paths[rng.integers(0, len(paths), 150)].T
-    t_f = rng.uniform(0.05, 2.0, 150)
-    psi0 = np.linalg.qr(rng.normal(size=(150, 3, 3)) + 1j * rng.normal(size=(150, 3, 3)))[0][:, 0]
+    eps0, eps1, t_c, de_z = paths[rng.integers(0, len(paths), n)].T
+    t_f = rng.uniform(0.05, 2.0, n)
+    psi0 = np.linalg.qr(rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3)))[0][:, 0]
     together = _ramp_states(eps0, eps1, t_f, t_c, de_z, psi0, 300)
-    for i in range(150):
+    for i in range(n):
         alone = _ramp_states(eps0[i:i + 1], eps1[i:i + 1], t_f[i:i + 1], t_c[i:i + 1],
                              de_z[i:i + 1], psi0[i:i + 1], 300)
         assert np.array_equal(together[i:i + 1], alone)
 
+
+
+@given(shared_paths(), st.data())
+def test_chunk_and_slab_sizes_do_not_change_the_states(block, data):
+    # Chunks smaller than the block, so runs of one path straddle chunk
+    # boundaries, and slabs of 1 to n_steps - 1 steps, where the kernel's
+    # own sizes put every trajectory here in one chunk and one slab.
+    ramp, psi0, n_steps, _ = block
+    assume(n_steps > 1)
+    chunk = data.draw(st.integers(1, max(1, len(psi0) - 1)), label="chunk")
+    slab = data.draw(st.integers(1, n_steps - 1), label="steps per slab")
+    want = _ramp_states(*ramp, psi0, n_steps)
+    with mock.patch.multiple(dqd, _CHUNK=chunk, _SLAB_BYTES=slab * chunk * 9 * 16):
+        got = _ramp_states(*ramp, psi0, n_steps)
+    assert np.array_equal(got, want)
+    for i in range(len(psi0)):
+        assert np.abs(got[i] - expm_stepped(*(a[i] for a in ramp), psi0[i], n_steps)).max() < 1e-12
 
 def test_noise_that_overflows_the_phase_rate_is_refused_without_warnings():
     cfg = DqdConfig(ramp_time=0.3, **STRONG)

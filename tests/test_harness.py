@@ -510,7 +510,7 @@ def test_timings_split_each_generation_into_its_phases(tmp_path):
     record = (tmp_path / "a" / harness.RECORD_NAME).read_bytes()
     assert record == (tmp_path / "b" / harness.RECORD_NAME).read_bytes()
     header, *lines = [json.loads(line) for line in record.splitlines()]
-    assert header["version"] == harness.RECORD_VERSION == 3
+    assert header["version"] == harness.RECORD_VERSION == 4
     assert {key for line in lines for key in line} == {
         "type", "generation", "candidates", "state"}
     assert {key for line in lines for cand in line["candidates"] for key in cand} == {

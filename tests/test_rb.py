@@ -292,8 +292,8 @@ def test_gates_per_clifford_is_45_over_24():
 @settings(max_examples=40)
 @given(data=st.data())
 def test_block_equals_its_rows_bit_for_bit(data):
-    # Every sequence of every row is composed in one stacked product of its
-    # row's Cliffords; no row may feel another.
+    # The start state of every sequence of every row is propagated through
+    # its row's Cliffords in one pass over the block; no row may feel another.
     cfg = RbConfig(sequence_length=data.draw(st.integers(1, 30)),
                    n_randomizations=data.draw(st.integers(1, 15)),
                    shots_per_sequence=50, seed=data.draw(st.integers(0, 99)))

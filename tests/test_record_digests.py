@@ -33,7 +33,8 @@ BATCH = dict(task="readout", generations=4, population=8, seed=5, shots=200)
 RESUMED = dict(task="shuttle", generations=20, population=12, seed=3)
 # The sweep that CI runs through the installed ``tune`` command.
 SWEEP = {"axis1": {"name": "ramp_time", "values": [1.0, 2.0]},
-         "axis2": {"name": "eps_final", "values": [20.0]}, "n_steps": 20}
+         "axis2": {"name": "eps_final", "values": [20.0]},
+         "noise": {"sigma_eps": 1.0, "n_samples": 8, "seed": 1}, "n_steps": 20}
 
 
 def _run_and_export(out: Path, resume: bool = False, **fields) -> None:
