@@ -66,27 +66,21 @@ class SensitivityReport:
 
 @dataclass(frozen=True)
 class CovarianceSeries:
-    """Per-generation covariance matrices of one optimization run."""
+    """Per-generation covariance matrices of one optimization run; row g is generation g."""
 
-    generations: tuple
     matrices: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "generations", tuple(int(g) for g in self.generations))
         object.__setattr__(self, "matrices", np.asarray(self.matrices, dtype=float))
-        if self.matrices.ndim != 3 or self.matrices.shape[0] != len(self.generations):
-            raise ValueError("matrices must be (G, n, n) matching generations")
-        if self.matrices.shape[1] != self.matrices.shape[2]:
-            raise ValueError("covariance matrices must be square")
+        if self.matrices.ndim != 3 or self.matrices.shape[1] != self.matrices.shape[2]:
+            raise ValueError(f"matrices must be (G, n, n), got shape {self.matrices.shape}")
         if not np.allclose(self.matrices, np.swapaxes(self.matrices, 1, 2), atol=1e-9):
             raise ValueError("covariance matrices must be symmetric")
 
     def matrix_at(self, generation: int) -> np.ndarray:
-        try:
-            idx = self.generations.index(int(generation))
-        except ValueError:
-            raise KeyError(f"generation {generation} not in series") from None
-        return self.matrices[idx]
+        if not 0 <= int(generation) < len(self.matrices):  # numpy would wrap a negative one
+            raise KeyError(f"generation {generation} not in series")
+        return self.matrices[int(generation)]
 
 
 def _decay_profile(q: np.ndarray, xs: np.ndarray, ys: np.ndarray,
@@ -348,4 +342,4 @@ def covariance_trajectory(series: CovarianceSeries, entry: tuple) -> list:
     n = series.matrices.shape[1]
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"entry ({i}, {j}) outside a {n}x{n} matrix")
-    return [(g, float(m[i, j])) for g, m in zip(series.generations, series.matrices)]
+    return [(g, float(m[i, j])) for g, m in enumerate(series.matrices)]

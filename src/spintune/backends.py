@@ -252,9 +252,8 @@ class HiddenLandscape:
         return (d[:, None, :] @ self.coupling @ d[:, :, None])[:, 0, 0]
 
 
-def make_readout_landscape(seed: int, ceiling: float = READOUT_CEILING,
-                           shot_noise: bool = True) -> HiddenLandscape:
-    """Build a seeded 14-parameter readout landscape.
+def make_readout_landscape(seed: int) -> HiddenLandscape:
+    """Build a seeded 14-parameter readout landscape, noisy, peaking at READOUT_CEILING.
 
     The four initialization-stage coordinates of the optimum are pinned
     to an adiabatic sweet spot of the ramp model; the crosstalk pairs
@@ -275,7 +274,7 @@ def make_readout_landscape(seed: int, ceiling: float = READOUT_CEILING,
     coupling[i, j] = coupling[j, i] = -0.6 * np.sqrt(diag[i] * diag[j])
     i, j = space.index("vmu12_read"), space.index("B1_read")
     coupling[i, j] = coupling[j, i] = 0.6 * np.sqrt(diag[i] * diag[j])
-    return HiddenLandscape(optimum, coupling, 1.0 - ceiling, shot_noise, seed)
+    return HiddenLandscape(optimum, coupling, 1.0 - READOUT_CEILING, True, seed)
 
 
 def _init_stage_ramps(space: ParameterSpace, block: np.ndarray) -> dict[str, np.ndarray]:
@@ -367,8 +366,8 @@ def readout_backend_evaluate(landscape: HiddenLandscape, space: ParameterSpace,
     return [_measure_readout(landscape, v, n_shots, s) for v, s in zip(v_true, shot_seeds)]
 
 
-def make_shuttle_landscape(seed: int, shot_noise: bool = False) -> HiddenLandscape:
-    """Build a seeded 8-parameter shuttle landscape.
+def make_shuttle_landscape(seed: int) -> HiddenLandscape:
+    """Build a seeded, noiseless 8-parameter shuttle landscape.
 
     The coupling is a dense random SPD form rescaled so the quadratic
     equals 1 at its worst corner of the unit cube; the depolarization
@@ -382,7 +381,7 @@ def make_shuttle_landscape(seed: int, shot_noise: bool = False) -> HiddenLandsca
     corners = np.array(np.meshgrid(*[[0.0, 1.0]] * n)).reshape(n, -1).T
     d = corners - optimum
     worst = np.max(np.einsum("ki,ij,kj->k", d, raw, d))
-    return HiddenLandscape(optimum, raw / worst, SHUTTLE_P_OPTIMUM, shot_noise, seed)
+    return HiddenLandscape(optimum, raw / worst, SHUTTLE_P_OPTIMUM, False, seed)
 
 
 def shuttle_depolarization(landscape: HiddenLandscape, x: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one optimization")
     p_run.add_argument("--config", required=True, help="run config JSON")
-    p_run.add_argument("--seed", type=int, default=None, help="override config seed")
     p_run.add_argument("--out", default=None, help="override output directory")
     p_run.add_argument("--resume", action="store_true",
                        help="continue from an existing record in the output directory")
@@ -45,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="compute a ramp-fidelity grid")
     p_sweep.add_argument("--config", required=True, help="sweep config JSON")
-    p_sweep.add_argument("--out", default=None, help="override output CSV path")
+    p_sweep.add_argument("--out", default="grid.csv", help="output CSV path (default: grid.csv)")
 
     p_an = sub.add_parser("analyze", help="analyze a stored run record")
     p_an.add_argument("--record", required=True, help="directory with record.jsonl")
@@ -65,8 +64,6 @@ def _run_config(args) -> harness.RunConfig:
 
 def _cmd_run(args) -> int:
     config = _run_config(args)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     record = harness.run(config, resume=args.resume)
     if config.output_dir is not None:
         for what, (name, _) in harness.EXPORTS.items():
@@ -89,7 +86,7 @@ def _cmd_batch(args) -> int:
 
 
 # The keys a sweep config and each of its axes may hold.
-_SWEEP_KEYS = ("base", "axis1", "axis2", "noise", "n_steps", "out")
+_SWEEP_KEYS = ("base", "axis1", "axis2", "noise", "n_steps")
 _AXIS_KEYS = ("name", "values", "start", "stop", "num", "spacing")
 
 
@@ -129,22 +126,20 @@ def _cmd_sweep(args) -> int:
     noise = (harness.json_object(dqd.NoiseModel, payload["noise"], "sweep config noise")
              if payload.get("noise") not in (None, {}) else None)
     n_steps = payload.get("n_steps", dqd.GRID_STEPS)
-    out = args.out if args.out is not None else payload.get("out", "grid.csv")
-    if not isinstance(out, str):
-        raise harness.ConfigError(f"sweep config out must be a path, got {out!r}")
+    out = Path(args.out)
     # both refused before the grid is computed, not after
-    if Path(out).is_dir():
-        raise IsADirectoryError(errno.EISDIR, "is a directory", out)
-    if not Path(out).parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, "no such directory", str(Path(out).parent))
+    if out.is_dir():
+        raise IsADirectoryError(errno.EISDIR, "is a directory", args.out)
+    if not out.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "no such directory", str(out.parent))
     try:
         grid = dqd.sweep_fidelity_grid(base, axis1, axis2, noise=noise, n_steps=n_steps)
     except (TypeError, ValueError) as err:
         raise harness.ConfigError(str(err)) from None
     (name1, vals1), (name2, vals2) = axis1, axis2
     rows = [[f"{name1}\\{name2}", *vals2.tolist()], *np.column_stack([vals1, grid]).tolist()]
-    Path(out).write_text("".join(",".join(map(str, row)) + "\n" for row in rows))  # str(float) is repr
-    print(json.dumps({"out": str(out), "shape": list(grid.shape),
+    out.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))  # str(float) is repr
+    print(json.dumps({"out": args.out, "shape": list(grid.shape),
                       "mean_fidelity": float(grid.mean())}, sort_keys=True))
     return 0
 

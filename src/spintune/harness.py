@@ -299,6 +299,8 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
     uninterrupted run. If every candidate of a generation fails, EvaluationError
     is raised before that generation is written.
     """
+    if resume and config.output_dir is None:
+        raise ConfigError("resume needs an output directory holding the record")
     space = space_for_task(config.task)
     evaluate = _make_evaluator(config, space)
     params = cmaes.StrategyParams.defaults(
@@ -612,13 +614,8 @@ def covariance_series(record: RunRecord) -> analysis.CovarianceSeries:
     Generation 0 is the untouched initial state, so its matrix is the
     identity; entry g > 0 is the state after telling generation g - 1.
     """
-    n = record.space.dimension
-    mats = [np.eye(n)]
-    gens = [0]
-    for rec in record.generations:
-        mats.append(np.array(rec.state["cov"], dtype=float))
-        gens.append(rec.generation + 1)
-    return analysis.CovarianceSeries(generations=tuple(gens), matrices=np.array(mats))
+    mats = [np.eye(record.space.dimension), *(rec.state["cov"] for rec in record.generations)]
+    return analysis.CovarianceSeries(np.array(mats, dtype=float))
 
 
 def evaluate_params(config: RunConfig, physical_values, shot_seed: int = 0) -> backends.CostEvaluation:
@@ -648,7 +645,7 @@ def _trace_csv(record: RunRecord) -> str:
 
 def _covariance_json(record: RunRecord) -> str:
     series = covariance_series(record)
-    return json.dumps({"generations": list(series.generations),
+    return json.dumps({"generations": list(range(len(series.matrices))),
                        "matrices": series.matrices.tolist()}, sort_keys=True) + "\n"
 
 

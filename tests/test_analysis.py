@@ -415,22 +415,19 @@ def test_hdmr_input_validation():
 
 # -------------------------------------------------------- covariance algebra
 
-def series_with(matrix, generations=(0, 1)):
-    n = matrix.shape[0]
-    mats = np.stack([np.eye(n)] + [matrix] * (len(generations) - 1))
-    return CovarianceSeries(generations=generations, matrices=mats)
+def series_with(matrix, length=2):
+    """Generations 0..length-1: the identity, then matrix at every later one."""
+    return CovarianceSeries(np.stack([np.eye(matrix.shape[0])] + [matrix] * (length - 1)))
 
 
 def test_covariance_series_validates_shapes():
     with pytest.raises(ValueError):
-        CovarianceSeries(generations=(0,), matrices=np.eye(2))
+        CovarianceSeries(np.eye(2))
     with pytest.raises(ValueError):
-        CovarianceSeries(generations=(0, 1), matrices=np.ones((1, 2, 2)))
-    with pytest.raises(ValueError):
-        CovarianceSeries(generations=(0,), matrices=np.ones((1, 2, 3)))
+        CovarianceSeries(np.ones((1, 2, 3)))
     lopsided = np.array([[[1.0, 0.5], [0.1, 1.0]]])
     with pytest.raises(ValueError):
-        CovarianceSeries(generations=(0,), matrices=lopsided)
+        CovarianceSeries(lopsided)
 
 
 def test_covariance_series_lookup_by_generation():
@@ -439,6 +436,8 @@ def test_covariance_series_lookup_by_generation():
     np.testing.assert_array_equal(series.matrix_at(1), m)
     with pytest.raises(KeyError):
         series.matrix_at(5)
+    with pytest.raises(KeyError):  # not the last row, as numpy's wrapping would give
+        series.matrix_at(-1)
 
 
 def test_covariance_average_single_run_is_identity_operation():
@@ -462,8 +461,8 @@ def test_covariance_average_is_linear_under_duplication():
 
 
 def test_covariance_average_requires_shared_generation_and_shape():
-    a = series_with(np.array([[1.0, 0.0], [0.0, 1.0]]), generations=(0, 1))
-    b = series_with(np.eye(3), generations=(0, 1))
+    a = series_with(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    b = series_with(np.eye(3))
     with pytest.raises(KeyError):
         covariance_average([a], 3)
     with pytest.raises(ValueError):
@@ -474,7 +473,7 @@ def test_covariance_average_requires_shared_generation_and_shape():
 
 def test_covariance_trajectory_orders_generations():
     m = np.array([[0.5, 0.1], [0.1, 0.5]])
-    series = series_with(m, generations=(0, 1, 2))
+    series = series_with(m, length=3)
     traj = covariance_trajectory(series, (0, 1))
     assert [g for g, _ in traj] == [0, 1, 2]
     assert traj[0][1] == 0.0

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -74,7 +74,7 @@ def test_task_spaces_have_expected_shapes():
 
 @pytest.mark.parametrize("n_shots", [1, 7, 1000])
 def test_readout_cost_is_minus_the_count_difference_over_the_shots(n_shots):
-    land = make_readout_landscape(4, shot_noise=True)
+    land = make_readout_landscape(4)
     x = np.random.default_rng(n_shots).uniform(0.0, 1.0, (40, 14))
     for ev in readout_backend_evaluate(land, readout_space(), x, n_shots, list(range(40))):
         shots = ev.metadata["shots"]
@@ -86,13 +86,13 @@ def test_readout_cost_is_minus_the_count_difference_over_the_shots(n_shots):
 
 
 def test_readout_cost_at_optimum_matches_tuned_ceiling():
-    land = make_readout_landscape(3, ceiling=0.99, shot_noise=False)
+    land = replace(make_readout_landscape(3), floor=1.0 - 0.99, shot_noise=False)
     ev = readout_backend_evaluate(land, readout_space(), land.optimum, 1000, [0])[0]
     assert ev.cost == pytest.approx(-0.99, abs=1e-12)
 
 
 def test_readout_shot_noise_within_three_sigma_at_optimum():
-    land = make_readout_landscape(3, ceiling=0.99, shot_noise=True)
+    land = replace(make_readout_landscape(3), floor=1.0 - 0.99)
     space = readout_space()
     sigma = 0.0044
     for shot_seed in range(5):
@@ -101,7 +101,7 @@ def test_readout_shot_noise_within_three_sigma_at_optimum():
 
 
 def test_minimum_ramp_time_is_penalized():
-    land = make_readout_landscape(5, shot_noise=False)
+    land = replace(make_readout_landscape(5), shot_noise=False)
     space = readout_space()
     x = land.optimum.copy()
     x[space.index("t_read_init")] = 0.0
@@ -111,7 +111,7 @@ def test_minimum_ramp_time_is_penalized():
 
 
 def test_noiseless_cost_minimized_at_planted_optimum():
-    land = make_readout_landscape(11, shot_noise=False)
+    land = replace(make_readout_landscape(11), shot_noise=False)
     space = readout_space()
     best = readout_backend_evaluate(land, space, land.optimum, 1000, [0])[0].cost
     for i in range(space.dimension):
@@ -159,7 +159,7 @@ def _told_state():
 STORED_OBJECTS = {
     "run config with an inline fixture": lambda: [RunConfig(
         "shuttle", 3, 4, seed=2, shots=50,
-        backend_fixture=json_plain(make_shuttle_landscape(2, shot_noise=True)))],
+        backend_fixture=json_plain(replace(make_shuttle_landscape(2), shot_noise=True)))],
     "readout landscape": lambda: [make_readout_landscape(9)],
     "shuttle landscape": lambda: [make_shuttle_landscape(12)],
     **{f"{task} space entries": lambda task=task: list(space_for_task(task).entries)
@@ -253,7 +253,7 @@ def test_shuttle_dimension_mismatch():
 
 
 def test_true_visibility_caps_at_ceiling():
-    land = make_readout_landscape(8, ceiling=0.995, shot_noise=False)
+    land = replace(make_readout_landscape(8), shot_noise=False)
     space = readout_space()
     assert true_readout_visibility(land, space, land.optimum)[0] == pytest.approx(0.995, abs=1e-12)
     rng = np.random.default_rng(5)
@@ -307,8 +307,8 @@ def test_readout_block_equals_its_rows_bit_for_bit(data):
     # blocks cross chunk boundaries; a chunk of more than
     # dqd._SLAB_BYTES // (300 * 9 * 16) trajectories builds its 300 steps
     # in more than one slab, where a row alone builds them in one
-    land = make_readout_landscape(data.draw(st.integers(0, 50)),
-                                  shot_noise=data.draw(st.booleans()))
+    land = replace(make_readout_landscape(data.draw(st.integers(0, 50))),
+                   shot_noise=data.draw(st.booleans()))
     space = readout_space()
     X, seeds, bad = _unit_block(data, 14)
     with mock.patch.object(dqd, "_CHUNK", data.draw(st.integers(1, 100), label="chunk")):
@@ -322,8 +322,8 @@ def test_readout_block_equals_its_rows_bit_for_bit(data):
 @settings(max_examples=50)
 @given(data=st.data())
 def test_shuttle_block_equals_its_rows_bit_for_bit(data):
-    land = make_shuttle_landscape(data.draw(st.integers(0, 50)),
-                                  shot_noise=data.draw(st.booleans()))
+    land = replace(make_shuttle_landscape(data.draw(st.integers(0, 50))),
+                   shot_noise=data.draw(st.booleans()))
     distance = data.draw(st.sampled_from([0.0, 10.0, DEFAULT_SHUTTLE_DISTANCE_UM]))
     X, seeds, bad = _unit_block(data, 8)
     _assert_block_equals_rows(
@@ -335,7 +335,7 @@ _POINTS = {  # one candidate of each backend, as (evaluate(x, shot_seeds), x)
     "readout": (lambda x, s: readout_backend_evaluate(
         make_readout_landscape(0), readout_space(), x, 100, shot_seeds=s), np.full(14, 0.5)),
     "shuttle": (lambda x, s: shuttle_backend_evaluate(
-        make_shuttle_landscape(0, shot_noise=True), x, n_shots=100, shot_seeds=s),
+        replace(make_shuttle_landscape(0), shot_noise=True), x, n_shots=100, shot_seeds=s),
         np.full(8, 0.5)),
     "single_qubit": (lambda x, s: rb_backend_evaluate(RbConfig(), x, shot_seeds=s),
                      np.array([12.0, 9.5, 1001.0])),
@@ -387,7 +387,7 @@ def reference_shuttle(landscape, x, distance, n_shots, shot_seed):
 def test_shuttle_block_matches_the_scalar_formula_byte_for_byte(shot_noise, distance):
     corners = np.array(np.meshgrid(*[[0.0, 1.0]] * 8)).T.reshape(-1, 8)
     for seed in range(3):
-        land = make_shuttle_landscape(seed, shot_noise=shot_noise)
+        land = replace(make_shuttle_landscape(seed), shot_noise=shot_noise)
         X = np.vstack([corners, land.optimum, np.random.default_rng(seed).uniform(0, 1, (200, 8))])
         seeds = list(range(len(X)))
         block = shuttle_backend_evaluate(land, X, distance=distance,

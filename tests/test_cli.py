@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spintune import backends, dqd, harness
-from spintune.cli import main
+from spintune.cli import _build_parser, main
 
 
 def write_json(path, payload):
@@ -39,20 +39,6 @@ def test_run_prints_summary_and_writes_exports(tmp_path, run_config, capsys):
         assert (out / artifact).exists()
 
 
-def test_run_seed_override_matches_config_seed(tmp_path, run_config, capsys):
-    main(["run", "--config", run_config, "--seed", "11", "--out", str(tmp_path / "a")])
-    override = json.loads(capsys.readouterr().out)
-    explicit = write_json(tmp_path / "run11.json", {
-        "task": "benchmark", "generations": 3, "population": 4, "seed": 11,
-    })
-    main(["run", "--config", explicit, "--out", str(tmp_path / "b")])
-    direct = json.loads(capsys.readouterr().out)
-    assert override == direct
-    a = (tmp_path / "a" / harness.RECORD_NAME).read_bytes()
-    b = (tmp_path / "b" / harness.RECORD_NAME).read_bytes()
-    assert a == b
-
-
 def test_run_resume_completes_a_truncated_record(tmp_path, run_config, capsys):
     out = tmp_path / "full"
     main(["run", "--config", run_config, "--out", str(out)])
@@ -65,6 +51,26 @@ def test_run_resume_completes_a_truncated_record(tmp_path, run_config, capsys):
     (part / harness.RECORD_NAME).write_text("".join(lines[:2]))
     assert main(["run", "--config", run_config, "--out", str(part), "--resume"]) == 0
     assert (part / harness.RECORD_NAME).read_bytes() == full
+
+
+def test_run_resume_without_an_output_directory_exits_2(tmp_path, run_config, capsys,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", run_config, "--resume"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "resume needs an output directory" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+def test_readme_usage_lines_parse():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    commands = ("run", "batch", "sweep", "analyze")
+    usage = [line for line in readme.splitlines()
+             if line.startswith(tuple(f"tune {command} " for command in commands))]
+    assert sorted(line.split()[1] for line in usage) == sorted(commands)
+    for line in usage:  # an optional argument is shown in brackets
+        _build_parser().parse_args(line.replace("[", "").replace("]", "").split()[1:])
 
 
 @pytest.mark.parametrize("change", [{"seed": 6}, {"population": 5}, {"generations": 2}])
@@ -271,6 +277,9 @@ def test_wrongly_typed_config_exits_2(tmp_path, capsys, payload):
                "axis2": {"name": "eps_final", "values": [20.0]},
                "nsteps": 20, "noize": {"sigma_eps": 1.0}},
      "sweep config has unknown keys ['noize', 'nsteps']"),
+    ("sweep", {"axis1": {"name": "ramp_time", "values": [1.0]},
+               "axis2": {"name": "eps_final", "values": [20.0]}, "out": "grid.csv"},
+     "sweep config has unknown keys ['out']"),
 ])
 def test_an_unknown_key_exits_2_and_is_named(tmp_path, capsys, command, payload, error):
     if payload.get("backend_fixture") == "a file":
@@ -327,16 +336,6 @@ def test_sweep_config_that_is_not_an_object_exits_2(tmp_path, capsys, payload):
     cfg = write_json(tmp_path / "sweep.json", payload)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "grid.csv")]) == 2
     assert "must be a JSON object" in capsys.readouterr().err
-
-
-def test_sweep_output_path_that_is_not_a_string_exits_2(tmp_path, capsys):
-    cfg = write_json(tmp_path / "sweep.json", {
-        "axis1": {"name": "ramp_time", "values": [1.0]},
-        "axis2": {"name": "eps_final", "values": [20.0]},
-        "out": 5,
-    })
-    assert main(["sweep", "--config", cfg]) == 2
-    assert "out must be a path" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -217,9 +217,9 @@ def assert_plain(value):
 
 @pytest.mark.parametrize("task, fixture", [
     ("readout", None),
-    ("readout", harness.json_plain(backends.make_readout_landscape(2, shot_noise=False))),
+    ("readout", harness.json_plain(replace(backends.make_readout_landscape(2), shot_noise=False))),
     ("shuttle", None),
-    ("shuttle", harness.json_plain(backends.make_shuttle_landscape(2, shot_noise=True))),
+    ("shuttle", harness.json_plain(replace(backends.make_shuttle_landscape(2), shot_noise=True))),
     ("single_qubit", None),
     ("benchmark", None),
 ])
@@ -390,6 +390,15 @@ def test_resume_may_extend_a_finished_run(tmp_path):
             == (tmp_path / "long" / harness.RECORD_NAME).read_bytes())
 
 
+def test_resume_without_an_output_directory_is_refused_before_evaluating(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a candidate was evaluated")
+
+    monkeypatch.setattr(harness, "_evaluate_generation", never)
+    with pytest.raises(ConfigError, match="resume needs an output directory"):
+        harness.run(benchmark_config(generations=2), resume=True)
+
+
 def test_corrupt_middle_line_is_an_error_not_a_truncation(tmp_path):
     cfg = benchmark_config(generations=5)
     full, part = stored_run(tmp_path, cfg, keep=5)
@@ -468,7 +477,7 @@ def small_records(tmp_path_factory):
     One is a plain benchmark run; the other a shot-noise shuttle run, whose
     metadata is not empty, with one failed candidate.
     """
-    noisy = harness.json_plain(backends.make_shuttle_landscape(3, shot_noise=True))
+    noisy = harness.json_plain(replace(backends.make_shuttle_landscape(3), shot_noise=True))
     runs = {
         "benchmark": (RunConfig(task="benchmark", generations=3, population=2, seed=4), None),
         "shuttle": (RunConfig(task="shuttle", generations=3, population=3, seed=3, shots=300,
@@ -686,7 +695,7 @@ def test_noiseless_task_reevaluates_exactly():
 
 
 def test_evaluate_params_reads_a_fixture_file_as_the_object_it_holds(tmp_path):
-    land = backends.make_shuttle_landscape(4, shot_noise=True)
+    land = replace(backends.make_shuttle_landscape(4), shot_noise=True)
     (tmp_path / "device.json").write_text(json.dumps(harness.json_plain(land)))
     cfg = RunConfig(task="shuttle", generations=1, population=2, shots=200)
     values = backends.shuttle_space().denormalize(np.full(8, 0.4))
@@ -758,7 +767,7 @@ def test_missing_fixture_file_is_a_config_error(tmp_path):
 
 
 def test_a_fixture_file_is_recorded_as_the_device_it_holds(tmp_path):
-    land = backends.make_shuttle_landscape(3, shot_noise=True)
+    land = replace(backends.make_shuttle_landscape(3), shot_noise=True)
     (tmp_path / "device.json").write_text(json.dumps(harness.json_plain(land)))
     cfg = RunConfig(task="shuttle", generations=3, population=4, seed=2, shots=50)
     harness.run(replace(cfg, backend_fixture=tmp_path / "device.json",
@@ -777,7 +786,7 @@ def test_malformed_inline_fixture_is_a_config_error():
 
 
 def test_a_fixture_file_is_read_when_the_config_is_made(tmp_path):
-    land = harness.json_plain(backends.make_shuttle_landscape(5, shot_noise=True))
+    land = harness.json_plain(replace(backends.make_shuttle_landscape(5), shot_noise=True))
     device = tmp_path / "device.json"
     device.write_text(json.dumps(land))
     cfg = RunConfig(task="shuttle", generations=3, population=4, seed=1, shots=50,
