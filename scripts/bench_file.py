@@ -33,10 +33,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("readout_batch", "ramp_grid", "gate_loop", "shuttle_campaign")
+# the workloads and end-to-end metrics BENCHMARK.json declares, in its order
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(workload["name"] for workload in BENCHMARK["workloads"])
+METRICS = tuple(metric["name"] for metric in BENCHMARK["end_to_end"])
 SEEDS = (11, 12, 13, 14, 15)
 SECONDS = 15
-METRICS = ("setup_s", "wall_s", "evals_per_s", "peak_rss_mb")
 PER_LAYER = ("gen_ms_p50", "gen_ms_p90", "harness.record_bytes")
 
 
@@ -144,8 +146,7 @@ def main(argv=None) -> int:
                   for label, by_workload in runs.items()},
     }
     if "parent" in runs:
-        better = {metric["name"]: metric["better"] for metric
-                  in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+        better = {metric["name"]: metric["better"] for metric in BENCHMARK["end_to_end"]}
         payload["pairs"] = {w: pair_counts(runs["change"][w], runs["parent"][w], better)
                             for w in WORKLOADS}
     out = ROOT / f"BENCH_{args.pr}.json"

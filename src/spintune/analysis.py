@@ -9,6 +9,7 @@ draws random numbers, so results are reproducible bit for bit.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -78,9 +79,14 @@ class CovarianceSeries:
             raise ValueError("covariance matrices must be symmetric")
 
     def matrix_at(self, generation: int) -> np.ndarray:
-        if not 0 <= int(generation) < len(self.matrices):  # numpy would wrap a negative one
-            raise KeyError(f"generation {generation} not in series")
-        return self.matrices[int(generation)]
+        # numpy would wrap a negative index and truncate 1.5 or True to 1
+        if not (_is_index(generation) and 0 <= generation < len(self.matrices)):
+            raise KeyError(f"generation {generation!r} not in series")
+        return self.matrices[generation]
+
+
+def _is_index(value) -> bool:  # the integer rule of dqd._require_int: Integral, not bool
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _decay_profile(q: np.ndarray, xs: np.ndarray, ys: np.ndarray,
@@ -338,8 +344,8 @@ def covariance_average(runs: list, generation: int) -> np.ndarray:
 
 def covariance_trajectory(series: CovarianceSeries, entry: tuple) -> list:
     """Per-generation values of one covariance entry, in order."""
-    i, j = (int(v) for v in entry)
+    i, j = entry
     n = series.matrices.shape[1]
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"entry ({i}, {j}) outside a {n}x{n} matrix")
+    if not all(_is_index(v) and 0 <= v < n for v in entry):
+        raise ValueError(f"entry ({i!r}, {j!r}) is not an integer pair inside a {n}x{n} matrix")
     return [(g, float(m[i, j])) for g, m in enumerate(series.matrices)]

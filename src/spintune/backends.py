@@ -124,10 +124,9 @@ class ParameterSpace:
         return tuple(e.name for e in self.entries)
 
     def index(self, name: str) -> int:
-        for i, e in enumerate(self.entries):
-            if e.name == name:
-                return i
-        raise KeyError(f"unknown parameter {name!r}")
+        if name not in self.names:
+            raise KeyError(f"unknown parameter {name!r}")
+        return self.names.index(name)
 
     def lows(self) -> np.ndarray:
         return np.array([e.low for e in self.entries])
@@ -232,6 +231,7 @@ class HiddenLandscape:
             raise ValueError(f"shot_noise must be true or false, got {self.shot_noise!r}")
         dqd._require_int("seed", self.seed, 0)
         dqd._require_real("floor", self.floor)
+        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "floor", float(self.floor))
         n = self.optimum.shape[0]
         if self.coupling.shape != (n, n):
@@ -407,6 +407,7 @@ def shuttle_backend_evaluate(landscape: HiddenLandscape, x: np.ndarray,
     one evaluation per row.
     """
     block = _unit_rows(landscape, x, shot_seeds, n_shots)
+    dqd._require_real("distance", distance)
     if distance < 0:
         raise ValueError("distance must be non-negative")
     p = shuttle_depolarization(landscape, block)

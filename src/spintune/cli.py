@@ -14,7 +14,6 @@ import argparse
 import errno
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -57,9 +56,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args) -> harness.RunConfig:
-    """The run config of ``--config``, with ``--out`` as its output directory if given."""
-    config = harness.json_object(harness.RunConfig, harness.read_json(args.config), "config")
-    return config if args.out is None else replace(config, output_dir=args.out)
+    """The run config of ``--config``, a fixture path read as the device it names, in ``--out``."""
+    payload = harness.read_json(args.config)
+    if isinstance(payload, dict):
+        if "output_dir" in payload:
+            raise harness.ConfigError("config sets output_dir; give the output directory as --out")
+        if isinstance(payload.get("backend_fixture"), str):  # relative to the working directory
+            payload["backend_fixture"] = harness.read_json(payload["backend_fixture"])
+        payload["output_dir"] = args.out
+    return harness.json_object(harness.RunConfig, payload, "config")
 
 
 def _cmd_run(args) -> int:
@@ -96,18 +101,15 @@ def _parse_axis(key: str, payload) -> tuple:
     try:
         name = payload["name"]
         if "values" in payload:
-            values = dqd._require_reals("values", payload["values"])
-            if values.ndim != 1 or not values.size:
-                raise ValueError(f"{name} values must be a non-empty 1-D list, "
-                                 f"got shape {values.shape}")
-            return name, values
+            return name, dqd._axis_values(name, payload["values"])
         num = payload["num"]
         start, stop = dqd._require_reals("start and stop", [payload["start"], payload["stop"]])
         dqd._require_int("num", num, 1)
         spacing = payload.get("spacing", "linear")
         if spacing not in ("linear", "geom"):
             raise ValueError(f"spacing must be 'linear' or 'geom', got {spacing!r}")
-        return name, (np.geomspace if spacing == "geom" else np.linspace)(start, stop, num)
+        values = (np.geomspace if spacing == "geom" else np.linspace)(start, stop, num)
+        return name, dqd._axis_values(name, values)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise harness.ConfigError(f"bad sweep axis {key} ({payload.get('name')}): {err}") from None
 
@@ -121,7 +123,7 @@ def _cmd_sweep(args) -> int:
         raise harness.ConfigError("sweep config needs axis1 and axis2")
     axis1, axis2 = (_parse_axis(key, payload[key]) for key in ("axis1", "axis2"))
     for key, (name, _) in (("axis1", axis1), ("axis2", axis2)):
-        if name in list(base_payload):  # a list, as name may be unhashable JSON
+        if name in base_payload:
             raise harness.ConfigError(f"sweep config base sets {name}, which {key} sweeps")
     noise = (harness.json_object(dqd.NoiseModel, payload["noise"], "sweep config noise")
              if payload.get("noise") not in (None, {}) else None)

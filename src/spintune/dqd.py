@@ -39,7 +39,7 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -310,20 +310,31 @@ def _adiabatic_targets(
 _AXIS_FIELDS = tuple(f.name for f in fields(DqdConfig))
 
 
+def _axis_values(name, values) -> np.ndarray:
+    """A sweep axis's values as read-only floats; ValueError unless ``name`` is a DqdConfig
+    field and ``values`` a non-empty flat list of reals that the field accepts."""
+    if name not in _AXIS_FIELDS:
+        raise ValueError(f"unknown sweep axis {name!r}; choose from {_AXIS_FIELDS}")
+    vals = _require_reals("values", values)
+    if vals.ndim != 1 or vals.size == 0:
+        raise ValueError(f"{name} values must be a non-empty 1-D list, got shape {vals.shape}")
+    for value in vals.tolist():
+        DqdConfig(**{name: value})  # raises unless DqdConfig accepts the value
+    return vals
+
+
 def evolve(
     cfg: DqdConfig,
     psi0: StateVector,
     dt: float | None = None,
 ) -> StateVector:
     """Integrate the ramp from t=0 to ramp_time under H(eps(t))."""
-    if dt is None:
-        n_steps = DEFAULT_STEPS
-    else:
-        if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        if dt > cfg.ramp_time:
-            raise ValueError(f"dt={dt} exceeds ramp_time={cfg.ramp_time}")
-        n_steps = max(1, int(round(cfg.ramp_time / dt)))
+    n_steps = DEFAULT_STEPS
+    if dt is not None:
+        _require_real("dt", dt)
+        if not 0.0 < dt <= cfg.ramp_time:
+            raise ValueError(f"dt must be in (0, ramp_time={cfg.ramp_time}], got {dt}")
+        n_steps = round(cfg.ramp_time / dt)
     ramp = np.array([[getattr(cfg, name)] for name in _AXIS_FIELDS], dtype=float)
     return StateVector(_ramp_states(*ramp, psi0.amplitudes[None], n_steps)[0])
 
@@ -390,24 +401,14 @@ def sweep_fidelity_grid(
 ) -> np.ndarray:
     """Initialization fidelity on a 2-D parameter grid.
 
-    Each axis is (field_name, values) with field_name a DqdConfig field and
-    non-empty flat values that each pass DqdConfig's rule for that field; the
+    Each axis is (field_name, values): a DqdConfig field and a non-empty flat
+    list of reals (not bools) that each pass DqdConfig's rule for that field; the
     result has shape (len(axis1 values), len(axis2 values)), axis1 along rows.
     """
-    name1, vals1 = axis1
-    name2, vals2 = axis2
-    for name in (name1, name2):
-        if name not in _AXIS_FIELDS:
-            raise ValueError(f"unknown sweep axis {name!r}; choose from {_AXIS_FIELDS}")
+    (name1, _), (name2, _) = axis1, axis2
+    vals1, vals2 = _axis_values(*axis1), _axis_values(*axis2)
     if name1 == name2:
         raise ValueError("sweep axes must differ")
-    vals1 = np.asarray(vals1, dtype=float)
-    vals2 = np.asarray(vals2, dtype=float)
-    for name, vals in ((name1, vals1), (name2, vals2)):
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError(f"{name} values must be a non-empty 1-D list, got shape {vals.shape}")
-        for value in vals.tolist():
-            replace(cfg, **{name: value})  # raises unless DqdConfig accepts the value
 
     shape = (len(vals1), len(vals2))
     cells = {name: np.full(shape, getattr(cfg, name), dtype=float) for name in _AXIS_FIELDS}

@@ -13,8 +13,8 @@ and other versions are refused. Every object spintune stores goes out
 through one writer, ``json_plain``, and every object a user writes or a
 record holds comes back through one reader, ``json_object``, which
 refuses unknown keys; a stored line or candidate must hold exactly its
-keys. A fixture file is read once, when its config is made; the config
-then holds, and a run records, its object, not its path.
+keys. A config opens no file: it takes a fixture as a JSON object, and
+holds, as a run records, the checked landscape's ``json_plain`` form.
 
 Errors: ConfigError for an invalid config, fixture or stored record;
 EvaluationError when every candidate of a generation fails, raised before
@@ -29,7 +29,6 @@ import contextlib
 import json
 import logging
 import math
-import os
 import time
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -151,29 +150,17 @@ class RunConfig:
             object.__setattr__(self, name, int(value))
         if self.shots > _MAX_SHOTS:
             raise ConfigError(f"shots must be <= {_MAX_SHOTS}")
-        if not isinstance(self.output_dir, (type(None), str, os.PathLike)):
-            raise ConfigError(f"output_dir must be a path, got {self.output_dir!r}")
-        if self.output_dir is not None and "\0" in str(self.output_dir):
-            raise ConfigError("output_dir must not contain a NUL character")
-        if isinstance(self.output_dir, os.PathLike):  # a path is kept as its string
-            object.__setattr__(self, "output_dir", str(self.output_dir))
         if self.backend_fixture is None:
             return
         task = _TASKS[self.task]
         if task.landscape is None:
             raise ConfigError(f"the {self.task} task has no landscape; backend_fixture must be null")
-        if isinstance(self.backend_fixture, (str, os.PathLike)):  # held as the device it names
-            object.__setattr__(self, "backend_fixture", read_json(self.backend_fixture))
-        else:  # a copy, so a later change to the caller's object bypasses no check
-            try:
-                object.__setattr__(self, "backend_fixture",
-                                   json.loads(json.dumps(self.backend_fixture)))
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"landscape fixture is not JSON: {err}") from None
         landscape = json_object(backends.HiddenLandscape, self.backend_fixture, "landscape fixture")
         if landscape.optimum.shape != (dimension := task.space().dimension,):
             raise ConfigError(f"landscape fixture has {landscape.optimum.size} parameters; "
                               f"the {self.task} task has {dimension}")
+        # held as the checked device's JSON, so a later change to the caller's object bypasses no check
+        object.__setattr__(self, "backend_fixture", json_plain(landscape))
 
 
 @dataclass(frozen=True)
@@ -498,10 +485,7 @@ def load_record(record_dir: Path | str) -> RunRecord:
                           f"{header.get('version')!r}; only version {RECORD_VERSION} can be read")
     try:
         json_keys(header, ("type", "config", "space", "version"), "header")
-        stored = header["config"]  # RunConfig would open the file a stored path names
-        if isinstance(stored, dict) and isinstance(stored.get("backend_fixture"), str):
-            raise ValueError("config backend_fixture is a path, not a JSON object or null")
-        config = json_object(RunConfig, stored, "config")
+        config = json_object(RunConfig, header["config"], "config")
         space = backends.ParameterSpace(tuple(
             json_object(backends.SpaceEntry, entry, "space entry") for entry in header["space"]))
     except (ConfigError, KeyError, TypeError, ValueError) as err:

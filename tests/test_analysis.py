@@ -438,6 +438,12 @@ def test_covariance_series_lookup_by_generation():
         series.matrix_at(5)
     with pytest.raises(KeyError):  # not the last row, as numpy's wrapping would give
         series.matrix_at(-1)
+    np.testing.assert_array_equal(series.matrix_at(np.int64(1)), m)
+    for generation in (1.5, 1.0, True, "1"):  # not generation 1, as int() would give
+        with pytest.raises(KeyError):
+            series.matrix_at(generation)
+        with pytest.raises(KeyError):
+            covariance_average([series], generation)
 
 
 def test_covariance_average_single_run_is_identity_operation():
@@ -480,6 +486,9 @@ def test_covariance_trajectory_orders_generations():
     assert traj[-1][1] == pytest.approx(0.1)
     with pytest.raises(ValueError):
         covariance_trajectory(series, (0, 5))
+    for entry in ((0.9, True), (0, 1.0), ("0", 1), (-1, 0)):  # not entry (0, 1)
+        with pytest.raises(ValueError, match="integer pair"):
+            covariance_trajectory(series, entry)
 
 
 # ------------------------------------------- behavior on real optimizer runs

@@ -246,6 +246,18 @@ def test_shuttle_amplitude_decreases_with_distance():
     assert all(a > b for a, b in zip(amps, amps[1:]))
 
 
+@pytest.mark.parametrize("distance, error", [
+    (float("nan"), "distance must be a finite real number"),
+    (float("inf"), "distance must be a finite real number"),
+    (True, "distance must be a finite real number"),
+    (-1.0, "distance must be non-negative"),
+])
+def test_shuttle_refuses_a_distance_that_is_not_a_non_negative_real(distance, error):
+    land = make_shuttle_landscape(3)
+    with pytest.raises(ValueError, match=error):
+        shuttle_backend_evaluate(land, np.full(8, 0.3), distance=distance, shot_seeds=[0])
+
+
 def test_shuttle_dimension_mismatch():
     land = make_shuttle_landscape(0)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -25,3 +26,11 @@ def test_pair_counts_give_the_median_ratio_of_the_pairs_with_both_runs():
 @pytest.mark.parametrize("change, parent", [([run(None)], [run(1.0)]), ([run(1.0)], [run(0.0)])])
 def test_pair_counts_have_no_median_ratio_without_a_usable_pair(change, parent):
     assert bench_file.pair_counts(change, parent, {"wall_s": "lower"})["wall_s"]["median_ratio"] is None
+
+
+def test_workloads_and_metrics_are_the_names_benchmark_json_declares():
+    declared = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    assert bench_file.WORKLOADS == tuple(w["name"] for w in declared["workloads"])
+    assert bench_file.METRICS == tuple(m["name"] for m in declared["end_to_end"])
+    assert bench_file.WORKLOADS == ("readout_batch", "ramp_grid", "gate_loop", "shuttle_campaign")
+    assert bench_file.METRICS == ("setup_s", "wall_s", "evals_per_s", "peak_rss_mb")

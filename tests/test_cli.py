@@ -301,6 +301,20 @@ def test_a_task_without_a_landscape_exits_2_on_a_fixture(tmp_path, capsys, comma
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["batch", "--repeats", "2"]])
+@pytest.mark.parametrize("out", [[], ["--out", "elsewhere"]])
+def test_a_config_with_an_output_dir_exits_2_and_names_out(tmp_path, capsys, monkeypatch,
+                                                          command, out):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "run.json", {"task": "benchmark", "generations": 2, "population": 4,
+                                       "output_dir": "viaconfig"})
+    assert main([*command, "--config", "run.json", *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "output_dir" in captured.err and "--out" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
 def test_resume_after_the_fixture_file_changed_exits_2(tmp_path, capsys):
     fixture = tmp_path / "device.json"
     fixture.write_text(json.dumps(harness.json_plain(backends.make_shuttle_landscape(1))))
@@ -392,6 +406,9 @@ def test_sweep_with_wrongly_typed_model_field_exits_2(tmp_path, capsys, section,
      "axis2 (eps_final): start and stop must hold only finite real numbers"),
     ('{"name": "eps_final", "start": 20, "stop": 40, "num": 3, "spaceing": "geom"}',
      "sweep config axis2 has unknown keys ['spaceing']"),
+    ('{"name": "ramp_time", "start": -1.0, "stop": 1.0, "num": 3}',
+     "bad sweep axis axis2 (ramp_time): ramp_time must be positive, got -1.0"),
+    ('{"name": "ramp_tme", "values": [1.0]}', "bad sweep axis axis2 (ramp_tme): unknown sweep axis"),
 ])
 def test_sweep_with_a_bad_axis_value_exits_2(tmp_path, capsys, axis, field):
     cfg = tmp_path / "sweep.json"
@@ -539,7 +556,7 @@ ANY_JSON = st.recursive(
                                                                 max_size=3),
     max_leaves=8)
 VALID_RUN = {"task": "readout", "generations": 2, "population": 3, "seed": 1, "shots": 100,
-             "output_dir": "unused", "backend_fixture": READOUT_FIXTURE}
+             "backend_fixture": READOUT_FIXTURE}
 RUN_KEYS = [("fixture", key) for key in READOUT_FIXTURE] + [("run", key) for key in VALID_RUN]
 DELETE = object()
 

@@ -84,6 +84,9 @@ def test_evolve_rejects_bad_dt():
         evolve(cfg, psi0, dt=0.6)
     with pytest.raises(ValueError):
         evolve(cfg, psi0, dt=0.0)
+    for dt in (True, float("nan"), "0.1"):  # True would integrate with dt = 1
+        with pytest.raises(ValueError, match="dt must be a finite real number"):
+            evolve(cfg, psi0, dt=dt)
 
 
 def test_landau_zener_two_level_oracle():
@@ -441,6 +444,13 @@ def test_grid_rejects_unknown_axis():
     base = DqdConfig(ramp_time=0.3, **STRONG)
     with pytest.raises(ValueError):
         sweep_fidelity_grid(base, ("epsilon_start", [0.0, 1.0]), ("eps_final", [1.0, 2.0]))
+
+
+@pytest.mark.parametrize("values", [[True, 20.0], ["20"], [20.0, float("inf")]])
+def test_grid_rejects_axis_values_that_are_not_reals(values):
+    base = DqdConfig(ramp_time=0.3, **STRONG)
+    with pytest.raises(ValueError, match="values must hold only finite real numbers"):
+        sweep_fidelity_grid(base, ("ramp_time", [0.1]), ("eps_final", values), n_steps=20)
 
 
 @pytest.mark.parametrize("empty", [[], np.linspace(0.1, 1.0, 0)])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spintune import backends, harness, rb
+from spintune.cli import main
 from spintune.harness import ConfigError, RunConfig
 
 
@@ -700,7 +701,8 @@ def test_evaluate_params_reads_a_fixture_file_as_the_object_it_holds(tmp_path):
     cfg = RunConfig(task="shuttle", generations=1, population=2, shots=200)
     values = backends.shuttle_space().denormalize(np.full(8, 0.4))
     by_file = harness.evaluate_params(
-        replace(cfg, backend_fixture=tmp_path / "device.json"), values, shot_seed=3)
+        replace(cfg, backend_fixture=harness.read_json(tmp_path / "device.json")), values,
+        shot_seed=3)
     inline = harness.evaluate_params(
         replace(cfg, backend_fixture=harness.json_plain(land)), values, shot_seed=3)
     assert by_file == inline
@@ -766,17 +768,17 @@ def test_missing_fixture_file_is_a_config_error(tmp_path):
                   backend_fixture=str(tmp_path / "absent.json"))
 
 
-def test_a_fixture_file_is_recorded_as_the_device_it_holds(tmp_path):
-    land = replace(backends.make_shuttle_landscape(3), shot_noise=True)
-    (tmp_path / "device.json").write_text(json.dumps(harness.json_plain(land)))
-    cfg = RunConfig(task="shuttle", generations=3, population=4, seed=2, shots=50)
-    harness.run(replace(cfg, backend_fixture=tmp_path / "device.json",
-                        output_dir=tmp_path / "file"))
-    harness.run(replace(cfg, backend_fixture=harness.json_plain(land),
-                        output_dir=tmp_path / "inline"))
+def test_a_fixture_file_is_recorded_as_the_device_it_holds(tmp_path, monkeypatch, capsys):
+    land = harness.json_plain(replace(backends.make_shuttle_landscape(3), shot_noise=True))
+    (tmp_path / "device.json").write_text(json.dumps(land))
+    monkeypatch.chdir(tmp_path)  # the CLI reads a fixture path from the working directory
+    run = {"task": "shuttle", "generations": 3, "population": 4, "seed": 2, "shots": 50}
+    for name, fixture in (("file", "device.json"), ("inline", land)):
+        (tmp_path / f"{name}.json").write_text(json.dumps({**run, "backend_fixture": fixture}))
+        assert main(["run", "--config", f"{name}.json", "--out", name]) == 0
     record = (tmp_path / "file" / harness.RECORD_NAME).read_bytes()
     assert record == (tmp_path / "inline" / harness.RECORD_NAME).read_bytes()
-    assert harness.load_record(tmp_path / "file").config.backend_fixture == harness.json_plain(land)
+    assert harness.load_record(tmp_path / "file").config.backend_fixture == land
 
 
 def test_malformed_inline_fixture_is_a_config_error():
@@ -785,19 +787,31 @@ def test_malformed_inline_fixture_is_a_config_error():
                   backend_fixture={"kind": "bogus"})
 
 
-def test_a_fixture_file_is_read_when_the_config_is_made(tmp_path):
-    land = harness.json_plain(replace(backends.make_shuttle_landscape(5), shot_noise=True))
-    device = tmp_path / "device.json"
-    device.write_text(json.dumps(land))
-    cfg = RunConfig(task="shuttle", generations=3, population=4, seed=1, shots=50,
-                    backend_fixture=device)
-    assert cfg.backend_fixture == land
-    assert cfg == replace(cfg, backend_fixture=land)
-    device.unlink()  # the config holds the device, so the run never opens the file
-    harness.run(replace(cfg, output_dir=tmp_path / "file"))
-    harness.run(replace(cfg, backend_fixture=land, output_dir=tmp_path / "inline"))
-    record = (tmp_path / "file" / harness.RECORD_NAME).read_bytes()
-    assert record == (tmp_path / "inline" / harness.RECORD_NAME).read_bytes()
+def test_a_fixture_file_is_read_when_the_config_is_made(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"task": "shuttle", "generations": 3, "population": 4,
+                               "backend_fixture": str(tmp_path / "absent.json")}))
+    for command in (["run"], ["batch", "--repeats", "2"]):
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "file not found" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fixture", ["device.json", Path("device.json")])
+def test_a_config_opens_no_fixture_file(tmp_path, monkeypatch, fixture):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "device.json").write_text(
+        json.dumps(harness.json_plain(backends.make_shuttle_landscape(5))))
+    with pytest.raises(ConfigError, match="landscape fixture must be a JSON object"):
+        RunConfig(task="shuttle", generations=3, population=4, backend_fixture=fixture)
+
+
+def test_a_fixture_is_held_as_its_checked_landscapes_json():
+    land = harness.json_plain(backends.make_shuttle_landscape(5))
+    written = {**land, "floor": 0, "optimum": [0] * 8}  # integers, as a user may write them
+    cfg = RunConfig(task="shuttle", generations=3, population=4, backend_fixture=written)
+    assert json.dumps(cfg.backend_fixture) == json.dumps({**land, "floor": 0.0,
+                                                          "optimum": [0.0] * 8})
 
 
 def test_a_config_holds_a_copy_of_the_callers_fixture(tmp_path):
