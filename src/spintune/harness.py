@@ -159,7 +159,7 @@ class RunConfig:
         if landscape.optimum.shape != (dimension := task.space().dimension,):
             raise ConfigError(f"landscape fixture has {landscape.optimum.size} parameters; "
                               f"the {self.task} task has {dimension}")
-        # held as the checked device's JSON, so a later change to the caller's object bypasses no check
+        # the checked device's JSON: a later change to the caller's object bypasses no check
         object.__setattr__(self, "backend_fixture", json_plain(landscape))
 
 

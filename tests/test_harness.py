@@ -808,7 +808,8 @@ def test_a_config_opens_no_fixture_file(tmp_path, monkeypatch, fixture):
 
 def test_a_fixture_is_held_as_its_checked_landscapes_json():
     land = harness.json_plain(backends.make_shuttle_landscape(5))
-    written = {**land, "floor": 0, "optimum": [0] * 8}  # integers, as a user may write them
+    # integers, as a user may write them, and a numpy seed, as a library caller may pass it
+    written = {**land, "floor": 0, "optimum": [0] * 8, "seed": np.int64(land["seed"])}
     cfg = RunConfig(task="shuttle", generations=3, population=4, backend_fixture=written)
     assert json.dumps(cfg.backend_fixture) == json.dumps({**land, "floor": 0.0,
                                                           "optimum": [0.0] * 8})
