@@ -41,6 +41,7 @@ __all__ = [
     "rb_space",
     "make_readout_landscape",
     "make_shuttle_landscape",
+    "optimum_init_fidelity",
     "true_readout_visibility",
     "readout_backend_evaluate",
     "shuttle_depolarization",
@@ -229,7 +230,7 @@ class HiddenLandscape:
             raise ValueError("optimum must be a non-empty vector")
         if not isinstance(self.shot_noise, bool):
             raise ValueError(f"shot_noise must be true or false, got {self.shot_noise!r}")
-        dqd._require_int("seed", self.seed, 0)
+        dqd._require_int("seed", self.seed, 0, dqd._MAX_UINT64)  # a record header holds it
         dqd._require_real("floor", self.floor)
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "floor", float(self.floor))
@@ -317,6 +318,14 @@ def _contrast_counts(landscape: HiddenLandscape, shot_seed, n_shots: int,
             int(rng.binomial(n_shots, 0.5 * (1.0 - contrast))))
 
 
+def optimum_init_fidelity(landscape: HiddenLandscape, space: ParameterSpace) -> float:
+    """Initialization-ramp fidelity at the planted readout optimum, which visibility is relative to."""
+    at_optimum = _init_stage_ramps(space, landscape.optimum[None])
+    return initialization_fidelity(DqdConfig(
+        **{name: float(v[0]) for name, v in at_optimum.items()},
+        zeeman_diff=_INIT_ZEEMAN_GHZ), n_steps=_INIT_STEPS)
+
+
 def true_readout_visibility(landscape: HiddenLandscape, space: ParameterSpace,
                             x: np.ndarray) -> list[float]:
     """Noiseless visibility of the planted readout landscape at each row of x, (n, d).
@@ -327,14 +336,16 @@ def true_readout_visibility(landscape: HiddenLandscape, space: ParameterSpace,
     though the ramp model's own best point lies elsewhere. The ramps of
     all rows are integrated together; a vector is one row.
     """
+    return _visibility(landscape, space, x, optimum_init_fidelity(landscape, space))
+
+
+def _visibility(landscape: HiddenLandscape, space: ParameterSpace, x: np.ndarray,
+                f_opt: float) -> list[float]:
+    """``true_readout_visibility`` given ``optimum_init_fidelity(landscape, space)`` as f_opt."""
     block = _rows(x, space.dimension)
     ramps = _init_stage_ramps(space, block)
     f_init = dqd._cell_fidelities(*ramps.values(), np.full(len(block), _INIT_ZEEMAN_GHZ),
                                   None, _INIT_STEPS).tolist()
-    at_optimum = _init_stage_ramps(space, landscape.optimum[None])
-    f_opt = initialization_fidelity(DqdConfig(
-        **{name: float(v[0]) for name, v in at_optimum.items()},
-        zeeman_diff=_INIT_ZEEMAN_GHZ), n_steps=_INIT_STEPS)
     span = (1.0 - landscape.floor) - READOUT_BASE_VISIBILITY
     return [float(span * np.exp(-q) * min(1.0, f / f_opt)) + READOUT_BASE_VISIBILITY
             for q, f in zip(landscape.quadratic(block).tolist(), f_init)]
@@ -352,17 +363,22 @@ def _measure_readout(landscape: HiddenLandscape, v_true: float, n_shots: int,
 
 
 def readout_backend_evaluate(landscape: HiddenLandscape, space: ParameterSpace,
-                             x: np.ndarray, n_shots: int, shot_seeds) -> list[CostEvaluation]:
+                             x: np.ndarray, n_shots: int, shot_seeds,
+                             f_opt: float | None = None) -> list[CostEvaluation]:
     """Evaluate readout visibility at each row of x, (n, 14); cost is the negated visibility.
 
     With ``landscape.shot_noise`` the two parity fractions of row i are
     drawn binomially with ``n_shots`` trials each, seeded by the landscape
-    seed and ``shot_seeds[i]``. Returns one evaluation per row.
+    seed and ``shot_seeds[i]``. ``f_opt`` is ``optimum_init_fidelity(landscape,
+    space)``, computed here when None; a run computes it once and passes it.
+    Returns one evaluation per row.
     """
     block = _unit_rows(landscape, x, shot_seeds, n_shots)
     if space.dimension != 14:
         raise ValueError("readout backend expects the 14-parameter space")
-    v_true = true_readout_visibility(landscape, space, block)
+    if f_opt is None:
+        f_opt = optimum_init_fidelity(landscape, space)
+    v_true = _visibility(landscape, space, block, f_opt)
     return [_measure_readout(landscape, v, n_shots, s) for v, s in zip(v_true, shot_seeds)]
 
 

@@ -69,10 +69,16 @@ def _require_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
-def _require_int(name: str, value, minimum: int) -> None:
-    """Raise ValueError naming ``name`` unless value is an integer >= minimum."""
+# The largest unsigned 64-bit integer, the largest a record line can hold.
+_MAX_UINT64 = 2**64 - 1
+
+
+def _require_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """Raise ValueError naming ``name`` unless value is an integer >= minimum (and <= maximum)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value!r}")
 
 
 def _require_reals(name: str, value) -> np.ndarray:

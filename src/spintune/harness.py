@@ -9,12 +9,16 @@ wall-clock timings go to a separate sidecar so they never break that. A
 record of version RECORD_VERSION is a header line, then per generation
 its number, its state and its candidates by row, each {x, cost (null
 where failed), meta}; best-so-far is not stored but recomputed on load,
-and other versions are refused. Every object spintune stores goes out
-through one writer, ``json_plain``, and every object a user writes or a
-record holds comes back through one reader, ``json_object``, which
-refuses unknown keys; a stored line or candidate must hold exactly its
-keys. A config opens no file: it takes a fixture as a JSON object, and
-holds, as a run records, the checked landscape's ``json_plain`` form.
+and other versions are refused. Every record and sidecar line is
+compact, key-sorted JSON that orjson writes and the loader reads back
+with orjson, the same floats bit for bit; configs, fixtures, exports and
+the batch aggregate stay on the standard library's json. Every object
+spintune stores goes out through one writer, ``json_plain``, and every
+object a user writes or a record holds comes back through one reader,
+``json_object``, which refuses unknown keys; a stored line or candidate
+must hold exactly its keys. A config opens no file: it takes a fixture
+as a JSON object, and holds, as a run records, the checked landscape's
+``json_plain`` form.
 
 Errors: ConfigError for an invalid config, fixture or stored record;
 EvaluationError when every candidate of a generation fails, raised before
@@ -35,6 +39,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import orjson
 
 from . import analysis, backends, cmaes, dqd, rb
 
@@ -63,7 +68,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 RECORD_NAME = "record.jsonl"
-RECORD_VERSION = 4
+RECORD_VERSION = 5
 TIMINGS_NAME = "timings.jsonl"
 AGGREGATE_NAME = "aggregate.json"
 
@@ -79,10 +84,10 @@ class EvaluationError(Exception):
     """Every candidate of a generation failed; nothing of it was written."""
 
 
-# RunConfig fields that take integers only (bools are rejected), with their minimums.
-_INTEGER_MINIMUMS = {"generations": 1, "population": 2, "seed": 0, "shots": 1}
-# The most trials numpy's binomial draw accepts.
-_MAX_SHOTS = 2**63 - 1
+# RunConfig fields that take integers only (bools are rejected), with their ranges: the
+# record header holds each in 64 bits, and shots at most what numpy's binomial draw accepts.
+_INTEGER_RANGES = {"generations": (1, dqd._MAX_UINT64), "population": (2, dqd._MAX_UINT64),
+                   "seed": (0, dqd._MAX_UINT64), "shots": (1, 2**63 - 1)}
 
 
 def read_json(path: Path | str):
@@ -141,15 +146,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        for name, minimum in _INTEGER_MINIMUMS.items():
+        for name, (minimum, maximum) in _INTEGER_RANGES.items():
             value = getattr(self, name)
             try:
-                dqd._require_int(name, value, minimum)
+                dqd._require_int(name, value, minimum, maximum)
             except ValueError as err:
                 raise ConfigError(str(err)) from None
             object.__setattr__(self, name, int(value))
-        if self.shots > _MAX_SHOTS:
-            raise ConfigError(f"shots must be <= {_MAX_SHOTS}")
         if self.backend_fixture is None:
             return
         task = _TASKS[self.task]
@@ -207,8 +210,9 @@ def _benchmark_space() -> backends.ParameterSpace:
 
 
 def _readout_evaluator(config, space, landscape):
+    f_opt = backends.optimum_init_fidelity(landscape, space)  # once per run, not per generation
     return lambda X, seeds: backends.readout_backend_evaluate(
-        landscape, space, X, config.shots, shot_seeds=seeds)
+        landscape, space, X, config.shots, shot_seeds=seeds, f_opt=f_opt)
 
 
 def _shuttle_evaluator(config, space, landscape):
@@ -274,7 +278,7 @@ def _shot_seeds(base_seed: int, generation: int, rows) -> list[int]:
 
 def _dump_line(payload) -> bytes:
     """One line of a record or its sidecar: compact key-sorted JSON and its newline."""
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return orjson.dumps(payload, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
 
 
 def run(config: RunConfig, resume: bool = False) -> RunRecord:
@@ -425,7 +429,7 @@ def _stored_candidate(cand) -> dict:
         raise TypeError(f"candidate meta {cand['meta']!r} is not an object")
     if cand["cost"] is None:  # a failed one is written null
         return {**cand, "cost": math.inf}
-    if not isinstance(cand["cost"], float) or not math.isfinite(cand["cost"]):  # 1e400 is inf
+    if not isinstance(cand["cost"], float) or not math.isfinite(cand["cost"]):
         raise ValueError(f"candidate cost {cand['cost']!r} is not a finite float (a JSON number "
                          "written with a fraction or an exponent) or null")
     return cand
@@ -434,10 +438,6 @@ def _stored_candidate(cand) -> dict:
 def _is_int(value, expected: int) -> bool:
     """Whether a loaded JSON value is the integer ``expected``; 2.0 and true are not."""
     return type(value) is int and value == expected
-
-
-def _refuse_constant(token: str):
-    raise ValueError(f"{token} is not strict JSON")
 
 
 class _NothingStored(ConfigError):
@@ -450,10 +450,12 @@ def load_record(record_dir: Path | str) -> RunRecord:
     Only the final line may be torn, as a crash mid-write leaves it; it is
     dropped. A null candidate cost, as a failed candidate is written, reads
     back as +inf, and each generation's best-so-far is recomputed from the
-    candidates. Any other line that is not strict JSON (NaN and Infinity
-    are not), a first line that is not the header, a version or generation
-    number other than the JSON integer RECORD_VERSION, k or k + 1 (line k's
-    state), a header, generation line or candidate without exactly its keys,
+    candidates. Lines are parsed by orjson, which refuses NaN, Infinity and
+    a number beyond the float range, and reads an integer beyond 64 bits
+    as a float. Any other line that is not strict JSON, a first line that
+    is not the header, a version or generation number other than the JSON
+    integer RECORD_VERSION, k or k + 1 (line k's state), a header,
+    generation line or candidate without exactly its keys,
     a candidate cost that is not a finite float (a JSON number written with
     a fraction or an exponent) or null, or a malformed config, space,
     candidate x row, metadata or search distribution (a non-finite mean or
@@ -467,7 +469,7 @@ def load_record(record_dir: Path | str) -> RunRecord:
     payloads = []
     for i, line in enumerate(lines):
         try:
-            payload = json.loads(line, parse_constant=_refuse_constant)
+            payload = orjson.loads(line)
             if not isinstance(payload, dict):
                 raise ValueError("not a JSON object")
         except ValueError as err:

@@ -16,6 +16,7 @@ from spintune.backends import (
     SpaceEntry,
     make_readout_landscape,
     make_shuttle_landscape,
+    optimum_init_fidelity,
     readout_backend_evaluate,
     readout_space,
     rb_space,
@@ -273,6 +274,14 @@ def test_true_visibility_caps_at_ceiling():
         x = rng.uniform(0.0, 1.0, 14)
         v = true_readout_visibility(land, space, x)[0]
         assert 0.0 < v <= 0.995
+
+
+def test_readout_given_its_optimum_fidelity_gives_the_same_bits():
+    land, space = make_readout_landscape(4), readout_space()
+    X = np.random.default_rng(2).uniform(0.0, 1.0, (6, 14))
+    f_opt = optimum_init_fidelity(land, space)
+    assert repr(readout_backend_evaluate(land, space, X, 500, list(range(6)), f_opt=f_opt)) == (
+        repr(readout_backend_evaluate(land, space, X, 500, list(range(6)))))
 
 
 # ------------------------------------------------- a block equals its rows

@@ -646,6 +646,7 @@ RECORD_DAMAGE = {
     "header version 2.0": (0, lambda h: h.update(version=2.0)),
     "header version 3.0": (0, lambda h: h.update(version=3.0)),
     "header version 2": (0, lambda h: h.update(version=2)),
+    "header version 4": (0, lambda h: h.update(version=4)),
     "header fixture optimum one entry short": (0, lambda h: h["config"].update(
         backend_fixture={**SHUTTLE_FIXTURE, "optimum": SHUTTLE_FIXTURE["optimum"][:-1],
                          "coupling": [row[:-1] for row in SHUTTLE_FIXTURE["coupling"][:-1]]})),
@@ -692,8 +693,9 @@ def test_a_record_of_another_version_exits_2_and_is_left_as_it_is(tmp_path, caps
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     path = out / harness.RECORD_NAME
     header, *rest = path.read_text().splitlines(keepends=True)
-    # the package version older records carried, and version 2, whose noise was drawn differently
-    for version in ("0.1.0", 2):
+    # the package version older records carried, version 2, whose noise was drawn differently,
+    # and version 4, whose floats Python's repr spelled
+    for version in ("0.1.0", 2, 4):
         path.write_text(json.dumps({**json.loads(header), "version": version}) + "\n"
                         + "".join(rest))
         old = path.read_bytes()

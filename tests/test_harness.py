@@ -6,8 +6,9 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spintune import backends, harness, rb
@@ -29,7 +30,7 @@ def test_distinct_keys_give_distinct_shot_seeds(keys):
 
 
 @settings(max_examples=20, deadline=None)
-@given(seeds=st.lists(st.integers(0, 2**128 - 1), min_size=2, max_size=2, unique=True))
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2, unique=True))
 def test_runs_that_differ_only_in_seed_draw_disjoint_shot_seeds(seeds):
     seen = []
     for seed in seeds:
@@ -520,7 +521,7 @@ def test_timings_split_each_generation_into_its_phases(tmp_path):
     record = (tmp_path / "a" / harness.RECORD_NAME).read_bytes()
     assert record == (tmp_path / "b" / harness.RECORD_NAME).read_bytes()
     header, *lines = [json.loads(line) for line in record.splitlines()]
-    assert header["version"] == harness.RECORD_VERSION == 4
+    assert header["version"] == harness.RECORD_VERSION == 5
     assert {key for line in lines for key in line} == {
         "type", "generation", "candidates", "state"}
     assert {key for line in lines for cand in line["candidates"] for key in cand} == {
@@ -550,7 +551,7 @@ def test_resume_copies_kept_lines_and_rewrites_only_a_non_finite_cost(tmp_path, 
     # a failure stored as the non-JSON token Infinity is refused, and the file left as it is
     legacy = header + gen0 + gen1.replace(b'"cost":null', b'"cost":Infinity') + rest[0]
     (tmp_path / harness.RECORD_NAME).write_bytes(legacy)
-    with pytest.raises(ConfigError, match="line 3 is malformed: Infinity"):
+    with pytest.raises(ConfigError, match="line 3 is malformed: unexpected character"):
         harness.run(cfg, resume=True)
     assert (tmp_path / harness.RECORD_NAME).read_bytes() == legacy
 
@@ -570,6 +571,90 @@ def test_resume_encodes_only_the_header_and_the_new_generations(tmp_path, monkey
     harness.run(replace(cfg, output_dir=part), resume=True)
     assert (part / harness.RECORD_NAME).read_bytes() == full
     assert encoded == [("header", None), ("generation", 4), ("generation", 5)]
+
+
+# Floats whose spelling or bits are at an edge: a signed zero, the least subnormal, the
+# largest finite floats, and two that orjson spells otherwise than Python's repr.
+FLOAT_EDGES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-05, 1e16]
+
+
+@pytest.fixture(scope="module")
+def codec_record(tmp_path_factory):
+    """A one-generation benchmark record: its directory, header line and generation payload."""
+    out = tmp_path_factory.mktemp("codec")
+    harness.run(benchmark_config(generations=1, population=len(FLOAT_EDGES), output_dir=out))
+    header, line = (out / harness.RECORD_NAME).read_bytes().splitlines(keepends=True)
+    return out, header, orjson.loads(line)
+
+
+@settings(max_examples=200, deadline=None)
+@given(costs=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=len(FLOAT_EDGES), max_size=len(FLOAT_EDGES)))
+@example(costs=FLOAT_EDGES)
+def test_every_finite_float_round_trips_through_a_record_bit_for_bit(codec_record, costs):
+    out, header, payload = codec_record
+    payload = {**payload, "candidates": [{**cand, "cost": cost, "meta": {"costs": costs}}
+                                         for cand, cost in zip(payload["candidates"], costs)]}
+    line = harness._dump_line(payload)
+    assert line.endswith(b"\n") and line.count(b"\n") == 1
+    # stdlib json reads the same values: a record stays standard JSON
+    assert repr(json.loads(line)) == repr(orjson.loads(line)) == repr(payload)
+    (out / harness.RECORD_NAME).write_bytes(header + line)
+    loaded = harness.load_record(out).generations[0].candidates
+    assert [cand["cost"].hex() for cand in loaded] == [cost.hex() for cost in costs]
+    assert all(repr(cand["meta"]["costs"]) == repr(costs) for cand in loaded)
+
+
+def test_a_cost_spelled_as_an_integer_beyond_64_bits_loads_as_that_float(tmp_path):
+    # orjson reads such a literal as a float; no task writes one
+    harness.run(benchmark_config(generations=1, output_dir=tmp_path))
+    path = tmp_path / harness.RECORD_NAME
+    header, line = path.read_bytes().splitlines(keepends=True)
+    first = orjson.loads(line)["candidates"][0]["cost"]
+    big = str(2**64).encode()
+    path.write_bytes(header + line.replace(b'"cost":%s' % orjson.dumps(first),
+                                           b'"cost":' + big, 1))
+    assert harness.load_record(tmp_path).generations[0].candidates[0]["cost"] == float(2**64)
+
+
+def test_a_seed_beyond_64_bits_exits_2_before_any_file_is_written(tmp_path, capsys):
+    too_big = {**harness.json_plain(backends.make_shuttle_landscape(3)), "seed": 2**64}
+    run = {"task": "shuttle", "generations": 2, "population": 4}
+    for config in ({**run, "seed": 2**64}, {**run, "backend_fixture": too_big}):
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        for command in (["run"], ["batch", "--repeats", "2"]):
+            out = tmp_path / "out"
+            assert main([*command, "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 2
+            assert f"seed must be <= {2**64 - 1}" in capsys.readouterr().err
+            assert not out.exists()
+    with pytest.raises(ValueError, match="seed must be <="):
+        replace(backends.make_shuttle_landscape(3), seed=2**64)
+
+
+def test_the_largest_seed_runs_loads_back_as_an_int_and_resumes_byte_exact(tmp_path):
+    largest = 2**64 - 1
+    cfg = RunConfig(task="shuttle", generations=4, population=4, seed=largest,
+                    backend_fixture=harness.json_plain(backends.make_shuttle_landscape(largest)))
+    full, part = stored_run(tmp_path, cfg, keep=2)
+    loaded = harness.load_record(tmp_path / "full").config
+    for seed in (loaded.seed, loaded.backend_fixture["seed"]):
+        assert type(seed) is int and seed == largest
+    harness.run(replace(cfg, output_dir=part), resume=True)
+    assert (part / harness.RECORD_NAME).read_bytes() == full
+
+
+def test_a_readout_run_integrates_the_ramp_at_its_optimum_once(monkeypatch):
+    real, calls = backends.initialization_fidelity, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(backends, "initialization_fidelity", counting)
+    record = harness.run(RunConfig(task="readout", generations=3, population=4, seed=3,
+                                   shots=20))
+    assert len(record.generations) == 3
+    assert len(calls) == 1
 
 
 def test_record_bytes_do_not_depend_on_output_location(tmp_path):
@@ -731,6 +816,7 @@ def test_config_from_dict_requires_core_keys():
     ("generations", "three"), ("generations", 2.0), ("generations", 1e400),
     ("generations", True), ("population", 4.7), ("population", "4"),
     ("seed", -1), ("seed", None), ("seed", False), ("shots", None), ("shots", [10]),
+    ("seed", 2**64), ("generations", 2**64), ("population", 2**64), ("shots", 2**63),
 ])
 def test_config_takes_integers_only_and_a_non_negative_seed(key, value):
     payload = {"task": "benchmark", "generations": 2, "population": 4, key: value}
