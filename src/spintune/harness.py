@@ -8,11 +8,13 @@ the record file. Identical configs produce byte-identical record files;
 wall-clock timings go to a separate sidecar so they never break that. A
 record of version RECORD_VERSION is a header line, then per generation
 its number, its state and its candidates by row, each {x, cost (null
-where failed), meta}; best-so-far is not stored but recomputed on load,
-and other versions are refused. Every record and sidecar line is
-compact, key-sorted JSON that orjson writes and the loader reads back
-with orjson, the same floats bit for bit; configs, fixtures, exports and
-the batch aggregate stay on the standard library's json. Every object
+where failed), meta}; best-so-far is recomputed on load, and other
+versions are refused. In memory a generation holds arrays, its rows x
+and their costs (+inf where failed), beside each row's metadata and its
+DistributionState; ``candidates`` builds the row dicts on access. Record
+and sidecar lines are compact, key-sorted JSON that orjson writes and
+reads, the same floats bit for bit; configs, fixtures, exports and the
+batch aggregate stay on the standard library's json. Every object
 spintune stores goes out through one writer, ``json_plain``, and every
 object a user writes or a record holds comes back through one reader,
 ``json_object``, which refuses unknown keys; a stored line or candidate
@@ -166,13 +168,20 @@ class RunConfig:
         object.__setattr__(self, "backend_fixture", json_plain(landscape))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field has no truth value, so no generated __eq__
 class GenerationRecord:
     generation: int
-    candidates: list
-    state: dict
+    x: np.ndarray
+    costs: np.ndarray
+    meta: list
+    state: cmaes.DistributionState
     best_cost: float
     best_params: list
+
+    @property
+    def candidates(self) -> list[dict]:  # each row a fresh {x, cost, meta}: x a list, failed inf
+        return [{"x": x, "cost": cost, "meta": meta}
+                for x, cost, meta in zip(self.x.tolist(), self.costs.tolist(), self.meta)]
 
 
 @dataclass(frozen=True)
@@ -191,7 +200,7 @@ class RunRecord:
 
     @property
     def evaluation_count(self) -> int:
-        return sum(len(g.candidates) for g in self.generations)
+        return sum(len(g.costs) for g in self.generations)
 
 
 @dataclass(frozen=True)
@@ -296,8 +305,6 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
     evaluate = _make_evaluator(config, space)
     params = cmaes.StrategyParams.defaults(
         dimension=space.dimension, population=config.population, seed=config.seed)
-    state = cmaes.DistributionState.initial(
-        np.full(space.dimension, _INITIAL_MEAN), sigma=_INITIAL_SIGMA)
 
     done: list[GenerationRecord] = []
     with contextlib.ExitStack() as files:
@@ -324,23 +331,22 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
             _trim_timings(out_dir / TIMINGS_NAME, len(done))
             timing_file = files.enter_context((out_dir / TIMINGS_NAME).open("ab"))
 
-        if done:
-            state = cmaes.DistributionState(**done[-1].state)
+        state = done[-1].state if done else cmaes.DistributionState.initial(
+            np.full(space.dimension, _INITIAL_MEAN), sigma=_INITIAL_SIGMA)
 
         for gen in range(len(done), config.generations):
             ticks = [time.perf_counter()]  # and the end of each phase timed in the sidecar
             points, steps = cmaes.ask(state, params)
             ticks.append(time.perf_counter())
             X = np.clip(points, 0.0, 1.0)  # evaluated in the unit cube; tell gets the raw steps
-            results = _evaluate_generation(evaluate, X, config.seed, gen)
+            costs, meta = zip(*_evaluate_generation(evaluate, X, config.seed, gen))
             ticks.append(time.perf_counter())
-            if not any(math.isfinite(cost) for cost, _ in results):
+            if not np.isfinite(costs).any():
                 raise EvaluationError(f"every candidate of generation {gen} failed; "
-                                      f"the first: {results[0][1]['error']}")
-            state = cmaes.tell(state, params, steps, [cost for cost, _ in results])
-            rec = _generation(gen, [{"x": x, "cost": cost, "meta": meta} for x, (cost, meta)
-                                    in zip(space.denormalize(X).tolist(), results)],
-                              json_plain(state), done[-1] if done else None)
+                                      f"the first: {meta[0]['error']}")
+            state = cmaes.tell(state, params, steps, costs)
+            rec = _generation(gen, space.denormalize(X), np.array(costs), list(meta), state,
+                              done[-1] if done else None)
             done.append(rec)
             ticks.append(time.perf_counter())
             if record_file is not None:
@@ -391,14 +397,15 @@ def _evaluate_generation(evaluate, X: np.ndarray, seed: int, gen: int) -> list[t
     return out
 
 
-def _generation(number: int, candidates: list, state: dict,
+def _generation(number: int, x: np.ndarray, costs: np.ndarray, meta: list,
+                state: cmaes.DistributionState,
                 before: GenerationRecord | None) -> GenerationRecord:
-    """A generation with its best-so-far: a candidate takes over only with a strictly lower cost."""
+    """A generation with its best-so-far: the first row of least cost, if strictly lower."""
     best_cost, best_params = (before.best_cost, before.best_params) if before else (math.inf, [])
-    for cand in candidates:
-        if cand["cost"] < best_cost:
-            best_cost, best_params = cand["cost"], cand["x"]
-    return GenerationRecord(number, candidates, state, float(best_cost), list(best_params))
+    x.flags.writeable = costs.flags.writeable = False
+    if costs[row := int(np.argmin(costs))] < best_cost:
+        best_cost, best_params = costs[row], x[row].tolist()
+    return GenerationRecord(number, x, costs, meta, state, float(best_cost), list(best_params))
 
 
 def _header_payload(config: RunConfig, space: backends.ParameterSpace) -> dict:
@@ -416,23 +423,34 @@ def _header_payload(config: RunConfig, space: backends.ParameterSpace) -> dict:
 
 def _generation_payload(rec: GenerationRecord) -> dict:
     """A generation as written: its candidates, a failed one's cost as null, and its state."""
-    candidates = [cand if math.isfinite(cand["cost"]) else {**cand, "cost": None}
-                  for cand in rec.candidates]
+    candidates = [{"x": x, "cost": cost if cost < math.inf else None, "meta": meta}
+                  for x, cost, meta in zip(rec.x.tolist(), rec.costs.tolist(), rec.meta)]
     return {"type": "generation", "generation": rec.generation, "candidates": candidates,
-            "state": rec.state}
+            "state": json_plain(rec.state)}
 
 
-def _stored_candidate(cand) -> dict:
-    """A candidate as loaded, exactly {x, cost, meta}: meta an object, cost finite or null (inf)."""
+def _stored_candidates(cands, dimension: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """(x, costs, meta) of a line's candidates, checked as a block; see ``_stored_candidate``."""
+    if not all(type(cand) is dict and cand.keys() == {"x", "cost", "meta"}
+               and type(cand["meta"]) is dict and type(cand["cost"]) in (float, type(None))
+               for cand in cands):  # orjson reads no non-finite float
+        for cand in cands:
+            _stored_candidate(cand)
+    x = dqd._require_reals("candidate x", [cand["x"] for cand in cands])
+    if x.shape != (len(cands), dimension):
+        raise ValueError(f"candidate x values are not rows of {dimension}")
+    costs = np.array([math.inf if cand["cost"] is None else cand["cost"] for cand in cands])
+    return x, costs, [cand["meta"] for cand in cands]
+
+
+def _stored_candidate(cand) -> None:
+    """Raise the error of a candidate that breaks the rule; a missing x is the caller's KeyError."""
     json_keys(cand, ("x", "cost", "meta"), "candidate")  # a missing key is a KeyError
     if not isinstance(cand["meta"], dict):
         raise TypeError(f"candidate meta {cand['meta']!r} is not an object")
-    if cand["cost"] is None:  # a failed one is written null
-        return {**cand, "cost": math.inf}
-    if not isinstance(cand["cost"], float) or not math.isfinite(cand["cost"]):
-        raise ValueError(f"candidate cost {cand['cost']!r} is not a finite float (a JSON number "
+    if not ((cost := cand["cost"]) is None or isinstance(cost, float) and math.isfinite(cost)):
+        raise ValueError(f"candidate cost {cost!r} is not a finite float (a JSON number "
                          "written with a fraction or an exponent) or null")
-    return cand
 
 
 def _is_int(value, expected: int) -> bool:
@@ -448,38 +466,39 @@ def load_record(record_dir: Path | str) -> RunRecord:
     """Load a persisted run of record version RECORD_VERSION.
 
     Only the final line may be torn, as a crash mid-write leaves it; it is
-    dropped. A null candidate cost, as a failed candidate is written, reads
-    back as +inf, and each generation's best-so-far is recomputed from the
-    candidates. Lines are parsed by orjson, which refuses NaN, Infinity and
-    a number beyond the float range, and reads an integer beyond 64 bits
-    as a float. Any other line that is not strict JSON, a first line that
-    is not the header, a version or generation number other than the JSON
-    integer RECORD_VERSION, k or k + 1 (line k's state), a header,
-    generation line or candidate without exactly its keys,
-    a candidate cost that is not a finite float (a JSON number written with
-    a fraction or an exponent) or null, or a malformed config, space,
-    candidate x row, metadata or search distribution (a non-finite mean or
-    path, or a covariance with no positive eigenvalue, included) raise
-    ConfigError.
+    dropped. orjson parses each line when its turn comes; it refuses NaN,
+    Infinity and a number beyond the float range, and reads an integer
+    beyond 64 bits as a float. A null candidate cost, as a failed candidate
+    is written, reads back as +inf; each best-so-far is recomputed. Any other
+    line that is not strict JSON, a first line that is not the header, a
+    version or generation number other than the JSON integer RECORD_VERSION,
+    k or k + 1 (line k's state), a header, generation line or candidate
+    without exactly its keys, a candidate cost that is not a finite float (a
+    JSON number written with a fraction or an exponent) or null, or a
+    malformed config, space, candidate x row, metadata or search distribution
+    (a non-finite mean or path, or a covariance with no positive eigenvalue,
+    included) raise ConfigError, the first damaged line's in file order.
     """
     path = Path(record_dir) / RECORD_NAME
     if not path.exists():
         raise _NothingStored(f"no {RECORD_NAME} in {record_dir}")
     lines = path.read_bytes().split(b"\n")
-    payloads = []
-    for i, line in enumerate(lines):
-        try:
-            payload = orjson.loads(line)
-            if not isinstance(payload, dict):
-                raise ValueError("not a JSON object")
-        except ValueError as err:
-            if i < len(lines) - 1:
-                raise ConfigError(f"{path} line {i + 1} is malformed: {err}") from None
-        else:
-            payloads.append(payload)
-    if not payloads:
+
+    def payloads():  # each line's JSON object, parsed only when its turn comes
+        for i, line in enumerate(lines):
+            try:
+                payload = orjson.loads(line)
+                if not isinstance(payload, dict):
+                    raise ValueError("not a JSON object")
+            except ValueError as err:
+                if i < len(lines) - 1:
+                    raise ConfigError(f"{path} line {i + 1} is malformed: {err}") from None
+            else:
+                yield payload
+
+    stored = payloads()
+    if (header := next(stored, None)) is None:
         raise _NothingStored(f"{path} has no complete header line")
-    header, *rest = payloads
     if header.get("type") != "header":
         raise ConfigError(f"{path} has no header line")
     if not _is_int(header.get("version"), RECORD_VERSION):
@@ -493,22 +512,19 @@ def load_record(record_dir: Path | str) -> RunRecord:
     except (ConfigError, KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"{path} header is malformed: {err!r}") from None
     gens: list[GenerationRecord] = []
-    for k, payload in enumerate(rest):
+    for k, payload in enumerate(stored):
         if payload.get("type") != "generation" or not _is_int(payload.get("generation"), k):
             raise ConfigError(f"{path} line {k + 2} is malformed: it is not generation {k}")
         try:
             json_keys(payload, ("type", "generation", "candidates", "state"), "generation line")
-            candidates = [_stored_candidate(cand) for cand in payload["candidates"]]
-            xs = dqd._require_reals("candidate x", [cand["x"] for cand in candidates])
-            if xs.shape != (len(candidates), space.dimension):
-                raise ValueError(f"candidate x values are not rows of {space.dimension}")
+            x, costs, meta = _stored_candidates(payload["candidates"], space.dimension)
             state = json_object(cmaes.DistributionState, payload["state"], "state")
             state.eigensystem  # a covariance with no positive eigenvalue is a ValueError
             if state.mean.shape != (space.dimension,):
                 raise ValueError(f"state mean is not of dimension {space.dimension}")
             if not _is_int(payload["state"]["generation"], k + 1):  # missing: a KeyError
                 raise ValueError(f"state generation is not {k + 1}")
-            gens.append(_generation(k, candidates, payload["state"], gens[-1] if gens else None))
+            gens.append(_generation(k, x, costs, meta, state, gens[-1] if gens else None))
         except (ConfigError, IndexError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"{path} generation {k} is malformed: {err!r}") from None
     return RunRecord(config=config, space=space, generations=gens)
@@ -536,10 +552,10 @@ def _check_resumable(prior: RunRecord, config: RunConfig,
 def _trim_timings(path: Path, kept: int) -> None:
     """Cut the timings sidecar, one line per generation in order, to ``kept`` lines.
 
-    A line without its newline is a torn write and is dropped.
+    A line ends at b"\n" alone; one without it is a torn write and is dropped.
     """
-    lines = path.read_text().splitlines(keepends=True)[:kept] if path.exists() else []
-    path.write_text("".join(line for line in lines if line.endswith("\n")))
+    lines = path.read_bytes().split(b"\n")[:-1][:kept] if path.exists() else []
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
 
 
 def batch(config: RunConfig, repeats: int) -> BatchResult:
@@ -600,7 +616,7 @@ def covariance_series(record: RunRecord) -> analysis.CovarianceSeries:
     Generation 0 is the untouched initial state, so its matrix is the
     identity; entry g > 0 is the state after telling generation g - 1.
     """
-    mats = [np.eye(record.space.dimension), *(rec.state["cov"] for rec in record.generations)]
+    mats = [np.eye(record.space.dimension), *(rec.state.cov for rec in record.generations)]
     return analysis.CovarianceSeries(np.array(mats, dtype=float))
 
 
@@ -614,18 +630,17 @@ def evaluate_params(config: RunConfig, physical_values, shot_seed: int = 0) -> b
 
 def evaluated_samples(record: RunRecord) -> tuple[np.ndarray, np.ndarray]:
     """Unit-cube rows, clipped, and costs of every candidate with a finite cost."""
-    cands = [cand for gen in record.generations for cand in gen.candidates]
-    costs = np.array([cand["cost"] for cand in cands], dtype=float)
-    rows = np.array([cand["x"] for cand in cands], dtype=float)
-    rows = rows.reshape(len(cands), record.space.dimension)
+    rows = np.concatenate([np.empty((0, record.space.dimension)),
+                           *(gen.x for gen in record.generations)])
+    costs = np.concatenate([[], *(gen.costs for gen in record.generations)])
     finite = np.isfinite(costs)
     return np.clip(record.space.normalize(rows)[finite], 0.0, 1.0), costs[finite]
 
 
 def _trace_csv(record: RunRecord) -> str:
     lines = ["generation,individual,cost"] + [
-        f"{rec.generation},{row},{cand['cost']!r}"
-        for rec in record.generations for row, cand in enumerate(rec.candidates)]
+        f"{rec.generation},{row},{cost!r}"
+        for rec in record.generations for row, cost in enumerate(rec.costs.tolist())]
     return "\n".join(lines) + "\n"
 
 

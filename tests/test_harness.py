@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import re
@@ -46,6 +47,12 @@ def test_runs_that_differ_only_in_seed_draw_disjoint_shot_seeds(seeds):
         assert len(set(calls)) == 12
         seen.append(set(calls))
     assert not seen[0] & seen[1]
+
+
+def written(record):
+    """A record's generation lines as written and its best-so-far series, to compare two records."""
+    return ([harness._dump_line(harness._generation_payload(gen)) for gen in record.generations],
+            [(gen.best_cost, gen.best_params) for gen in record.generations])
 
 
 def benchmark_config(**overrides):
@@ -260,7 +267,7 @@ def test_a_non_finite_cost_is_a_failed_candidate(tmp_path, monkeypatch):
     failed = [record.generations[0].candidates[1], record.generations[1].candidates[2]]
     assert [(c["cost"], c["meta"]) for c in failed] == [
         (math.inf, {"error": "cost nan"}), (math.inf, {"error": "cost -inf"})]
-    assert harness.load_record(tmp_path).generations == record.generations
+    assert written(harness.load_record(tmp_path)) == written(record)
 
 
 def test_evaluated_samples_are_the_finite_candidates_in_the_unit_cube(monkeypatch):
@@ -300,7 +307,7 @@ def test_load_record_round_trips_a_run(tmp_path):
     cfg = benchmark_config(output_dir=tmp_path)
     record = harness.run(cfg)
     loaded = harness.load_record(tmp_path)
-    assert loaded.generations == record.generations
+    assert written(loaded) == written(record)
     assert loaded.space == record.space
     assert loaded.config.task == cfg.task
     assert loaded.config.seed == cfg.seed
@@ -343,7 +350,7 @@ def test_resume_on_empty_directory_is_a_fresh_run(tmp_path):
     record = harness.run(cfg, resume=True)
     assert len(record.generations) == cfg.generations
     again = harness.run(replace(cfg, output_dir=tmp_path / "plain"))
-    assert record.generations == again.generations
+    assert written(record) == written(again)
 
 
 def stored_run(tmp_path, cfg, keep):
@@ -514,6 +521,91 @@ def test_resume_from_any_truncation_restores_the_uninterrupted_bytes(small_recor
         assert sidecar_generations(out) == list(range(cfg.generations))
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_record_with_one_byte_changed_loads_or_is_a_config_error(small_records, data):
+    _, _, full, _ = small_records["shuttle"]  # a noisy shuttle record with a failed row
+    at = data.draw(st.integers(0, len(full) - 1), label="at")
+    flip = data.draw(st.integers(1, 255), label="xor")
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / harness.RECORD_NAME).write_bytes(
+            full[:at] + bytes([full[at] ^ flip]) + full[at + 1:])
+        try:
+            record = harness.load_record(tmp)
+        except ConfigError:
+            return
+    for gen in record.generations:
+        assert gen.x.shape == (len(gen.costs), record.space.dimension) == (len(gen.meta), 8)
+        assert not np.isnan(gen.costs).any() and gen.state.generation == gen.generation + 1
+
+
+@pytest.mark.parametrize("kept", [
+    [b'{"generation":0,"note":"\xff"}'],  # not UTF-8
+    # separators that str.splitlines splits at, and bytes.split(b"\n") does not
+    [b"{}", "\r\x0b\x1c\u2028".encode(), b"{}"],
+])
+def test_resume_cuts_the_sidecar_at_newlines_whatever_bytes_it_holds(tmp_path, capsys, kept):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"task": "benchmark", "generations": 5, "population": 4}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    full = (out / harness.RECORD_NAME).read_bytes()
+    (out / harness.RECORD_NAME).write_bytes(b"".join(full.splitlines(keepends=True)[:1 + len(kept)]))
+    (out / harness.TIMINGS_NAME).write_bytes(b"".join(line + b"\n" for line in kept) + b"torn")
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
+    assert (out / harness.RECORD_NAME).read_bytes() == full
+    lines = (out / harness.TIMINGS_NAME).read_bytes().split(b"\n")
+    assert lines[:len(kept)] == kept and lines[-1] == b""
+    assert [json.loads(line)["generation"] for line in lines[len(kept):-1]] == list(
+        range(len(kept), 5))
+
+
+def tracked_objects(root) -> int:
+    """How many objects that the garbage collector tracks ``root`` reaches, classes not followed."""
+    seen, todo, count = {id(root)}, [root], 0
+    while todo:
+        obj = todo.pop()
+        count += gc.is_tracked(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, type):
+                seen.add(id(ref))
+                todo.append(ref)
+    return count
+
+
+def test_a_record_holds_a_bounded_number_of_tracked_objects_per_generation(tmp_path):
+    # each candidate held as a dict and an x list made a full collection walk every one
+    cfg = RunConfig(task="shuttle", generations=200, population=50, seed=5, output_dir=tmp_path)
+    for record in (harness.run(cfg), harness.load_record(tmp_path)):
+        assert tracked_objects(record) <= 8 * cfg.generations
+
+
+@pytest.mark.parametrize("task, bad_seed", [("shuttle", shot_seed(4, 2, 1)), ("readout", None)])
+def test_each_generation_re_encodes_to_its_stored_line(tmp_path, monkeypatch, task, bad_seed):
+    # the readout task's default device is noisy: its metadata holds the shot counts
+    cfg = RunConfig(task=task, generations=4, population=5, seed=4, shots=200,
+                    output_dir=tmp_path)
+    if bad_seed is not None:
+        _fail_at_seed(monkeypatch, bad_seed)
+    record = harness.run(cfg)
+    _, *stored = (tmp_path / harness.RECORD_NAME).read_bytes().splitlines(keepends=True)
+    loaded = harness.load_record(tmp_path)
+    for rec in (record, loaded):
+        assert [harness._dump_line(harness._generation_payload(gen))
+                for gen in rec.generations] == stored
+        # candidates: each line's {x, cost, meta} dicts, with a failed cost +inf
+        lines = [orjson.loads(line)["candidates"] for line in stored]
+        assert [gen.candidates for gen in rec.generations] == [
+            [{**cand, "cost": math.inf if cand["cost"] is None else cand["cost"]}
+             for cand in line] for line in lines]
+        cands = [cand for gen in rec.generations for cand in gen.candidates]
+        assert {(type(cand["x"]), type(cand["cost"])) for cand in cands} == {(list, float)}
+        failed = [cand for cand in cands if cand["cost"] == math.inf]
+        assert len(failed) == (bad_seed is not None)
+        assert all("error" in cand["meta"] for cand in failed)
+    assert all("shots" in cand["meta"] for cand in cands) == (task == "readout")
+
+
 def test_timings_split_each_generation_into_its_phases(tmp_path):
     cfg = RunConfig(task="shuttle", generations=4, population=6, seed=1)
     for out in ("a", "b"):
@@ -672,7 +764,7 @@ def test_batch_of_one_is_a_plain_run():
     cfg = RunConfig(task="readout", generations=5, population=6, seed=9, shots=200)
     result = harness.batch(cfg, repeats=1)
     direct = harness.run(cfg)
-    assert result.records[0].generations == direct.generations
+    assert written(result.records[0]) == written(direct)
     assert result.aggregate["best_costs"] == [direct.best_cost]
 
 
