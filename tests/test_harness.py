@@ -82,6 +82,21 @@ def test_best_cost_series_is_non_increasing():
     assert series[-1] == running
 
 
+def test_best_so_far_is_the_first_row_of_least_cost_if_strictly_lower(tmp_path, monkeypatch):
+    # ties go to the earlier row, and -0.0 does not displace a best of 0.0
+    table = [[0.5, 0.0, 0.0, 0.5], [-0.0, 0.0, 1.0, -0.0], [math.nan, -1.0, -1.0, 2.0]]
+    costs = {shot_seed(5, g, row): cost for g, line in enumerate(table)
+             for row, cost in enumerate(line)}
+    monkeypatch.setattr(harness, "_make_evaluator", lambda config, space: lambda X, seeds: [
+        backends.CostEvaluation(costs[seed]) for seed in seeds])
+    record = harness.run(benchmark_config(generations=3, output_dir=tmp_path))
+    for rec in (record, harness.load_record(tmp_path)):
+        best = [(gen.best_cost, gen.best_params) for gen in rec.generations]
+        rows = [gen.candidates for gen in rec.generations]
+        assert best == [(0.0, rows[0][1]["x"])] * 2 + [(-1.0, rows[2][1]["x"])]
+        assert math.copysign(1.0, rec.generations[1].best_cost) == 1.0
+
+
 def test_benchmark_task_converges_to_planted_point():
     record = harness.run(benchmark_config(generations=40, population=12))
     assert record.best_cost < 1e-4
@@ -544,13 +559,14 @@ def test_a_record_with_one_byte_changed_loads_or_is_a_config_error(small_records
     # separators that str.splitlines splits at, and bytes.split(b"\n") does not
     [b"{}", "\r\x0b\x1c\u2028".encode(), b"{}"],
 ])
-def test_resume_cuts_the_sidecar_at_newlines_whatever_bytes_it_holds(tmp_path, capsys, kept):
+def test_resume_cuts_the_sidecar_at_newlines_whatever_bytes_it_holds(tmp_path, kept):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"task": "benchmark", "generations": 5, "population": 4}))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     full = (out / harness.RECORD_NAME).read_bytes()
-    (out / harness.RECORD_NAME).write_bytes(b"".join(full.splitlines(keepends=True)[:1 + len(kept)]))
+    header_and_kept = full.splitlines(keepends=True)[:1 + len(kept)]
+    (out / harness.RECORD_NAME).write_bytes(b"".join(header_and_kept))
     (out / harness.TIMINGS_NAME).write_bytes(b"".join(line + b"\n" for line in kept) + b"torn")
     assert main(["run", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
     assert (out / harness.RECORD_NAME).read_bytes() == full
