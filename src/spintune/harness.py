@@ -178,6 +178,11 @@ class GenerationRecord:
     best_cost: float
     best_params: list
 
+    def __eq__(self, other):  # by value: the line's values as written, and the best-so-far
+        return isinstance(other, GenerationRecord) and (
+            (_generation_payload(self), self.best_cost, self.best_params)
+            == (_generation_payload(other), other.best_cost, other.best_params))
+
     @property
     def candidates(self) -> list[dict]:  # each row a fresh {x, cost, meta}: x a list, failed inf
         return [{"x": x, "cost": cost, "meta": meta}
@@ -429,28 +434,17 @@ def _generation_payload(rec: GenerationRecord) -> dict:
             "state": json_plain(rec.state)}
 
 
-def _stored_candidates(cands, dimension: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """(x, costs, meta) of a line's candidates, checked as a block; see ``_stored_candidate``."""
-    if not all(type(cand) is dict and cand.keys() == {"x", "cost", "meta"}
-               and type(cand["meta"]) is dict and type(cand["cost"]) in (float, type(None))
-               for cand in cands):  # orjson reads no non-finite float
-        for cand in cands:
-            _stored_candidate(cand)
-    x = dqd._require_reals("candidate x", [cand["x"] for cand in cands])
-    if x.shape != (len(cands), dimension):
-        raise ValueError(f"candidate x values are not rows of {dimension}")
-    costs = np.array([math.inf if cand["cost"] is None else cand["cost"] for cand in cands])
-    return x, costs, [cand["meta"] for cand in cands]
-
-
-def _stored_candidate(cand) -> None:
-    """Raise the error of a candidate that breaks the rule; a missing x is the caller's KeyError."""
-    json_keys(cand, ("x", "cost", "meta"), "candidate")  # a missing key is a KeyError
+def _stored_candidate(cand) -> float:
+    """A loaded candidate's cost, +inf if null: exactly {x, cost, meta}, meta an object."""
+    if not isinstance(cand, dict) or cand.keys() != {"x", "cost", "meta"}:
+        raise ValueError(f"candidate {sorted(cand) if isinstance(cand, dict) else cand!r:.40} "
+                         "is not an object of exactly the keys cost, meta and x")
     if not isinstance(cand["meta"], dict):
         raise TypeError(f"candidate meta {cand['meta']!r} is not an object")
     if not ((cost := cand["cost"]) is None or isinstance(cost, float) and math.isfinite(cost)):
         raise ValueError(f"candidate cost {cost!r} is not a finite float (a JSON number "
                          "written with a fraction or an exponent) or null")
+    return math.inf if cost is None else cost  # a failed one is written null
 
 
 def _is_int(value, expected: int) -> bool:
@@ -517,14 +511,19 @@ def load_record(record_dir: Path | str) -> RunRecord:
             raise ConfigError(f"{path} line {k + 2} is malformed: it is not generation {k}")
         try:
             json_keys(payload, ("type", "generation", "candidates", "state"), "generation line")
-            x, costs, meta = _stored_candidates(payload["candidates"], space.dimension)
+            cands = payload["candidates"]
+            costs = np.array([_stored_candidate(cand) for cand in cands])
+            x = dqd._require_reals("candidate x", [cand["x"] for cand in cands])
+            if x.shape != (len(cands), space.dimension):
+                raise ValueError(f"candidate x values are not rows of {space.dimension}")
             state = json_object(cmaes.DistributionState, payload["state"], "state")
             state.eigensystem  # a covariance with no positive eigenvalue is a ValueError
             if state.mean.shape != (space.dimension,):
                 raise ValueError(f"state mean is not of dimension {space.dimension}")
             if not _is_int(payload["state"]["generation"], k + 1):  # missing: a KeyError
                 raise ValueError(f"state generation is not {k + 1}")
-            gens.append(_generation(k, x, costs, meta, state, gens[-1] if gens else None))
+            gens.append(_generation(k, x, costs, [cand["meta"] for cand in cands], state,
+                                    gens[-1] if gens else None))
         except (ConfigError, IndexError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"{path} generation {k} is malformed: {err!r}") from None
     return RunRecord(config=config, space=space, generations=gens)

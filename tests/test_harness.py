@@ -328,6 +328,20 @@ def test_load_record_round_trips_a_run(tmp_path):
     assert loaded.config.seed == cfg.seed
 
 
+def test_generations_compare_by_value(tmp_path):
+    record = harness.run(benchmark_config(output_dir=tmp_path))
+    assert harness.load_record(tmp_path).generations == record.generations
+    assert harness.run(benchmark_config(seed=6)).generations != record.generations
+    gen = record.generations[-1]
+    assert gen == replace(gen, x=gen.x.copy(), meta=[dict(m) for m in gen.meta])
+    for changed in (replace(gen, x=gen.x + 1e-12), replace(gen, costs=gen.costs + 1.0),
+                    replace(gen, meta=[{"p": 1.0}] * len(gen.meta)),
+                    replace(gen, state=record.generations[-2].state),
+                    replace(gen, best_cost=gen.best_cost + 1.0), replace(gen, generation=0)):
+        assert gen != changed
+    assert gen != gen.candidates and gen != None  # noqa: E711 - no other type is equal
+
+
 def test_resume_after_whole_line_truncation_matches_uninterrupted(tmp_path):
     cfg = benchmark_config(output_dir=tmp_path / "full")
     harness.run(cfg)
