@@ -74,7 +74,8 @@ def _cmd_run(args) -> int:
         for what, (name, _) in harness.EXPORTS.items():
             harness.export(record, what, Path(config.output_dir) / name)
     best = dict(zip(record.space.names, record.best_params))
-    print(json.dumps({"best_cost": record.best_cost, "best_params": best},
+    print(json.dumps({"best_cost": record.best_cost, "best_params": best,
+                      "generations": len(record.generations), "stop": record.stop},
                      sort_keys=True))
     return 0
 

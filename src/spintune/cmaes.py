@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -203,15 +203,15 @@ def tell(state: DistributionState, params: StrategyParams, steps: np.ndarray,
     )
     cov = 0.5 * (cov + cov.T)
 
-    return replace(
-        state,
-        mean=mean,
-        sigma=sigma,
-        cov=cov,
-        p_sigma=p_sigma,
-        p_c=p_c,
-        generation=g_next,
-    )
+    # shaped, and cov symmetric, by construction: of a stored state's checks only finiteness is kept
+    fresh = {"mean": mean, "cov": cov, "p_sigma": p_sigma, "p_c": p_c}
+    if not (0.0 < sigma < math.inf and all(np.isfinite(a).all() for a in fresh.values())):
+        raise ValueError("the updated distribution overflowed: it is not finite")
+    for arr in fresh.values():
+        arr.flags.writeable = False
+    new = object.__new__(DistributionState)
+    vars(new).update(fresh, sigma=sigma, generation=g_next)
+    return new
 
 
 def covariance_snapshot(state: DistributionState) -> np.ndarray:

@@ -6,20 +6,23 @@ points, clip them into the unit cube, evaluate them in one backend call
 tell the steps and costs back, and append one JSON line per generation to
 the record file. Identical configs produce byte-identical record files;
 wall-clock timings go to a separate sidecar so they never break that. A
-record of version RECORD_VERSION is a header line, then per generation
-its number, its state and its candidates by row, each {x, cost (null
-where failed), meta}; best-so-far is recomputed on load, and other
-versions are refused. In memory a generation holds arrays, its rows x
-and their costs (+inf where failed), beside each row's metadata and its
-DistributionState; ``candidates`` builds the row dicts on access. Record
-and sidecar lines are compact, key-sorted JSON that orjson writes and
-reads, the same floats bit for bit; configs, fixtures, exports and the
-batch aggregate stay on the standard library's json. Every object
-spintune stores goes out through one writer, ``json_plain``, and every
-object a user writes or a record holds comes back through one reader,
+record of version RECORD_VERSION is a header line, then per generation its
+number, its state and its candidates by row, each {x, cost (null where
+failed), meta}; best-so-far is recomputed on load, and other versions are
+refused. ``generations`` is a cap: a run of deterministic costs ends where
+``_stop_reason`` first names a criterion, TolFun or EqualFunValues, over
+its last 10 + ceil(30 * dimension / population) stored generations, so no
+stop is written. In memory a generation holds arrays, its rows x and their
+costs (+inf where failed), beside each row's metadata, its least cost and
+its DistributionState; ``candidates`` builds the row dicts on access.
+Record and sidecar lines are compact, key-sorted JSON that orjson writes
+and reads, the same floats bit for bit; configs, fixtures, exports and the
+batch aggregate stay on the standard library's json. Every object spintune
+stores goes out through one writer, ``json_plain``, and every object a
+user writes or a record holds comes back through one reader,
 ``json_object``, which refuses unknown keys; a stored line or candidate
-must hold exactly its keys. A config opens no file: it takes a fixture
-as a JSON object, and holds, as a run records, the checked landscape's
+must hold exactly its keys. A config opens no file: it takes a fixture as
+a JSON object, and holds, as a run records, the checked landscape's
 ``json_plain`` form.
 
 Errors: ConfigError for an invalid config, fixture or stored record;
@@ -70,12 +73,13 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 RECORD_NAME = "record.jsonl"
-RECORD_VERSION = 5
+RECORD_VERSION = 6
 TIMINGS_NAME = "timings.jsonl"
 AGGREGATE_NAME = "aggregate.json"
 
 _INITIAL_MEAN = 0.5
 _INITIAL_SIGMA = 0.25
+TOL_FUN = 1e-12
 
 
 class ConfigError(Exception):
@@ -177,6 +181,7 @@ class GenerationRecord:
     state: cmaes.DistributionState
     best_cost: float
     best_params: list
+    least: float  # this generation's least cost, which the stop rule reads
 
     def __eq__(self, other):  # by value: the line's values as written, and the best-so-far
         return isinstance(other, GenerationRecord) and (
@@ -206,6 +211,11 @@ class RunRecord:
     @property
     def evaluation_count(self) -> int:
         return sum(len(g.costs) for g in self.generations)
+
+    @property
+    def stop(self) -> str | None:
+        """The criterion that ended the run at its last generation; None if none holds there."""
+        return _stop_reason(self.generations, _stop_window(self.config, self.space))
 
 
 @dataclass(frozen=True)
@@ -253,20 +263,22 @@ class _Task:
     evaluate(X, shot_seeds), which takes an (n, d) block of unit-cube
     candidates with one shot seed each, returns n CostEvaluations, and
     looks its backend up on the backend's module at every call.
+    ``deterministic(landscape)``: whether its costs are free of shot noise.
     """
 
     space: Callable[[], backends.ParameterSpace]
     landscape: Callable[[int], backends.HiddenLandscape] | None
     evaluator: Callable
+    deterministic: Callable[[backends.HiddenLandscape | None], bool]
 
 
 _TASKS = {
     "readout": _Task(backends.readout_space, backends.make_readout_landscape,
-                     _readout_evaluator),
+                     _readout_evaluator, lambda land: not land.shot_noise),
     "shuttle": _Task(backends.shuttle_space, backends.make_shuttle_landscape,
-                     _shuttle_evaluator),
-    "single_qubit": _Task(backends.rb_space, None, _single_qubit_evaluator),
-    "benchmark": _Task(_benchmark_space, None, _benchmark_evaluator),
+                     _shuttle_evaluator, lambda land: not land.shot_noise),
+    "single_qubit": _Task(backends.rb_space, None, _single_qubit_evaluator, lambda _: False),
+    "benchmark": _Task(_benchmark_space, None, _benchmark_evaluator, lambda _: True),
 }
 TASKS = tuple(_TASKS)
 
@@ -277,12 +289,36 @@ def space_for_task(task: str) -> backends.ParameterSpace:
     return _TASKS[task].space()
 
 
-def _make_evaluator(config: RunConfig, space: backends.ParameterSpace):
-    """Return evaluate(X, shot_seeds) for the configured task; its config checked the fixture."""
+def _landscape(config: RunConfig) -> backends.HiddenLandscape | None:
+    """The run's device: its fixture, which its config checked, else its task's default."""
     task, fixture = _TASKS[config.task], config.backend_fixture
-    landscape = (json_object(backends.HiddenLandscape, fixture, "landscape fixture")
-                 if fixture is not None else task.landscape and task.landscape(config.seed))
-    return task.evaluator(config, space, landscape)
+    return (json_object(backends.HiddenLandscape, fixture, "landscape fixture")
+            if fixture is not None else task.landscape and task.landscape(config.seed))
+
+
+def _make_evaluator(config: RunConfig, space: backends.ParameterSpace):
+    """Return evaluate(X, shot_seeds) for the configured task."""
+    return _TASKS[config.task].evaluator(config, space, _landscape(config))
+
+
+def _stop_window(config: RunConfig, space: backends.ParameterSpace) -> int | None:
+    """How many generations the stop rule reads; None where the run's costs are noisy."""
+    noisy = not _TASKS[config.task].deterministic(_landscape(config))
+    return None if noisy else 10 + math.ceil(30 * space.dimension / config.population)
+
+
+def _stop_reason(gens: list, window: int | None) -> str | None:
+    """The criterion (Hansen's tutorial, B.3) holding over the last ``window`` of ``gens``, or None.
+
+    EqualFunValues: their least costs are equal. TolFun: those and the last
+    generation's costs, where a failed row is +inf, span less than TOL_FUN.
+    """
+    if window is None or len(gens) < window:
+        return None
+    least = [gen.least for gen in gens[-window:]]
+    if (low := min(least)) == (high := max(least)):
+        return "EqualFunValues"
+    return "TolFun" if max(high, gens[-1].costs.max()) - low < TOL_FUN else None
 
 
 def _shot_seeds(base_seed: int, generation: int, rows) -> list[int]:
@@ -298,16 +334,19 @@ def _dump_line(payload) -> bytes:
 def run(config: RunConfig, resume: bool = False) -> RunRecord:
     """Execute the closed loop, appending one record line per generation.
 
-    With ``resume`` and an existing record file, completed generations
-    are kept and the loop continues from the stored optimizer state;
-    counter-based sampling makes the continuation byte-identical to an
-    uninterrupted run. If every candidate of a generation fails, EvaluationError
-    is raised before that generation is written.
+    It ends after ``config.generations``, or earlier where ``_stop_reason``
+    first names a criterion. With ``resume`` and an existing record file,
+    completed generations are kept and the loop continues from the stored
+    optimizer state; counter-based sampling makes the continuation
+    byte-identical to an uninterrupted run, and a stopped run is kept as
+    stored, whatever the cap. If every candidate of a generation fails,
+    EvaluationError is raised before that generation is written.
     """
     if resume and config.output_dir is None:
         raise ConfigError("resume needs an output directory holding the record")
     space = space_for_task(config.task)
     evaluate = _make_evaluator(config, space)
+    window = _stop_window(config, space)
     params = cmaes.StrategyParams.defaults(
         dimension=space.dimension, population=config.population, seed=config.seed)
 
@@ -317,7 +356,7 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
         if config.output_dir is not None:
             out_dir = Path(config.output_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
-            stored: list[bytes] = []
+            stored = [_dump_line(_header_payload(config, space))[:-1]]
             if resume:
                 try:
                     prior = load_record(out_dir)
@@ -326,11 +365,14 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
                 else:
                     _check_resumable(prior, config, space)
                     done = prior.generations
-                    # the kept generations 0..k-1 are lines 1..k of the file, kept as stored
-                    stored = (out_dir / RECORD_NAME).read_bytes().split(b"\n")[1:len(done) + 1]
+                    # the kept generations 0..k-1 are lines 1..k of the file, kept as stored, and
+                    # so is line 0, the header, once the run has stopped: its cap no longer counts
+                    lines = (out_dir / RECORD_NAME).read_bytes().split(b"\n")[:len(done) + 1]
+                    if _stop_reason(done, window) is None:
+                        lines[0] = stored[0]
+                    stored = lines
             record_file = files.enter_context((out_dir / RECORD_NAME).open("wb"))
-            record_file.writelines([_dump_line(_header_payload(config, space)),
-                                    *(line + b"\n" for line in stored)])
+            record_file.writelines(line + b"\n" for line in stored)
             record_file.flush()
             del stored
             _trim_timings(out_dir / TIMINGS_NAME, len(done))
@@ -340,6 +382,8 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
             np.full(space.dimension, _INITIAL_MEAN), sigma=_INITIAL_SIGMA)
 
         for gen in range(len(done), config.generations):
+            if _stop_reason(done, window) is not None:
+                break
             ticks = [time.perf_counter()]  # and the end of each phase timed in the sidecar
             points, steps = cmaes.ask(state, params)
             ticks.append(time.perf_counter())
@@ -408,9 +452,10 @@ def _generation(number: int, x: np.ndarray, costs: np.ndarray, meta: list,
     """A generation with its best-so-far: the first row of least cost, if strictly lower."""
     best_cost, best_params = (before.best_cost, before.best_params) if before else (math.inf, [])
     x.flags.writeable = costs.flags.writeable = False
-    if costs[row := int(np.argmin(costs))] < best_cost:
-        best_cost, best_params = costs[row], x[row].tolist()
-    return GenerationRecord(number, x, costs, meta, state, float(best_cost), list(best_params))
+    if (least := costs[row := int(np.argmin(costs))]) < best_cost:
+        best_cost, best_params = least, x[row].tolist()
+    return GenerationRecord(number, x, costs, meta, state, float(best_cost), list(best_params),
+                            float(least))
 
 
 def _header_payload(config: RunConfig, space: backends.ParameterSpace) -> dict:
@@ -471,7 +516,8 @@ def load_record(record_dir: Path | str) -> RunRecord:
     JSON number written with a fraction or an exponent) or null, or a
     malformed config, space, candidate x row, metadata or search distribution
     (a non-finite mean or path, or a covariance with no positive eigenvalue,
-    included) raise ConfigError, the first damaged line's in file order.
+    included), or a generation after the run's stop, raise ConfigError, the
+    first damaged line's in file order.
     """
     path = Path(record_dir) / RECORD_NAME
     if not path.exists():
@@ -503,12 +549,15 @@ def load_record(record_dir: Path | str) -> RunRecord:
         config = json_object(RunConfig, header["config"], "config")
         space = backends.ParameterSpace(tuple(
             json_object(backends.SpaceEntry, entry, "space entry") for entry in header["space"]))
+        window = _stop_window(config, space)
     except (ConfigError, KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"{path} header is malformed: {err!r}") from None
     gens: list[GenerationRecord] = []
     for k, payload in enumerate(stored):
         if payload.get("type") != "generation" or not _is_int(payload.get("generation"), k):
             raise ConfigError(f"{path} line {k + 2} is malformed: it is not generation {k}")
+        if (reason := _stop_reason(gens, window)) is not None:
+            raise ConfigError(f"{path} line {k + 2} is malformed: it follows the stop ({reason})")
         try:
             json_keys(payload, ("type", "generation", "candidates", "state"), "generation line")
             cands = payload["candidates"]

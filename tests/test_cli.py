@@ -34,6 +34,7 @@ def test_run_prints_summary_and_writes_exports(tmp_path, run_config, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert "best_cost" in summary
     assert set(summary["best_params"]) == {f"x{i}" for i in range(5)}
+    assert (summary["generations"], summary["stop"]) == (3, None)  # its cap ended it
     for artifact in (harness.RECORD_NAME, "trace.csv", "covariance.json",
                      "best_params.json"):
         assert (out / artifact).exists()
@@ -51,6 +52,24 @@ def test_run_resume_completes_a_truncated_record(tmp_path, run_config, capsys):
     (part / harness.RECORD_NAME).write_text("".join(lines[:2]))
     assert main(["run", "--config", run_config, "--out", str(part), "--resume"]) == 0
     assert (part / harness.RECORD_NAME).read_bytes() == full
+
+
+def test_run_resume_of_a_stopped_run_rewrites_no_byte(tmp_path, capsys):
+    config = {"task": "shuttle", "generations": 200, "population": 50, "seed": 7}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_json(tmp_path / "run.json", config),
+                 "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["generations"], summary["stop"]) == (94, "TolFun")
+    stored = {path.name: path.read_bytes() for path in out.iterdir()}
+    for generations in (200, 94, 300):
+        resume = write_json(tmp_path / "resume.json", {**config, "generations": generations})
+        assert main(["run", "--config", resume, "--out", str(out), "--resume"]) == 0
+        assert json.loads(capsys.readouterr().out) == summary
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == stored
+    resume = write_json(tmp_path / "resume.json", {**config, "generations": 93})
+    assert main(["run", "--config", resume, "--out", str(out), "--resume"]) == 2
+    assert "94 generations are stored but 93 requested" in capsys.readouterr().err
 
 
 def test_run_resume_without_an_output_directory_exits_2(tmp_path, run_config, capsys,

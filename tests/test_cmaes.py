@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -85,6 +85,28 @@ def test_tell_increments_generation_and_keeps_covariance_symmetric():
     assert state.generation == 10
     np.testing.assert_allclose(state.cov, state.cov.T, atol=1e-12)
     assert np.all(np.linalg.eigvalsh(state.cov) > 0)
+
+
+def test_a_told_state_is_the_checked_state_of_its_values():
+    params = StrategyParams.defaults(4, population=8, seed=3)
+    state = DistributionState.initial(np.zeros(4))
+    for _ in range(3):
+        points, steps = ask(state, params)
+        state = tell(state, params, steps, [sphere(x) for x in points])
+    checked = DistributionState(**{f.name: getattr(state, f.name) for f in fields(state)})
+    for f in fields(state):
+        told, want = getattr(state, f.name), getattr(checked, f.name)
+        assert type(told) is type(want) and np.array_equal(told, want), f.name
+    assert not any(a.flags.writeable for a in (state.mean, state.cov, state.p_sigma, state.p_c))
+
+
+def test_a_tell_that_overflows_raises():
+    # steps of 3 once whitened, so sigma stays finite while the rank-mu term overflows
+    params = StrategyParams.defaults(3, population=6, seed=0)
+    state = DistributionState(mean=np.zeros(3), sigma=1.0, cov=1e308 * np.eye(3),
+                              p_sigma=np.zeros(3), p_c=np.zeros(3))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        tell(state, params, np.full((6, 3), 3e154), np.arange(6.0))
 
 
 def test_tell_requires_full_generation():

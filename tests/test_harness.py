@@ -607,7 +607,7 @@ def test_a_record_holds_a_bounded_number_of_tracked_objects_per_generation(tmp_p
     # each candidate held as a dict and an x list made a full collection walk every one
     cfg = RunConfig(task="shuttle", generations=200, population=50, seed=5, output_dir=tmp_path)
     for record in (harness.run(cfg), harness.load_record(tmp_path)):
-        assert tracked_objects(record) <= 8 * cfg.generations
+        assert tracked_objects(record) <= 8 * len(record.generations)
 
 
 @pytest.mark.parametrize("task, bad_seed", [("shuttle", shot_seed(4, 2, 1)), ("readout", None)])
@@ -643,7 +643,7 @@ def test_timings_split_each_generation_into_its_phases(tmp_path):
     record = (tmp_path / "a" / harness.RECORD_NAME).read_bytes()
     assert record == (tmp_path / "b" / harness.RECORD_NAME).read_bytes()
     header, *lines = [json.loads(line) for line in record.splitlines()]
-    assert header["version"] == harness.RECORD_VERSION == 5
+    assert header["version"] == harness.RECORD_VERSION == 6
     assert {key for line in lines for key in line} == {
         "type", "generation", "candidates", "state"}
     assert {key for line in lines for cand in line["candidates"] for key in cand} == {
@@ -786,6 +786,99 @@ def test_record_bytes_do_not_depend_on_output_location(tmp_path):
     a = (tmp_path / "deep" / "nested" / harness.RECORD_NAME).read_bytes()
     b = (tmp_path / "flat" / harness.RECORD_NAME).read_bytes()
     assert a == b
+
+
+# ---------------------------------------------------------------- stop rule
+
+def reference_stop(record, window):
+    """(g, criterion) at the first generation g where EqualFunValues or TolFun holds, else None.
+
+    Plain loops over the stored costs, a failed one inf: over generations g - window + 1..g,
+    EqualFunValues when their least costs are equal, TolFun when those and generation g's
+    costs span less than 1e-12 (Hansen's tutorial, App. B.3).
+    """
+    costs = [[cand["cost"] for cand in gen.candidates] for gen in record.generations]
+    for g in range(window - 1, len(costs)):
+        least = [min(row) for row in costs[g + 1 - window:g + 1]]
+        if max(least) == min(least):
+            return g, "EqualFunValues"
+        if max(least + costs[g]) - min(least + costs[g]) < 1e-12:
+            return g, "TolFun"
+    return None
+
+
+@pytest.mark.parametrize("cfg, window", [
+    (RunConfig(task="shuttle", generations=200, population=50, seed=7), 15),
+    (RunConfig(task="benchmark", generations=400, population=12, seed=7), 23),
+    (RunConfig(task="readout", generations=400, population=20, backend_fixture=harness.json_plain(
+        replace(backends.make_readout_landscape(0), shot_noise=False))), 31),
+])
+def test_a_deterministic_run_stops_where_a_scalar_reference_first_holds(tmp_path, cfg, window):
+    record = harness.run(replace(cfg, output_dir=tmp_path))
+    assert harness._stop_window(cfg, record.space) == window
+    assert len(record.generations) < cfg.generations
+    assert reference_stop(record, window) == (len(record.generations) - 1, record.stop)
+    assert harness.load_record(tmp_path).stop == record.stop
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_noisy_runs_keep_every_generation_where_their_costs_tie(seed):
+    # each gate loop's least costs tie over a window (shot counts are whole numbers), and
+    # would stop it at generation 25-33; a run of shot-noise costs is never stopped
+    gate = harness.run(RunConfig(task="single_qubit", generations=40, population=14, seed=seed,
+                                 shots=100))
+    assert reference_stop(gate, 17) is not None
+    readout = harness.run(RunConfig(task="readout", generations=40, population=20, seed=seed))
+    for record in (gate, readout):
+        assert len(record.generations) == 40 and record.stop is None
+        assert harness._stop_window(record.config, record.space) is None
+    assert harness.run(benchmark_config()).stop is None  # deterministic, ended by its cap
+
+
+@pytest.fixture(scope="module")
+def stopped_record(tmp_path_factory):
+    """(config, record bytes) of a benchmark run that stops after 116 of its 400 generations."""
+    out = tmp_path_factory.mktemp("stopped")
+    cfg = RunConfig(task="benchmark", generations=400, population=12, seed=7)
+    record = harness.run(replace(cfg, output_dir=out))
+    assert (len(record.generations), record.stop) == (116, "TolFun")
+    return cfg, (out / harness.RECORD_NAME).read_bytes()
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_a_stopped_record_cut_anywhere_resumes_to_its_bytes(stopped_record, data):
+    cfg, full = stopped_record
+    cut = data.draw(st.integers(0, len(full)), label="cut")
+    generations = data.draw(st.sampled_from([cfg.generations, 2 * cfg.generations]), label="cap")
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / harness.RECORD_NAME).write_bytes(full[:cut])
+        record = harness.run(replace(cfg, generations=generations, output_dir=tmp), resume=True)
+        resumed = (Path(tmp) / harness.RECORD_NAME).read_bytes()
+    assert (len(record.generations), record.stop) == (116, "TolFun")
+    assert resumed.splitlines()[1:] == full.splitlines()[1:]
+    # a header holds the cap, and a record that holds the stop keeps its own
+    kept = cut >= len(full) - 1
+    assert orjson.loads(resumed.splitlines()[0])["config"]["generations"] == (
+        cfg.generations if kept else generations)
+    assert resumed == full or not kept and generations != cfg.generations
+
+
+def test_a_record_holding_a_generation_after_its_stop_is_refused(tmp_path, monkeypatch,
+                                                                 stopped_record):
+    cfg, full = stopped_record
+    with monkeypatch.context() as mp:
+        mp.setattr(harness, "_stop_reason", lambda gens, window: None)
+        harness.run(replace(cfg, generations=117, output_dir=tmp_path))
+    stored = (tmp_path / harness.RECORD_NAME).read_bytes()
+    assert stored.splitlines()[1:117] == full.splitlines()[1:]
+    # generation 116 is line 118, after the stop at generation 115
+    for read in (lambda: harness.load_record(tmp_path),
+                 lambda: harness.run(replace(cfg, output_dir=tmp_path), resume=True)):
+        with pytest.raises(ConfigError, match=r"line 118 is malformed: it follows the stop "
+                                              r"\(TolFun\)"):
+            read()
+    assert (tmp_path / harness.RECORD_NAME).read_bytes() == stored
 
 
 # -------------------------------------------------------------------- batch

@@ -28,6 +28,8 @@ RUNS = {
     "shuttle": dict(task="shuttle", generations=20, population=12, seed=7),
     "single_qubit": dict(task="single_qubit", generations=8, population=6, seed=7, shots=100),
     "benchmark": dict(task="benchmark", generations=5, population=6, seed=7),
+    # deterministic costs: stops after 94 of its 200 generations
+    "shuttle_stopped": dict(task="shuttle", generations=200, population=50, seed=7),
     **{f"gate_loop_{seed}": dict(task="single_qubit", generations=40, population=14,
                                  seed=seed, shots=100) for seed in range(10)},
 }
