@@ -7,23 +7,25 @@ tell the steps and costs back, and append one JSON line per generation to
 the record file. Identical configs produce byte-identical record files;
 wall-clock timings go to a separate sidecar so they never break that. A
 record of version RECORD_VERSION is a header line, then per generation its
-number, its state and its candidates by row, each {x, cost (null where
-failed), meta}; best-so-far is recomputed on load, and other versions are
-refused. ``generations`` is a cap: a run of deterministic costs ends where
+number, its state and its columns, as GenerationRecord holds them: x, the
+population's rows, costs (null where failed) and meta, one object per row;
+best-so-far is recomputed on load, and other versions are refused.
+``generations`` is a cap: a run of deterministic costs ends where
 ``_stop_reason`` first names a criterion, TolFun or EqualFunValues, over
 its last 10 + ceil(30 * dimension / population) stored generations, so no
 stop is written. In memory a generation holds arrays, its rows x and their
 costs (+inf where failed), beside each row's metadata, its least cost and
-its DistributionState; ``candidates`` builds the row dicts on access.
+its DistributionState; ``candidates`` builds {x, cost, meta} row dicts on
+access.
 Record and sidecar lines are compact, key-sorted JSON that orjson writes
 and reads, the same floats bit for bit; configs, fixtures, exports and the
 batch aggregate stay on the standard library's json. Every object spintune
 stores goes out through one writer, ``json_plain``, and every object a
 user writes or a record holds comes back through one reader,
-``json_object``, which refuses unknown keys; a stored line or candidate
-must hold exactly its keys. A config opens no file: it takes a fixture as
-a JSON object, and holds, as a run records, the checked landscape's
-``json_plain`` form.
+``json_object``, which refuses unknown keys; a stored line must hold
+exactly its keys. A config opens no file: it takes a fixture as a JSON
+object, and holds, as a run records, the checked landscape's
+``json_plain`` form; it builds the run's landscape once, as ``landscape``.
 
 Errors: ConfigError for an invalid config, fixture or stored record;
 EvaluationError when every candidate of a generation fails, raised before
@@ -73,7 +75,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 RECORD_NAME = "record.jsonl"
-RECORD_VERSION = 6
+RECORD_VERSION = 7
 TIMINGS_NAME = "timings.jsonl"
 AGGREGATE_NAME = "aggregate.json"
 
@@ -139,7 +141,11 @@ def json_plain(obj):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One closed-loop optimization task."""
+    """One closed-loop optimization task.
+
+    ``landscape``, not a field, is the run's device, built once: its fixture,
+    else its task's default for the seed (None where the task has none).
+    """
 
     task: str
     generations: int
@@ -159,9 +165,10 @@ class RunConfig:
             except ValueError as err:
                 raise ConfigError(str(err)) from None
             object.__setattr__(self, name, int(value))
-        if self.backend_fixture is None:
-            return
         task = _TASKS[self.task]
+        if self.backend_fixture is None:
+            object.__setattr__(self, "landscape", task.landscape and task.landscape(self.seed))
+            return
         if task.landscape is None:
             raise ConfigError(f"the {self.task} task has no landscape; backend_fixture must be null")
         landscape = json_object(backends.HiddenLandscape, self.backend_fixture, "landscape fixture")
@@ -170,6 +177,7 @@ class RunConfig:
                               f"the {self.task} task has {dimension}")
         # the checked device's JSON: a later change to the caller's object bypasses no check
         object.__setattr__(self, "backend_fixture", json_plain(landscape))
+        object.__setattr__(self, "landscape", landscape)
 
 
 @dataclass(frozen=True, eq=False)  # an array field has no truth value, so no generated __eq__
@@ -289,21 +297,14 @@ def space_for_task(task: str) -> backends.ParameterSpace:
     return _TASKS[task].space()
 
 
-def _landscape(config: RunConfig) -> backends.HiddenLandscape | None:
-    """The run's device: its fixture, which its config checked, else its task's default."""
-    task, fixture = _TASKS[config.task], config.backend_fixture
-    return (json_object(backends.HiddenLandscape, fixture, "landscape fixture")
-            if fixture is not None else task.landscape and task.landscape(config.seed))
-
-
 def _make_evaluator(config: RunConfig, space: backends.ParameterSpace):
     """Return evaluate(X, shot_seeds) for the configured task."""
-    return _TASKS[config.task].evaluator(config, space, _landscape(config))
+    return _TASKS[config.task].evaluator(config, space, config.landscape)
 
 
 def _stop_window(config: RunConfig, space: backends.ParameterSpace) -> int | None:
     """How many generations the stop rule reads; None where the run's costs are noisy."""
-    noisy = not _TASKS[config.task].deterministic(_landscape(config))
+    noisy = not _TASKS[config.task].deterministic(config.landscape)
     return None if noisy else 10 + math.ceil(30 * space.dimension / config.population)
 
 
@@ -472,24 +473,10 @@ def _header_payload(config: RunConfig, space: backends.ParameterSpace) -> dict:
 
 
 def _generation_payload(rec: GenerationRecord) -> dict:
-    """A generation as written: its candidates, a failed one's cost as null, and its state."""
-    candidates = [{"x": x, "cost": cost if cost < math.inf else None, "meta": meta}
-                  for x, cost, meta in zip(rec.x.tolist(), rec.costs.tolist(), rec.meta)]
-    return {"type": "generation", "generation": rec.generation, "candidates": candidates,
-            "state": json_plain(rec.state)}
-
-
-def _stored_candidate(cand) -> float:
-    """A loaded candidate's cost, +inf if null: exactly {x, cost, meta}, meta an object."""
-    if not isinstance(cand, dict) or cand.keys() != {"x", "cost", "meta"}:
-        raise ValueError(f"candidate {sorted(cand) if isinstance(cand, dict) else cand!r:.40} "
-                         "is not an object of exactly the keys cost, meta and x")
-    if not isinstance(cand["meta"], dict):
-        raise TypeError(f"candidate meta {cand['meta']!r} is not an object")
-    if not ((cost := cand["cost"]) is None or isinstance(cost, float) and math.isfinite(cost)):
-        raise ValueError(f"candidate cost {cost!r} is not a finite float (a JSON number "
-                         "written with a fraction or an exponent) or null")
-    return math.inf if cost is None else cost  # a failed one is written null
+    """A generation as written: its columns, a failed row's cost as null, and its state."""
+    return {"type": "generation", "generation": rec.generation, "x": rec.x.tolist(),
+            "costs": [cost if cost < math.inf else None for cost in rec.costs.tolist()],
+            "meta": rec.meta, "state": json_plain(rec.state)}
 
 
 def _is_int(value, expected: int) -> bool:
@@ -507,17 +494,18 @@ def load_record(record_dir: Path | str) -> RunRecord:
     Only the final line may be torn, as a crash mid-write leaves it; it is
     dropped. orjson parses each line when its turn comes; it refuses NaN,
     Infinity and a number beyond the float range, and reads an integer
-    beyond 64 bits as a float. A null candidate cost, as a failed candidate
-    is written, reads back as +inf; each best-so-far is recomputed. Any other
-    line that is not strict JSON, a first line that is not the header, a
-    version or generation number other than the JSON integer RECORD_VERSION,
-    k or k + 1 (line k's state), a header, generation line or candidate
-    without exactly its keys, a candidate cost that is not a finite float (a
-    JSON number written with a fraction or an exponent) or null, or a
-    malformed config, space, candidate x row, metadata or search distribution
-    (a non-finite mean or path, or a covariance with no positive eigenvalue,
-    included), or a generation after the run's stop, raise ConfigError, the
-    first damaged line's in file order.
+    beyond 64 bits as a float. A null cost, as a failed row is written,
+    reads back as +inf; each best-so-far is recomputed. Any other line that
+    is not strict JSON, a first line that is not the header, a version or
+    generation number other than the JSON integer RECORD_VERSION, k or
+    k + 1 (line k's state), a header or generation line without exactly its
+    keys, columns not of the config's population (x rows of the space's
+    dimension, costs each a finite float, a JSON number written with a
+    fraction or an exponent, or null, meta each an object), or a malformed
+    config, space or search distribution (a non-finite mean or path, or a
+    covariance with no positive eigenvalue, included), or a generation after
+    the run's stop, raise ConfigError, the first damaged line's in file
+    order.
     """
     path = Path(record_dir) / RECORD_NAME
     if not path.exists():
@@ -559,20 +547,29 @@ def load_record(record_dir: Path | str) -> RunRecord:
         if (reason := _stop_reason(gens, window)) is not None:
             raise ConfigError(f"{path} line {k + 2} is malformed: it follows the stop ({reason})")
         try:
-            json_keys(payload, ("type", "generation", "candidates", "state"), "generation line")
-            cands = payload["candidates"]
-            costs = np.array([_stored_candidate(cand) for cand in cands])
-            x = dqd._require_reals("candidate x", [cand["x"] for cand in cands])
-            if x.shape != (len(cands), space.dimension):
-                raise ValueError(f"candidate x values are not rows of {space.dimension}")
+            json_keys(payload, ("type", "generation", "x", "costs", "meta", "state"),
+                      "generation line")
+            x = dqd._require_reals("x", payload["x"])  # a missing column is a KeyError
+            costs, meta = payload["costs"], payload["meta"]
+            if x.shape != (n := config.population, space.dimension):
+                raise ValueError(f"x is not {n} rows of {space.dimension}")
+            if not (isinstance(costs, list) and isinstance(meta, list)
+                    and len(costs) == len(meta) == n):
+                raise ValueError(f"costs and meta are not lists of {n}")
+            for cost in costs:
+                if not (cost is None or isinstance(cost, float) and math.isfinite(cost)):
+                    raise ValueError(f"cost {cost!r} is not a finite float (a JSON number "
+                                     "written with a fraction or an exponent) or null")
+            if not all(isinstance(row, dict) for row in meta):
+                raise TypeError("meta holds a row that is not an object")
             state = json_object(cmaes.DistributionState, payload["state"], "state")
             state.eigensystem  # a covariance with no positive eigenvalue is a ValueError
             if state.mean.shape != (space.dimension,):
                 raise ValueError(f"state mean is not of dimension {space.dimension}")
             if not _is_int(payload["state"]["generation"], k + 1):  # missing: a KeyError
                 raise ValueError(f"state generation is not {k + 1}")
-            gens.append(_generation(k, x, costs, [cand["meta"] for cand in cands], state,
-                                    gens[-1] if gens else None))
+            costs = np.array([math.inf if cost is None else cost for cost in costs])
+            gens.append(_generation(k, x, costs, meta, state, gens[-1] if gens else None))
         except (ConfigError, IndexError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"{path} generation {k} is malformed: {err!r}") from None
     return RunRecord(config=config, space=space, generations=gens)
@@ -585,7 +582,7 @@ def _check_resumable(prior: RunRecord, config: RunConfig,
     Only ``generations`` may differ, and not below the stored count:
     stored generations are never rewritten.
     """
-    old, new = vars(prior.config), vars(config)
+    old, new = json_plain(prior.config), json_plain(config)
     changed = [key for key in new if key not in ("generations", "output_dir")
                and _dump_line(old[key]) != _dump_line(new[key])]
     if prior.space != space:
@@ -612,11 +609,10 @@ def batch(config: RunConfig, repeats: int) -> BatchResult:
         dqd._require_int("repeats", repeats, 1)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    make_default = _TASKS[config.task].landscape
-    if config.backend_fixture is None and make_default is not None:
+    if config.backend_fixture is None and config.landscape is not None:
         # The repeats model tune-ups of one sample: with its derived seed each
         # would otherwise plant a different optimum.
-        config = replace(config, backend_fixture=json_plain(make_default(config.seed)))
+        config = replace(config, backend_fixture=json_plain(config.landscape))
     base_out = Path(config.output_dir) if config.output_dir is not None else None
     records: list = []
     rows = []

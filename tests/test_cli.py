@@ -639,19 +639,29 @@ RECORD_DAMAGE = {
     "state path not finite": (-1, lambda g: g["state"]["p_c"].__setitem__(3, float("inf"))),
     "state sigma true": (-1, lambda g: g["state"].update(sigma=True)),
     "state mean with false among floats": (-1, lambda g: g["state"]["mean"].__setitem__(0, False)),
-    "candidate without x": (-1, lambda g: g["candidates"][0].pop("x")),
-    "candidate x of length 1": (-1, lambda g: g["candidates"][1].update(x=[0.5])),
-    "candidate x not numbers": (-1, lambda g: g["candidates"][0].update(x=["a"] * 8)),
-    "candidate x with a null": (-1, lambda g: g["candidates"][0].update(x=[None] * 8)),
-    "candidate x with true among floats": (-1, lambda g: g["candidates"][1]["x"].__setitem__(
-        2, True)),
-    "candidate cost NaN": (-1, lambda g: g["candidates"][3].update(cost=float("nan"))),
-    "candidate cost 1e400": (-1, lambda g: g["candidates"][3].update(cost=OVERFLOWS[0][0])),
-    "candidate cost -1e400": (-1, lambda g: g["candidates"][2].update(cost=OVERFLOWS[1][0])),
-    "metadata p infinite": (-1, lambda g: g["candidates"][0]["meta"].update(p=float("inf"))),
-    "candidate without meta": (-1, lambda g: g["candidates"][0].pop("meta")),
-    "candidate meta not an object": (-1, lambda g: g["candidates"][1].update(meta=5)),
-    "candidate with an id": (-1, lambda g: g["candidates"][2].update(id=2)),
+    # a candidate's damage, on its row of the line's columns x, costs and meta
+    "candidate without x": (-1, lambda g: g["x"].pop(0)),
+    "candidate x of length 1": (-1, lambda g: g["x"].__setitem__(1, [0.5])),
+    "candidate x not numbers": (-1, lambda g: g["x"].__setitem__(0, ["a"] * 8)),
+    "candidate x with a null": (-1, lambda g: g["x"].__setitem__(0, [None] * 8)),
+    "candidate x with true among floats": (-1, lambda g: g["x"][1].__setitem__(2, True)),
+    "candidate cost NaN": (-1, lambda g: g["costs"].__setitem__(3, float("nan"))),
+    "candidate cost 1e400": (-1, lambda g: g["costs"].__setitem__(3, OVERFLOWS[0][0])),
+    "candidate cost -1e400": (-1, lambda g: g["costs"].__setitem__(2, OVERFLOWS[1][0])),
+    "metadata p infinite": (-1, lambda g: g["meta"][0].update(p=float("inf"))),
+    "candidate without meta": (-1, lambda g: g["meta"].pop(0)),
+    "candidate meta not an object": (-1, lambda g: g["meta"].__setitem__(1, 5)),
+    "candidate with an id": (-1, lambda g: g.update(id=list(range(8)))),
+    "generation without x": (-1, lambda g: g.pop("x")),
+    "generation without meta": (-1, lambda g: g.pop("meta")),
+    "generation without costs": (-1, lambda g: g.pop("costs")),
+    "costs one short": (-1, lambda g: g["costs"].pop()),
+    "generation line with a leftover candidates key": (-1, lambda g: g.update(candidates=[])),
+    # every column of one length, but not the config's population of 8
+    "generation 1 of 3 rows": (2, lambda g: g.update(
+        {key: g[key][:3] for key in ("x", "costs", "meta")})),
+    "generation 1 of 9 rows": (2, lambda g: g.update(
+        {key: g[key] + g[key][:1] for key in ("x", "costs", "meta")})),
     "generation line with a best_cost": (-1, lambda g: g.update(best_cost=0.5)),
     "header with an unknown key": (0, lambda h: h.update(created="today")),
     "space entry with an unknown key": (0, lambda h: h["space"][0].update(step=0.1)),
@@ -666,6 +676,7 @@ RECORD_DAMAGE = {
     "header version 3.0": (0, lambda h: h.update(version=3.0)),
     "header version 2": (0, lambda h: h.update(version=2)),
     "header version 4": (0, lambda h: h.update(version=4)),
+    "header version 6": (0, lambda h: h.update(version=6)),
     "header fixture optimum one entry short": (0, lambda h: h["config"].update(
         backend_fixture={**SHUTTLE_FIXTURE, "optimum": SHUTTLE_FIXTURE["optimum"][:-1],
                          "coupling": [row[:-1] for row in SHUTTLE_FIXTURE["coupling"][:-1]]})),
@@ -713,8 +724,8 @@ def test_a_record_of_another_version_exits_2_and_is_left_as_it_is(tmp_path, caps
     path = out / harness.RECORD_NAME
     header, *rest = path.read_text().splitlines(keepends=True)
     # the package version older records carried, version 2, whose noise was drawn differently,
-    # and version 4, whose floats Python's repr spelled
-    for version in ("0.1.0", 2, 4):
+    # version 4, whose floats Python's repr spelled, and version 6, one object per candidate
+    for version in ("0.1.0", 2, 4, 6):
         path.write_text(json.dumps({**json.loads(header), "version": version}) + "\n"
                         + "".join(rest))
         old = path.read_bytes()

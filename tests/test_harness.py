@@ -210,17 +210,17 @@ def test_failed_candidate_cost_is_written_as_null(tmp_path, monkeypatch):
     cfg = benchmark_config(generations=3, output_dir=str(tmp_path))
     _fail_at_seed(monkeypatch, shot_seed(cfg.seed, 1, 0))
     record = harness.run(cfg)
-    assert record.generations[1].candidates[0]["cost"] == math.inf
+    assert record.generations[1].costs[0] == math.inf
 
     def no_constants(token):
         raise ValueError(f"non-JSON token {token}")
 
     text = (tmp_path / harness.RECORD_NAME).read_text()
     lines = [json.loads(line, parse_constant=no_constants) for line in text.splitlines()]
-    costs = [c["cost"] for line in lines[1:] for c in line["candidates"]]
-    assert costs.count(None) == 1 and lines[2]["candidates"][0]["cost"] is None
-    assert "error" in lines[2]["candidates"][0]["meta"]
-    assert harness.load_record(tmp_path).generations[1].candidates[0]["cost"] == math.inf
+    costs = [cost for line in lines[1:] for cost in line["costs"]]
+    assert costs.count(None) == 1 and lines[2]["costs"][0] is None
+    assert "error" in lines[2]["meta"][0]
+    assert harness.load_record(tmp_path).generations[1].costs[0] == math.inf
     # resume rewrites the stored failure with the same bytes
     (tmp_path / harness.RECORD_NAME).write_text("".join(text.splitlines(keepends=True)[:3]))
     harness.run(cfg, resume=True)
@@ -456,8 +456,8 @@ def test_a_stored_cost_must_be_a_float_or_null(tmp_path, cost):
     harness.run(cfg)
     path = tmp_path / harness.RECORD_NAME
     header, gen0, gen1 = path.read_text().splitlines(keepends=True)
-    first = json.loads(gen0)["candidates"][0]["cost"]
-    path.write_text(header + gen0.replace(f'"cost":{first!r}', f'"cost":{cost}', 1) + gen1)
+    first = json.loads(gen0)["costs"][0]
+    path.write_text(header + gen0.replace(f'"costs":[{first!r}', f'"costs":[{cost}', 1) + gen1)
     wording = "is not a finite float (a JSON number written with a fraction or an exponent) or null"
     with pytest.raises(ConfigError, match=f"generation 0 is malformed.*{re.escape(wording)}"):
         harness.load_record(tmp_path)
@@ -530,7 +530,8 @@ def small_records(tmp_path_factory):
             harness.run(replace(cfg, output_dir=out))
         records[name] = (cfg, bad_seed, (out / harness.RECORD_NAME).read_bytes(),
                          (out / harness.TIMINGS_NAME).read_bytes())
-    assert b'"cost":null' in records["shuttle"][2] and b'"shots":' in records["shuttle"][2]
+    assert b',null],"generation":1,' in records["shuttle"][2]  # its row 2 of generation 1
+    assert b'"shots":' in records["shuttle"][2]
     return records
 
 
@@ -623,12 +624,15 @@ def test_each_generation_re_encodes_to_its_stored_line(tmp_path, monkeypatch, ta
     for rec in (record, loaded):
         assert [harness._dump_line(harness._generation_payload(gen))
                 for gen in rec.generations] == stored
-        # candidates: each line's {x, cost, meta} dicts, with a failed cost +inf
-        lines = [orjson.loads(line)["candidates"] for line in stored]
-        assert [gen.candidates for gen in rec.generations] == [
-            [{**cand, "cost": math.inf if cand["cost"] is None else cand["cost"]}
-             for cand in line] for line in lines]
+        # the columns: each line's x rows, its costs with a failed one +inf, and its meta
+        lines = [orjson.loads(line) for line in stored]
+        assert [(gen.x.tolist(), gen.costs.tolist(), gen.meta) for gen in rec.generations] == [
+            (line["x"], [math.inf if cost is None else cost for cost in line["costs"]],
+             line["meta"]) for line in lines]
+        # candidates: the same rows as {x, cost, meta} dicts
         cands = [cand for gen in rec.generations for cand in gen.candidates]
+        assert cands == [{"x": x, "cost": cost, "meta": meta} for gen in rec.generations
+                         for x, cost, meta in zip(gen.x.tolist(), gen.costs.tolist(), gen.meta)]
         assert {(type(cand["x"]), type(cand["cost"])) for cand in cands} == {(list, float)}
         failed = [cand for cand in cands if cand["cost"] == math.inf]
         assert len(failed) == (bad_seed is not None)
@@ -643,13 +647,11 @@ def test_timings_split_each_generation_into_its_phases(tmp_path):
     record = (tmp_path / "a" / harness.RECORD_NAME).read_bytes()
     assert record == (tmp_path / "b" / harness.RECORD_NAME).read_bytes()
     header, *lines = [json.loads(line) for line in record.splitlines()]
-    assert header["version"] == harness.RECORD_VERSION == 6
+    assert header["version"] == harness.RECORD_VERSION == 7
     assert {key for line in lines for key in line} == {
-        "type", "generation", "candidates", "state"}
-    assert {key for line in lines for cand in line["candidates"] for key in cand} == {
-        "x", "cost", "meta"}
-    assert {key for line in lines for cand in line["candidates"] for key in cand["meta"]} == {
-        "p"}
+        "type", "generation", "x", "costs", "meta", "state"}
+    assert all(len(line[key]) == cfg.population for line in lines for key in ("x", "costs", "meta"))
+    assert {key for line in lines for row in line["meta"] for key in row} == {"p"}
     for line in (tmp_path / "a" / harness.TIMINGS_NAME).read_text().splitlines():
         timing = json.loads(line)
         phases = [timing.pop(f"{phase}_s") for phase in ("ask", "evaluate", "tell", "persist")]
@@ -663,7 +665,7 @@ def test_resume_copies_kept_lines_and_rewrites_only_a_non_finite_cost(tmp_path, 
     harness.run(cfg)
     full = (tmp_path / harness.RECORD_NAME).read_bytes()
     header, gen0, gen1, *rest = full.splitlines(keepends=True)
-    assert b'"cost":null' in gen1
+    assert b'"costs":[null,' in gen1
     # generation 0 spaced and with its keys reversed still loads, and stays as stored
     spaced = (json.dumps(dict(reversed(json.loads(gen0).items()))) + "\n").encode()
     assert spaced != gen0 and json.loads(spaced) == json.loads(gen0)
@@ -671,7 +673,7 @@ def test_resume_copies_kept_lines_and_rewrites_only_a_non_finite_cost(tmp_path, 
     harness.run(cfg, resume=True)
     assert (tmp_path / harness.RECORD_NAME).read_bytes() == header + spaced + gen1 + b"".join(rest)
     # a failure stored as the non-JSON token Infinity is refused, and the file left as it is
-    legacy = header + gen0 + gen1.replace(b'"cost":null', b'"cost":Infinity') + rest[0]
+    legacy = header + gen0 + gen1.replace(b'"costs":[null', b'"costs":[Infinity') + rest[0]
     (tmp_path / harness.RECORD_NAME).write_bytes(legacy)
     with pytest.raises(ConfigError, match="line 3 is malformed: unexpected character"):
         harness.run(cfg, resume=True)
@@ -715,16 +717,15 @@ def codec_record(tmp_path_factory):
 @example(costs=FLOAT_EDGES)
 def test_every_finite_float_round_trips_through_a_record_bit_for_bit(codec_record, costs):
     out, header, payload = codec_record
-    payload = {**payload, "candidates": [{**cand, "cost": cost, "meta": {"costs": costs}}
-                                         for cand, cost in zip(payload["candidates"], costs)]}
+    payload = {**payload, "costs": costs, "meta": [{"costs": costs} for _ in costs]}
     line = harness._dump_line(payload)
     assert line.endswith(b"\n") and line.count(b"\n") == 1
     # stdlib json reads the same values: a record stays standard JSON
     assert repr(json.loads(line)) == repr(orjson.loads(line)) == repr(payload)
     (out / harness.RECORD_NAME).write_bytes(header + line)
-    loaded = harness.load_record(out).generations[0].candidates
-    assert [cand["cost"].hex() for cand in loaded] == [cost.hex() for cost in costs]
-    assert all(repr(cand["meta"]["costs"]) == repr(costs) for cand in loaded)
+    loaded = harness.load_record(out).generations[0]
+    assert [cost.hex() for cost in loaded.costs.tolist()] == [cost.hex() for cost in costs]
+    assert all(repr(row["costs"]) == repr(costs) for row in loaded.meta)
 
 
 def test_a_cost_spelled_as_an_integer_beyond_64_bits_loads_as_that_float(tmp_path):
@@ -732,11 +733,11 @@ def test_a_cost_spelled_as_an_integer_beyond_64_bits_loads_as_that_float(tmp_pat
     harness.run(benchmark_config(generations=1, output_dir=tmp_path))
     path = tmp_path / harness.RECORD_NAME
     header, line = path.read_bytes().splitlines(keepends=True)
-    first = orjson.loads(line)["candidates"][0]["cost"]
+    first = orjson.loads(line)["costs"][0]
     big = str(2**64).encode()
-    path.write_bytes(header + line.replace(b'"cost":%s' % orjson.dumps(first),
-                                           b'"cost":' + big, 1))
-    assert harness.load_record(tmp_path).generations[0].candidates[0]["cost"] == float(2**64)
+    path.write_bytes(header + line.replace(b'"costs":[%s' % orjson.dumps(first),
+                                           b'"costs":[' + big, 1))
+    assert harness.load_record(tmp_path).generations[0].costs[0] == float(2**64)
 
 
 def test_a_seed_beyond_64_bits_exits_2_before_any_file_is_written(tmp_path, capsys):
@@ -1129,6 +1130,28 @@ def test_a_config_holds_a_copy_of_the_callers_fixture(tmp_path):
                           backend_fixture=land, output_dir=tmp_path / "kept"))
     record = (tmp_path / "trimmed" / harness.RECORD_NAME).read_bytes()
     assert record == (tmp_path / "kept" / harness.RECORD_NAME).read_bytes()
+
+
+@pytest.mark.parametrize("fixture", [None, harness.json_plain(backends.make_shuttle_landscape(4))])
+def test_a_config_builds_its_landscape_once(tmp_path, monkeypatch, fixture):
+    built = []
+    real = backends.HiddenLandscape.__post_init__
+
+    def counting(self):
+        built.append(self.seed)
+        real(self)
+
+    monkeypatch.setattr(backends.HiddenLandscape, "__post_init__", counting)
+    cfg = RunConfig(task="shuttle", generations=3, population=4, seed=1, backend_fixture=fixture,
+                    output_dir=tmp_path)
+    record = harness.run(cfg)
+    assert record.stop is None and record.stop is None
+    assert len(built) == 1
+    loaded = harness.load_record(tmp_path)  # a config of its own, read from the header
+    assert loaded.stop is None and loaded.stop is None
+    assert len(built) == 2
+    harness.run(cfg, resume=True)  # loads the record: one more config
+    assert len(built) == 3 and len(set(built)) == 1
 
 
 @pytest.mark.parametrize("task", ["single_qubit", "benchmark"])
