@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -195,6 +195,7 @@ def fit_rabi(ts: np.ndarray, ps: np.ndarray) -> FitResult:
     on eighth-bin steps of w in [0.3, 3] w0, w0 the spectral peak of the data,
     and log steps of tau. The best point is polished in (a, b, w, tau), then in
     the reported parameters. Without a clear peak it reports converged=False.
+    It fits the data scaled to unit peak, so data in any units gives one fit.
     """
     ts, ps = _checked(ts, ps, 8)
     n, dt = ts.size, (ts[-1] - ts[0]) / (ts.size - 1)
@@ -202,7 +203,8 @@ def fit_rabi(ts: np.ndarray, ps: np.ndarray) -> FitResult:
         raise ValueError("ts must be increasing and evenly spaced")
     if not np.all(np.isfinite(ps)):
         return FitResult({}, {}, np.inf, False)
-    ts = ts - ts[0]
+    scale = float(np.abs(ps).max()) or 1.0  # all-zero data has no peak, and stays unconverged
+    ts, ps = ts - ts[0], ps / scale
     mags = np.abs(np.fft.rfft(ps - np.mean(ps)))[1:]
     k_peak = int(np.argmax(mags)) + 1
     if mags[k_peak - 1] <= max(3.0 * float(np.median(mags)), 1e-9 * n):
@@ -240,8 +242,6 @@ def fit_rabi(ts: np.ndarray, ps: np.ndarray) -> FitResult:
                          out=np.full_like(det, -np.inf), where=det > 1e-9 * e2**2)
         if gain.max() > best:
             best, w, tau = gain.max(), w_min + m[np.argmax(gain)] * step, tau_j
-    if not np.isfinite(best):  # the sums overflow on data near the float range
-        return FitResult({}, {}, np.inf, False)
     start = np.linalg.lstsq(jacobian([0.0, 0.0, w, tau])[:, :2], ps)[0]
     a, b, w, tau = _polished(("a", "b", "omega", "tau"), residual, jacobian,
                              [*start, w, tau], [-np.inf, -np.inf, w_min, 1e-9],
@@ -252,7 +252,9 @@ def fit_rabi(ts: np.ndarray, ps: np.ndarray) -> FitResult:
                     [1e-12, w_min, -np.inf, 1e-9], [np.inf, w_max, np.inf, np.inf])
     # the model has period 2 pi in phi, so wrapping moves neither residual nor Jacobian
     fit.params["phi"] = float(np.pi - (np.pi - fit.params["phi"]) % (2.0 * np.pi))
-    return fit
+    fit.params["V_R"] *= scale
+    fit.std_errors["V_R"] *= scale
+    return replace(fit, residual_norm=fit.residual_norm * scale)
 
 
 def shuttle_fidelity(p: float) -> float:

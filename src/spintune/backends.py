@@ -279,9 +279,10 @@ def make_readout_landscape(seed: int) -> HiddenLandscape:
 
 
 def _init_stage_ramps(space: ParameterSpace, block: np.ndarray) -> dict[str, np.ndarray]:
-    """Ramp parameters of each row of an (n, 14) block, by DqdConfig field."""
-    return {attr: lo + (hi - lo) * block[:, space.index(name)]
-            for attr, name, (lo, hi) in _INIT_STAGE}
+    """Ramp parameters of each row of an (n, 14) block, by DqdConfig field, all five of them."""
+    ramps = {attr: lo + (hi - lo) * block[:, space.index(name)]
+             for attr, name, (lo, hi) in _INIT_STAGE}
+    return {**ramps, "zeeman_diff": np.full(len(block), _INIT_ZEEMAN_GHZ)}
 
 
 def _rows(x: np.ndarray, dim: int) -> np.ndarray:
@@ -321,9 +322,8 @@ def _contrast_counts(landscape: HiddenLandscape, shot_seed, n_shots: int,
 def optimum_init_fidelity(landscape: HiddenLandscape, space: ParameterSpace) -> float:
     """Initialization-ramp fidelity at the planted readout optimum, which visibility is relative to."""
     at_optimum = _init_stage_ramps(space, landscape.optimum[None])
-    return initialization_fidelity(DqdConfig(
-        **{name: float(v[0]) for name, v in at_optimum.items()},
-        zeeman_diff=_INIT_ZEEMAN_GHZ), n_steps=_INIT_STEPS)
+    return initialization_fidelity(DqdConfig(**{name: float(v[0]) for name, v in at_optimum.items()}),
+                                   n_steps=_INIT_STEPS)
 
 
 def true_readout_visibility(landscape: HiddenLandscape, space: ParameterSpace,
@@ -344,8 +344,8 @@ def _visibility(landscape: HiddenLandscape, space: ParameterSpace, x: np.ndarray
     """``true_readout_visibility`` given ``optimum_init_fidelity(landscape, space)`` as f_opt."""
     block = _rows(x, space.dimension)
     ramps = _init_stage_ramps(space, block)
-    f_init = dqd._cell_fidelities(*ramps.values(), np.full(len(block), _INIT_ZEEMAN_GHZ),
-                                  None, _INIT_STEPS).tolist()
+    f_init = dqd._cell_fidelities(*(ramps[name] for name in dqd._AXIS_FIELDS), None,
+                                  _INIT_STEPS).tolist()
     span = (1.0 - landscape.floor) - READOUT_BASE_VISIBILITY
     return [float(span * np.exp(-q) * min(1.0, f / f_opt)) + READOUT_BASE_VISIBILITY
             for q, f in zip(landscape.quadratic(block).tolist(), f_init)]

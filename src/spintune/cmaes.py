@@ -31,7 +31,7 @@ import numpy as np
 
 from .dqd import _require_int, _require_real, _require_reals
 
-__all__ = ["StrategyParams", "DistributionState", "ask", "tell", "covariance_snapshot"]
+__all__ = ["StrategyParams", "DistributionState", "ask", "tell"]
 
 # Relative eigenvalue floor used when repairing a numerically non-positive
 # covariance matrix.
@@ -69,11 +69,6 @@ class StrategyParams:
             c_mu=min(1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff)),
             chi_n=math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n**2)),
         )
-
-    @classmethod
-    def defaults(cls, dimension: int, population: int, seed: int = 0) -> "StrategyParams":
-        """Standard hyperparameters for a given dimension and population size."""
-        return cls(dimension, population, seed)
 
 
 @dataclass(frozen=True)
@@ -212,8 +207,3 @@ def tell(state: DistributionState, params: StrategyParams, steps: np.ndarray,
     new = object.__new__(DistributionState)
     vars(new).update(fresh, sigma=sigma, generation=g_next)
     return new
-
-
-def covariance_snapshot(state: DistributionState) -> np.ndarray:
-    """Copy of the unscaled covariance shape matrix at this generation."""
-    return np.array(state.cov, dtype=float, copy=True)

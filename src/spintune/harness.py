@@ -92,9 +92,11 @@ class EvaluationError(Exception):
     """Every candidate of a generation failed; nothing of it was written."""
 
 
-# RunConfig fields that take integers only (bools are rejected), with their ranges: the
-# record header holds each in 64 bits, and shots at most what numpy's binomial draw accepts.
-_INTEGER_RANGES = {"generations": (1, dqd._MAX_UINT64), "population": (2, dqd._MAX_UINT64),
+# RunConfig fields that take integers only (bools are rejected), with their ranges: a shot
+# seed's key holds a generation and a row in _KEY_BITS each, a record header the seed in 64
+# bits, and shots are at most what numpy's binomial draw accepts.
+_KEY_BITS = 32
+_INTEGER_RANGES = {"generations": (1, 2**_KEY_BITS), "population": (2, 2**_KEY_BITS),
                    "seed": (0, dqd._MAX_UINT64), "shots": (1, 2**63 - 1)}
 
 
@@ -241,23 +243,23 @@ def _benchmark_space() -> backends.ParameterSpace:
     ))
 
 
-def _readout_evaluator(config, space, landscape):
-    f_opt = backends.optimum_init_fidelity(landscape, space)  # once per run, not per generation
+def _readout_evaluator(config, space):
+    f_opt = backends.optimum_init_fidelity(config.landscape, space)  # once per run, not per generation
     return lambda X, seeds: backends.readout_backend_evaluate(
-        landscape, space, X, config.shots, shot_seeds=seeds, f_opt=f_opt)
+        config.landscape, space, X, config.shots, shot_seeds=seeds, f_opt=f_opt)
 
 
-def _shuttle_evaluator(config, space, landscape):
+def _shuttle_evaluator(config, space):
     return lambda X, seeds: backends.shuttle_backend_evaluate(
-        landscape, X, n_shots=config.shots, shot_seeds=seeds)
+        config.landscape, X, n_shots=config.shots, shot_seeds=seeds)
 
 
-def _single_qubit_evaluator(config, space, landscape):
+def _single_qubit_evaluator(config, space):
     cfg = rb.RbConfig(shots_per_sequence=config.shots, seed=config.seed)
     return lambda X, seeds: rb.rb_backend_evaluate(cfg, space.denormalize(X), shot_seeds=seeds)
 
 
-def _benchmark_evaluator(config, space, landscape):
+def _benchmark_evaluator(config, space):
     return lambda X, seeds: [backends.CostEvaluation(
         cost=float(np.sum((x - _BENCHMARK_OPTIMUM) ** 2))) for x in X]
 
@@ -267,10 +269,10 @@ class _Task:
     """What makes a task: its parameters, its planted device and its cost.
 
     ``landscape`` builds the default landscape for a seed (None where the
-    task has none). ``evaluator(config, space, landscape)`` returns
-    evaluate(X, shot_seeds), which takes an (n, d) block of unit-cube
-    candidates with one shot seed each, returns n CostEvaluations, and
-    looks its backend up on the backend's module at every call.
+    task has none). ``evaluator(config, space)`` returns evaluate(X, shot_seeds)
+    on ``config.landscape``: it takes an (n, d) block of unit-cube candidates
+    with one shot seed each, returns n CostEvaluations, and looks its
+    backend up on the backend's module at every call.
     ``deterministic(landscape)``: whether its costs are free of shot noise.
     """
 
@@ -299,7 +301,7 @@ def space_for_task(task: str) -> backends.ParameterSpace:
 
 def _make_evaluator(config: RunConfig, space: backends.ParameterSpace):
     """Return evaluate(X, shot_seeds) for the configured task."""
-    return _TASKS[config.task].evaluator(config, space, config.landscape)
+    return _TASKS[config.task].evaluator(config, space)
 
 
 def _stop_window(config: RunConfig, space: backends.ParameterSpace) -> int | None:
@@ -323,8 +325,9 @@ def _stop_reason(gens: list, window: int | None) -> str | None:
 
 
 def _shot_seeds(base_seed: int, generation: int, rows) -> list[int]:
-    """Each row's shot seed: its key (base_seed, generation, row), the last two 32 bits wide."""
-    return [base_seed << 64 | generation << 32 | row for row in rows]
+    """Each row's shot seed: its key (base_seed, generation, row), the last two _KEY_BITS wide."""
+    head = base_seed << 2 * _KEY_BITS | generation << _KEY_BITS
+    return [head | row for row in rows]
 
 
 def _dump_line(payload) -> bytes:
@@ -348,8 +351,7 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
     space = space_for_task(config.task)
     evaluate = _make_evaluator(config, space)
     window = _stop_window(config, space)
-    params = cmaes.StrategyParams.defaults(
-        dimension=space.dimension, population=config.population, seed=config.seed)
+    params = cmaes.StrategyParams(space.dimension, config.population, config.seed)
 
     done: list[GenerationRecord] = []
     with contextlib.ExitStack() as files:

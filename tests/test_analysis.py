@@ -56,6 +56,10 @@ def test_fit_decay_input_validation():
         fit_decay(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.9, 0.8]))
     with pytest.raises(ValueError):
         fit_decay(np.array([-1.0, 2.0, 3.0, 4.0]), np.zeros(4))
+    # a non-finite value is no error: the fit is empty and unconverged
+    fit = fit_decay(np.arange(4.0), np.array([1.0, np.inf, 0.8, 0.7]))
+    assert fit.params == fit.std_errors == {}
+    assert fit.residual_norm == np.inf and not fit.converged
 
 
 def test_fit_decay_refuses_mismatched_or_non_finite_positions():
@@ -200,6 +204,22 @@ def test_fit_rabi_scale_consistency():
     assert scaled.params["V_R"] == pytest.approx(0.31 * base.params["V_R"], rel=1e-7)
     assert scaled.params["omega"] == pytest.approx(base.params["omega"], abs=1e-9 * base.params["omega"])
     assert scaled.params["tau"] == pytest.approx(base.params["tau"], rel=1e-7)
+
+
+def test_fit_rabi_gives_one_answer_in_any_units():
+    # the fit runs on unit-peak data, so neither the polish tolerances nor the range of
+    # floats depend on the units the probabilities are written in
+    ts = np.linspace(0.0, 10.0, 200)
+    ps = np.cos(2 * np.pi * 5 * ts) * np.exp(-ts / 10)
+    base = fit_rabi(ts, ps)
+    assert base.converged and base.params["tau"] == pytest.approx(10.0, rel=1e-9)
+    for s in (1e-6, 1e-3, 1.0, 1e3, 1e30, 1e300):
+        fit = fit_rabi(ts, s * ps)
+        assert fit.converged, s
+        got = {**fit.params, "V_R": fit.params["V_R"] / s}
+        np.testing.assert_allclose([got[k] for k in base.params], list(base.params.values()),
+                                   rtol=1e-9, atol=1e-12, err_msg=f"scale {s}")
+        assert fit.residual_norm / s == pytest.approx(base.residual_norm, rel=1e-3, abs=1e-12)
 
 
 def test_fit_rabi_visibility_error_bars_have_coverage():

@@ -44,6 +44,10 @@ def test_space_validation():
         ParameterSpace((SpaceEntry("a", 1.0, 1.0, "mV"),))
     with pytest.raises(ValueError):
         ParameterSpace((SpaceEntry("a", 0.0, 1.0, "mV"), SpaceEntry("a", 0.0, 2.0, "mV")))
+    with pytest.raises(ValueError, match="must not be empty"):
+        ParameterSpace(())
+    with pytest.raises(KeyError, match="unknown parameter 'nope'"):
+        readout_space().index("nope")
 
 
 @settings(max_examples=50)
@@ -148,7 +152,7 @@ def test_readout_evaluation_deterministic_given_seeds():
 
 
 def _told_state():
-    params = StrategyParams.defaults(dimension=4, population=6, seed=3)
+    params = StrategyParams(dimension=4, population=6, seed=3)
     state = DistributionState.initial(np.full(4, 0.5), sigma=0.25)
     for _ in range(3):
         points, steps = ask(state, params)
@@ -190,6 +194,27 @@ def test_landscape_rejects_non_spd_coupling():
     with pytest.raises(ValueError):
         HiddenLandscape(np.full(2, 0.5), np.array([[1.0, 0.5], [0.4, 1.0]]),
                         0.01, False, 0)
+
+
+def test_landscape_refuses_a_mismatched_coupling_and_a_floor_outside_0_to_1():
+    with pytest.raises(ValueError, match="coupling shape"):
+        HiddenLandscape(np.full(2, 0.5), np.eye(3), 0.01, False, 0)
+    for floor in (-0.1, 1.0):
+        with pytest.raises(ValueError, match="floor"):
+            HiddenLandscape(np.full(2, 0.5), np.eye(2), floor, False, 0)
+
+
+def test_readout_refuses_no_shots_under_shot_noise_and_a_foreign_space():
+    land, x = make_readout_landscape(0), np.full(14, 0.5)
+    for n_shots in (0, -1):
+        with pytest.raises(ValueError, match="n_shots must be positive"):
+            readout_backend_evaluate(land, readout_space(), x, n_shots, shot_seeds=[1])
+    with pytest.raises(ValueError, match="expects the 14-parameter space"):
+        readout_backend_evaluate(land, shuttle_space(), x, 100, shot_seeds=[1])
+    # without shot noise no shot is drawn, so their number is not looked at
+    quiet = replace(land, shot_noise=False)
+    assert readout_backend_evaluate(quiet, readout_space(), x, 0, shot_seeds=[1]) == \
+        readout_backend_evaluate(quiet, readout_space(), x, 100, shot_seeds=[1])
 
 
 def test_landscape_refuses_a_bool_among_floats_and_holds_read_only_arrays():

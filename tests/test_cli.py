@@ -287,6 +287,15 @@ def test_wrongly_typed_config_exits_2(tmp_path, capsys, payload):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_population_the_shot_seed_key_cannot_index_exits_2_and_is_named(tmp_path, capsys):
+    # each row's key holds its row in 32 bits; no such population is ever allocated
+    cfg = write_json(tmp_path / "cfg.json",
+                     {"task": "benchmark", "generations": 1, "population": 2**62})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"population must be <= {2**32}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, payload, error", [
     ("run", {"task": "benchmark", "generations": 2, "population": 3, "shot": 5,
              "outputdir": "x"}, "config has unknown keys ['outputdir', 'shot']"),
@@ -380,6 +389,8 @@ def test_sweep_config_that_is_not_an_object_exits_2(tmp_path, capsys, payload):
     ("noise", "n_samples", 2.5),
     ("noise", "seed", -1),
     ("noise", "seed", False),
+    # an integer too large for a float
+    pytest.param("base", "eps_initial", 10**400, id="base-eps_initial-400-digits"),
 ])
 def test_sweep_with_wrongly_typed_model_field_exits_2(tmp_path, capsys, section, key, value):
     cfg = write_json(tmp_path / "sweep.json", {

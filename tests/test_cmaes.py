@@ -11,13 +11,12 @@ from spintune.cmaes import (
     DistributionState,
     StrategyParams,
     ask,
-    covariance_snapshot,
     tell,
 )
 
 
 def run_minimizer(fn, n, population, seed, generations, sigma=1.0, mean=None):
-    params = StrategyParams.defaults(n, population=population, seed=seed)
+    params = StrategyParams(n, population=population, seed=seed)
     if mean is None:
         mean = np.zeros(n)
     state = DistributionState.initial(mean, sigma=sigma)
@@ -44,7 +43,7 @@ def test_initial_state_defaults():
 
 
 def test_default_parents_are_half_population():
-    params = StrategyParams.defaults(6, population=14)
+    params = StrategyParams(6, population=14)
     assert params.population == 14
     assert params.parents == 7
     w = np.asarray(params.weights)
@@ -54,7 +53,7 @@ def test_default_parents_are_half_population():
 
 
 def test_ask_returns_population_and_records_z_y_x():
-    params = StrategyParams.defaults(3, population=8, seed=5)
+    params = StrategyParams(3, population=8, seed=5)
     state = DistributionState.initial(np.full(3, 0.5), sigma=0.25)
     points, steps = ask(state, params)
     assert points.shape == steps.shape == (8, 3)
@@ -65,7 +64,7 @@ def test_ask_returns_population_and_records_z_y_x():
 
 
 def test_ask_is_deterministic_in_seed_and_generation():
-    params = StrategyParams.defaults(4, population=6, seed=9)
+    params = StrategyParams(4, population=6, seed=9)
     state = DistributionState.initial(np.zeros(4))
     a_points, a_steps = ask(state, params)
     b_points, b_steps = ask(state, params)
@@ -77,7 +76,7 @@ def test_ask_is_deterministic_in_seed_and_generation():
 
 
 def test_tell_increments_generation_and_keeps_covariance_symmetric():
-    params = StrategyParams.defaults(5, population=10, seed=1)
+    params = StrategyParams(5, population=10, seed=1)
     state = DistributionState.initial(np.zeros(5))
     for _ in range(10):
         points, steps = ask(state, params)
@@ -88,7 +87,7 @@ def test_tell_increments_generation_and_keeps_covariance_symmetric():
 
 
 def test_a_told_state_is_the_checked_state_of_its_values():
-    params = StrategyParams.defaults(4, population=8, seed=3)
+    params = StrategyParams(4, population=8, seed=3)
     state = DistributionState.initial(np.zeros(4))
     for _ in range(3):
         points, steps = ask(state, params)
@@ -102,7 +101,7 @@ def test_a_told_state_is_the_checked_state_of_its_values():
 
 def test_a_tell_that_overflows_raises():
     # steps of 3 once whitened, so sigma stays finite while the rank-mu term overflows
-    params = StrategyParams.defaults(3, population=6, seed=0)
+    params = StrategyParams(3, population=6, seed=0)
     state = DistributionState(mean=np.zeros(3), sigma=1.0, cov=1e308 * np.eye(3),
                               p_sigma=np.zeros(3), p_c=np.zeros(3))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
@@ -110,7 +109,7 @@ def test_a_tell_that_overflows_raises():
 
 
 def test_tell_requires_full_generation():
-    params = StrategyParams.defaults(3, population=6, seed=2)
+    params = StrategyParams(3, population=6, seed=2)
     state = DistributionState.initial(np.zeros(3))
     points, steps = ask(state, params)
     costs = [sphere(x) for x in points]
@@ -125,7 +124,7 @@ def test_tell_requires_full_generation():
 
 
 def test_tell_ranks_by_cost_not_input_order():
-    params = StrategyParams.defaults(3, population=6, seed=7)
+    params = StrategyParams(3, population=6, seed=7)
     state = DistributionState.initial(np.zeros(3))
     points, steps = ask(state, params)
     costs = [sphere(x) for x in points]
@@ -162,16 +161,10 @@ def test_mean_moves_toward_sphere_optimum():
     assert best < sphere(np.full(5, 2.0))
 
 
-def test_covariance_snapshot_is_a_tagged_copy():
-    params = StrategyParams.defaults(2, population=6, seed=0)
-    state = DistributionState.initial(np.zeros(2))
-    snap = covariance_snapshot(state)
-    assert snap.shape == (2, 2)
-    snap[0, 0] = 99.0
-    assert state.cov[0, 0] == 1.0
+def test_the_state_covariance_is_a_read_only_copy():
     # the state's own arrays are read-only copies, so its eigensystem cannot go stale
     cov = np.eye(2)
-    state = replace(state, cov=cov)
+    state = replace(DistributionState.initial(np.zeros(2)), cov=cov)
     cov[1, 1] = 1e-20
     assert state.cov[1, 1] == 1.0
     with pytest.raises(ValueError, match="read-only"):
@@ -180,9 +173,11 @@ def test_covariance_snapshot_is_a_tagged_copy():
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        StrategyParams.defaults(0, population=4)
+        StrategyParams(0, population=4)
     with pytest.raises(ValueError):
-        StrategyParams.defaults(3, population=1)
+        StrategyParams(3, population=1)
+    with pytest.raises(ValueError, match="state dimension does not match"):
+        ask(DistributionState.initial(np.zeros(2)), StrategyParams(3, population=4))
     for sigma in (-1.0, True):
         with pytest.raises(ValueError, match="sigma"):
             DistributionState.initial(np.zeros(3), sigma=sigma)
@@ -205,13 +200,11 @@ def test_derived_constants_are_not_arguments():
         StrategyParams(3, 6, parents=2)
     with pytest.raises(ValueError):
         StrategyParams(3, 6, seed=-1)
-    assert StrategyParams.defaults(3, 6) == StrategyParams(3, 6, 0)
+    assert StrategyParams(3, 6) == StrategyParams(3, 6, 0)
     # a bool or a fraction is no integer: refused, never truncated
     for args in ((3, 4.5), (3.0, 6), (True, 6), (3, 6, True), (3, 6, 1.5), (3, "6")):
         with pytest.raises(ValueError, match="must be an integer"):
             StrategyParams(*args)
-        with pytest.raises(ValueError, match="must be an integer"):
-            StrategyParams.defaults(*args)
     assert StrategyParams(np.int64(3), np.int64(6)) == StrategyParams(3, 6)
 
 
@@ -233,7 +226,7 @@ def test_derived_constants_keep_the_strategy_invariants(n, lam):
 
 
 def test_ask_and_tell_decompose_a_distribution_once(monkeypatch):
-    params = StrategyParams.defaults(8, population=50, seed=3)
+    params = StrategyParams(8, population=50, seed=3)
     state = DistributionState.initial(np.zeros(8))
     calls = []
     eigh = np.linalg.eigh
@@ -246,7 +239,7 @@ def test_ask_and_tell_decompose_a_distribution_once(monkeypatch):
 
 def test_a_covariance_repair_warns_once_per_generation():
     # ask and tell share one repaired eigensystem; only the sampler warns
-    params = StrategyParams.defaults(3, population=6, seed=1)
+    params = StrategyParams(3, population=6, seed=1)
     state = replace(DistributionState.initial(np.zeros(3)), cov=np.diag([1.0, 1.0, 1e-20]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -259,7 +252,7 @@ def test_a_covariance_repair_warns_once_per_generation():
 def test_degenerate_direction_is_repaired_not_fatal():
     # a cost flat in one coordinate drives that eigenvalue toward zero;
     # the sampler must floor it and keep going
-    params = StrategyParams.defaults(3, population=12, seed=4)
+    params = StrategyParams(3, population=12, seed=4)
     state = DistributionState.initial(np.zeros(3), sigma=0.5)
 
     def flat_axis(x):

@@ -467,4 +467,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DqdConfig(tunnel_coupling=-1.0, zeeman_diff=0.1, eps_initial=0.0,
                   eps_final=1.0, ramp_time=1.0)
+    with pytest.raises(ValueError, match="expected 3 amplitudes"):
+        StateVector(np.ones(2, dtype=complex))
+    with pytest.raises(ValueError, match="sigma_eps must be non-negative"):
+        NoiseModel(sigma_eps=-1.0)
 

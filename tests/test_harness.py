@@ -159,6 +159,27 @@ def test_one_evaluator_call_per_generation(monkeypatch):
     assert blocks == [((6, 5), 6)] * 3
 
 
+def test_a_block_short_of_one_result_is_retried_row_by_row(monkeypatch):
+    cfg = benchmark_config(generations=2)
+    clean = harness.run(cfg)
+    real = harness._make_evaluator
+    blocks = []
+
+    def short_factory(config, space):
+        inner = real(config, space)
+
+        def evaluate(X, shot_seeds):
+            blocks.append(len(X))
+            return inner(X, shot_seeds)[:max(len(X) - 1, 1)]
+
+        return evaluate
+
+    monkeypatch.setattr(harness, "_make_evaluator", short_factory)
+    record = harness.run(cfg)
+    assert blocks == [4, 1, 1, 1, 1] * 2
+    assert written(record) == written(clean)
+
+
 @pytest.mark.parametrize("task, module, name", [
     ("readout", backends, "readout_backend_evaluate"),
     ("shuttle", backends, "shuttle_backend_evaluate"),
@@ -437,17 +458,26 @@ def test_resume_without_an_output_directory_is_refused_before_evaluating(monkeyp
         harness.run(benchmark_config(generations=2), resume=True)
 
 
-def test_corrupt_middle_line_is_an_error_not_a_truncation(tmp_path):
+def test_corrupt_middle_line_is_an_error_not_a_truncation(tmp_path, capsys):
     cfg = benchmark_config(generations=5)
     full, part = stored_run(tmp_path, cfg, keep=5)
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"task": "benchmark", "generations": 5, "population": 4, "seed": 5}))
     lines = full.decode().splitlines(keepends=True)
-    lines[2] = lines[2][: len(lines[2]) // 2] + "\n"  # generation 1, torn
-    (part / harness.RECORD_NAME).write_text("".join(lines))
-    with pytest.raises(ConfigError, match="line 3"):
-        harness.load_record(part)
-    with pytest.raises(ConfigError):
-        harness.run(replace(cfg, output_dir=part), resume=True)
-    assert (part / harness.RECORD_NAME).read_text() == "".join(lines)
+    # generation 1 torn, then written as JSON that is no object
+    for damaged in (lines[2][: len(lines[2]) // 2] + "\n", "[]\n"):
+        lines[2] = damaged
+        (part / harness.RECORD_NAME).write_text("".join(lines))
+        with pytest.raises(ConfigError, match="line 3"):
+            harness.load_record(part)
+        with pytest.raises(ConfigError):
+            harness.run(replace(cfg, output_dir=part), resume=True)
+        for command in (["analyze", "--record", str(part)],
+                        ["run", "--config", str(tmp_path / "run.json"), "--out", str(part),
+                         "--resume"]):
+            assert main(command) == 2
+            assert "line 3 is malformed" in capsys.readouterr().err
+        assert (part / harness.RECORD_NAME).read_text() == "".join(lines)
 
 
 @pytest.mark.parametrize("cost", ['"0.5"', "1", "true", "{}"])
@@ -822,6 +852,27 @@ def test_a_deterministic_run_stops_where_a_scalar_reference_first_holds(tmp_path
     assert harness.load_record(tmp_path).stop == record.stop
 
 
+@pytest.mark.parametrize("row_costs", [[0.0, 1.0, 2.0, 3.0], [0.5] * 4])
+def test_a_run_whose_least_costs_stay_equal_stops_by_equal_fun_values(tmp_path, monkeypatch,
+                                                                      row_costs):
+    # TolFun cannot hold where each generation's costs span 3; where every cost is equal
+    # both criteria hold, and EqualFunValues is named
+    monkeypatch.setattr(harness, "_make_evaluator", lambda config, space: lambda X, seeds: [
+        backends.CostEvaluation(cost) for cost in row_costs])
+    cfg = benchmark_config(generations=100, population=4, output_dir=tmp_path / "full")
+    record = harness.run(cfg)
+    assert harness._stop_window(cfg, record.space) == 48
+    assert (len(record.generations), record.stop) == (48, "EqualFunValues")
+    assert reference_stop(record, 48) == (47, "EqualFunValues")
+    assert harness.load_record(tmp_path / "full").stop == "EqualFunValues"
+    full = (tmp_path / "full" / harness.RECORD_NAME).read_bytes()
+    (tmp_path / "part").mkdir()
+    (tmp_path / "part" / harness.RECORD_NAME).write_bytes(full[:len(full) // 2])
+    record = harness.run(replace(cfg, output_dir=tmp_path / "part"), resume=True)
+    assert (len(record.generations), record.stop) == (48, "EqualFunValues")
+    assert (tmp_path / "part" / harness.RECORD_NAME).read_bytes() == full
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_noisy_runs_keep_every_generation_where_their_costs_tie(seed):
     # each gate loop's least costs tie over a window (shot counts are whole numbers), and
@@ -1015,6 +1066,8 @@ def test_evaluate_params_reads_a_fixture_file_as_the_object_it_holds(tmp_path):
 def test_config_rejects_bad_fields():
     with pytest.raises(ConfigError):
         RunConfig(task="tea_making", generations=5, population=4)
+    with pytest.raises(ConfigError, match="unknown task 'tea_making'"):
+        harness.space_for_task("tea_making")
     with pytest.raises(ConfigError):
         RunConfig(task="readout", generations=0, population=4)
     with pytest.raises(ConfigError):
@@ -1033,6 +1086,7 @@ def test_config_from_dict_requires_core_keys():
     ("generations", True), ("population", 4.7), ("population", "4"),
     ("seed", -1), ("seed", None), ("seed", False), ("shots", None), ("shots", [10]),
     ("seed", 2**64), ("generations", 2**64), ("population", 2**64), ("shots", 2**63),
+    ("generations", 2**32 + 1), ("population", 2**32 + 1),
 ])
 def test_config_takes_integers_only_and_a_non_negative_seed(key, value):
     payload = {"task": "benchmark", "generations": 2, "population": 4, key: value}
@@ -1046,6 +1100,13 @@ def test_config_takes_integers_only_and_a_non_negative_seed(key, value):
 def test_config_from_dict_needs_an_object(payload):
     with pytest.raises(ConfigError, match="JSON object"):
         harness.json_object(RunConfig, payload, "config")
+
+
+def test_the_counts_a_shot_seed_key_indexes_are_bounded_by_its_field_width():
+    # generation and row are each 32 bits of the key: 2**32 of them are indexed, and no more
+    cfg = RunConfig(task="benchmark", generations=2**32, population=2**32)
+    assert (cfg.generations, cfg.population) == (2**32, 2**32)
+    assert harness._shot_seeds(1, 2**32 - 1, [2**32 - 1]) == [2**65 - 1]
 
 
 def test_config_keeps_integers_as_python_ints():
