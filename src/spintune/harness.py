@@ -20,12 +20,13 @@ access.
 Record and sidecar lines are compact, key-sorted JSON that orjson writes
 and reads, the same floats bit for bit; configs, fixtures, exports and the
 batch aggregate stay on the standard library's json. Every object spintune
-stores goes out through one writer, ``json_plain``, and every object a
-user writes or a record holds comes back through one reader,
-``json_object``, which refuses unknown keys; a stored line must hold
-exactly its keys. A config opens no file: it takes a fixture as a JSON
-object, and holds, as a run records, the checked landscape's
-``json_plain`` form; it builds the run's landscape once, as ``landscape``.
+stores goes out through one writer, ``json_plain``; a user's objects and a
+record's config and states come back through one reader, ``json_object``,
+which refuses unknown keys. A generation line holds exactly its keys, a
+header is the one its config writes, and a second run writing a directory
+is refused. A config opens no file: it takes a fixture as a JSON object,
+and holds, as a run records, the checked landscape's ``json_plain`` form;
+it builds the run's landscape once, as ``landscape``.
 
 Errors: ConfigError for an invalid config, fixture or stored record;
 EvaluationError when every candidate of a generation fails, raised before
@@ -37,6 +38,7 @@ failed: cost +inf and an ``error`` in its metadata.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import json
 import logging
 import math
@@ -359,6 +361,11 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
         if config.output_dir is not None:
             out_dir = Path(config.output_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
+            record_file = files.enter_context((out_dir / RECORD_NAME).open("ab"))
+            try:  # held until the run returns; the kernel releases it if the process dies
+                fcntl.flock(record_file, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise ConfigError(f"another run is writing {out_dir}") from None
             stored = [_dump_line(_header_payload(config, space))[:-1]]
             if resume:
                 try:
@@ -366,7 +373,7 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
                 except _NothingStored:
                     pass  # nothing survived to continue from: start afresh
                 else:
-                    _check_resumable(prior, config, space)
+                    _check_resumable(prior, config)
                     done = prior.generations
                     # the kept generations 0..k-1 are lines 1..k of the file, kept as stored, and
                     # so is line 0, the header, once the run has stopped: its cap no longer counts
@@ -374,7 +381,7 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
                     if _stop_reason(done, window) is None:
                         lines[0] = stored[0]
                     stored = lines
-            record_file = files.enter_context((out_dir / RECORD_NAME).open("wb"))
+            record_file.truncate(0)
             record_file.writelines(line + b"\n" for line in stored)
             record_file.flush()
             del stored
@@ -500,14 +507,14 @@ def load_record(record_dir: Path | str) -> RunRecord:
     reads back as +inf; each best-so-far is recomputed. Any other line that
     is not strict JSON, a first line that is not the header, a version or
     generation number other than the JSON integer RECORD_VERSION, k or
-    k + 1 (line k's state), a header or generation line without exactly its
-    keys, columns not of the config's population (x rows of the space's
-    dimension, costs each a finite float, a JSON number written with a
-    fraction or an exponent, or null, meta each an object), or a malformed
-    config, space or search distribution (a non-finite mean or path, or a
+    k + 1 (line k's state), a malformed config, a header other than the one
+    it writes (so the space is the task's), a generation line without
+    exactly its keys, columns not of the config's population (x rows of the
+    space's dimension, costs each a finite float, a JSON number written
+    with a fraction or an exponent, or null, meta each an object), a
+    malformed search distribution (a non-finite mean or path, or a
     covariance with no positive eigenvalue, included), or a generation after
-    the run's stop, raise ConfigError, the first damaged line's in file
-    order.
+    the run's stop, raise ConfigError, the first damaged line's in file order.
     """
     path = Path(record_dir) / RECORD_NAME
     if not path.exists():
@@ -534,14 +541,15 @@ def load_record(record_dir: Path | str) -> RunRecord:
     if not _is_int(header.get("version"), RECORD_VERSION):
         raise ConfigError(f"{path} header is malformed: a record of version "
                           f"{header.get('version')!r}; only version {RECORD_VERSION} can be read")
-    try:
-        json_keys(header, ("type", "config", "space", "version"), "header")
+    try:  # the header must be, as JSON values, the header its config writes
         config = json_object(RunConfig, header["config"], "config")
-        space = backends.ParameterSpace(tuple(
-            json_object(backends.SpaceEntry, entry, "space entry") for entry in header["space"]))
-        window = _stop_window(config, space)
-    except (ConfigError, KeyError, TypeError, ValueError) as err:
+        written = _header_payload(config, space := space_for_task(config.task))
+        items = [{(key, _dump_line(value)) for key, value in h.items()} for h in (header, written)]
+        if differ := sorted({key for key, _ in items[0] ^ items[1]}):
+            raise ConfigError(f"its {differ} differ from the header its config writes")
+    except (ConfigError, KeyError) as err:
         raise ConfigError(f"{path} header is malformed: {err!r}") from None
+    window = _stop_window(config, space)
     gens: list[GenerationRecord] = []
     for k, payload in enumerate(stored):
         if payload.get("type") != "generation" or not _is_int(payload.get("generation"), k):
@@ -577,8 +585,7 @@ def load_record(record_dir: Path | str) -> RunRecord:
     return RunRecord(config=config, space=space, generations=gens)
 
 
-def _check_resumable(prior: RunRecord, config: RunConfig,
-                     space: backends.ParameterSpace) -> None:
+def _check_resumable(prior: RunRecord, config: RunConfig) -> None:
     """Refuse to continue a stored run under other settings.
 
     Only ``generations`` may differ, and not below the stored count:
@@ -587,8 +594,6 @@ def _check_resumable(prior: RunRecord, config: RunConfig,
     old, new = json_plain(prior.config), json_plain(config)
     changed = [key for key in new if key not in ("generations", "output_dir")
                and _dump_line(old[key]) != _dump_line(new[key])]
-    if prior.space != space:
-        changed.append("space")
     if changed:
         raise ConfigError(f"cannot resume: the stored run differs in {', '.join(changed)}")
     if len(prior.generations) > config.generations:

@@ -695,6 +695,12 @@ RECORD_DAMAGE = {
     "header fixture a path": (0, lambda h: h["config"].update(backend_fixture="absent.json")),
     "benchmark header with a fixture": (0, lambda h: h["config"].update(
         task="benchmark", backend_fixture=SHUTTLE_FIXTURE)),
+    # a header that parses but is not the one its config writes
+    "space bound moved": (0, lambda h: h["space"][0].update(low=0.0, high=1.0)),
+    "space entry renamed": (0, lambda h: h["space"][0].update(name="vP0")),
+    "space unit changed": (0, lambda h: h["space"][4].update(unit="V")),
+    "space entries swapped": (0, lambda h: h["space"].insert(0, h["space"].pop(1))),
+    "header config with output_dir": (0, lambda h: h["config"].update(output_dir="rec")),
 }
 
 

@@ -1,7 +1,10 @@
+import fcntl
 import gc
 import json
 import math
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -456,6 +459,47 @@ def test_resume_without_an_output_directory_is_refused_before_evaluating(monkeyp
     monkeypatch.setattr(harness, "_evaluate_generation", never)
     with pytest.raises(ConfigError, match="resume needs an output directory"):
         harness.run(benchmark_config(generations=2), resume=True)
+
+
+def test_a_second_writer_is_refused_and_changes_nothing(tmp_path, capsys):
+    full, out = stored_run(tmp_path, benchmark_config(generations=5), keep=2)
+    cfg = benchmark_config(generations=5, output_dir=out)
+    files = [out / harness.RECORD_NAME, out / harness.TIMINGS_NAME]
+    files[1].write_bytes((tmp_path / "full" / harness.TIMINGS_NAME).read_bytes())
+    before = [path.read_bytes() for path in files]
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"task": "benchmark", "generations": 5, "population": 4,
+                                       "seed": 5}))
+    with (out / harness.RECORD_NAME).open("rb") as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        for resume in (True, False):
+            with pytest.raises(ConfigError, match="another run is writing"):
+                harness.run(cfg, resume=resume)
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_file), "--out", str(out), "--resume"]) == 2
+        assert "another run is writing" in capsys.readouterr().err
+        assert [path.read_bytes() for path in files] == before
+    harness.run(cfg, resume=True)
+    assert (out / harness.RECORD_NAME).read_bytes() == full
+
+
+def test_a_killed_writer_leaves_no_lock(tmp_path):
+    full, out = stored_run(tmp_path, benchmark_config(generations=5), keep=3)
+    cfg = benchmark_config(generations=5, output_dir=out)
+    holder = subprocess.Popen(
+        [sys.executable, "-c", "import fcntl, sys, time; f = open(sys.argv[1], 'ab'); "
+         "fcntl.flock(f, fcntl.LOCK_EX); print(flush=True); time.sleep(60)",
+         str(out / harness.RECORD_NAME)], stdout=subprocess.PIPE)
+    try:
+        holder.stdout.readline()  # the child holds the lock
+        with pytest.raises(ConfigError, match="another run is writing"):
+            harness.run(cfg, resume=True)
+    finally:
+        holder.kill()  # SIGKILL: the child gets no chance to unlock
+        holder.wait()
+        holder.stdout.close()
+    harness.run(cfg, resume=True)
+    assert (out / harness.RECORD_NAME).read_bytes() == full
 
 
 def test_corrupt_middle_line_is_an_error_not_a_truncation(tmp_path, capsys):

@@ -7,11 +7,15 @@ streams across versions (NEP 19), and orjson chooses how a record line spells
 each float, so another version fails the test rather than skipping it. A
 change that means to move a byte bumps ``harness.RECORD_VERSION`` where a
 record changed, commits the JSON that the failure prints, and names every
-changed file.
+changed file. It also holds the platform the digests were made on, which the
+same versions may round differently on; it is not checked, but a failure on
+another platform names both.
 """
 
+import ctypes
 import hashlib
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +70,21 @@ def compute_digests(tmp: Path) -> dict:
             if path.is_file() and path.name != "timings.jsonl"}
 
 
+def platform_facts() -> dict:
+    """The kernels numpy runs here: the core its bundled OpenBLAS chose (None where it
+    names none), the SIMD targets numpy found at run time, and the glibc version."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    core = None
+    for lib in Path(np.__file__).parent.with_name("numpy.libs").glob("libscipy_openblas*"):
+        if corename := getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None):
+            corename.restype = ctypes.c_char_p
+            core = corename().decode()
+    return {"glibc": platform.libc_ver()[1] or None,
+            "numpy_simd": [name for name in __cpu_dispatch__ if __cpu_features__[name]],
+            "openblas_core": core}
+
+
 def test_fixed_runs_write_the_pinned_bytes(tmp_path):
     pinned = json.loads(DIGESTS.read_text())
     versions = {"numpy": np.__version__, "orjson": orjson.__version__,
@@ -75,7 +94,11 @@ def test_fixed_runs_write_the_pinned_bytes(tmp_path):
     digests = compute_digests(tmp_path)
     changed = sorted(name for name in digests.keys() | pinned["files"].keys()
                      if digests.get(name) != pinned["files"].get(name))
-    fresh = json.dumps({"versions": versions, "files": digests}, indent=2, sort_keys=True)
-    assert not changed, (f"changed: {changed}. If the change is meant, bump "
+    here = platform_facts()
+    fresh = json.dumps({"versions": versions, "platform": here, "files": digests}, indent=2,
+                       sort_keys=True)
+    moved = (f" They were made on {pinned['platform']}, this is {here}."
+             if here != pinned["platform"] else "")
+    assert not changed, (f"changed: {changed}.{moved} If the change is meant, bump "
                          f"harness.RECORD_VERSION where a record changed and commit as "
                          f"{DIGESTS.name}:\n{fresh}\n")
