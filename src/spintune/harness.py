@@ -26,7 +26,8 @@ which refuses unknown keys. A generation line holds exactly its keys, a
 header is the one its config writes, and a second run writing a directory
 is refused. A config opens no file: it takes a fixture as a JSON object,
 and holds, as a run records, the checked landscape's ``json_plain`` form;
-it builds the run's landscape once, as ``landscape``.
+it builds the task's ``space``, the run's ``landscape`` and the stop rule's
+``window`` once, and a record is its config and its generations.
 
 Errors: ConfigError for an invalid config, fixture or stored record;
 EvaluationError when every candidate of a generation fails, raised before
@@ -147,8 +148,9 @@ def json_plain(obj):
 class RunConfig:
     """One closed-loop optimization task.
 
-    ``landscape``, not a field, is the run's device, built once: its fixture,
-    else its task's default for the seed (None where the task has none).
+    Built once, not fields: the task's ``space``; ``landscape``, its fixture,
+    else the task's default for the seed (None where the task has none); and
+    ``window``, the generations the stop rule reads, None if costs are noisy.
     """
 
     task: str
@@ -169,19 +171,22 @@ class RunConfig:
             except ValueError as err:
                 raise ConfigError(str(err)) from None
             object.__setattr__(self, name, int(value))
-        task = _TASKS[self.task]
+        task, space = _TASKS[self.task], _TASKS[self.task].space()
         if self.backend_fixture is None:
-            object.__setattr__(self, "landscape", task.landscape and task.landscape(self.seed))
-            return
-        if task.landscape is None:
+            landscape = task.landscape and task.landscape(self.seed)
+        elif task.landscape is None:
             raise ConfigError(f"the {self.task} task has no landscape; backend_fixture must be null")
-        landscape = json_object(backends.HiddenLandscape, self.backend_fixture, "landscape fixture")
-        if landscape.optimum.shape != (dimension := task.space().dimension,):
-            raise ConfigError(f"landscape fixture has {landscape.optimum.size} parameters; "
-                              f"the {self.task} task has {dimension}")
-        # the checked device's JSON: a later change to the caller's object bypasses no check
-        object.__setattr__(self, "backend_fixture", json_plain(landscape))
+        else:
+            landscape = json_object(backends.HiddenLandscape, self.backend_fixture, "landscape fixture")
+            if landscape.optimum.shape != (space.dimension,):
+                raise ConfigError(f"landscape fixture has {landscape.optimum.size} parameters; "
+                                  f"the {self.task} task has {space.dimension}")
+            # the checked device's JSON: a later change to the caller's object bypasses no check
+            object.__setattr__(self, "backend_fixture", json_plain(landscape))
+        window = 10 + math.ceil(30 * space.dimension / self.population)
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "landscape", landscape)
+        object.__setattr__(self, "window", window if task.deterministic(landscape) else None)
 
 
 @dataclass(frozen=True, eq=False)  # an array field has no truth value, so no generated __eq__
@@ -209,16 +214,19 @@ class GenerationRecord:
 @dataclass(frozen=True)
 class RunRecord:
     config: RunConfig
-    space: backends.ParameterSpace
     generations: list = field(default_factory=list)
 
     @property
+    def space(self) -> backends.ParameterSpace:
+        return self.config.space
+
+    @property  # with no generation, as a record cut after its header: inf and [], as none found
     def best_cost(self) -> float:
-        return self.generations[-1].best_cost
+        return self.generations[-1].best_cost if self.generations else math.inf
 
     @property
     def best_params(self) -> list:
-        return self.generations[-1].best_params
+        return self.generations[-1].best_params if self.generations else []
 
     @property
     def evaluation_count(self) -> int:
@@ -227,7 +235,7 @@ class RunRecord:
     @property
     def stop(self) -> str | None:
         """The criterion that ended the run at its last generation; None if none holds there."""
-        return _stop_reason(self.generations, _stop_window(self.config, self.space))
+        return _stop_reason(self.generations, self.config.window)
 
 
 @dataclass(frozen=True)
@@ -245,23 +253,24 @@ def _benchmark_space() -> backends.ParameterSpace:
     ))
 
 
-def _readout_evaluator(config, space):
+def _readout_evaluator(config):
+    space = config.space
     f_opt = backends.optimum_init_fidelity(config.landscape, space)  # once per run, not per generation
     return lambda X, seeds: backends.readout_backend_evaluate(
         config.landscape, space, X, config.shots, shot_seeds=seeds, f_opt=f_opt)
 
 
-def _shuttle_evaluator(config, space):
+def _shuttle_evaluator(config):
     return lambda X, seeds: backends.shuttle_backend_evaluate(
         config.landscape, X, n_shots=config.shots, shot_seeds=seeds)
 
 
-def _single_qubit_evaluator(config, space):
+def _single_qubit_evaluator(config):
     cfg = rb.RbConfig(shots_per_sequence=config.shots, seed=config.seed)
-    return lambda X, seeds: rb.rb_backend_evaluate(cfg, space.denormalize(X), shot_seeds=seeds)
+    return lambda X, seeds: rb.rb_backend_evaluate(cfg, config.space.denormalize(X), shot_seeds=seeds)
 
 
-def _benchmark_evaluator(config, space):
+def _benchmark_evaluator(config):
     return lambda X, seeds: [backends.CostEvaluation(
         cost=float(np.sum((x - _BENCHMARK_OPTIMUM) ** 2))) for x in X]
 
@@ -271,8 +280,8 @@ class _Task:
     """What makes a task: its parameters, its planted device and its cost.
 
     ``landscape`` builds the default landscape for a seed (None where the
-    task has none). ``evaluator(config, space)`` returns evaluate(X, shot_seeds)
-    on ``config.landscape``: it takes an (n, d) block of unit-cube candidates
+    task has none). ``evaluator(config)`` returns evaluate(X, shot_seeds) on
+    ``config.landscape``: it takes an (n, d) block of unit-cube candidates
     with one shot seed each, returns n CostEvaluations, and looks its
     backend up on the backend's module at every call.
     ``deterministic(landscape)``: whether its costs are free of shot noise.
@@ -301,15 +310,9 @@ def space_for_task(task: str) -> backends.ParameterSpace:
     return _TASKS[task].space()
 
 
-def _make_evaluator(config: RunConfig, space: backends.ParameterSpace):
+def _make_evaluator(config: RunConfig):
     """Return evaluate(X, shot_seeds) for the configured task."""
-    return _TASKS[config.task].evaluator(config, space)
-
-
-def _stop_window(config: RunConfig, space: backends.ParameterSpace) -> int | None:
-    """How many generations the stop rule reads; None where the run's costs are noisy."""
-    noisy = not _TASKS[config.task].deterministic(config.landscape)
-    return None if noisy else 10 + math.ceil(30 * space.dimension / config.population)
+    return _TASKS[config.task].evaluator(config)
 
 
 def _stop_reason(gens: list, window: int | None) -> str | None:
@@ -350,9 +353,7 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
     """
     if resume and config.output_dir is None:
         raise ConfigError("resume needs an output directory holding the record")
-    space = space_for_task(config.task)
-    evaluate = _make_evaluator(config, space)
-    window = _stop_window(config, space)
+    space, window, evaluate = config.space, config.window, _make_evaluator(config)
     params = cmaes.StrategyParams(space.dimension, config.population, config.seed)
 
     done: list[GenerationRecord] = []
@@ -366,7 +367,7 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
                 fcntl.flock(record_file, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:
                 raise ConfigError(f"another run is writing {out_dir}") from None
-            stored = [_dump_line(_header_payload(config, space))[:-1]]
+            stored = [_dump_line(_header_payload(config))[:-1]]
             if resume:
                 try:
                     prior = load_record(out_dir)
@@ -418,7 +419,7 @@ def run(config: RunConfig, resume: bool = False) -> RunRecord:
                     {"generation": gen, "seconds": ticks[-1] - ticks[0], **phases}))
                 timing_file.flush()
 
-    record = RunRecord(config=config, space=space, generations=done)
+    record = RunRecord(config=config, generations=done)
     log.info("run finished: best cost %.6g at %s", record.best_cost,
              dict(zip(space.names, record.best_params)))
     return record
@@ -468,7 +469,7 @@ def _generation(number: int, x: np.ndarray, costs: np.ndarray, meta: list,
                             float(least))
 
 
-def _header_payload(config: RunConfig, space: backends.ParameterSpace) -> dict:
+def _header_payload(config: RunConfig) -> dict:
     payload = json_plain(config)
     # The storage location does not define the run; keeping it out of the
     # header makes records from identical configs byte-comparable.
@@ -476,7 +477,7 @@ def _header_payload(config: RunConfig, space: backends.ParameterSpace) -> dict:
     return {
         "type": "header",
         "config": payload,
-        "space": json_plain(space.entries),
+        "space": json_plain(config.space.entries),
         "version": RECORD_VERSION,
     }
 
@@ -543,13 +544,13 @@ def load_record(record_dir: Path | str) -> RunRecord:
                           f"{header.get('version')!r}; only version {RECORD_VERSION} can be read")
     try:  # the header must be, as JSON values, the header its config writes
         config = json_object(RunConfig, header["config"], "config")
-        written = _header_payload(config, space := space_for_task(config.task))
+        written = _header_payload(config)
         items = [{(key, _dump_line(value)) for key, value in h.items()} for h in (header, written)]
         if differ := sorted({key for key, _ in items[0] ^ items[1]}):
             raise ConfigError(f"its {differ} differ from the header its config writes")
     except (ConfigError, KeyError) as err:
         raise ConfigError(f"{path} header is malformed: {err!r}") from None
-    window = _stop_window(config, space)
+    space, window = config.space, config.window
     gens: list[GenerationRecord] = []
     for k, payload in enumerate(stored):
         if payload.get("type") != "generation" or not _is_int(payload.get("generation"), k):
@@ -576,13 +577,13 @@ def load_record(record_dir: Path | str) -> RunRecord:
             state.eigensystem  # a covariance with no positive eigenvalue is a ValueError
             if state.mean.shape != (space.dimension,):
                 raise ValueError(f"state mean is not of dimension {space.dimension}")
-            if not _is_int(payload["state"]["generation"], k + 1):  # missing: a KeyError
+            if state.generation != k + 1:  # a missing generation is 0
                 raise ValueError(f"state generation is not {k + 1}")
             costs = np.array([math.inf if cost is None else cost for cost in costs])
             gens.append(_generation(k, x, costs, meta, state, gens[-1] if gens else None))
         except (ConfigError, IndexError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"{path} generation {k} is malformed: {err!r}") from None
-    return RunRecord(config=config, space=space, generations=gens)
+    return RunRecord(config=config, generations=gens)
 
 
 def _check_resumable(prior: RunRecord, config: RunConfig) -> None:
@@ -673,10 +674,8 @@ def covariance_series(record: RunRecord) -> analysis.CovarianceSeries:
 
 def evaluate_params(config: RunConfig, physical_values, shot_seed: int = 0) -> backends.CostEvaluation:
     """Evaluate one physical-unit parameter vector under a run's backend."""
-    space = space_for_task(config.task)
-    evaluate = _make_evaluator(config, space)
-    x = space.normalize(np.asarray(physical_values, dtype=float))
-    return evaluate(np.clip(x, 0.0, 1.0)[None], [shot_seed])[0]
+    x = config.space.normalize(np.asarray(physical_values, dtype=float))
+    return _make_evaluator(config)(np.clip(x, 0.0, 1.0)[None], [shot_seed])[0]
 
 
 def evaluated_samples(record: RunRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -702,9 +701,9 @@ def _covariance_json(record: RunRecord) -> str:
 
 
 def _best_params_json(record: RunRecord) -> str:
+    cost = record.best_cost if record.best_cost < math.inf else None  # json writes no Infinity
     return json.dumps({"task": record.config.task, "names": list(record.space.names),
-                       "values": record.best_params, "cost": record.best_cost},
-                      sort_keys=True, indent=2) + "\n"
+                       "values": record.best_params, "cost": cost}, sort_keys=True, indent=2) + "\n"
 
 
 # Analysis-ready views of a run: name -> (file name in the run's output directory, renderer).

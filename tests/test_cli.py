@@ -115,7 +115,7 @@ def test_a_generation_where_every_candidate_fails_exits_4(tmp_path, run_config, 
     assert main(["run", "--config", first, "--out", str(out)]) == 0
     capsys.readouterr()
 
-    def always_raising(config, space):
+    def always_raising(config):
         def evaluate(X, shot_seeds):
             raise RuntimeError(f"backend down at seed {shot_seeds[0]}")
         return evaluate

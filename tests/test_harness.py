@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ def test_runs_that_differ_only_in_seed_draw_disjoint_shot_seeds(seeds):
             return [backends.CostEvaluation(cost=float(np.sum(x))) for x in X]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harness, "_make_evaluator", lambda config, space: evaluate)
+            mp.setattr(harness, "_make_evaluator", lambda config: evaluate)
             harness.run(benchmark_config(generations=3, population=4, seed=seed))
         assert len(set(calls)) == 12
         seen.append(set(calls))
@@ -90,7 +90,7 @@ def test_best_so_far_is_the_first_row_of_least_cost_if_strictly_lower(tmp_path, 
     table = [[0.5, 0.0, 0.0, 0.5], [-0.0, 0.0, 1.0, -0.0], [math.nan, -1.0, -1.0, 2.0]]
     costs = {shot_seed(5, g, row): cost for g, line in enumerate(table)
              for row, cost in enumerate(line)}
-    monkeypatch.setattr(harness, "_make_evaluator", lambda config, space: lambda X, seeds: [
+    monkeypatch.setattr(harness, "_make_evaluator", lambda config: lambda X, seeds: [
         backends.CostEvaluation(costs[seed]) for seed in seeds])
     record = harness.run(benchmark_config(generations=3, output_dir=tmp_path))
     for rec in (record, harness.load_record(tmp_path)):
@@ -115,8 +115,8 @@ def _fail_at_seed(monkeypatch, bad_seed):
     """
     real = harness._make_evaluator
 
-    def faulty_factory(config, space):
-        inner = real(config, space)
+    def faulty_factory(config):
+        inner = real(config)
 
         def evaluate(X, shot_seeds):
             if bad_seed in shot_seeds:
@@ -148,8 +148,8 @@ def test_one_evaluator_call_per_generation(monkeypatch):
     real = harness._make_evaluator
     blocks = []
 
-    def counting_factory(config, space):
-        inner = real(config, space)
+    def counting_factory(config):
+        inner = real(config)
 
         def evaluate(X, shot_seeds):
             blocks.append((X.shape, len(shot_seeds)))
@@ -168,8 +168,8 @@ def test_a_block_short_of_one_result_is_retried_row_by_row(monkeypatch):
     real = harness._make_evaluator
     blocks = []
 
-    def short_factory(config, space):
-        inner = real(config, space)
+    def short_factory(config):
+        inner = real(config)
 
         def evaluate(X, shot_seeds):
             blocks.append(len(X))
@@ -277,7 +277,7 @@ def test_backend_metadata_and_failures_are_json_plain(monkeypatch, task, fixture
                     backend_fixture=fixture)
     space = harness.space_for_task(task)
     X = np.random.default_rng(0).uniform(0.0, 1.0, (4, space.dimension))
-    assert_plain([ev.metadata for ev in harness._make_evaluator(cfg, space)(X, [5, 6, 7, 8])])
+    assert_plain([ev.metadata for ev in harness._make_evaluator(cfg)(X, [5, 6, 7, 8])])
     _fail_at_seed(monkeypatch, shot_seed(cfg.seed, 1, 2))
     record = harness.run(cfg)
     metas = [c["meta"] for gen in record.generations for c in gen.candidates]
@@ -290,8 +290,8 @@ def test_a_non_finite_cost_is_a_failed_candidate(tmp_path, monkeypatch):
     real = harness._make_evaluator
     bad = {shot_seed(0, 0, 1): float("nan"), shot_seed(0, 1, 2): -math.inf}
 
-    def factory(config, space):
-        inner = real(config, space)
+    def factory(config):
+        inner = real(config)
         return lambda X, seeds: [backends.CostEvaluation(bad.get(seed, ev.cost), ev.metadata)
                                  for seed, ev in zip(seeds, inner(X, seeds))]
 
@@ -350,6 +350,31 @@ def test_load_record_round_trips_a_run(tmp_path):
     assert loaded.space == record.space
     assert loaded.config.task == cfg.task
     assert loaded.config.seed == cfg.seed
+
+
+def test_a_record_is_its_config_and_its_generations(tmp_path):
+    assert [f.name for f in fields(harness.RunRecord)] == ["config", "generations"]
+    assert [f.name for f in fields(RunConfig)] == ["task", "generations", "population", "seed",
+                                                   "shots", "backend_fixture", "output_dir"]
+    record = harness.run(benchmark_config(output_dir=tmp_path))
+    for rec in (record, harness.load_record(tmp_path)):
+        assert rec.space is rec.config.space
+
+
+def test_a_record_cut_after_its_header_has_no_best(tmp_path):
+    # a crash right after the header write leaves it; its exports are still strict JSON
+    harness.run(RunConfig(task="shuttle", generations=2, population=4, seed=1, output_dir=tmp_path))
+    path = tmp_path / harness.RECORD_NAME
+    path.write_bytes(path.read_bytes().split(b"\n")[0] + b"\n")
+    record = harness.load_record(tmp_path)
+    assert (record.stop, record.evaluation_count) == (None, 0)
+    assert (record.best_cost, record.best_params) == (math.inf, [])
+    exported = {what: harness.export(record, what, tmp_path / name).read_bytes()
+                for what, (name, _) in harness.EXPORTS.items()}
+    assert exported.pop("trace") == b"generation,individual,cost\n"
+    parsed = {what: orjson.loads(data) for what, data in exported.items()}
+    assert parsed["best_params"]["cost"] is None and parsed["best_params"]["values"] == []
+    assert parsed["covariance"]["matrices"] == [np.eye(record.space.dimension).tolist()]
 
 
 def test_generations_compare_by_value(tmp_path):
@@ -890,7 +915,7 @@ def reference_stop(record, window):
 ])
 def test_a_deterministic_run_stops_where_a_scalar_reference_first_holds(tmp_path, cfg, window):
     record = harness.run(replace(cfg, output_dir=tmp_path))
-    assert harness._stop_window(cfg, record.space) == window
+    assert cfg.window == window
     assert len(record.generations) < cfg.generations
     assert reference_stop(record, window) == (len(record.generations) - 1, record.stop)
     assert harness.load_record(tmp_path).stop == record.stop
@@ -901,11 +926,11 @@ def test_a_run_whose_least_costs_stay_equal_stops_by_equal_fun_values(tmp_path, 
                                                                       row_costs):
     # TolFun cannot hold where each generation's costs span 3; where every cost is equal
     # both criteria hold, and EqualFunValues is named
-    monkeypatch.setattr(harness, "_make_evaluator", lambda config, space: lambda X, seeds: [
+    monkeypatch.setattr(harness, "_make_evaluator", lambda config: lambda X, seeds: [
         backends.CostEvaluation(cost) for cost in row_costs])
     cfg = benchmark_config(generations=100, population=4, output_dir=tmp_path / "full")
     record = harness.run(cfg)
-    assert harness._stop_window(cfg, record.space) == 48
+    assert (cfg.window, replace(cfg, population=12).window) == (48, 23)  # replace rebuilds it
     assert (len(record.generations), record.stop) == (48, "EqualFunValues")
     assert reference_stop(record, 48) == (47, "EqualFunValues")
     assert harness.load_record(tmp_path / "full").stop == "EqualFunValues"
@@ -927,7 +952,7 @@ def test_noisy_runs_keep_every_generation_where_their_costs_tie(seed):
     readout = harness.run(RunConfig(task="readout", generations=40, population=20, seed=seed))
     for record in (gate, readout):
         assert len(record.generations) == 40 and record.stop is None
-        assert harness._stop_window(record.config, record.space) is None
+        assert record.config.window is None
     assert harness.run(benchmark_config()).stop is None  # deterministic, ended by its cap
 
 
@@ -1239,24 +1264,33 @@ def test_a_config_holds_a_copy_of_the_callers_fixture(tmp_path):
 
 @pytest.mark.parametrize("fixture", [None, harness.json_plain(backends.make_shuttle_landscape(4))])
 def test_a_config_builds_its_landscape_once(tmp_path, monkeypatch, fixture):
-    built = []
+    # and its task's space: one build of each per config, however often the run reads them
+    built, spaces = [], []
     real = backends.HiddenLandscape.__post_init__
 
     def counting(self):
         built.append(self.seed)
         real(self)
 
+    def counting_space():
+        spaces.append(backends.shuttle_space())
+        return spaces[-1]
+
     monkeypatch.setattr(backends.HiddenLandscape, "__post_init__", counting)
+    monkeypatch.setitem(harness._TASKS, "shuttle",
+                        replace(harness._TASKS["shuttle"], space=counting_space))
     cfg = RunConfig(task="shuttle", generations=3, population=4, seed=1, backend_fixture=fixture,
                     output_dir=tmp_path)
     record = harness.run(cfg)
     assert record.stop is None and record.stop is None
-    assert len(built) == 1
+    harness.evaluate_params(cfg, record.best_params)
+    harness.evaluate_params(cfg, record.best_params)
+    assert len(built) == len(spaces) == 1
     loaded = harness.load_record(tmp_path)  # a config of its own, read from the header
     assert loaded.stop is None and loaded.stop is None
-    assert len(built) == 2
+    assert len(built) == len(spaces) == 2
     harness.run(cfg, resume=True)  # loads the record: one more config
-    assert len(built) == 3 and len(set(built)) == 1
+    assert len(built) == len(spaces) == 3 and len(set(built)) == 1
 
 
 @pytest.mark.parametrize("task", ["single_qubit", "benchmark"])
