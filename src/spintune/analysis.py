@@ -2,9 +2,10 @@
 
 Curve fits for decay and Rabi data, fidelity conversions, first-order
 HDMR sensitivity indices, and covariance-matrix aggregation across runs.
-Both curve fits profile out the parameters that enter linearly on a fixed
-grid and polish the best grid point with the analytic Jacobian. No step
-draws random numbers, so results are reproducible bit for bit.
+Both curve fits profile out the parameters that enter linearly. The decay
+fit then zooms in on q in numpy; the Rabi fit polishes with scipy's least
+squares, which only it imports, on its first call. No step draws random
+numbers, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.optimize import least_squares, minimize_scalar
 
 __all__ = [
     "FitResult",
@@ -30,10 +29,11 @@ __all__ = [
 ]
 
 # Decay-fit bounds on A and p, and the profile search over q = 1 - p: the
-# log grid that brackets it (q = 0 is p = 1) and the scalar search's tolerance.
+# log grid that brackets it (q = 0 is p = 1), the zoom's points per bracket and its tolerance.
 _A_MIN = 1e-12
 _P_MIN = 1e-9
 _Q_GRID = np.concatenate([[0.0], np.logspace(-12.0, np.log10(1.0 - _P_MIN), 256)])
+_Q_ZOOM = 65
 _Q_XATOL = 1e-15
 _RIDGE = 1e-8
 _SPLINE_DEGREE = 3
@@ -135,28 +135,36 @@ def _checked(xs, ys, min_points: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
+def _fit_at(names, theta, fun, jac, converged: bool) -> FitResult:
+    """A fit at theta, with standard errors from the Jacobian and the residual variance."""
+    cov = np.linalg.pinv(jac.T @ jac) * (float(fun @ fun) / max(fun.size - len(names), 1))
+    errs = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
+    return FitResult(dict(zip(names, map(float, theta))), dict(zip(names, map(float, errs))),
+                     float(np.linalg.norm(fun)), converged)
+
+
 def _polished(names, residual, jacobian, start, lower, upper) -> FitResult:
     """One bounded polish from a profile optimum, with standard errors from the Jacobian."""
+    from scipy.optimize import least_squares  # only fit_rabi polishes: scipy loads on its call
+
     start = np.clip(start, lower, upper)
     res = least_squares(residual, start, jac=jacobian, bounds=(lower, upper), method="trf")
     # TRF first nudges a start off its active bounds: keep the polish only if it ends lower
     theta = res.x if res.cost < 0.5 * np.sum(residual(start) ** 2) else start
-    fun, jac = residual(theta), jacobian(theta)
-    cov = np.linalg.pinv(jac.T @ jac) * (float(fun @ fun) / max(fun.size - len(names), 1))
-    errs = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
-    return FitResult(dict(zip(names, map(float, theta))), dict(zip(names, map(float, errs))),
-                     float(np.linalg.norm(fun)), bool(res.success))
+    return _fit_at(names, theta, residual(theta), jacobian(theta), bool(res.success))
 
 
 def fit_decay(xs: np.ndarray, ys: np.ndarray) -> FitResult:
     """Fit y = A * p**x + C with p in (0, 1].
 
-    The fit profiles out (A, C), which enter linearly: a log grid over
-    q = 1 - p, vectorized, brackets the best profile residual, a bounded
-    scalar search refines q inside that bracket, and one least-squares
-    polish with the analytic Jacobian finishes all three parameters.
-    Flat data is a documented degenerate case: the amplitude collapses
-    to ~0 with near-zero residual and the fit reports converged.
+    (A, C) enter linearly and are profiled out exactly at each q = 1 - p. A
+    log grid over q brackets the best profile residual; each zoom lays 65
+    points across the bracket, keeps the best seen and narrows to the
+    neighbours of the best new one, until the bracket is under 1e-15 wide.
+    With (A, C) exact at each q the profile optimum is the joint optimum, so
+    nothing is polished and finite data always reports converged. Standard
+    errors come from the analytic Jacobian there. Flat data is a documented
+    degenerate case: the amplitude collapses to ~0 with near-zero residual.
     """
     xs, ys = _checked(xs, ys, 4)
     if np.any(xs < 0):
@@ -164,26 +172,27 @@ def fit_decay(xs: np.ndarray, ys: np.ndarray) -> FitResult:
     if not np.all(np.isfinite(ys)):
         return FitResult({}, {}, np.inf, False)
 
-    def residual(theta):
-        a, p, c = theta
-        return a * p**xs + c - ys
-
-    def jacobian(theta):
-        a, p, _ = theta
-        return np.column_stack([p**xs, a * xs * p**(xs - 1.0), np.ones_like(xs)])
-
     a_max = max(2.0, 2.0 * float(np.max(ys) - np.min(ys)))
     _, _, grid_norms = _decay_profile(_Q_GRID, xs, ys, a_max)
     k = int(np.argmin(grid_norms))
+    q, best = _Q_GRID[k], grid_norms[k]
     bracket = (_Q_GRID[max(k - 1, 0)], _Q_GRID[min(k + 1, _Q_GRID.size - 1)])
-    search = minimize_scalar(
-        lambda q: _decay_profile(np.array([q]), xs, ys, a_max)[2][0],
-        bounds=bracket, method="bounded", options={"xatol": _Q_XATOL})
-    q = search.x if search.fun < grid_norms[k] else _Q_GRID[k]
+    while bracket[1] - bracket[0] > _Q_XATOL:
+        qs = np.linspace(*bracket, _Q_ZOOM)
+        norms = _decay_profile(qs, xs, ys, a_max)[2]
+        j = int(np.argmin(norms))
+        if norms[j] < best:
+            q, best = qs[j], norms[j]
+        narrowed = (qs[max(j - 1, 0)], qs[min(j + 1, _Q_ZOOM - 1)])
+        if narrowed == bracket:  # floats no longer split the bracket
+            break
+        bracket = narrowed
     a, c, _ = _decay_profile(np.array([q]), xs, ys, a_max)
-    # at the grid's far end 1 - q rounds just below the bound on p, which the polish clips
-    return _polished(("A", "p", "C"), residual, jacobian, [a[0], 1.0 - q, c[0]],
-                     np.array([_A_MIN, _P_MIN, -1.0]), np.array([a_max, 1.0, 1.0]))
+    # at the grid's far end 1 - q rounds just below the bound on p, so theta is clipped
+    theta = np.clip([a[0], 1.0 - q, c[0]], [_A_MIN, _P_MIN, -1.0], [a_max, 1.0, 1.0])
+    a, p, c = theta
+    jac = np.column_stack([p**xs, a * xs * p**(xs - 1.0), np.ones_like(xs)])
+    return _fit_at(("A", "p", "C"), theta, a * p**xs + c - ys, jac, True)
 
 
 def fit_rabi(ts: np.ndarray, ps: np.ndarray) -> FitResult:
@@ -265,13 +274,32 @@ def shuttle_fidelity(p: float) -> float:
 
 
 def _spline_design(x: np.ndarray) -> np.ndarray:
+    """Clamped cubic B-spline basis at x, one row per sample.
+
+    Cox-de Boor (de Boor, J. Approx. Theory 6, 50-62, 1972) in the operation order
+    of scipy's ``BSpline.design_matrix``, whose matrix it equals bit for bit.
+    """
     knots = np.concatenate([
         np.zeros(_SPLINE_DEGREE),
         np.linspace(0.0, 1.0, _SPLINE_INTERVALS + 1),
         np.ones(_SPLINE_DEGREE),
     ])
     x = np.clip(x, 0.0, 1.0 - 1e-12)
-    return BSpline.design_matrix(x, knots, _SPLINE_DEGREE).toarray()
+    n_basis = knots.size - _SPLINE_DEGREE - 1
+    ell = np.clip(np.searchsorted(knots, x, "right") - 1, _SPLINE_DEGREE, n_basis - 1)
+    h = np.zeros((x.size, _SPLINE_DEGREE + 1))
+    h[:, 0] = 1.0
+    for j in range(1, _SPLINE_DEGREE + 1):
+        hh = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for n in range(1, j + 1):
+            xb, xa = knots[ell + n], knots[ell + n - j]
+            w = hh[:, n - 1] / (xb - xa)
+            h[:, n - 1] += w * (xb - x)
+            h[:, n] = w * (x - xa)
+    design = np.zeros((x.size, n_basis))
+    np.put_along_axis(design, ell[:, None] + np.arange(-_SPLINE_DEGREE, 1), h, axis=1)
+    return design
 
 
 def hdmr_first_order(samples: np.ndarray, costs: np.ndarray,

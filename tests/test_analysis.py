@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spintune import harness
+from spintune import analysis, harness
 from spintune.analysis import (
     CovarianceSeries,
     covariance_average,
@@ -167,6 +167,39 @@ def test_fit_decay_rising_curve_falls_back_to_the_amplitude_floor():
     fit = fit_decay(xs, ys)
     assert fit.params["A"] == 1e-12
     assert fit.residual_norm == pytest.approx(np.linalg.norm(ys - ys.mean()), rel=1e-12)
+
+
+# Each is a curve whose best point on the bracketing grid is one of the grid's
+# kinds: q = 0, the first log point 1e-12, the last (p = 1e-9), and the interior.
+FAR_XS = np.linspace(0.0, 1e9, 12)
+SEARCH_EDGES = {
+    "q = 0": (HIGH_P_XS, 0.6 - 0.3 * 0.98**HIGH_P_XS, 0),
+    "q = 1e-12": (FAR_XS, 0.5 * (1 - 1e-12) ** FAR_XS + 0.4, 1),
+    "p = 1e-9": (np.array([0, 1, 2, 3, 5, 8], dtype=float),
+                 np.array([1.0, 0.5, 0.5, 0.5, 0.5, 0.5]), analysis._Q_GRID.size - 1),
+    "interior": (HIGH_P_XS, 0.5 * 0.99**HIGH_P_XS + 0.45, None),
+}
+
+
+@pytest.mark.parametrize("edge", SEARCH_EDGES)
+def test_fit_decay_search_ends_at_each_edge_of_its_grid(edge, monkeypatch):
+    xs, ys, k_expected = SEARCH_EDGES[edge]
+    a_max = max(2.0, 2.0 * float(np.ptp(ys)))
+    grid_norms = analysis._decay_profile(analysis._Q_GRID, xs, ys, a_max)[2]
+    k = int(np.argmin(grid_norms))
+    if k_expected is None:
+        assert 1 < k < analysis._Q_GRID.size - 1
+    else:
+        assert k == k_expected
+    calls = []
+    profile = analysis._decay_profile
+    monkeypatch.setattr(analysis, "_decay_profile", lambda *args: calls.append(1) or profile(*args))
+    fit = fit_decay(xs, ys)
+    assert fit.converged
+    assert 1e-9 <= fit.params["p"] <= 1.0
+    assert fit.residual_norm <= grid_norms[k]
+    # the grid, then one zoom per 32-fold narrowing of a bracket at most 1 wide, then (A, C)
+    assert len(calls) <= 2 + int(np.ceil(np.log(1.0 / analysis._Q_XATOL) / np.log(32.0)))
 
 
 # ----------------------------------------------------------------- Rabi fits
@@ -350,6 +383,19 @@ def ishigami_sample(n=10_000, seed=0):
     z = np.pi * (2.0 * x - 1.0)
     g = np.sin(z[:, 0]) + 7.0 * np.sin(z[:, 1]) ** 2 + 0.1 * z[:, 2] ** 4 * np.sin(z[:, 0])
     return x, g
+
+
+def test_spline_basis_equals_scipys_bit_for_bit():
+    from scipy.interpolate import BSpline
+
+    knots = np.concatenate([np.zeros(3), np.linspace(0.0, 1.0, 9), np.ones(3)])
+    x = np.concatenate([
+        np.random.default_rng(0).uniform(0.0, 1.0, 100_000),
+        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        [0.0, 1.0, 1.0 - 1e-12, -1e-9, -0.5, 1.0 + 1e-9, 1.5],
+    ])
+    scipy_design = BSpline.design_matrix(np.clip(x, 0.0, 1.0 - 1e-12), knots, 3).toarray()
+    assert np.array_equal(analysis._spline_design(x), scipy_design)
 
 
 def test_hdmr_matches_analytic_ishigami_indices():
