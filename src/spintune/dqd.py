@@ -15,23 +15,21 @@ to eps_final over ramp_time.
 Time evolution is piecewise-constant: each step applies the exact matrix
 exponential of the Hamiltonian at its midpoint. One kernel, ``_ramp_states``,
 integrates every ramp (``evolve``, ``initialization_fidelity`` and each cell
-and noise sample of ``sweep_fidelity_grid``) and builds each step unitary as
-U = sum_k exp(-2*pi*i*lam_k*dt) v_k v_k^T / |v_k|^2 in closed form. The outer
-eigenvalues solve the characteristic cubic trigonometrically; the middle one
-is lam_mid = eps*dE_z^2 / (lam_low*lam_top) from det H = eps*dE_z^2, which
-keeps its relative precision near 0 where -eps - lam_low - lam_top does not.
-Each eigenvector is v ~ (t_c*lam, lam*(eps+lam), dE_z*(eps+lam)) or the equal
-(lam^2 - dE_z^2, t_c*lam, t_c*dE_z), whichever has the larger norm. A step
-falls back to eigh where its spectrum is nearly degenerate, where the two
-forms of lam_mid disagree, or where both eigenvectors vanish (dE_z = 0 or a
-level crossing). Arrays are component-major, trajectories on the last axis.
-Trajectories are ordered by path, the exact bits of (eps0, eps1, t_c, dE_z),
-which the ramp time does not enter, and cut into chunks of C. A chunk carries
-its states (3, C) through the steps in time order, one einsum a step, and
-builds the step unitaries (n, 3, 3, C) in slabs that fit one byte budget,
-diagonalizing the Hamiltonians of each distinct path once per slab.
-The kernel runs with floating-point warnings off; a ramp whose phase
-overflows ends in a non-finite fidelity, which is refused.
+and noise sample of ``sweep_fidelity_grid``) through the eigenbases of its
+steps. With W_n the unit eigenvectors of step n and D_n its phases
+exp(-2*pi*i*lam_k*dt), a ramp is W_{N-1} D_{N-1} (W_{N-1}^T W_{N-2}) ...
+D_1 (W_1^T W_0) D_0 W_0^T. The outer eigenvalues solve the characteristic
+cubic trigonometrically; the middle one is lam_mid = eps*dE_z^2 /
+(lam_low*lam_top) from det H, which keeps its relative precision near 0.
+Each eigenvector is the longer of two cross products of rows of H - lam. A
+step falls back to eigh where its spectrum is nearly degenerate, where the
+two forms of lam_mid disagree, or where both eigenvectors vanish (dE_z = 0 or
+a level crossing). Trajectories are ordered by path, the exact bits of (eps0,
+eps1, t_c, dE_z), which the ramp time does not enter, and cut into chunks.
+A chunk builds the real basis changes W_n^T W_{n-1} once per path and scales
+their rows by each trajectory's phases, cos and sin from one tan of the half
+angle, to apply one step matrix a step. A ramp whose phase rate 2*pi*eps or
+phase 2*pi*E*t_f overflows (E <= |eps| + t_c + dE_z) ends in NaN, refused.
 """
 
 from __future__ import annotations
@@ -191,65 +189,57 @@ def _h_batch(eps: np.ndarray, t_c: np.ndarray, de_z: np.ndarray) -> np.ndarray:
     return h
 
 
-def _eigensystem(
-    eps: np.ndarray, t_c: np.ndarray, de_z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _eigensystem(eps: np.ndarray, t_c: np.ndarray,
+                 de_z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form eigen-decomposition of H at detunings (N, C), couplings (C,).
 
-    Returns the ascending eigenvalues ``lam`` (3, N, C), unnormalized
-    eigenvectors ``v`` (3, 3, N, C) with ``v[k]`` belonging to ``lam[k]``,
-    their squared norms (3, N, C) and a mask (N, C) of the points where the
-    closed form is accurate; elsewhere callers use eigh.
+    Returns the ascending eigenvalues ``lam`` (3, N, C), unit eigenvectors
+    ``w`` (3, 3, N, C) with ``w[k]`` belonging to ``lam[k]``, and a mask (N, C)
+    of the points where the closed form is accurate; elsewhere callers use eigh.
     """
-    t2, d2 = t_c * t_c, de_z * de_z
-    q = eps / -3.0
+    t2, d2, q = t_c * t_c, de_z * de_z, eps / -3.0
     p = np.sqrt(q * q + (t2 + d2) / 3.0)
     det_b = eps * ((2.0 * d2 - t2) / 3.0 - (2.0 / 27.0) * eps * eps)
     lam = np.empty((3,) + eps.shape)
-    v, v_alt = np.empty((3, 3) + eps.shape), np.empty((3, 3) + eps.shape)
     low, top = lam[::2]
-    phi = np.arccos(np.clip(det_b / (2.0 * p**3), -1.0, 1.0)) / 3.0
-    np.add(q, 2.0 * p * np.cos(phi + _BRANCHES), out=lam[::2])
+    phi = np.arccos(np.clip(det_b / (2.0 * (p * p * p)), -1.0, 1.0)) / 3.0
+    # cos x = (1 - h^2) / (1 + h^2) with h = tan(x / 2), as for the step phases
+    h2 = np.tan(phi / 2.0 + _BRANCHES / 2.0) ** 2
+    np.add(q, 2.0 * p * ((1.0 - h2) / (1.0 + h2)), out=lam[::2])
     # det H = eps dE_z^2 gives mid to full relative precision near 0,
     # where the trace form loses digits; the two are compared below
     trace_mid = -eps - low - top
     np.divide(eps * d2, low * top, out=lam[1])
-    # Two closed forms, the cross products of rows (0, 2) and (1, 2) of
-    # H - lam: each loses digits where the other does not, so take the
-    # one with the larger norm.
-    shifted = eps + lam
-    np.multiply(t_c, lam, out=v[:, 0])
-    np.multiply(lam, shifted, out=v[:, 1])
-    np.multiply(de_z, shifted, out=v[:, 2])
-    np.subtract(lam * lam, d2, out=v_alt[:, 0])
-    v_alt[:, 1], v_alt[:, 2] = v[:, 0], t_c * de_z
-    # summed in component order, as einsum sums except over a single point
-    norm2, norm2_alt = (w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1] + w[:, 2] * w[:, 2]
-                        for w in (v, v_alt))
+    # Two closed forms, the cross products (t_c lam, lam s, dE_z s), s = eps + lam, and
+    # (lam^2 - dE_z^2, t_c lam, t_c dE_z) of rows (0, 2) and (1, 2) of H - lam: each
+    # loses digits where the other does not, so take the one with the larger norm.
+    w = np.empty((3, 3) + eps.shape)
+    np.multiply(t_c, lam, out=w[:, 0])
+    np.multiply(lam, np.add(eps, lam, out=w[:, 2]), out=w[:, 1])
+    w[:, 2] *= de_z
+    alt, a2 = (lam * lam - d2, t_c * de_z), w[:, 0] * w[:, 0]
+    norm2 = a2 + w[:, 1] * w[:, 1] + w[:, 2] * w[:, 2]
+    norm2_alt = alt[0] * alt[0] + a2 + alt[1] * alt[1]
     use_alt = norm2_alt > norm2
-    np.copyto(v, v_alt, where=use_alt[:, None])
-    np.copyto(norm2, norm2_alt, where=use_alt)
+    norm2 = np.maximum(norm2, norm2_alt)
+    for i, x in ((2, alt[1]), (1, w[:, 0]), (0, alt[0])):
+        np.copyto(w[:, i], x, where=use_alt)
+    w /= np.sqrt(norm2)[:, None]
     scale = np.maximum(-low, top)
     gap = np.minimum(trace_mid - low, top - trace_mid)
     ok = ((gap >= _GAP_TOL * scale) & (np.abs(lam[1] - trace_mid) <= _MID_TOL * gap)
-          & np.all(norm2 > np.finfo(float).tiny, axis=0))
-    return lam, v, norm2, ok
+          & (norm2.min(axis=0) > np.finfo(float).tiny) & (norm2.max(axis=0) < np.inf))
+    return lam, w, ok
 
 
 @np.errstate(all="ignore")  # a non-finite step is left to the caller's check
-def _ramp_states(
-    eps0: np.ndarray,
-    eps1: np.ndarray,
-    t_f: np.ndarray,
-    t_c: np.ndarray,
-    de_z: np.ndarray,
-    psi0: np.ndarray,
-    n_steps: int,
-) -> np.ndarray:
+def _ramp_states(eps0: np.ndarray, eps1: np.ndarray, t_f: np.ndarray, t_c: np.ndarray,
+                 de_z: np.ndarray, psi0: np.ndarray, n_steps: int) -> np.ndarray:
     """Final states of linear ramps, one per trajectory.
 
     The ramp parameters are flat float arrays of one length T and psi0 has
-    shape (T, 3); returns the (T, 3) amplitudes after n_steps midpoint steps.
+    shape (T, 3); returns the (T, 3) amplitudes after n_steps midpoint steps,
+    NaN where the phase rate or the phase overflows.
     """
     frac = ((np.arange(n_steps) + 0.5) / n_steps)[:, None]
     key = np.stack([eps0, eps1, t_c, de_z]).view(np.uint64)
@@ -262,28 +252,45 @@ def _ramp_states(
         first = np.r_[0, 1 + np.flatnonzero(np.diff(key[:, s]).any(axis=0))]
         runs = np.diff(first, append=len(s))
         p = s[first]
-        dt = t_f[s] / n_steps
-        psi = psi0[s].T
-        slab = max(1, _SLAB_BYTES // (len(s) * 9 * 16))
-        for n in range(0, n_steps, slab):
-            eps = eps0[p] + (eps1[p] - eps0[p]) * frac[n:n + slab]
-            lam, v, norm2, ok = _eigensystem(eps, t_c[p], de_z[p])
-            if len(p) < len(s):
-                eps, lam, v, norm2, ok = (np.repeat(a, runs, -1) for a in (eps, lam, v, norm2, ok))
-            # U = sum_k exp(-2i pi lam_k dt) v_k v_k^T / |v_k|^2, in real arithmetic
-            theta = (-2.0 * np.pi * dt) * lam
-            u = np.empty((len(eps), 3, 3, len(s)), dtype=complex)
-            u.real = np.einsum("knc,kinc,kjnc->nijc", np.cos(theta) / norm2, v, v)
-            u.imag = np.einsum("knc,kinc,kjnc->nijc", np.sin(theta) / norm2, v, v)
+        per_column = (lambda a: a) if len(p) == len(s) else (lambda a: np.repeat(a, runs, -1))
+        half = (-np.pi / n_steps) * t_f[s]  # half the phase of a unit level over a step
+        psi = psi0[s].T  # amplitudes in the last step's eigenbasis, at first the standard one
+        w_last = np.broadcast_to(np.eye(3)[:, :, None, None], (3, 3, 1, len(p)))
+        # Slabs of steps whose step matrices fit the budget; an eigensystem, about twice
+        # their bytes a point, covers whole slabs at up to a quarter of their points.
+        slab = max(1, min(n_steps, _SLAB_BYTES // (len(s) * 9 * 16)))
+        u, path_slab = np.empty((slab, 3, 3, len(s)), complex), slab * max(1, len(s) // (4 * len(p)))
+        for m in range(0, n_steps, path_slab):
+            eps = eps0[p] + (eps1[p] - eps0[p]) * frac[m:m + path_slab]
+            lam, w, ok = _eigensystem(eps, t_c[p], de_z[p])
             if not ok.all():
                 bad = ~ok & np.isfinite(eps)  # eigh refuses NaN; such a step stays NaN
                 cols = np.nonzero(bad)[1]
-                vals, vecs = np.linalg.eigh(_h_batch(eps[bad], t_c[s][cols], de_z[s][cols]))
-                ph = np.exp(-2j * np.pi * vals * dt[cols, None])
-                np.moveaxis(u, 3, 1)[bad] = (vecs * ph[:, None, :]) @ np.swapaxes(vecs, -1, -2)
-            for step in u:  # in time order
-                psi = np.einsum("ijc,jc->ic", step, psi)
-        out[s] = psi.T
+                vals, vecs = np.linalg.eigh(_h_batch(eps[bad], t_c[p][cols], de_z[p][cols]))
+                lam[:, bad], w[:, :, bad] = vals.T, vecs.transpose(2, 1, 0)
+            # basis changes b[n, k, j] = w_n[k] . w_{n-1}[j], summed in component order by
+            # ufuncs, so that the first step of a path slab rounds as the others do
+            w_prev, w_last = np.concatenate([w_last, w[:, :, :-1]], axis=2), w[:, :, -1:].copy()
+            b = w[:, None, 0] * w_prev[None, :, 0]
+            for c in (1, 2):
+                b += w[:, None, c] * w_prev[None, :, c]
+            del w, w_prev  # before the slabs below make their arrays
+            b, lam = b.transpose(2, 0, 1, 3), lam.transpose(1, 0, 2)[:, :, None]
+            for n in range(0, len(eps), slab):
+                # row k of a basis change times exp(-2i pi lam_k dt): with h = tan(-pi lam_k dt),
+                # cos = (1 - h^2) / (1 + h^2) and sin = 2h / (1 + h^2), made in place
+                h = np.tan(per_column(lam[n:n + slab]) * half)
+                h2, un, den = h * h, u[:len(h)], 1.0 + h * h
+                bn = per_column(b[n:n + slab])
+                np.multiply(np.divide(np.add(h, h, out=h), den, out=h), bn, out=un.imag)
+                np.multiply(np.divide(np.subtract(1.0, h2, out=h2), den, out=h2), bn, out=un.real)
+                del h, h2, den, bn  # before the next slab makes its own
+                for step in un:  # in time order
+                    psi = np.einsum("ijc,jc->ic", step, psi)
+        w_last = per_column(w_last[:, :, 0])
+        out[s] = (w_last[0] * psi[0] + w_last[1] * psi[1] + w_last[2] * psi[2]).T
+    e = np.maximum(np.abs(eps0), np.abs(eps1))
+    out[~np.isfinite(2.0 * np.pi * e) | ~np.isfinite(2.0 * np.pi * (e + t_c + de_z) * t_f)] = np.nan
     return out
 
 
@@ -363,15 +370,8 @@ def initialization_fidelity(
 
 
 @np.errstate(all="ignore")  # an overflow leaves a non-finite fidelity, refused below
-def _cell_fidelities(
-    eps0: np.ndarray,
-    eps1: np.ndarray,
-    t_f: np.ndarray,
-    t_c: np.ndarray,
-    de_z: np.ndarray,
-    noise: NoiseModel | None,
-    n_steps: int,
-) -> np.ndarray:
+def _cell_fidelities(eps0: np.ndarray, eps1: np.ndarray, t_f: np.ndarray, t_c: np.ndarray,
+                     de_z: np.ndarray, noise: NoiseModel | None, n_steps: int) -> np.ndarray:
     """Mean transfer fidelity of each cell, given flat per-cell parameters."""
     _require_int("n_steps", n_steps, 1)
     psi0 = _ground_states(eps0, t_c, de_z)

@@ -78,7 +78,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 RECORD_NAME = "record.jsonl"
-RECORD_VERSION = 7
+RECORD_VERSION = 8
 TIMINGS_NAME = "timings.jsonl"
 AGGREGATE_NAME = "aggregate.json"
 
@@ -504,7 +504,9 @@ def load_record(record_dir: Path | str) -> RunRecord:
     Only the final line may be torn, as a crash mid-write leaves it; it is
     dropped. orjson parses each line when its turn comes; it refuses NaN,
     Infinity and a number beyond the float range, and reads an integer
-    beyond 64 bits as a float. A null cost, as a failed row is written,
+    beyond 64 bits as a float, so a line with a cost of magnitude 2^63 or
+    more is parsed again by ``json`` to see how that cost was spelled. A
+    null cost, as a failed row is written,
     reads back as +inf; each best-so-far is recomputed. Any other line that
     is not strict JSON, a first line that is not the header, a version or
     generation number other than the JSON integer RECORD_VERSION, k or
@@ -567,6 +569,10 @@ def load_record(record_dir: Path | str) -> RunRecord:
             if not (isinstance(costs, list) and isinstance(meta, list)
                     and len(costs) == len(meta) == n):
                 raise ValueError(f"costs and meta are not lists of {n}")
+            # orjson reads an integer beyond 64 bits as a float, a whole one like all
+            # floats of that size; json keeps the integer an int, which is refused below
+            if any(isinstance(cost, float) and abs(cost) >= 2.0**63 for cost in costs):
+                costs = json.loads(lines[k + 1])["costs"]
             for cost in costs:
                 if not (cost is None or isinstance(cost, float) and math.isfinite(cost)):
                     raise ValueError(f"cost {cost!r} is not a finite float (a JSON number "

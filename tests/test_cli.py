@@ -741,8 +741,9 @@ def test_a_record_of_another_version_exits_2_and_is_left_as_it_is(tmp_path, caps
     path = out / harness.RECORD_NAME
     header, *rest = path.read_text().splitlines(keepends=True)
     # the package version older records carried, version 2, whose noise was drawn differently,
-    # version 4, whose floats Python's repr spelled, and version 6, one object per candidate
-    for version in ("0.1.0", 2, 4, 6):
+    # version 4, whose floats Python's repr spelled, version 6, one object per candidate, and
+    # version 7, whose ramp kernel rounded otherwise
+    for version in ("0.1.0", 2, 4, 6, 7):
         path.write_text(json.dumps({**json.loads(header), "version": version}) + "\n"
                         + "".join(rest))
         old = path.read_bytes()

@@ -1,5 +1,10 @@
+import itertools
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,8 +12,9 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from numpy._core._multiarray_umath import __cpu_features__
 
-from spintune import dqd
+from spintune import backends, dqd, harness
 from spintune.dqd import (
     DEFAULT_STEPS,
     DqdConfig,
@@ -250,7 +256,7 @@ def test_ramp_states_match_expm_stepping(ramp):
 def test_middle_eigenvalue_det_identity_near_zero():
     eps = np.array([[1e-9], [-3e-7], [2e-4], [0.0]])
     t_c, de_z = np.array([10.0]), np.array([0.3])
-    lam, _, _, _ = _eigensystem(eps, t_c, de_z)
+    lam, _, _ = _eigensystem(eps, t_c, de_z)
     lam = lam[:, :, 0].T
     h = np.stack([hamiltonian(DqdConfig(tunnel_coupling=10.0, zeeman_diff=0.3), e) for e in eps[:, 0]])
     np.testing.assert_allclose(lam, np.linalg.eigvalsh(h), rtol=0, atol=1e-13)
@@ -262,12 +268,69 @@ def test_middle_eigenvalue_det_identity_near_zero():
     assert lam[3, 1] == 0.0
 
 
+def test_a_coupling_whose_closed_form_eigenvectors_overflow_takes_eigh():
+    # at t_c = 1e100 the eigenvalues are finite but the squared norms of the
+    # closed-form eigenvectors overflow; eigh gives the strongly coupled ramp,
+    # which follows its eigenstate
+    cfg = DqdConfig(ramp_time=0.3, tunnel_coupling=1e100, zeeman_diff=0.3)
+    assert initialization_fidelity(cfg, n_steps=20) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_evolve_at_default_steps_matches_expm_stepping():
     cfg = DqdConfig(ramp_time=0.7, **STRONG)
     psi0 = ground_state(cfg, cfg.eps_initial)
     want = expm_stepped(cfg.eps_initial, cfg.eps_final, cfg.ramp_time, cfg.tunnel_coupling,
                         cfg.zeeman_diff, psi0.amplitudes, DEFAULT_STEPS)
     assert np.abs(evolve(cfg, psi0).amplitudes - want).max() < 1e-10
+
+
+def readout_ramps():
+    """The initialization ramps of 76 readout rows and their start states: 60 rows
+    drawn over the unit cube, then the 16 corners of its four ramp coordinates."""
+    space = harness.space_for_task("readout")
+    block = np.random.default_rng(39).uniform(0.0, 1.0, (76, space.dimension))
+    ramp_columns = [space.index(name) for _, name, _ in backends._INIT_STAGE]
+    block[60:, ramp_columns] = list(itertools.product([0.0, 1.0], repeat=len(ramp_columns)))
+    ramp = backends._init_stage_ramps(space, block)
+    eps0, eps1, t_f, t_c, de_z = (ramp[name] for name in dqd._AXIS_FIELDS)
+    return (eps0, eps1, t_f, t_c, de_z), dqd._ground_states(eps0, t_c, de_z)
+
+
+def test_readout_ramps_match_expm_stepping():
+    # ramps of up to 8 ns to final detunings of up to 80 GHz, at the readout step count
+    ramp, psi0 = readout_ramps()
+    got = _ramp_states(*ramp, psi0, backends._INIT_STEPS)
+    for i in range(len(psi0)):
+        want = expm_stepped(*(a[i] for a in ramp), psi0[i], backends._INIT_STEPS)
+        assert np.abs(got[i] - want).max() < 1e-12
+
+
+def test_chunk_and_slab_sizes_do_not_change_readout_ramps():
+    # each path twice, at two ramp times; chunks of 7 split pairs that share a path,
+    # and slabs of 13 steps do not divide the 300 steps
+    ramp, psi0 = readout_ramps()
+    ramp = [np.r_[a, 0.5 * a if name == "ramp_time" else a]
+            for name, a in zip(dqd._AXIS_FIELDS, ramp)]
+    psi0 = np.r_[psi0, psi0]
+    want = _ramp_states(*ramp, psi0, backends._INIT_STEPS)
+    with mock.patch.multiple(dqd, _CHUNK=7, _SLAB_BYTES=13 * 7 * 9 * 16):
+        assert np.array_equal(_ramp_states(*ramp, psi0, backends._INIT_STEPS), want)
+    for i in (0, 75, 76, 151):
+        alone = _ramp_states(*(a[i:i + 1] for a in ramp), psi0[i:i + 1], backends._INIT_STEPS)
+        assert np.array_equal(alone, want[i:i + 1])
+
+
+@pytest.mark.skipif(not __cpu_features__.get("X86_V4"), reason="numpy found no X86_V4 here")
+def test_readout_ramps_hold_under_numpys_avx2_loops():
+    # Without its AVX-512 loops numpy's float64 tan and arccos round otherwise, as
+    # on a CPU without AVX-512; the two tests above run again in a child that way.
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    tests = [f"{__file__}::{test.__name__}" for test in (
+        test_readout_ramps_match_expm_stepping, test_chunk_and_slab_sizes_do_not_change_readout_ramps)]
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+                          cwd=Path(__file__).parent.parent, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "2 passed" in proc.stdout
 
 
 @pytest.mark.parametrize("noise", [None, NoiseModel(sigma_eps=1.0, n_samples=50, seed=3)])

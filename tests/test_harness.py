@@ -746,7 +746,7 @@ def test_timings_split_each_generation_into_its_phases(tmp_path):
     record = (tmp_path / "a" / harness.RECORD_NAME).read_bytes()
     assert record == (tmp_path / "b" / harness.RECORD_NAME).read_bytes()
     header, *lines = [json.loads(line) for line in record.splitlines()]
-    assert header["version"] == harness.RECORD_VERSION == 7
+    assert header["version"] == harness.RECORD_VERSION == 8
     assert {key for line in lines for key in line} == {
         "type", "generation", "x", "costs", "meta", "state"}
     assert all(len(line[key]) == cfg.population for line in lines for key in ("x", "costs", "meta"))
@@ -827,16 +827,22 @@ def test_every_finite_float_round_trips_through_a_record_bit_for_bit(codec_recor
     assert all(repr(row["costs"]) == repr(costs) for row in loaded.meta)
 
 
-def test_a_cost_spelled_as_an_integer_beyond_64_bits_loads_as_that_float(tmp_path):
-    # orjson reads such a literal as a float; no task writes one
+def test_a_cost_spelled_as_an_integer_beyond_64_bits_is_refused(tmp_path):
+    # orjson reads such a literal as the float 2^64, which the same number
+    # written with an exponent is too; only the latter is a stored float
     harness.run(benchmark_config(generations=1, output_dir=tmp_path))
     path = tmp_path / harness.RECORD_NAME
     header, line = path.read_bytes().splitlines(keepends=True)
     first = orjson.loads(line)["costs"][0]
-    big = str(2**64).encode()
-    path.write_bytes(header + line.replace(b'"costs":[%s' % orjson.dumps(first),
-                                           b'"costs":[' + big, 1))
-    assert harness.load_record(tmp_path).generations[0].costs[0] == float(2**64)
+    for spelled, loads in ((str(2**64), False), (str(-2**64), False), ("1.8446744073709552e19", True),
+                           ("-18446744073709551616.0", True)):
+        path.write_bytes(header + line.replace(b'"costs":[%s' % orjson.dumps(first),
+                                               b'"costs":[' + spelled.encode(), 1))
+        if loads:
+            assert harness.load_record(tmp_path).generations[0].costs[0] == float(spelled)
+        else:
+            with pytest.raises(ConfigError, match=f"generation 0 is malformed.*cost {spelled} is not"):
+                harness.load_record(tmp_path)
 
 
 def test_a_seed_beyond_64_bits_exits_2_before_any_file_is_written(tmp_path, capsys):
