@@ -11,10 +11,13 @@ is written as a fixture by ``harness.json_plain`` and read back by
 
 Every cost function, here and in ``rb``, takes candidates as (n, d) rows,
 a vector being one row, and returns one result per row. Those that draw
-shots take one shot seed per row and are deterministic given it and the
-landscape seed, so a block evaluated in one call gives exactly what each
-row gives alone. Metadata holds only what the cost does not give: readout
-keeps ``true_visibility`` and shuttle ``p``, each with its ``shots`` under
+shots take one shot seed per row and draw from
+``default_rng((landscape seed, shot seed))``, or the run seed in ``rb``,
+so a block evaluated in one call gives exactly what each row gives
+alone. A block's generators are built together: SeedSequence's hash
+runs over all rows in one pass and seeds each PCG64 as numpy does.
+Metadata holds only what the cost does not give: readout keeps
+``true_visibility`` and shuttle ``p``, each with its ``shots`` under
 shot noise; RB keeps none. Visibility V is -cost, under shot noise
 (odd_given_odd - odd_given_even) / n_shots from the readout ``shots``
 counts, and readout fidelity (1 + clamp(V)) / 2; echo amplitude is
@@ -24,6 +27,7 @@ return probability is 1 - cost.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,12 +315,77 @@ def _unit_rows(landscape: HiddenLandscape, x: np.ndarray, shot_seeds, n_shots: i
     return np.clip(block, 0.0, 1.0)
 
 
-def _contrast_counts(landscape: HiddenLandscape, shot_seed, n_shots: int,
-                     contrast: float) -> tuple[int, int]:
-    """Counts of n_shots at 0.5 (1 + contrast), then at 0.5 (1 - contrast), seeded per row."""
-    rng = np.random.default_rng((landscape.seed, shot_seed))
-    return (int(rng.binomial(n_shots, 0.5 * (1.0 + contrast))),
-            int(rng.binomial(n_shots, 0.5 * (1.0 - contrast))))
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 the four 64-bit words a SeedSequence would generate for it."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _hasher(h: int, mult: int):
+    """seed_seq's hashmix over uint32 arrays, h carried from call to call as in one SeedSequence."""
+    def hashmix(v: np.ndarray) -> np.ndarray:
+        nonlocal h
+        h_old, h = h, h * mult & 0xFFFFFFFF
+        v = (v ^ h_old) * h
+        return v ^ (v >> 16)
+    return hashmix
+
+
+def _seed_sequence_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, np.uint64) of each row of an (n, L) uint32
+    block, by O'Neill's seed_seq hash in wrapping uint32 arithmetic over all rows at once."""
+    def mix(x, y):
+        r = 0xCA01F9DD * x - 0x4973F715 * y
+        return r ^ (r >> 16)
+
+    hashmix, final = _hasher(0x43B0D7E5, 0x931E8875), _hasher(0x8B51F9DD, 0x58F38DED)
+    words = [*entropy.T, *[np.zeros(len(entropy), np.uint32)] * (4 - entropy.shape[1])]
+    pool = [hashmix(w) for w in words[:4]]
+    for s, d in itertools.permutations(range(4), 2):
+        pool[d] = mix(pool[d], hashmix(pool[s]))
+    for e, d in itertools.product(words[4:], range(4)):
+        pool[d] = mix(pool[d], hashmix(e))
+    out = np.stack([final(v) for v in pool * 2], axis=1).astype(np.uint64)
+    return out[:, 0::2] | out[:, 1::2] << np.uint64(32)
+
+
+def _word_count(n: int) -> int:
+    return max(1, -(-n.bit_length() // 32))
+
+
+def _shot_generators(seed: int, keys) -> list[np.random.Generator]:
+    """np.random.default_rng((seed, key)) for each key, bit for bit, from one SeedSequence
+    hash over the keys of each word count; numpy seeds each PCG64 from the hash's words.
+    A key other than a non-negative integer goes through default_rng, which seeds or
+    raises as ever."""
+    out, groups, seed = [None] * len(keys), {}, int(seed)
+    for i, key in enumerate(keys):
+        if isinstance(key, (int, np.integer)) and key >= 0:
+            groups.setdefault(_word_count(int(key)), []).append(i)
+        else:
+            out[i] = np.random.default_rng((seed, key))
+    head = seed.to_bytes(4 * _word_count(seed), "little")
+    for n_words, rows in groups.items():
+        raw = b"".join(head + int(keys[i]).to_bytes(4 * n_words, "little") for i in rows)
+        states = _seed_sequence_words(np.frombuffer(raw, "<u4").reshape(len(rows), -1))
+        for i, words in zip(rows, states):
+            out[i] = np.random.Generator(np.random.PCG64(_StateWords(words)))
+    return out
+
+
+def _shot_counts(landscape: HiddenLandscape, shot_seeds, n_shots: int,
+                 contrasts: list[float]) -> list[tuple[int, int] | None]:
+    """Each row's counts of n_shots at 0.5 (1 + contrast), then at 0.5 (1 - contrast),
+    drawn from default_rng((landscape.seed, shot seed)); None per row without shot noise."""
+    if not landscape.shot_noise:
+        return [None] * len(contrasts)
+    return [(int(rng.binomial(n_shots, 0.5 * (1.0 + c))),
+             int(rng.binomial(n_shots, 0.5 * (1.0 - c))))
+            for rng, c in zip(_shot_generators(landscape.seed, shot_seeds), contrasts)]
 
 
 def optimum_init_fidelity(landscape: HiddenLandscape, space: ParameterSpace) -> float:
@@ -351,11 +420,10 @@ def _visibility(landscape: HiddenLandscape, space: ParameterSpace, x: np.ndarray
             for q, f in zip(landscape.quadratic(block).tolist(), f_init)]
 
 
-def _measure_readout(landscape: HiddenLandscape, v_true: float, n_shots: int,
-                     shot_seed) -> CostEvaluation:
-    if not landscape.shot_noise:
+def _measure_readout(v_true: float, n_shots: int, counts) -> CostEvaluation:
+    if counts is None:
         return CostEvaluation(cost=-v_true, metadata={"true_visibility": v_true})
-    odd_given_odd, odd_given_even = _contrast_counts(landscape, shot_seed, n_shots, v_true)
+    odd_given_odd, odd_given_even = counts
     shots = {"n_shots": n_shots, "odd_given_odd": odd_given_odd, "odd_given_even": odd_given_even}
     # negate the quotient, not the difference: a tie costs -0.0, as records store it
     return CostEvaluation(cost=-((odd_given_odd - odd_given_even) / n_shots),
@@ -379,7 +447,8 @@ def readout_backend_evaluate(landscape: HiddenLandscape, space: ParameterSpace,
     if f_opt is None:
         f_opt = optimum_init_fidelity(landscape, space)
     v_true = _visibility(landscape, space, block, f_opt)
-    return [_measure_readout(landscape, v, n_shots, s) for v, s in zip(v_true, shot_seeds)]
+    counts = _shot_counts(landscape, shot_seeds, n_shots, v_true)
+    return [_measure_readout(v, n_shots, c) for v, c in zip(v_true, counts)]
 
 
 def make_shuttle_landscape(seed: int) -> HiddenLandscape:
@@ -429,12 +498,12 @@ def shuttle_backend_evaluate(landscape: HiddenLandscape, x: np.ndarray,
     p = shuttle_depolarization(landscape, block)
     # float_power rounds as Python's scalar ** does; array ** may not
     amplitude = np.float_power(1.0 - p, distance / SHUTTLE_SEGMENT_UM)
-    out = []
-    for p_row, a_row, seed in zip(p.tolist(), amplitude.tolist(), shot_seeds):
+    out, amplitude = [], amplitude.tolist()
+    for p_row, a_row, counts in zip(p.tolist(), amplitude,
+                                    _shot_counts(landscape, shot_seeds, n_shots, amplitude)):
         meta = {"p": p_row}
-        if landscape.shot_noise:  # only the binomial draws are per row
-            k_plus, k_minus = _contrast_counts(landscape, seed, n_shots, a_row)
-            f_plus, f_minus = k_plus / n_shots, k_minus / n_shots
+        if counts is not None:  # only the binomial draws are per row
+            f_plus, f_minus = counts[0] / n_shots, counts[1] / n_shots
             a_row = f_plus - f_minus
             meta["shots"] = {"n_shots": n_shots, "f_plus": f_plus, "f_minus": f_minus}
         out.append(CostEvaluation(cost=1.0 - a_row, metadata=meta))

@@ -280,7 +280,8 @@ def _ramp_states(eps0: np.ndarray, eps1: np.ndarray, t_f: np.ndarray, t_c: np.nd
                 # row k of a basis change times exp(-2i pi lam_k dt): with h = tan(-pi lam_k dt),
                 # cos = (1 - h^2) / (1 + h^2) and sin = 2h / (1 + h^2), made in place
                 h = np.tan(per_column(lam[n:n + slab]) * half)
-                h2, un, den = h * h, u[:len(h)], 1.0 + h * h
+                h2 = h * h
+                un, den = u[:len(h)], 1.0 + h2
                 bn = per_column(b[n:n + slab])
                 np.multiply(np.divide(np.add(h, h, out=h), den, out=h), bn, out=un.imag)
                 np.multiply(np.divide(np.subtract(1.0, h2, out=h2), den, out=h2), bn, out=un.real)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .backends import CostEvaluation, _seeded_rows
+from .backends import CostEvaluation, _seeded_rows, _shot_generators
 from .dqd import _require_int, _require_real, _require_reals
 
 __all__ = [
@@ -197,17 +197,21 @@ def _return_amplitudes(x: np.ndarray, shot_seeds, sequences: np.ndarray, recover
     return out
 
 
-def _cost(cfg: RbConfig, amplitudes: np.ndarray, shot_seed) -> float:
-    """1 - mean return probability of (R,) amplitudes, from shots where shot_seed is set."""
-    # scalar abs and **, as for a single sequence: np.abs and array **
-    # round differently in the last bit
-    probs = [abs(a) ** 2 for a in amplitudes]
-    if shot_seed is not None:
-        rng = np.random.default_rng((cfg.seed, shot_seed))
-        n = cfg.shots_per_sequence
-        # a return probability can round to just above 1
-        probs = [rng.binomial(n, min(p, 1.0)) / n for p in probs]
-    return 1.0 - float(np.mean(probs))
+def _costs(cfg: RbConfig, amplitudes: np.ndarray, shot_seeds) -> list[float]:
+    """1 - mean return probability of each row of (n, R) amplitudes, from shots drawn
+    from default_rng((cfg.seed, shot seed)) where the row's shot seed is set."""
+    probs, n = np.empty(amplitudes.shape), cfg.shots_per_sequence
+    rngs = iter(_shot_generators(cfg.seed, [s for s in shot_seeds if s is not None]))
+    for row, a_row, shot_seed in zip(probs, amplitudes, shot_seeds):
+        # scalar abs and **, as for a single sequence: np.abs and array **
+        # round differently in the last bit
+        row[:] = [abs(a) ** 2 for a in a_row]
+        if shot_seed is not None:
+            rng = next(rngs)
+            # a return probability can round to just above 1
+            row[:] = [rng.binomial(n, min(p, 1.0)) / n for p in row]
+    # a row's mean over axis 1 is np.mean of that row alone, bit for bit
+    return (1.0 - np.mean(probs, axis=1)).tolist()
 
 
 def rb_backend_evaluate(cfg: RbConfig, x: np.ndarray, shot_seeds) -> list[CostEvaluation]:
@@ -220,7 +224,7 @@ def rb_backend_evaluate(cfg: RbConfig, x: np.ndarray, shot_seeds) -> list[CostEv
     """
     steps, m = cfg.step_table, cfg.sequence_length
     amplitudes = _return_amplitudes(x, shot_seeds, steps[:-1], {m: steps[-1]})[m]
-    return [CostEvaluation(cost=_cost(cfg, row, seed)) for row, seed in zip(amplitudes, shot_seeds)]
+    return [CostEvaluation(cost=c) for c in _costs(cfg, amplitudes, shot_seeds)]
 
 
 def rb_decay_curve(cfg: RbConfig, x: np.ndarray, lengths: list[int],
@@ -243,7 +247,7 @@ def rb_decay_curve(cfg: RbConfig, x: np.ndarray, lengths: list[int],
     mult, inverse = _group_tables()
     nets = list(itertools.accumulate(sequences, lambda net, k: mult[k, net], initial=0))
     amplitudes = _return_amplitudes(x, [None], sequences, {m: inverse[nets[m]] for m in ms})
-    return np.array([1.0 - _cost(cfg, amplitudes[m][0], seed) for m, seed in zip(ms, seeds)])
+    return 1.0 - np.array(_costs(cfg, np.array([amplitudes[m][0] for m in ms]), seeds))
 
 
 def per_gate_fidelity(p: float) -> float:

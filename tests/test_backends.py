@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -23,6 +24,7 @@ from spintune.backends import (
     shuttle_backend_evaluate,
     shuttle_depolarization,
     shuttle_space,
+    _shot_generators,
     true_readout_visibility,
 )
 from spintune.cmaes import DistributionState, StrategyParams, ask, tell
@@ -330,6 +332,14 @@ def _unit_block(data, dim):
     X = rng.uniform(0.0, 1.0, (n, dim))
     X[rng.random((n, dim)) < 0.05] = data.draw(st.sampled_from([0.0, 1.0, 1.0 + 1e-10]))
     seeds = rng.integers(0, 2**32, n).tolist()
+    # keys as the harness makes them, seed << 64 | generation << 32 | row, span 1 to 4 words
+    words = data.draw(st.sampled_from(["one", "harness", "mixed"]), label="shot seed words")
+    base = (data.draw(st.integers(0, 2**64 - 1), label="run seed") << 64
+            | data.draw(st.integers(0, 2**32 - 1), label="generation") << 32)
+    if words != "one":
+        keys = [base | i for i in range(n)]
+        seeds = keys if words == "harness" else [
+            (s, k)[j] for s, k, j in zip(seeds, keys, rng.integers(0, 2, n))]
     bad = data.draw(st.sampled_from([None, -0.01, 1.5, float("nan")]),
                      label="out-of-cube value")
     if bad is not None:
@@ -399,6 +409,33 @@ def test_block_shapes_and_seed_counts_are_checked(task):
     assert isinstance(one, list) and one == evaluate(x[None], [4])
     shared = evaluate(np.tile(x, (2, 1)), [4, 4])
     assert shared[0] == shared[1] == one[0]
+
+
+# ------------------------------------------------ shot streams of a block
+
+_KEYS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1]),
+    st.integers(0, 2**128 - 1),
+    st.builds(lambda s, g, i: s << 64 | g << 32 | i, st.integers(0, 2**64 - 1),
+              st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**64 - 1), keys=st.lists(_KEYS, min_size=1, max_size=30),
+       n=st.integers(0, 2**63 - 1), p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+def test_shot_generators_draw_as_default_rng_of_each_key(seed, keys, n, p):
+    for key, rng in zip(keys, _shot_generators(seed, keys), strict=True):
+        ref = np.random.default_rng((seed, key))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert [rng.binomial(n, p) for _ in range(3)] == [ref.binomial(n, p) for _ in range(3)]
+
+
+@pytest.mark.parametrize("key", [-1, 1.5])
+def test_shot_generators_refuse_a_key_as_default_rng_does(key):
+    with pytest.raises((ValueError, TypeError)) as expected:
+        np.random.default_rng((3, key))
+    with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+        _shot_generators(3, [5, key, 2**70])
 
 
 # --------------------------------------------- the shuttle formula, per row

@@ -300,8 +300,14 @@ def test_block_equals_its_rows_bit_for_bit(data):
     n = data.draw(st.integers(1, 100), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
     X = rng.uniform([10.0, 7.0, 995.0], [16.0, 13.0, 1005.0], (n, 3))
-    seeds = data.draw(st.sampled_from([None, "per row"]))
-    seeds = rng.integers(0, 2**32, n).tolist() if seeds else [None] * n
+    # one-word seeds, harness keys seed << 64 | generation << 32 | row, or both mixed with None
+    kind = data.draw(st.sampled_from([None, "per row", "harness", "mixed"]))
+    base = (data.draw(st.integers(0, 2**64 - 1), label="run seed") << 64
+            | data.draw(st.integers(0, 2**32 - 1), label="generation") << 32)
+    pick = {None: [0] * n, "per row": [1] * n, "harness": [2] * n,
+            "mixed": rng.integers(0, 3, n)}[kind]
+    seeds = [(None, s, base | i)[j]
+             for i, (s, j) in enumerate(zip(rng.integers(0, 2**32, n).tolist(), pick))]
     bad = data.draw(st.sampled_from([None, 0, 1]), label="non-positive column")
     if bad is not None:
         X[data.draw(st.integers(0, n - 1), label="bad row"), bad] = -1.0
