@@ -3,8 +3,8 @@
 Curve fits for decay and Rabi data, fidelity conversions, first-order
 HDMR sensitivity indices, and covariance-matrix aggregation across runs.
 Both curve fits profile out the parameters that enter linearly. The decay
-fit then zooms in on q in numpy; the Rabi fit polishes with scipy's least
-squares, which only it imports, on its first call. No step draws random
+fit then zooms in on q; the Rabi fit polishes once with a bounded
+Levenberg-Marquardt. Everything runs in numpy. No step draws random
 numbers, so results are reproducible bit for bit.
 """
 
@@ -143,15 +143,39 @@ def _fit_at(names, theta, fun, jac, converged: bool) -> FitResult:
                      float(np.linalg.norm(fun)), converged)
 
 
-def _polished(names, residual, jacobian, start, lower, upper) -> FitResult:
-    """One bounded polish from a profile optimum, with standard errors from the Jacobian."""
-    from scipy.optimize import least_squares  # only fit_rabi polishes: scipy loads on its call
+def _least_squares(residual, jacobian, theta, lower, upper) -> tuple[np.ndarray, bool]:
+    """Bounded Levenberg-Marquardt (Moré, Lecture Notes in Math. 630, 1978): (theta, converged).
 
-    start = np.clip(start, lower, upper)
-    res = least_squares(residual, start, jac=jacobian, bounds=(lower, upper), method="trf")
-    # TRF first nudges a start off its active bounds: keep the polish only if it ends lower
-    theta = res.x if res.cost < 0.5 * np.sum(residual(start) ** 2) else start
-    return _fit_at(names, theta, residual(theta), jacobian(theta), bool(res.success))
+    A variable on a bound whose gradient points out of the box is held for the
+    step. The damping, scaled by diag(J^T J) floored at 1e-12 of its largest
+    entry, grows 4x on a rejected step and shrinks 3x on an accepted one. It
+    converges once a step gains under 1e-15 of the cost or none lowers it, and
+    gives up after 10 000 steps.
+    """
+    theta = np.clip(theta, lower, upper)
+    fun = residual(theta)
+    cost, lam, jac = fun @ fun, 1e-3, None
+    for _ in range(10_000):
+        if jac is None:
+            jac = jacobian(theta)
+            grad = jac.T @ fun
+            free = ~(((theta <= lower) & (grad > 0)) | ((theta >= upper) & (grad < 0)))
+            jtj = jac[:, free].T @ jac[:, free]
+            scale = np.maximum(np.diag(jtj), 1e-12 * np.max(np.diag(jtj), initial=0.0))
+        trial = theta.copy()
+        trial[free] -= np.linalg.solve(jtj + lam * np.diag(scale), grad[free])
+        trial = np.clip(trial, lower, upper)
+        if np.array_equal(trial, theta):  # the step has shrunk below rounding
+            return theta, True
+        f_trial = residual(trial)
+        gain = cost - f_trial @ f_trial
+        if not gain > 0:  # a trial with a non-finite residual is rejected too
+            lam *= 4.0
+        elif gain < 1e-15 * cost:
+            return trial, True
+        else:
+            theta, fun, cost, lam, jac = trial, f_trial, f_trial @ f_trial, lam / 3.0, None
+    return theta, False
 
 
 def fit_decay(xs: np.ndarray, ys: np.ndarray) -> FitResult:
@@ -202,8 +226,8 @@ def fit_rabi(ts: np.ndarray, ps: np.ndarray) -> FitResult:
 
     Zero-padded FFTs profile out (a, b) of exp(-t / tau) (a cos(w t) + b sin(w t))
     on eighth-bin steps of w in [0.3, 3] w0, w0 the spectral peak of the data,
-    and log steps of tau. The best point is polished in (a, b, w, tau), then in
-    the reported parameters. Without a clear peak it reports converged=False.
+    and log steps of tau. The best point is polished once, in (a, b, w, tau).
+    Without a clear peak it reports converged=False.
     It fits the data scaled to unit peak, so data in any units gives one fit.
     """
     ts, ps = _checked(ts, ps, 8)
@@ -252,13 +276,13 @@ def fit_rabi(ts: np.ndarray, ps: np.ndarray) -> FitResult:
         if gain.max() > best:
             best, w, tau = gain.max(), w_min + m[np.argmax(gain)] * step, tau_j
     start = np.linalg.lstsq(jacobian([0.0, 0.0, w, tau])[:, :2], ps)[0]
-    a, b, w, tau = _polished(("a", "b", "omega", "tau"), residual, jacobian,
-                             [*start, w, tau], [-np.inf, -np.inf, w_min, 1e-9],
-                             [np.inf, np.inf, w_max, np.inf]).params.values()
-    fit = _polished(("V_R", "omega", "phi", "tau"), lambda theta: residual(linear(theta)[0]),
-                    lambda theta: jacobian(linear(theta)[0]) @ linear(theta)[1],
-                    [np.hypot(a, b), w, np.arctan2(-b, a), tau],
-                    [1e-12, w_min, -np.inf, 1e-9], [np.inf, w_max, np.inf, np.inf])
+    (a, b, w, tau), converged = _least_squares(
+        residual, jacobian, [*start, w, tau], [-np.inf, -np.inf, w_min, 1e-9],
+        [np.inf, np.inf, w_max, 1e10 * (n - 1) * dt])  # a finite cap keeps tau**2 finite
+    params = [np.hypot(a, b), w, np.arctan2(-b, a), tau]
+    ab, d_ab = linear(params)  # the errors of the reported parameters by the chain rule
+    fit = _fit_at(("V_R", "omega", "phi", "tau"), params, residual(ab), jacobian(ab) @ d_ab,
+                  converged)
     # the model has period 2 pi in phi, so wrapping moves neither residual nor Jacobian
     fit.params["phi"] = float(np.pi - (np.pi - fit.params["phi"]) % (2.0 * np.pi))
     fit.params["V_R"] *= scale
@@ -319,14 +343,14 @@ def hdmr_first_order(samples: np.ndarray, costs: np.ndarray,
     n_samples, n_params = samples.shape
     if n_samples < 50:
         raise ValueError("need at least 50 samples")
-    if costs.shape != (n_samples,):
-        raise ValueError("costs length must match samples")
-    if np.any(samples < -1e-9) or np.any(samples > 1 + 1e-9):
+    if costs.shape != (n_samples,) or not np.all(np.isfinite(costs)):
+        raise ValueError("costs must be finite, one per sample")
+    if not np.all((samples >= -1e-9) & (samples <= 1 + 1e-9)):  # NaN fails too
         raise ValueError("samples must lie in the unit cube")
     if names is None:
         names = [f"x{i}" for i in range(n_params)]
-    if len(names) != n_params:
-        raise ValueError("names length must match parameter count")
+    if len(names) != n_params or len(set(names)) != n_params:
+        raise ValueError("names must be one distinct name per parameter")
 
     blocks = []
     for i in range(n_params):
