@@ -20,16 +20,54 @@ many seed pairs the change won, lost and tied, by the metric's direction
 either run has no result, and ``median_ratio``, the median over the seed
 pairs of change / parent (null when no pair has both values, or a parent
 value is 0); a claim can be checked against a pair rule from the file
-alone. Standard library only.
+alone.
+
+With ``--parent``, ``paired`` holds per workload the ratio change / parent of
+one unit's time, timed in one process. A child process (one BLAS thread)
+loads each tree's ``src/spintune`` under its own package name, so the
+package's relative imports resolve within each copy. A unit is the
+workload's own ``prepare`` and ``run`` from ``perfbench/workloads.py``,
+with the configs ``configs(11, 1)`` gives (one unit of each workload, two
+readout repeats) and the package name ``spintune`` pointed at one copy for
+the call: so it writes, resumes and analyzes what perfbench does, and only
+``run`` is timed. The child runs every unit on both copies once, checking
+each output with the workload's ``check``, then PAIRS pairs per unit,
+swapping which copy goes first in every pair and collecting garbage before
+each call, and records the median and quartiles of the ratios and the
+pairs the change won. A pair is timed within two seconds or so, so the
+machine's drift between runs, which separate processes see in full, mostly
+cancels (Kalibera & Jones, ISMM 2013); it does not cancel a noisy spell
+shorter than a pair.
+
+Caveats: both trees run under one numpy, one orjson and one allocator, so
+the section cannot see a change to those; module-level caches are per copy,
+hence the warm-up; a tree that changes the package's imports or its
+dependencies cannot be paired this way; and the workloads are this
+checkout's. perfbench alone measures ``peak_rss_mb``, ``setup_s`` and
+end-to-end wall time; the paired section adds a figure and replaces none.
+
+    python3 scripts/bench_file.py --pair CHANGE PARENT
+
+prints only the paired section of two checkouts, as JSON. Standard library
+only; the child imports the trees and perfbench, which need numpy and scipy.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
+import importlib
+import importlib.util
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +78,8 @@ METRICS = tuple(metric["name"] for metric in BENCHMARK["end_to_end"])
 SEEDS = (11, 12, 13, 14, 15)
 SECONDS = 15
 PER_LAYER = ("gen_ms_p50", "gen_ms_p90", "harness.record_bytes")
+PAIRS = 30
+PAIRED_SEED, PAIRED_SECONDS = SEEDS[0], 1
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -116,12 +156,138 @@ def pair_counts(change: list[dict], parent: list[dict], better: dict) -> dict:
     return out
 
 
+def load_tree(name: str, root: Path) -> types.ModuleType:
+    """The package ``root/src/spintune`` imported as ``name``, every module loaded."""
+    package = root / "src" / "spintune"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    for path in sorted(package.glob("[!_]*.py")):
+        importlib.import_module(f"{name}.{path.stem}")
+    return module
+
+
+@contextlib.contextmanager
+def as_spintune(pkg: types.ModuleType):
+    """Make ``from spintune import m`` give ``pkg``'s module m within the block."""
+    saved = sys.modules.get("spintune")
+    sys.modules["spintune"] = pkg
+    try:
+        yield
+    finally:
+        if saved is None:
+            del sys.modules["spintune"]
+        else:
+            sys.modules["spintune"] = saved
+
+
+class _Untraced:
+    """The tracer a workload's ``run`` takes, recording nothing."""
+
+    unit = ""
+
+    @staticmethod
+    def phase(name: str):
+        return contextlib.nullcontext()
+
+
+def workload_units(seed: int = PAIRED_SEED, seconds: int = PAIRED_SECONDS) -> dict:
+    """Per workload BENCHMARK.json declares, its perfbench unit: ``unit(pkg, workdir)``
+    prepares ``workdir`` and returns the timed call and the check of its outputs."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+
+    def unit_of(workload):
+        cfg = workload.configs(seed, seconds)
+
+        def unit(pkg, workdir: Path):
+            with as_spintune(pkg):
+                workload.prepare(cfg, workdir)
+
+            def run():
+                with as_spintune(pkg):
+                    return workload.run(cfg, workdir, _Untraced())
+
+            def check(outputs) -> list[str]:
+                with as_spintune(pkg):
+                    return workload.check(cfg, outputs).failures
+            return run, check
+        return unit
+
+    return {name: unit_of(workloads.WORKLOADS[name]) for name in WORKLOADS}
+
+
+def paired_ratios(units: dict, change, parent, pairs: int = PAIRS,
+                  clock=time.perf_counter) -> dict:
+    """Per unit, the quartiles of change / parent time over ``pairs`` pairs, the first
+    of each pair swapping in turn, and the pairs the change won. Both copies are run
+    and checked first; a failed check raises."""
+    with tempfile.TemporaryDirectory() as scratch:
+        def timed(name, pkg, checked=False) -> float:
+            workdir = Path(tempfile.mkdtemp(dir=scratch))
+            run, check = units[name](pkg, workdir)
+            gc.collect()
+            start = clock()
+            outputs = run()
+            elapsed = clock() - start
+            failures = check(outputs) if checked else []
+            shutil.rmtree(workdir)
+            if failures:
+                raise RuntimeError(f"{name} on {getattr(pkg, '__name__', pkg)}: {failures}")
+            return elapsed
+
+        for name in units:
+            for pkg in (change, parent):
+                timed(name, pkg, checked=True)
+        out = {}
+        for name in units:
+            ratios = []
+            for i in range(pairs):
+                if i % 2 == 0:
+                    new, old = timed(name, change), timed(name, parent)
+                else:
+                    old, new = timed(name, parent), timed(name, change)
+                ratios.append(new / old)
+            out[name] = {**quartiles(ratios), "wins": sum(r < 1.0 for r in ratios),
+                         "pairs": pairs}
+    return out
+
+
+def paired(change: Path, parent: Path) -> dict | None:
+    """The paired section of two checkouts, from a child process."""
+    proc = subprocess.run([sys.executable, __file__, "--pair", str(change), str(parent)],
+                          capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        print(f"paired section exited {proc.returncode}:\n{proc.stderr}", file=sys.stderr)
+        return None
+    return json.loads(proc.stdout)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--pr", type=int, required=True, help="number in the file name")
+    parser.add_argument("--pr", type=int, help="number in the file name")
     parser.add_argument("--parent", type=Path, default=None,
                         help="root of a checkout to pair every run with")
+    parser.add_argument("--pair", type=Path, nargs=2, metavar=("CHANGE", "PARENT"),
+                        help="print only the paired section of two checkouts")
     args = parser.parse_args(argv)
+    if args.pair is not None:
+        # one BLAS thread, as perfbench runs, set before the trees import numpy
+        os.environ.update(dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+        trees = [load_tree(f"spintune_{label}", root.resolve())
+                 for label, root in zip(("change", "parent"), args.pair)]
+        with contextlib.redirect_stdout(sys.stderr):
+            out = paired_ratios(workload_units(), *trees)
+        print(json.dumps(out, indent=1, sort_keys=True))
+        return 0
+    if args.pr is None:
+        parser.error("--pr is required")
     trees = {"change": ROOT}
     if args.parent is not None:
         trees["parent"] = args.parent.resolve()
@@ -149,6 +315,7 @@ def main(argv=None) -> int:
         better = {metric["name"]: metric["better"] for metric in BENCHMARK["end_to_end"]}
         payload["pairs"] = {w: pair_counts(runs["change"][w], runs["parent"][w], better)
                             for w in WORKLOADS}
+        payload["paired"] = paired(ROOT, trees["parent"])
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(out)

@@ -27,6 +27,7 @@ return probability is 1 - cost.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -325,32 +326,41 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _hasher(h: int, mult: int):
-    """seed_seq's hashmix over uint32 arrays, h carried from call to call as in one SeedSequence."""
-    def hashmix(v: np.ndarray) -> np.ndarray:
-        nonlocal h
-        h_old, h = h, h * mult & 0xFFFFFFFF
-        v = (v ^ h_old) * h
-        return v ^ (v >> 16)
-    return hashmix
+@functools.cache
+def _hash_constants(n_words: int) -> tuple[np.ndarray, np.ndarray]:
+    """seed_seq's hash constants as uint32 columns, for an entropy of n_words words: the
+    mixing hash's, one per hashmix call and one more, then the output hash's 8 + 1."""
+    def run(h: int, mult: int, calls: int) -> np.ndarray:
+        steps = itertools.accumulate(range(calls), lambda h, _: h * mult & 0xFFFFFFFF, initial=h)
+        return np.array(list(steps), np.uint32)[:, None]
+    return run(0x43B0D7E5, 0x931E8875, 16 + 4 * max(0, n_words - 4)), run(0x8B51F9DD, 0x58F38DED, 8)
 
 
 def _seed_sequence_words(entropy: np.ndarray) -> np.ndarray:
     """SeedSequence(row).generate_state(4, np.uint64) of each row of an (n, L) uint32
-    block, by O'Neill's seed_seq hash in wrapping uint32 arithmetic over all rows at once."""
+    block, by O'Neill's seed_seq hash in wrapping uint32 arithmetic over all rows at once,
+    one pool word's round per call. Returns a C-ordered (n, 4) block, one row per PCG64."""
+    def hashmix(v, h):  # v[i] hashed by the call that h[i] begins
+        v = (v ^ h[:-1]) * h[1:]
+        return v ^ (v >> 16)
+
     def mix(x, y):
         r = 0xCA01F9DD * x - 0x4973F715 * y
         return r ^ (r >> 16)
 
-    hashmix, final = _hasher(0x43B0D7E5, 0x931E8875), _hasher(0x8B51F9DD, 0x58F38DED)
-    words = [*entropy.T, *[np.zeros(len(entropy), np.uint32)] * (4 - entropy.shape[1])]
-    pool = [hashmix(w) for w in words[:4]]
-    for s, d in itertools.permutations(range(4), 2):
-        pool[d] = mix(pool[d], hashmix(pool[s]))
-    for e, d in itertools.product(words[4:], range(4)):
-        pool[d] = mix(pool[d], hashmix(e))
-    out = np.stack([final(v) for v in pool * 2], axis=1).astype(np.uint64)
-    return out[:, 0::2] | out[:, 1::2] << np.uint64(32)
+    n, n_words = entropy.shape
+    h, final = _hash_constants(n_words)
+    words = np.zeros((max(4, n_words), n), np.uint32)
+    words[:n_words] = entropy.T
+    pool = hashmix(words[:4], h[:5])
+    for s in range(4):  # pool word s is not changed in its own round
+        others = [d for d in range(4) if d != s]
+        pool[others] = mix(pool[others], hashmix(pool[s], h[4 + 3 * s:8 + 3 * s]))
+    for j, e in enumerate(words[4:]):
+        pool = mix(pool, hashmix(e, h[16 + 4 * j:21 + 4 * j]))
+    out = hashmix(np.concatenate([pool, pool]), final).astype(np.uint64)
+    # a Fortran-ordered block would hand PCG64 strided rows
+    return np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
 
 
 def _word_count(n: int) -> int:

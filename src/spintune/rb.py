@@ -124,15 +124,28 @@ def _primitives(block: np.ndarray) -> np.ndarray:
     return out
 
 
+# For each position k of a decomposition: the Cliffords with a k-th primitive, and
+# that primitive's index in PRIMITIVE_NAMES.
+_STAGES = [tuple(map(np.array, zip(*[(c, PRIMITIVE_NAMES.index(seq[k]))
+                                     for c, seq in enumerate(CLIFFORD_DECOMPOSITIONS)
+                                     if len(seq) > k])))
+           for k in range(max(map(len, CLIFFORD_DECOMPOSITIONS)))]
+
+
 def _cliffords(block: np.ndarray) -> np.ndarray:
     """The 24 Clifford unitaries at each row of an (n, 3) block, (n, 24, 2, 2).
 
     Each is the product of its CLIFFORD_DECOMPOSITIONS primitives in
-    application order, the first primitive rightmost.
+    application order, the first primitive rightmost: one stacked product per
+    position after the first. They stay numpy's 2x2 ``@``, which an elementwise
+    product or einsum does not round alike.
     """
-    named = dict(zip(PRIMITIVE_NAMES, _primitives(block).swapaxes(0, 1)))
-    return np.stack([functools.reduce(lambda u, name: named[name] @ u, seq[1:], named[seq[0]])
-                     for seq in CLIFFORD_DECOMPOSITIONS], axis=1)
+    primitives = _primitives(block)
+    (_, first), *later = _STAGES
+    out = primitives[:, first]
+    for cliffords, primitive in later:
+        out[:, cliffords] = primitives[:, primitive] @ out[:, cliffords]
+    return out
 
 
 def clifford_table() -> np.ndarray:
@@ -199,18 +212,20 @@ def _return_amplitudes(x: np.ndarray, shot_seeds, sequences: np.ndarray, recover
 
 def _costs(cfg: RbConfig, amplitudes: np.ndarray, shot_seeds) -> list[float]:
     """1 - mean return probability of each row of (n, R) amplitudes, from shots drawn
-    from default_rng((cfg.seed, shot seed)) where the row's shot seed is set."""
-    probs, n = np.empty(amplitudes.shape), cfg.shots_per_sequence
+    from default_rng((cfg.seed, shot seed)) where the row's shot seed is set.
+
+    A probability is libm's hypot, then pow, as Python's ``abs(a) ** 2`` computes it;
+    np.abs and array ** round differently in the last bit. A seeded row draws its R
+    sequences in one binomial call, the stream of R scalar calls.
+    """
+    # C order: a row's mean over axis 1 is then np.mean of that row alone, bit for bit
+    probs = np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0, order="C")
+    n = cfg.shots_per_sequence
     rngs = iter(_shot_generators(cfg.seed, [s for s in shot_seeds if s is not None]))
-    for row, a_row, shot_seed in zip(probs, amplitudes, shot_seeds):
-        # scalar abs and **, as for a single sequence: np.abs and array **
-        # round differently in the last bit
-        row[:] = [abs(a) ** 2 for a in a_row]
+    for row, shot_seed in zip(probs, shot_seeds):
         if shot_seed is not None:
-            rng = next(rngs)
             # a return probability can round to just above 1
-            row[:] = [rng.binomial(n, min(p, 1.0)) / n for p in row]
-    # a row's mean over axis 1 is np.mean of that row alone, bit for bit
+            row[:] = next(rngs).binomial(n, np.minimum(row, 1.0)) / n
     return (1.0 - np.mean(probs, axis=1)).tolist()
 
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spintune import dqd
@@ -24,6 +24,7 @@ from spintune.backends import (
     shuttle_backend_evaluate,
     shuttle_depolarization,
     shuttle_space,
+    _seed_sequence_words,
     _shot_generators,
     true_readout_visibility,
 )
@@ -423,11 +424,28 @@ _KEYS = st.one_of(
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**64 - 1), keys=st.lists(_KEYS, min_size=1, max_size=30),
        n=st.integers(0, 2**63 - 1), p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+# keys of 10 and 12 words, beside one-word keys: hash constants for any entropy length
+@example(seed=2**64 - 1, keys=[2**300 + 5, 1, 2**383, 2**300 + 6], n=100, p=0.5)
 def test_shot_generators_draw_as_default_rng_of_each_key(seed, keys, n, p):
     for key, rng in zip(keys, _shot_generators(seed, keys), strict=True):
         ref = np.random.default_rng((seed, key))
         assert rng.bit_generator.state == ref.bit_generator.state
         assert [rng.binomial(n, p) for _ in range(3)] == [ref.binomial(n, p) for _ in range(3)]
+
+
+@settings(max_examples=60)
+@given(n_words=st.integers(1, 12), n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+def test_seed_sequence_words_equal_numpy_seed_sequence_bit_for_bit(n_words, n, seed):
+    rng = np.random.default_rng(seed)
+    entropy = rng.integers(0, 2**32, (n, n_words), dtype=np.uint32)
+    entropy[rng.random((n, n_words)) < 0.2] = 0
+    entropy[:, -1] |= 1  # SeedSequence of an integer keeps no zero top word
+    got = _seed_sequence_words(entropy)
+    # PCG64 takes each row as its four state words, so the block must be C-ordered
+    assert got.shape == (n, 4) and got.dtype == np.uint64 and got.flags.c_contiguous
+    for row, words in zip(entropy, got):
+        seq = np.random.SeedSequence(int.from_bytes(row.astype("<u4").tobytes(), "little"))
+        assert words.tobytes() == seq.generate_state(4, np.uint64).tobytes()
 
 
 @pytest.mark.parametrize("key", [-1, 1.5])

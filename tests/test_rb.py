@@ -1,3 +1,4 @@
+import functools
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -12,6 +13,8 @@ from spintune.rb import (
     PRIMITIVE_NAMES,
     RESONANCE_MHZ,
     RbConfig,
+    _cliffords,
+    _costs,
     _group_tables,
     _primitives,
     clifford_table,
@@ -429,3 +432,56 @@ def test_exact_decay_curve_matches_the_dense_oracle():
     curve = rb_decay_curve(cfg, np.array(x), lengths)
     for p, m in zip(curve, lengths):
         assert abs(p - (1.0 - dense_oracle(replace(cfg, sequence_length=m), *x))) < 1e-10
+
+
+def random_pulse_rows(data, max_rows):
+    """A block of pulse rows from a drawn numpy seed, some of them on resonance."""
+    n = data.draw(st.integers(1, max_rows), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+    block = rng.uniform([0.5, 0.1, RESONANCE_MHZ - 20.0], [50.0, 30.0, RESONANCE_MHZ + 20.0],
+                        (n, 3))
+    block[rng.random(n) < 0.3, 2] = RESONANCE_MHZ
+    return block
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_cliffords_equal_the_primitive_by_primitive_product_bit_for_bit(data):
+    # the stacked products must round as one @ per primitive of each decomposition
+    block = random_pulse_rows(data, 150)
+    named = dict(zip(PRIMITIVE_NAMES, _primitives(block).swapaxes(0, 1)))
+    want = np.stack([functools.reduce(lambda u, name: named[name] @ u, seq[1:], named[seq[0]])
+                     for seq in CLIFFORD_DECOMPOSITIONS], axis=1)
+    got = _cliffords(block)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def reference_costs(cfg, amplitudes, shot_seeds):
+    """1 - mean return probability per row: scalar abs and **, then one scalar binomial
+    draw per sequence from the row's default_rng((cfg.seed, shot seed))."""
+    n, costs = cfg.shots_per_sequence, []
+    for a_row, shot_seed in zip(amplitudes, shot_seeds):
+        probs = [abs(a) ** 2 for a in a_row.tolist()]
+        if shot_seed is not None:
+            rng = np.random.default_rng((cfg.seed, shot_seed))
+            probs = [rng.binomial(n, min(p, 1.0)) / n for p in probs]
+        costs.append(1.0 - float(np.mean(probs)))
+    return costs
+
+
+@settings(max_examples=60)
+@given(data=st.data(), order=st.sampled_from(["C", "F"]))
+def test_costs_equal_the_scalar_reference_bit_for_bit(data, order):
+    cfg = RbConfig(shots_per_sequence=data.draw(st.integers(1, 1000)),
+                   seed=data.draw(st.integers(0, 2**64 - 1)))
+    n, r = data.draw(st.integers(1, 40), label="n"), data.draw(st.integers(1, 30), label="R")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+    phases = np.exp(2j * np.pi * rng.random((n, r)))
+    amplitudes = np.sqrt(rng.random((n, r))) * phases
+    # a probability that rounds to just above 1 is clamped before the draw
+    amplitudes[rng.random((n, r)) < 0.1] = 1.0000000000000002
+    amplitudes = np.asarray(amplitudes, order=order)
+    shot_seeds = [None if rng.random() < 0.3 else int(k)
+                  for k in rng.integers(0, 2**63, n, dtype=np.uint64)]
+    for seeds in (shot_seeds, [None] * n):
+        assert _costs(cfg, amplitudes, seeds) == reference_costs(cfg, amplitudes, seeds)

@@ -1,8 +1,8 @@
 """The reproducibility contract as bytes: a fixed set of runs writes the files pinned here.
 
 ``record_digests.json`` holds the sha256 of every file that the set below
-writes, except each run's ``timings.jsonl`` (wall-clock times), and the numpy,
-scipy and orjson versions it was made under: numpy promises no stable random
+writes, except each run's ``timings.jsonl`` (wall-clock times), and the numpy
+and orjson versions it was made under: numpy promises no stable random
 streams across versions (NEP 19), and orjson chooses how a record line spells
 each float, so another version fails the test rather than skipping it. A
 change that means to move a byte bumps ``harness.RECORD_VERSION`` where a
@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 import orjson
-import scipy
 
 from spintune import cli, harness
 
@@ -87,8 +86,7 @@ def platform_facts() -> dict:
 
 def test_fixed_runs_write_the_pinned_bytes(tmp_path):
     pinned = json.loads(DIGESTS.read_text())
-    versions = {"numpy": np.__version__, "orjson": orjson.__version__,
-                "scipy": scipy.__version__}
+    versions = {"numpy": np.__version__, "orjson": orjson.__version__}
     assert versions == pinned["versions"], (
         f"the digests were made under {pinned['versions']}, this is {versions}")
     digests = compute_digests(tmp_path)
