@@ -11,11 +11,11 @@ is written as a fixture by ``harness.json_plain`` and read back by
 
 Every cost function, here and in ``rb``, takes candidates as (n, d) rows,
 a vector being one row, and returns one result per row. Those that draw
-shots take one shot seed per row and draw from
-``default_rng((landscape seed, shot seed))``, or the run seed in ``rb``,
-so a block evaluated in one call gives exactly what each row gives
-alone. A block's generators are built together: SeedSequence's hash
-runs over all rows in one pass and seeds each PCG64 as numpy does.
+shots take one shot seed per row, None or a non-negative integer, and
+draw n_shots in [1, 2^63 - 1] from ``default_rng((landscape seed, shot
+seed))``, or the run seed in ``rb``, so a block gives exactly what each
+row gives alone. Every stream is built by ``_shot_generators``: one pass
+of SeedSequence's hash over all rows seeds each PCG64 as numpy does.
 Metadata holds only what the cost does not give: readout keeps
 ``true_visibility`` and shuttle ``p``, each with its ``shots`` under
 shot noise; RB keeps none. Visibility V is -cost, under shot noise
@@ -64,6 +64,7 @@ SHUTTLE_P_OPTIMUM = 0.0192
 SHUTTLE_P_WORST = 0.117
 SHUTTLE_SEGMENT_UM = 10.0
 DEFAULT_SHUTTLE_DISTANCE_UM = 172.8
+_MAX_SHOTS = 2**63 - 1  # the bound of every shot count: numpy's binomial takes int64 trials
 
 # Integrator steps for the embedded initialization-ramp fidelity. The
 # closed loop integrates one ramp per candidate, so it runs coarser than the
@@ -231,8 +232,9 @@ class HiddenLandscape:
     def __post_init__(self) -> None:
         for name in ("optimum", "coupling"):
             object.__setattr__(self, name, dqd._require_reals(name, getattr(self, name)))
-        if self.optimum.ndim != 1 or self.optimum.size == 0:
-            raise ValueError("optimum must be a non-empty vector")
+        opt = self.optimum
+        if opt.ndim != 1 or opt.size == 0 or not 0.0 <= opt.min() <= opt.max() <= 1.0:
+            raise ValueError("optimum must be a non-empty vector in the unit cube")
         if not isinstance(self.shot_noise, bool):
             raise ValueError(f"shot_noise must be true or false, got {self.shot_noise!r}")
         dqd._require_int("seed", self.seed, 0, dqd._MAX_UINT64)  # a record header holds it
@@ -311,8 +313,8 @@ def _unit_rows(landscape: HiddenLandscape, x: np.ndarray, shot_seeds, n_shots: i
     block = _seeded_rows(x, landscape.optimum.size, shot_seeds)
     if not np.all((block >= -1e-9) & (block <= 1 + 1e-9)):  # nan fails it too
         raise ValueError("candidate outside the unit cube")
-    if landscape.shot_noise and n_shots <= 0:
-        raise ValueError("n_shots must be positive")
+    if landscape.shot_noise:
+        dqd._require_int("n_shots", n_shots, 1, _MAX_SHOTS)
     return np.clip(block, 0.0, 1.0)
 
 
@@ -367,17 +369,16 @@ def _word_count(n: int) -> int:
     return max(1, -(-n.bit_length() // 32))
 
 
-def _shot_generators(seed: int, keys) -> list[np.random.Generator]:
-    """np.random.default_rng((seed, key)) for each key, bit for bit, from one SeedSequence
-    hash over the keys of each word count; numpy seeds each PCG64 from the hash's words.
-    A key other than a non-negative integer goes through default_rng, which seeds or
-    raises as ever."""
+def _shot_generators(seed: int, keys) -> list[np.random.Generator | None]:
+    """The one way to build shot streams: default_rng((seed, key)) for each key, bit for
+    bit, from one SeedSequence hash over the keys of each word count. A None key gives
+    None, a row that draws nothing; any other key must be a non-negative integer, of any
+    size, else ValueError naming it before any draw."""
     out, groups, seed = [None] * len(keys), {}, int(seed)
     for i, key in enumerate(keys):
-        if isinstance(key, (int, np.integer)) and key >= 0:
+        if key is not None:
+            dqd._require_int("shot seed", key, 0)
             groups.setdefault(_word_count(int(key)), []).append(i)
-        else:
-            out[i] = np.random.default_rng((seed, key))
     head = seed.to_bytes(4 * _word_count(seed), "little")
     for n_words, rows in groups.items():
         raw = b"".join(head + int(keys[i]).to_bytes(4 * n_words, "little") for i in rows)
@@ -389,12 +390,12 @@ def _shot_generators(seed: int, keys) -> list[np.random.Generator]:
 
 def _shot_counts(landscape: HiddenLandscape, shot_seeds, n_shots: int,
                  contrasts: list[float]) -> list[tuple[int, int] | None]:
-    """Each row's counts of n_shots at 0.5 (1 + contrast), then at 0.5 (1 - contrast),
-    drawn from default_rng((landscape.seed, shot seed)); None per row without shot noise."""
+    """Each row's counts of n_shots at 0.5 (1 + contrast), then 0.5 (1 - contrast), drawn from
+    default_rng((landscape.seed, shot seed)); None (exact) without shot noise or shot seed."""
     if not landscape.shot_noise:
         return [None] * len(contrasts)
-    return [(int(rng.binomial(n_shots, 0.5 * (1.0 + c))),
-             int(rng.binomial(n_shots, 0.5 * (1.0 - c))))
+    return [None if rng is None else (int(rng.binomial(n_shots, 0.5 * (1.0 + c))),
+                                      int(rng.binomial(n_shots, 0.5 * (1.0 - c))))
             for rng, c in zip(_shot_generators(landscape.seed, shot_seeds), contrasts)]
 
 

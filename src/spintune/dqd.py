@@ -73,7 +73,9 @@ _MAX_UINT64 = 2**64 - 1
 
 def _require_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
     """Raise ValueError naming ``name`` unless value is an integer >= minimum (and <= maximum)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+    # a plain int, as every shot seed is, skips the slower Integral check
+    integral = type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     if maximum is not None and value > maximum:
         raise ValueError(f"{name} must be <= {maximum}, got {value!r}")

@@ -97,10 +97,10 @@ class EvaluationError(Exception):
 
 # RunConfig fields that take integers only (bools are rejected), with their ranges: a shot
 # seed's key holds a generation and a row in _KEY_BITS each, a record header the seed in 64
-# bits, and shots are at most what numpy's binomial draw accepts.
+# bits, and shots at most backends._MAX_SHOTS, as every shot count.
 _KEY_BITS = 32
 _INTEGER_RANGES = {"generations": (1, 2**_KEY_BITS), "population": (2, 2**_KEY_BITS),
-                   "seed": (0, dqd._MAX_UINT64), "shots": (1, 2**63 - 1)}
+                   "seed": (0, dqd._MAX_UINT64), "shots": (1, backends._MAX_SHOTS)}
 
 
 def read_json(path: Path | str):
@@ -181,6 +181,8 @@ class RunConfig:
             if landscape.optimum.shape != (space.dimension,):
                 raise ConfigError(f"landscape fixture has {landscape.optimum.size} parameters; "
                                   f"the {self.task} task has {space.dimension}")
+            if landscape.floor >= (bound := _FLOOR_BOUNDS[self.task]):
+                raise ConfigError(f"landscape fixture floor {landscape.floor} is not below {bound}")
             # the checked device's JSON: a later change to the caller's object bypasses no check
             object.__setattr__(self, "backend_fixture", json_plain(landscape))
         window = 10 + math.ceil(30 * space.dimension / self.population)
@@ -302,6 +304,8 @@ _TASKS = {
     "benchmark": _Task(_benchmark_space, None, _benchmark_evaluator, lambda _: True),
 }
 TASKS = tuple(_TASKS)
+# a fixture's floor stays below these, else its device is flat or worst at its optimum
+_FLOOR_BOUNDS = {"readout": 1.0 - backends.READOUT_BASE_VISIBILITY, "shuttle": backends.SHUTTLE_P_WORST}
 
 
 def space_for_task(task: str) -> backends.ParameterSpace:

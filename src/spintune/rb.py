@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .backends import CostEvaluation, _seeded_rows, _shot_generators
+from .backends import _MAX_SHOTS, CostEvaluation, _seeded_rows, _shot_generators
 from .dqd import _require_int, _require_real, _require_reals
 
 __all__ = [
@@ -77,7 +77,8 @@ class RbConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            _require_int(f.name, getattr(self, f.name), 0 if f.name == "seed" else 1)
+            maximum = _MAX_SHOTS if f.name == "shots_per_sequence" else None
+            _require_int(f.name, getattr(self, f.name), 0 if f.name == "seed" else 1, maximum)
 
     @functools.cached_property
     def step_table(self) -> np.ndarray:
@@ -212,7 +213,7 @@ def _return_amplitudes(x: np.ndarray, shot_seeds, sequences: np.ndarray, recover
 
 def _costs(cfg: RbConfig, amplitudes: np.ndarray, shot_seeds) -> list[float]:
     """1 - mean return probability of each row of (n, R) amplitudes, from shots drawn
-    from default_rng((cfg.seed, shot seed)) where the row's shot seed is set.
+    from _shot_generators(cfg.seed, shot_seeds) wherever the row's stream is not None.
 
     A probability is libm's hypot, then pow, as Python's ``abs(a) ** 2`` computes it;
     np.abs and array ** round differently in the last bit. A seeded row draws its R
@@ -221,11 +222,10 @@ def _costs(cfg: RbConfig, amplitudes: np.ndarray, shot_seeds) -> list[float]:
     # C order: a row's mean over axis 1 is then np.mean of that row alone, bit for bit
     probs = np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0, order="C")
     n = cfg.shots_per_sequence
-    rngs = iter(_shot_generators(cfg.seed, [s for s in shot_seeds if s is not None]))
-    for row, shot_seed in zip(probs, shot_seeds):
-        if shot_seed is not None:
+    for row, rng in zip(probs, _shot_generators(cfg.seed, shot_seeds)):
+        if rng is not None:
             # a return probability can round to just above 1
-            row[:] = next(rngs).binomial(n, np.minimum(row, 1.0)) / n
+            row[:] = rng.binomial(n, np.minimum(row, 1.0)) / n
     return (1.0 - np.mean(probs, axis=1)).tolist()
 
 
@@ -246,16 +246,19 @@ def rb_decay_curve(cfg: RbConfig, x: np.ndarray, lengths: list[int],
                    shot_seed: int | None = None) -> np.ndarray:
     """Mean return probability versus sequence length at fixed pulses.
 
-    A length may be an integral float, such as 2.0, but not 2.5 or inf. Entry i is
-    1 - rb_backend_evaluate's cost at lengths[i] and shot seed shot_seed + i, from one
-    pass through the sequences of the longest length, which begin with the shorter ones.
+    shot_seed, None or a non-negative integer, is checked before any work; a length may
+    be an integral float, such as 2.0, but not 2.5 or inf. Entry i is 1 -
+    rb_backend_evaluate's cost at lengths[i] and shot seed shot_seed + i, from one pass
+    through the sequences of the longest length, which begin with the shorter ones.
     """
+    if shot_seed is not None:
+        _require_int("shot seed", shot_seed, 0)
     for m in lengths:
         _require_real("sequence length", m)
         if not float(m).is_integer():
             raise ValueError(f"sequence length {m!r} is not a whole number")
     ms = [replace(cfg, sequence_length=int(m)).sequence_length for m in lengths]
-    seeds = [None if shot_seed is None else int(shot_seed) + i for i in range(len(ms))]
+    seeds = [None if shot_seed is None else shot_seed + i for i in range(len(ms))]
     if not ms:
         return np.array([])
     sequences = replace(cfg, sequence_length=max(ms)).step_table[:-1]

@@ -209,9 +209,13 @@ def test_landscape_refuses_a_mismatched_coupling_and_a_floor_outside_0_to_1():
 
 def test_readout_refuses_no_shots_under_shot_noise_and_a_foreign_space():
     land, x = make_readout_landscape(0), np.full(14, 0.5)
-    for n_shots in (0, -1):
-        with pytest.raises(ValueError, match="n_shots must be positive"):
+    shuttle = replace(make_shuttle_landscape(0), shot_noise=True)
+    for n_shots in (0, -1, 1.5, True, 2**63):
+        refused = rf"n_shots must be .*, got {re.escape(repr(n_shots))}$"
+        with pytest.raises(ValueError, match=refused):
             readout_backend_evaluate(land, readout_space(), x, n_shots, shot_seeds=[1])
+        with pytest.raises(ValueError, match=refused):
+            shuttle_backend_evaluate(shuttle, np.full(8, 0.5), n_shots=n_shots, shot_seeds=[1])
     with pytest.raises(ValueError, match="expects the 14-parameter space"):
         readout_backend_evaluate(land, shuttle_space(), x, 100, shot_seeds=[1])
     # without shot noise no shot is drawn, so their number is not looked at
@@ -410,6 +414,10 @@ def test_block_shapes_and_seed_counts_are_checked(task):
     assert isinstance(one, list) and one == evaluate(x[None], [4])
     shared = evaluate(np.tile(x, (2, 1)), [4, 4])
     assert shared[0] == shared[1] == one[0]
+    # a None shot seed draws nothing: that row's cost is exact, beside a drawing row
+    exact = evaluate(x, [None])[0]
+    assert "shots" not in exact.metadata
+    assert evaluate(np.tile(x, (2, 1)), [None, 4]) == [exact, one[0]]
 
 
 # ------------------------------------------------ shot streams of a block
@@ -450,10 +458,26 @@ def test_seed_sequence_words_equal_numpy_seed_sequence_bit_for_bit(n_words, n, s
 
 @pytest.mark.parametrize("key", [-1, 1.5])
 def test_shot_generators_refuse_a_key_as_default_rng_does(key):
-    with pytest.raises((ValueError, TypeError)) as expected:
+    with pytest.raises((ValueError, TypeError)):
         np.random.default_rng((3, key))
-    with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+    refused = re.escape(f"shot seed must be an integer >= 0, got {key!r}")
+    with pytest.raises(ValueError, match=refused):
         _shot_generators(3, [5, key, 2**70])
+
+
+def test_shot_generators_refuse_a_key_other_than_none_or_a_non_negative_integer():
+    for key in (True, np.bool_(True), "2", [1, 2], np.float64(2.0)):
+        refused = re.escape(f"shot seed must be an integer >= 0, got {key!r}")
+        with pytest.raises(ValueError, match=refused):
+            _shot_generators(3, [5, key, 2**70])
+    # a None key draws nothing, and a numpy integer key draws as default_rng seeds it
+    keys = [None, np.int64(7), np.uint64(2**64 - 1)]
+    nothing, *rngs = _shot_generators(3, keys)
+    assert nothing is None
+    for key, rng in zip(keys[1:], rngs, strict=True):
+        ref = np.random.default_rng((3, key))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.binomial(100, 0.5, 5).tolist() == ref.binomial(100, 0.5, 5).tolist()
 
 
 # --------------------------------------------- the shuttle formula, per row

@@ -248,6 +248,7 @@ def test_unknown_task_exits_2(tmp_path):
 
 
 READOUT_FIXTURE = harness.json_plain(backends.make_readout_landscape(0))
+SHUTTLE_FIXTURE = harness.json_plain(backends.make_shuttle_landscape(2))
 
 
 def readout_run(fixture_changes=(), **changes):
@@ -279,6 +280,15 @@ def readout_run(fixture_changes=(), **changes):
     {"task": "benchmark", "generations": 2, "population": 3, "shot": 5},
     readout_run({"shots": 5}),
     {"task": "single_qubit", "generations": 1, "population": 2, "backend_fixture": READOUT_FIXTURE},
+    # a planted optimum the run cannot reach: B1_init outside the cube, or a floor that
+    # turns the device upside down
+    readout_run({"optimum": [*READOUT_FIXTURE["optimum"][:5], -1.0,
+                             *READOUT_FIXTURE["optimum"][6:]]}),
+    readout_run({"floor": 0.97}),
+    {"task": "shuttle", "generations": 1, "population": 2,
+     "backend_fixture": {**SHUTTLE_FIXTURE, "floor": 0.5}},
+    {"task": "shuttle", "generations": 1, "population": 2,
+     "backend_fixture": {**SHUTTLE_FIXTURE, "optimum": [1.5] * 8}},
 ])
 def test_wrongly_typed_config_exits_2(tmp_path, capsys, payload):
     cfg = write_json(tmp_path / "cfg.json", payload)
@@ -623,7 +633,6 @@ def test_sweep_with_bad_step_count_exits_2(tmp_path, capsys, n_steps):
     assert not (tmp_path / "grid.csv").exists()
 
 
-SHUTTLE_FIXTURE = harness.json_plain(backends.make_shuttle_landscape(2))
 # Damage to one line of an 8-parameter record: (line, edit of its parsed JSON).
 # json.dumps cannot write a number that overflows a float, so a damaged
 # line holds a placeholder that is swapped for the raw text

@@ -1,10 +1,6 @@
 import itertools
-import os
-import subprocess
-import sys
 import warnings
 from dataclasses import replace
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,7 +8,6 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from numpy._core._multiarray_umath import __cpu_features__
 
 from spintune import backends, dqd, harness
 from spintune.dqd import (
@@ -318,19 +313,6 @@ def test_chunk_and_slab_sizes_do_not_change_readout_ramps():
     for i in (0, 75, 76, 151):
         alone = _ramp_states(*(a[i:i + 1] for a in ramp), psi0[i:i + 1], backends._INIT_STEPS)
         assert np.array_equal(alone, want[i:i + 1])
-
-
-@pytest.mark.skipif(not __cpu_features__.get("X86_V4"), reason="numpy found no X86_V4 here")
-def test_readout_ramps_hold_under_numpys_avx2_loops():
-    # Without its AVX-512 loops numpy's float64 tan and arccos round otherwise, as
-    # on a CPU without AVX-512; the two tests above run again in a child that way.
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-    tests = [f"{__file__}::{test.__name__}" for test in (
-        test_readout_ramps_match_expm_stepping, test_chunk_and_slab_sizes_do_not_change_readout_ramps)]
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
-                          cwd=Path(__file__).parent.parent, env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "2 passed" in proc.stdout
 
 
 @pytest.mark.parametrize("noise", [None, NoiseModel(sigma_eps=1.0, n_samples=50, seed=3)])

@@ -1,10 +1,14 @@
 import importlib
+import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 import spintune
 
@@ -65,3 +69,39 @@ def test_the_cli_module_runs_as_a_script():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "analyze" in proc.stdout
+
+
+# The tests whose bits hang on numpy's SIMD loops or OpenBLAS's kernels: shot streams,
+# RB blocks and readout ramps. Without its AVX-512 loops numpy's float64 tan and arccos
+# round otherwise, as on a CPU without AVX-512, so on a CPU with it they run once more in
+# a child limited to AVX2.
+AVX2_TESTS = [f"tests/{name}" for name in (
+    "test_dqd.py::test_readout_ramps_match_expm_stepping",
+    "test_dqd.py::test_chunk_and_slab_sizes_do_not_change_readout_ramps",
+    "test_rb.py::test_every_primitive_equals_the_scalar_reference_bit_for_bit",
+    "test_rb.py::test_block_equals_its_rows_bit_for_bit",
+    "test_rb.py::test_exact_cost_equals_the_sequence_by_sequence_propagation_bit_for_bit",
+    "test_rb.py::test_decay_curve_equals_evaluation_at_each_length_bit_for_bit",
+    "test_rb.py::test_cliffords_equal_the_primitive_by_primitive_product_bit_for_bit",
+    "test_rb.py::test_costs_equal_the_scalar_reference_bit_for_bit",
+    "test_backends.py::test_every_stored_object_round_trips_through_a_json_file_bit_for_bit",
+    "test_backends.py::test_readout_block_equals_its_rows_bit_for_bit",
+    "test_backends.py::test_shuttle_block_equals_its_rows_bit_for_bit",
+    "test_backends.py::test_shot_generators_draw_as_default_rng_of_each_key",
+    "test_backends.py::test_seed_sequence_words_equal_numpy_seed_sequence_bit_for_bit",
+    "test_backends.py::test_shot_generators_refuse_a_key_other_than_none_or_a_non_negative_integer",
+)]
+
+
+@pytest.mark.skipif(not __cpu_features__.get("X86_V4"), reason="numpy found no X86_V4 here")
+def test_streams_rb_blocks_and_ramps_hold_under_numpys_avx2_loops():
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+           "OPENBLAS_CORETYPE": "Haswell"}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+                           *AVX2_TESTS], cwd=Path(__file__).parent.parent, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    results = re.findall(r"^([A-Z]+) (tests/\S+)", proc.stdout, re.M)
+    # every listed test, each of its parameters, passed: none was skipped or deselected
+    assert {word for word, _ in results} == {"PASSED"}, proc.stdout
+    assert {test.split("[")[0] for _, test in results} == set(AVX2_TESTS), proc.stdout

@@ -1,5 +1,7 @@
 import functools
+import re
 from dataclasses import FrozenInstanceError, fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -282,6 +284,7 @@ def test_input_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("shots_per_sequence", 1.5), ("n_randomizations", True), ("seed", -1),
+    ("shots_per_sequence", 2**63),
 ])
 def test_config_takes_integers_only_and_a_non_negative_seed(field, value):
     with pytest.raises(ValueError, match=field):
@@ -423,6 +426,12 @@ def test_noisy_decay_curve_draws_length_i_at_shot_seed_plus_i():
 def test_decay_curve_refuses_a_length_that_is_not_a_whole_number(length):
     with pytest.raises(ValueError, match="sequence length"):
         rb_decay_curve(RbConfig(), np.array([12.5, 10.0, RESONANCE_MHZ]), [1, length])
+    # a shot seed is None or a non-negative integer, refused before any length or amplitude
+    with mock.patch("spintune.rb._return_amplitudes", side_effect=AssertionError):
+        for shot_seed in (2.9, "2", True, -1):
+            with pytest.raises(ValueError, match=re.escape(f"shot seed must be an integer >= 0, "
+                                                           f"got {shot_seed!r}")):
+                rb_decay_curve(RbConfig(), CALIBRATED, [1, length], shot_seed=shot_seed)
 
 
 def test_exact_decay_curve_matches_the_dense_oracle():
