@@ -21,8 +21,8 @@ Metadata holds only what the cost does not give: readout keeps
 shot noise; RB keeps none. Visibility V is -cost, under shot noise
 (odd_given_odd - odd_given_even) / n_shots from the readout ``shots``
 counts, and readout fidelity (1 + clamp(V)) / 2; echo amplitude is
-1 - cost and its noiseless value (1 - p) ** (distance / 10 um); RB
-return probability is 1 - cost.
+1 - cost and its noiseless value (1 - p) ** (SHUTTLE_DISTANCE_UM / 10 um);
+RB return probability is 1 - cost.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ __all__ = [
     "READOUT_CEILING",
     "SHUTTLE_P_OPTIMUM",
     "SHUTTLE_P_WORST",
-    "DEFAULT_SHUTTLE_DISTANCE_UM",
+    "SHUTTLE_DISTANCE_UM",
 ]
 
 READOUT_CEILING = 0.995
@@ -63,7 +63,7 @@ READOUT_BASE_VISIBILITY = 0.05
 SHUTTLE_P_OPTIMUM = 0.0192
 SHUTTLE_P_WORST = 0.117
 SHUTTLE_SEGMENT_UM = 10.0
-DEFAULT_SHUTTLE_DISTANCE_UM = 172.8
+SHUTTLE_DISTANCE_UM = 172.8  # the echo protocol's shuttling length
 _MAX_SHOTS = 2**63 - 1  # the bound of every shot count: numpy's binomial takes int64 trials
 
 # Integrator steps for the embedded initialization-ramp fidelity. The
@@ -474,41 +474,44 @@ def make_shuttle_landscape(seed: int) -> HiddenLandscape:
     optimum = rng.uniform(0.3, 0.7, n)
     a = rng.standard_normal((n, n))
     raw = a @ a.T + n * np.eye(n)
+    return HiddenLandscape(optimum, raw / _worst_corner(optimum, raw), SHUTTLE_P_OPTIMUM,
+                           False, seed)
+
+
+def _worst_corner(optimum: np.ndarray, coupling: np.ndarray) -> float:
+    """The largest d @ coupling @ d, d = corner - optimum, over the corners of the unit cube."""
+    n = optimum.size
     corners = np.array(np.meshgrid(*[[0.0, 1.0]] * n)).reshape(n, -1).T
     d = corners - optimum
-    worst = np.max(np.einsum("ki,ij,kj->k", d, raw, d))
-    return HiddenLandscape(optimum, raw / worst, SHUTTLE_P_OPTIMUM, False, seed)
+    return np.max(np.einsum("ki,ij,kj->k", d, coupling, d))
 
 
 def shuttle_depolarization(landscape: HiddenLandscape, x: np.ndarray) -> np.ndarray:
     """Depolarization parameter p at each row of x, (n, d), of the planted shuttle landscape.
 
-    The quadratic form stays within [0, 1] on the unit cube (it is
-    convex, so its maximum sits at the corner used for normalization),
-    which pins p to [floor, SHUTTLE_P_WORST] with the floor attained exactly at
-    the planted optimum.
+    The quadratic form stays within [0, 1] on the unit cube: it is convex,
+    so its maximum sits at a corner, and every accepted device has it at
+    most 1 there (``make_shuttle_landscape`` normalizes by it, and a run
+    refuses a fixture above it). That pins p to [floor, SHUTTLE_P_WORST]
+    with the floor attained exactly at the planted optimum.
     """
     return landscape.floor + (SHUTTLE_P_WORST - landscape.floor) * landscape.quadratic(x)
 
 
-def shuttle_backend_evaluate(landscape: HiddenLandscape, x: np.ndarray,
-                             distance: float = DEFAULT_SHUTTLE_DISTANCE_UM,
-                             n_shots: int = 1000, *, shot_seeds) -> list[CostEvaluation]:
-    """Evaluate the spin-echo amplitude after shuttling over ``distance`` at each row of x.
+def shuttle_backend_evaluate(landscape: HiddenLandscape, x: np.ndarray, n_shots: int,
+                             shot_seeds) -> list[CostEvaluation]:
+    """Evaluate the spin-echo amplitude after shuttling SHUTTLE_DISTANCE_UM at each row of x.
 
-    The echo amplitude follows A(x) = (1 - p(x)) ** (distance / 10 um),
+    The echo amplitude follows A(x) = (1 - p(x)) ** (SHUTTLE_DISTANCE_UM / 10 um),
     measured as the contrast between the two echo circuit variants, and
     the cost is 1 - A. With ``landscape.shot_noise`` row i draws its two
     variants from ``n_shots`` shots seeded by ``shot_seeds[i]``. Returns
     one evaluation per row.
     """
     block = _unit_rows(landscape, x, shot_seeds, n_shots)
-    dqd._require_real("distance", distance)
-    if distance < 0:
-        raise ValueError("distance must be non-negative")
     p = shuttle_depolarization(landscape, block)
     # float_power rounds as Python's scalar ** does; array ** may not
-    amplitude = np.float_power(1.0 - p, distance / SHUTTLE_SEGMENT_UM)
+    amplitude = np.float_power(1.0 - p, SHUTTLE_DISTANCE_UM / SHUTTLE_SEGMENT_UM)
     out, amplitude = [], amplitude.tolist()
     for p_row, a_row, counts in zip(p.tolist(), amplitude,
                                     _shot_counts(landscape, shot_seeds, n_shots, amplitude)):

@@ -14,9 +14,9 @@ to eps_final over ramp_time.
 
 Time evolution is piecewise-constant: each step applies the exact matrix
 exponential of the Hamiltonian at its midpoint. One kernel, ``_ramp_states``,
-integrates every ramp (``evolve``, ``initialization_fidelity`` and each cell
-and noise sample of ``sweep_fidelity_grid``) through the eigenbases of its
-steps. With W_n the unit eigenvectors of step n and D_n its phases
+integrates every ramp (``initialization_fidelity`` and each cell and noise
+sample of ``sweep_fidelity_grid``) through the eigenbases of its steps.
+With W_n the unit eigenvectors of step n and D_n its phases
 exp(-2*pi*i*lam_k*dt), a ramp is W_{N-1} D_{N-1} (W_{N-1}^T W_{N-2}) ...
 D_1 (W_1^T W_0) D_0 W_0^T. The outer eigenvalues solve the characteristic
 cubic trigonometrically; the middle one is lam_mid = eps*dE_z^2 /
@@ -42,9 +42,8 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["DqdConfig", "StateVector", "NoiseModel", "hamiltonian", "evolve",
-           "initialization_fidelity", "sweep_fidelity_grid", "DEFAULT_STEPS",
-           "GRID_STEPS"]
+__all__ = ["DqdConfig", "NoiseModel", "initialization_fidelity", "sweep_fidelity_grid",
+           "DEFAULT_STEPS", "GRID_STEPS"]
 
 # Default number of integration steps per ramp (dt = ramp_time / 8000).
 # The midpoint rule is second order, so this budget keeps the halved-step
@@ -120,21 +119,6 @@ class DqdConfig:
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Three complex amplitudes over (S(2,0), S(1,1), T0(1,1))."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (3,):
-            raise ValueError(f"expected 3 amplitudes, got shape {amp.shape}")
-        if not abs(np.linalg.norm(amp) - 1.0) <= 1e-6:  # NaN fails it too
-            raise ValueError("state vector must be normalized")
-        object.__setattr__(self, "amplitudes", amp)
-
-
-@dataclass(frozen=True)
 class NoiseModel:
     """Quasistatic Gaussian detuning noise: one draw per trajectory."""
 
@@ -152,11 +136,6 @@ class NoiseModel:
     def draws(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
         return rng.normal(0.0, self.sigma_eps, self.n_samples)
-
-
-def hamiltonian(cfg: DqdConfig, eps: float) -> np.ndarray:
-    """The 3x3 Hamiltonian at a given detuning, in GHz."""
-    return _h_batch(eps, cfg.tunnel_coupling, cfg.zeeman_diff)
 
 
 # ----------------------------------------------------------------------
@@ -337,22 +316,6 @@ def _axis_values(name, values) -> np.ndarray:
     for value in vals.tolist():
         DqdConfig(**{name: value})  # raises unless DqdConfig accepts the value
     return vals
-
-
-def evolve(
-    cfg: DqdConfig,
-    psi0: StateVector,
-    dt: float | None = None,
-) -> StateVector:
-    """Integrate the ramp from t=0 to ramp_time under H(eps(t))."""
-    n_steps = DEFAULT_STEPS
-    if dt is not None:
-        _require_real("dt", dt)
-        if not 0.0 < dt <= cfg.ramp_time:
-            raise ValueError(f"dt must be in (0, ramp_time={cfg.ramp_time}], got {dt}")
-        n_steps = round(cfg.ramp_time / dt)
-    ramp = np.array([[getattr(cfg, name)] for name in _AXIS_FIELDS], dtype=float)
-    return StateVector(_ramp_states(*ramp, psi0.amplitudes[None], n_steps)[0])
 
 
 def initialization_fidelity(

@@ -60,7 +60,6 @@ __all__ = [
     "GenerationRecord",
     "RunRecord",
     "BatchResult",
-    "space_for_task",
     "run",
     "batch",
     "load_record",
@@ -183,6 +182,10 @@ class RunConfig:
                                   f"the {self.task} task has {space.dimension}")
             if landscape.floor >= (bound := _FLOOR_BOUNDS[self.task]):
                 raise ConfigError(f"landscape fixture floor {landscape.floor} is not below {bound}")
+            if self.task == "shuttle" and (worst := backends._worst_corner(
+                    landscape.optimum, landscape.coupling)) > 1.0 + 1e-12:
+                raise ConfigError(f"landscape fixture quadratic reaches {worst} at a corner of the "
+                                  "unit cube; a shuttle device's must not exceed 1")
             # the checked device's JSON: a later change to the caller's object bypasses no check
             object.__setattr__(self, "backend_fixture", json_plain(landscape))
         window = 10 + math.ceil(30 * space.dimension / self.population)
@@ -304,14 +307,9 @@ _TASKS = {
     "benchmark": _Task(_benchmark_space, None, _benchmark_evaluator, lambda _: True),
 }
 TASKS = tuple(_TASKS)
-# a fixture's floor stays below these, else its device is flat or worst at its optimum
+# a fixture's floor stays below these, else its device is flat or worst at its optimum; and
+# a shuttle fixture's quadratic stays at most 1 on the cube, else p passes SHUTTLE_P_WORST
 _FLOOR_BOUNDS = {"readout": 1.0 - backends.READOUT_BASE_VISIBILITY, "shuttle": backends.SHUTTLE_P_WORST}
-
-
-def space_for_task(task: str) -> backends.ParameterSpace:
-    if task not in _TASKS:
-        raise ConfigError(f"unknown task {task!r}")
-    return _TASKS[task].space()
 
 
 def _make_evaluator(config: RunConfig):

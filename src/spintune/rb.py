@@ -33,6 +33,7 @@ __all__ = [
     "CLIFFORD_DECOMPOSITIONS",
     "GATES_PER_CLIFFORD",
     "RESONANCE_MHZ",
+    "N_RANDOMIZATIONS",
     "DRIVE_RATE_RAD_PER_MV_NS",
     "clifford_table",
     "rb_sequences",
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 RESONANCE_MHZ = 1000.0
+N_RANDOMIZATIONS = 15  # random sequences averaged per benchmarking estimate
 
 # Rotation rate per mV of drive amplitude, chosen so a 10 mV pulse of
 # 12.5 ns performs a quarter turn.
@@ -71,7 +73,6 @@ class RbConfig:
     """Shape of one randomized-benchmarking estimate."""
 
     sequence_length: int = 30
-    n_randomizations: int = 15
     shots_per_sequence: int = 100
     seed: int = 0
 
@@ -82,7 +83,7 @@ class RbConfig:
 
     @functools.cached_property
     def step_table(self) -> np.ndarray:
-        """Read-only (sequence_length + 1, n_randomizations) Clifford indices, built on first
+        """Read-only (sequence_length + 1, N_RANDOMIZATIONS) Clifford indices, built on first
         use: column r is rb_sequences' randomization r, then its recovery. Not a field."""
         table = np.array([(*seq, rec) for seq, rec in rb_sequences(self)]).T
         table.flags.writeable = False
@@ -184,7 +185,7 @@ def rb_sequences(cfg: RbConfig) -> list[tuple[np.ndarray, int]]:
     """
     mult, inverse = _group_tables()
     seqs = [np.random.default_rng((cfg.seed, r)).integers(0, 24, size=cfg.sequence_length)
-            for r in range(cfg.n_randomizations)]
+            for r in range(N_RANDOMIZATIONS)]
     nets = functools.reduce(lambda net, step: mult[step, net], np.transpose(seqs), 0)
     return [(seq, int(inverse[net])) for seq, net in zip(seqs, nets)]
 

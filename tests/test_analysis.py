@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spintune import analysis, harness
+from spintune import analysis, backends, harness
 from spintune.analysis import (
     CovarianceSeries,
     covariance_average,
@@ -588,7 +588,7 @@ def test_trajectories_start_from_identity(readout_run_series):
 
 
 def test_planted_crosstalk_pairs_set_final_covariance_signs(readout_run_series):
-    names = harness.space_for_task("readout").names
+    names = backends.readout_space().names
     i_pos, j_pos = names.index("ve12_read"), names.index("B2_read")
     i_neg, j_neg = names.index("vmu12_read"), names.index("B1_read")
     positive = sum(covariance_trajectory(s, (i_pos, j_pos))[-1][1] > 0
@@ -612,7 +612,7 @@ def test_averaged_gate_covariance_couples_duration_and_amplitude():
     result = harness.batch(config, repeats=44)
     series = [harness.covariance_series(r) for r in result.records]
     averaged = covariance_average(series, 10)
-    names = harness.space_for_task("single_qubit").names
+    names = result.records[0].space.names
     i, j = names.index("t_d"), names.index("A")
     assert averaged[i, j] < 0
     np.testing.assert_allclose(averaged, averaged.T, atol=1e-12)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from spintune import dqd
 from spintune.backends import (
-    DEFAULT_SHUTTLE_DISTANCE_UM,
+    SHUTTLE_DISTANCE_UM,
     SHUTTLE_P_WORST,
+    SHUTTLE_SEGMENT_UM,
     HiddenLandscape,
     ParameterSpace,
     SpaceEntry,
@@ -29,7 +30,7 @@ from spintune.backends import (
     true_readout_visibility,
 )
 from spintune.cmaes import DistributionState, StrategyParams, ask, tell
-from spintune.harness import TASKS, RunConfig, json_object, json_plain, read_json, space_for_task
+from spintune.harness import TASKS, RunConfig, json_object, json_plain, read_json
 from spintune.rb import RbConfig, rb_backend_evaluate
 
 
@@ -170,7 +171,7 @@ STORED_OBJECTS = {
         backend_fixture=json_plain(replace(make_shuttle_landscape(2), shot_noise=True)))],
     "readout landscape": lambda: [make_readout_landscape(9)],
     "shuttle landscape": lambda: [make_shuttle_landscape(12)],
-    **{f"{task} space entries": lambda task=task: list(space_for_task(task).entries)
+    **{f"{task} space entries": lambda task=task: list(RunConfig(task, 1, 2).space.entries)
        for task in TASKS},
     "distribution state after three tells": lambda: [_told_state()],
 }
@@ -250,9 +251,10 @@ def test_planted_crosstalk_signs_in_coupling():
 
 def test_shuttle_optimum_examples():
     land = make_shuttle_landscape(1)
-    ev = shuttle_backend_evaluate(land, land.optimum, distance=10.0, shot_seeds=[0])[0]
+    ev = shuttle_backend_evaluate(land, land.optimum, 1000, [0])[0]
     assert ev.metadata["p"] == pytest.approx(0.0192, abs=1e-12)
-    assert 1 - ev.cost == pytest.approx(1.0 - 0.0192, abs=1e-12)
+    assert 1 - ev.cost == pytest.approx((1.0 - 0.0192) ** (SHUTTLE_DISTANCE_UM / SHUTTLE_SEGMENT_UM),
+                                        abs=1e-12)
 
 
 def test_shuttle_worst_corner_depolarization():
@@ -262,39 +264,10 @@ def test_shuttle_worst_corner_depolarization():
     assert worst == pytest.approx(0.117, abs=1e-12)
 
 
-def test_shuttle_zero_distance_has_unit_amplitude():
-    land = make_shuttle_landscape(6)
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        x = rng.uniform(0.0, 1.0, 8)
-        ev = shuttle_backend_evaluate(land, x, distance=0.0, shot_seeds=[0])[0]
-        assert 1 - ev.cost == 1.0
-
-
-def test_shuttle_amplitude_decreases_with_distance():
-    land = make_shuttle_landscape(3)
-    x = np.full(8, 0.3)
-    amps = [1 - shuttle_backend_evaluate(land, x, distance=d, shot_seeds=[0])[0].cost
-            for d in (0.0, 10.0, 100.0, 172.8)]
-    assert all(a > b for a, b in zip(amps, amps[1:]))
-
-
-@pytest.mark.parametrize("distance, error", [
-    (float("nan"), "distance must be a finite real number"),
-    (float("inf"), "distance must be a finite real number"),
-    (True, "distance must be a finite real number"),
-    (-1.0, "distance must be non-negative"),
-])
-def test_shuttle_refuses_a_distance_that_is_not_a_non_negative_real(distance, error):
-    land = make_shuttle_landscape(3)
-    with pytest.raises(ValueError, match=error):
-        shuttle_backend_evaluate(land, np.full(8, 0.3), distance=distance, shot_seeds=[0])
-
-
 def test_shuttle_dimension_mismatch():
     land = make_shuttle_landscape(0)
     with pytest.raises(ValueError):
-        shuttle_backend_evaluate(land, np.full(14, 0.5), shot_seeds=[0])
+        shuttle_backend_evaluate(land, np.full(14, 0.5), 1000, [0])
 
 
 def test_true_visibility_caps_at_ceiling():
@@ -385,11 +358,9 @@ def test_readout_block_equals_its_rows_bit_for_bit(data):
 def test_shuttle_block_equals_its_rows_bit_for_bit(data):
     land = replace(make_shuttle_landscape(data.draw(st.integers(0, 50))),
                    shot_noise=data.draw(st.booleans()))
-    distance = data.draw(st.sampled_from([0.0, 10.0, DEFAULT_SHUTTLE_DISTANCE_UM]))
     X, seeds, bad = _unit_block(data, 8)
     _assert_block_equals_rows(
-        lambda x, s: shuttle_backend_evaluate(land, x, distance=distance,
-                                              n_shots=300, shot_seeds=s), X, seeds, bad)
+        lambda x, s: shuttle_backend_evaluate(land, x, n_shots=300, shot_seeds=s), X, seeds, bad)
 
 
 _POINTS = {  # one candidate of each backend, as (evaluate(x, shot_seeds), x)
@@ -490,11 +461,11 @@ def test_quadratic_of_a_block_is_the_scalar_form_of_each_row():
         assert [land.quadratic(x)[0] for x in X] == scalar
 
 
-def reference_shuttle(landscape, x, distance, n_shots, shot_seed):
+def reference_shuttle(landscape, x, n_shots, shot_seed):
     """One candidate by the scalar formula: d @ C @ d and Python's float **."""
     d = np.asarray(x, dtype=float) - landscape.optimum
     p = landscape.floor + (SHUTTLE_P_WORST - landscape.floor) * float(d @ landscape.coupling @ d)
-    amplitude = (1.0 - p) ** (distance / 10.0)
+    amplitude = (1.0 - p) ** (SHUTTLE_DISTANCE_UM / 10.0)
     meta = {"p": p}
     if landscape.shot_noise:
         rng = np.random.default_rng((landscape.seed, shot_seed))
@@ -508,17 +479,15 @@ def reference_shuttle(landscape, x, distance, n_shots, shot_seed):
 
 
 @pytest.mark.parametrize("shot_noise", [False, True])
-@pytest.mark.parametrize("distance", [0.0, 10.0, DEFAULT_SHUTTLE_DISTANCE_UM])
-def test_shuttle_block_matches_the_scalar_formula_byte_for_byte(shot_noise, distance):
+def test_shuttle_block_matches_the_scalar_formula_byte_for_byte(shot_noise):
     corners = np.array(np.meshgrid(*[[0.0, 1.0]] * 8)).T.reshape(-1, 8)
     for seed in range(3):
         land = replace(make_shuttle_landscape(seed), shot_noise=shot_noise)
         X = np.vstack([corners, land.optimum, np.random.default_rng(seed).uniform(0, 1, (200, 8))])
         seeds = list(range(len(X)))
-        block = shuttle_backend_evaluate(land, X, distance=distance,
-                                         n_shots=500, shot_seeds=seeds)
+        block = shuttle_backend_evaluate(land, X, n_shots=500, shot_seeds=seeds)
         for x, s, ev in zip(X, seeds, block):
-            cost, meta = reference_shuttle(land, x, distance, 500, s)
+            cost, meta = reference_shuttle(land, x, 500, s)
             assert repr(ev.cost) == repr(cost)
             assert json.dumps(ev.metadata, sort_keys=True) == json.dumps(meta, sort_keys=True)
         assert block[len(corners)].metadata["p"] == land.floor

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -90,6 +91,21 @@ def test_readme_usage_lines_parse():
     assert sorted(line.split()[1] for line in usage) == sorted(commands)
     for line in usage:  # an optional argument is shown in brackets
         _build_parser().parse_args(line.replace("[", "").replace("]", "").split()[1:])
+
+
+def test_readme_library_examples_run(tmp_path, monkeypatch):
+    # the python blocks under "Library use", in turn in one namespace, as a reader runs them
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library use\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert len(namespace["record"].generations) == 40
+    assert np.sum(namespace["state"].mean ** 2) < 1e-12
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("change", [{"seed": 6}, {"population": 5}, {"generations": 2}])
@@ -289,6 +305,10 @@ def readout_run(fixture_changes=(), **changes):
      "backend_fixture": {**SHUTTLE_FIXTURE, "floor": 0.5}},
     {"task": "shuttle", "generations": 1, "population": 2,
      "backend_fixture": {**SHUTTLE_FIXTURE, "optimum": [1.5] * 8}},
+    # a quadratic above 1 on the cube, so p passes SHUTTLE_P_WORST and the echo cost is NaN
+    {"task": "shuttle", "generations": 1, "population": 2,
+     "backend_fixture": {**SHUTTLE_FIXTURE, "optimum": [0.5] * 8,
+                         "coupling": (100 * np.eye(8)).tolist()}},
 ])
 def test_wrongly_typed_config_exits_2(tmp_path, capsys, payload):
     cfg = write_json(tmp_path / "cfg.json", payload)

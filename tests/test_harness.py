@@ -275,7 +275,7 @@ def test_backend_metadata_and_failures_are_json_plain(monkeypatch, task, fixture
     # the harness writes metadata as the backend returns it
     cfg = RunConfig(task=task, generations=2, population=4, seed=2, shots=30,
                     backend_fixture=fixture)
-    space = harness.space_for_task(task)
+    space = cfg.space
     X = np.random.default_rng(0).uniform(0.0, 1.0, (4, space.dimension))
     assert_plain([ev.metadata for ev in harness._make_evaluator(cfg)(X, [5, 6, 7, 8])])
     _fail_at_seed(monkeypatch, shot_seed(cfg.seed, 1, 2))
@@ -1139,10 +1139,8 @@ def test_evaluate_params_reads_a_fixture_file_as_the_object_it_holds(tmp_path):
 # ------------------------------------------------------------- config errors
 
 def test_config_rejects_bad_fields():
-    with pytest.raises(ConfigError):
-        RunConfig(task="tea_making", generations=5, population=4)
     with pytest.raises(ConfigError, match="unknown task 'tea_making'"):
-        harness.space_for_task("tea_making")
+        RunConfig(task="tea_making", generations=5, population=4)
     with pytest.raises(ConfigError):
         RunConfig(task="readout", generations=0, population=4)
     with pytest.raises(ConfigError):
@@ -1246,11 +1244,26 @@ def test_a_config_opens_no_fixture_file(tmp_path, monkeypatch, fixture):
 
 def test_a_fixture_is_held_as_its_checked_landscapes_json():
     land = harness.json_plain(backends.make_shuttle_landscape(5))
-    # integers, as a user may write them, and a numpy seed, as a library caller may pass it
-    written = {**land, "floor": 0, "optimum": [0] * 8, "seed": np.int64(land["seed"])}
+    # integers, as a user may write them, and a numpy seed, as a library caller may pass it;
+    # a coupling of 1/8 on the diagonal keeps the quadratic at most 1 around the corner 0
+    coupling = (np.eye(8) / 8).tolist()
+    written = {**land, "floor": 0, "optimum": [0] * 8, "coupling": coupling,
+               "seed": np.int64(land["seed"])}
     cfg = RunConfig(task="shuttle", generations=3, population=4, backend_fixture=written)
     assert json.dumps(cfg.backend_fixture) == json.dumps({**land, "floor": 0.0,
-                                                          "optimum": [0.0] * 8})
+                                                          "optimum": [0.0] * 8,
+                                                          "coupling": coupling})
+
+
+def test_a_shuttle_fixture_is_refused_where_its_quadratic_passes_1_on_the_cube():
+    # p = floor + (SHUTTLE_P_WORST - floor) q stays within SHUTTLE_P_WORST only while q <= 1
+    for seed in range(50):
+        land = harness.json_plain(backends.make_shuttle_landscape(seed))
+        cfg = RunConfig(task="shuttle", generations=1, population=2, backend_fixture=land)
+        assert cfg.backend_fixture == land
+    steep = {**land, "optimum": [0.5] * 8, "coupling": (100 * np.eye(8)).tolist()}
+    with pytest.raises(ConfigError, match=r"quadratic reaches 200\.0 at a corner"):
+        RunConfig(task="shuttle", generations=1, population=2, backend_fixture=steep)
 
 
 def test_a_config_holds_a_copy_of_the_callers_fixture(tmp_path):

@@ -12,6 +12,7 @@ from spintune.rb import (
     CLIFFORD_DECOMPOSITIONS,
     DRIVE_RATE_RAD_PER_MV_NS,
     GATES_PER_CLIFFORD,
+    N_RANDOMIZATIONS,
     PRIMITIVE_NAMES,
     RESONANCE_MHZ,
     RbConfig,
@@ -210,7 +211,7 @@ def dense_oracle(cfg, t_d, amplitude, frequency):
 
 
 def test_five_percent_overrotation_matches_dense_oracle():
-    cfg = RbConfig(sequence_length=30, n_randomizations=15, seed=8)
+    cfg = RbConfig(sequence_length=30, seed=8)
     x = np.array([12.5, 10.5, RESONANCE_MHZ])  # 5% amplitude overdrive
     backend = rb_backend_evaluate(cfg, x, [None])[0].cost
     oracle = dense_oracle(cfg, 12.5, 10.5, RESONANCE_MHZ)
@@ -218,7 +219,7 @@ def test_five_percent_overrotation_matches_dense_oracle():
 
 
 def test_off_resonance_matches_dense_oracle():
-    cfg = RbConfig(sequence_length=20, n_randomizations=10, seed=13)
+    cfg = RbConfig(sequence_length=20, seed=13)
     x = np.array([13.0, 9.0, RESONANCE_MHZ + 2.0])
     backend = rb_backend_evaluate(cfg, x, [None])[0].cost
     oracle = dense_oracle(cfg, 13.0, 9.0, RESONANCE_MHZ + 2.0)
@@ -226,7 +227,7 @@ def test_off_resonance_matches_dense_oracle():
 
 
 def test_rb_sequences_are_seeded_and_inverted():
-    cfg = RbConfig(sequence_length=12, n_randomizations=4, seed=21)
+    cfg = RbConfig(sequence_length=12, seed=21)
     a = rb_sequences(cfg)
     b = rb_sequences(cfg)
     for (sa, ra), (sb, rb_) in zip(a, b):
@@ -283,7 +284,7 @@ def test_input_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("shots_per_sequence", 1.5), ("n_randomizations", True), ("seed", -1),
+    ("shots_per_sequence", 1.5), ("seed", -1),
     ("shots_per_sequence", 2**63),
 ])
 def test_config_takes_integers_only_and_a_non_negative_seed(field, value):
@@ -300,9 +301,8 @@ def test_gates_per_clifford_is_45_over_24():
 def test_block_equals_its_rows_bit_for_bit(data):
     # The start state of every sequence of every row is propagated through
     # its row's Cliffords in one pass over the block; no row may feel another.
-    cfg = RbConfig(sequence_length=data.draw(st.integers(1, 30)),
-                   n_randomizations=data.draw(st.integers(1, 15)),
-                   shots_per_sequence=50, seed=data.draw(st.integers(0, 99)))
+    cfg = RbConfig(sequence_length=data.draw(st.integers(1, 30)), shots_per_sequence=50,
+                   seed=data.draw(st.integers(0, 99)))
     n = data.draw(st.integers(1, 100), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
     X = rng.uniform([10.0, 7.0, 995.0], [16.0, 13.0, 1005.0], (n, 3))
@@ -334,7 +334,7 @@ def test_block_equals_its_rows_bit_for_bit(data):
 
 
 def test_stacked_composition_matches_the_dense_oracle_per_row():
-    cfg = RbConfig(sequence_length=20, n_randomizations=10, seed=13)
+    cfg = RbConfig(sequence_length=20, seed=13)
     X = np.array([[13.0, 9.0, RESONANCE_MHZ + 2.0], [12.5, 10.5, RESONANCE_MHZ]])
     for x, ev in zip(X, rb_backend_evaluate(cfg, X, [None] * len(X))):
         assert abs(ev.cost - dense_oracle(cfg, *x)) < 1e-10
@@ -374,9 +374,9 @@ def test_exact_cost_equals_the_sequence_by_sequence_propagation_bit_for_bit():
 
 
 def test_step_table_is_each_sequence_then_its_recovery_and_cannot_be_written():
-    cfg = RbConfig(sequence_length=5, n_randomizations=3, seed=4)
+    cfg = RbConfig(sequence_length=5, seed=4)
     table = cfg.step_table
-    assert table.shape == (6, 3)
+    assert table.shape == (6, N_RANDOMIZATIONS)
     for column, (seq, recovery) in zip(table.T, rb_sequences(cfg)):
         assert column.tolist() == [*seq.tolist(), recovery]
     with pytest.raises(ValueError, match="read-only"):
@@ -385,7 +385,7 @@ def test_step_table_is_each_sequence_then_its_recovery_and_cannot_be_written():
         cfg.step_table = table.copy()
     assert cfg.step_table is table
     assert "step_table" not in {f.name for f in fields(RbConfig)}
-    assert cfg == RbConfig(sequence_length=5, n_randomizations=3, seed=4)
+    assert cfg == RbConfig(sequence_length=5, seed=4)
 
 
 def test_shots_at_the_planted_pulse_give_cost_zero():
@@ -413,7 +413,7 @@ def test_decay_curve_equals_evaluation_at_each_length_bit_for_bit(shot_seed):
 
 
 def test_noisy_decay_curve_draws_length_i_at_shot_seed_plus_i():
-    cfg = RbConfig(n_randomizations=6, shots_per_sequence=40, seed=9)
+    cfg = RbConfig(shots_per_sequence=40, seed=9)
     x = np.array([12.5, 10.3, RESONANCE_MHZ + 0.4])
     lengths = [1, 4, 17, 40]
     curve = rb_decay_curve(cfg, x, lengths, shot_seed=7)
@@ -435,7 +435,7 @@ def test_decay_curve_refuses_a_length_that_is_not_a_whole_number(length):
 
 
 def test_exact_decay_curve_matches_the_dense_oracle():
-    cfg = RbConfig(n_randomizations=8, seed=12)
+    cfg = RbConfig(seed=12)
     x = (13.0, 9.4, RESONANCE_MHZ - 1.5)
     lengths = [1, 9, 50]
     curve = rb_decay_curve(cfg, np.array(x), lengths)
